@@ -10,6 +10,10 @@
    array reads and a store, with none of the hashing or balanced-tree
    rebuilding of the persistent-set representation this replaces. *)
 
+(* One statement-coverage bitmap with its pc-to-line map: what a per-pc
+   record touches, resolved ahead of the hot loop. *)
+type pc_sink = { sink_line_of : int array; sink_lines : Bytes.t }
+
 type t = {
   ubits : Bytes.t;  (* per pc: is this a user conditional branch *)
   branch_universe : int;  (* number of user branches *)
@@ -21,6 +25,8 @@ type t = {
   line_taken : Bytes.t;
   line_nt : Bytes.t;
   line_universe : int;
+  pc_taken : pc_sink;  (* over [line_taken] *)
+  pc_nt : pc_sink;  (* over [line_nt] *)
   (* Frontier attribution (observatory only, armed per run): when armed,
      [nt_seq.(edge)] remembers the 1-based ordinal of the NT-Path that
      *first* covered the edge, so an uncovered sibling edge can be blamed on
@@ -50,15 +56,19 @@ let create program =
   let max_line = Array.fold_left max 0 line_of in
   let distinct = Hashtbl.create 256 in
   Array.iter (fun l -> if l > 0 then Hashtbl.replace distinct l ()) line_of;
+  let line_taken = Bytes.make (max_line + 1) '\000' in
+  let line_nt = Bytes.make (max_line + 1) '\000' in
   {
     ubits;
     branch_universe;
     taken = Bytes.make (2 * n) '\000';
     nt = Bytes.make (2 * n) '\000';
     line_of;
-    line_taken = Bytes.make (max_line + 1) '\000';
-    line_nt = Bytes.make (max_line + 1) '\000';
+    line_taken;
+    line_nt;
     line_universe = Hashtbl.length distinct;
+    pc_taken = { sink_line_of = line_of; sink_lines = line_taken };
+    pc_nt = { sink_line_of = line_of; sink_lines = line_nt };
     attr_armed = false;
     cur_seq = 0;
     nt_seq = [||];
@@ -125,13 +135,15 @@ let pc_line_covered cov pc =
    sentinel sink the percentage readers below skip. [line_of] has exactly
    one slot per pc (see [create]), so the caller's pc range check covers
    the unsafe read. *)
-let[@inline always] record_pc_taken cov pc =
-  if pc >= 0 && pc < Array.length cov.line_of then
-    Bytes.unsafe_set cov.line_taken (Array.unsafe_get cov.line_of pc) '\001'
+let[@inline always] record_pc sink pc =
+  if pc >= 0 && pc < Array.length sink.sink_line_of then
+    Bytes.unsafe_set sink.sink_lines
+      (Array.unsafe_get sink.sink_line_of pc)
+      '\001'
 
-let[@inline always] record_pc_nt cov pc =
-  if pc >= 0 && pc < Array.length cov.line_of then
-    Bytes.unsafe_set cov.line_nt (Array.unsafe_get cov.line_of pc) '\001'
+let pc_sink cov ~nt = if nt then cov.pc_nt else cov.pc_taken
+let[@inline always] record_pc_taken cov pc = record_pc cov.pc_taken pc
+let[@inline always] record_pc_nt cov pc = record_pc cov.pc_nt pc
 
 let count_lines bytes = Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 bytes
 

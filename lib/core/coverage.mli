@@ -23,6 +23,17 @@ val record_pc_taken : t -> int -> unit
 
 val record_pc_nt : t -> int -> unit
 
+(** The statement-coverage sink of one kind (NT-Path when [nt]), for a hot
+    loop that picks the kind once per segment rather than per instruction.
+    Preallocated: looking one up allocates nothing. *)
+type pc_sink
+
+val pc_sink : t -> nt:bool -> pc_sink
+
+(** [record_pc (pc_sink cov ~nt:false) pc] is [record_pc_taken cov pc];
+    likewise for NT-Paths. *)
+val record_pc : pc_sink -> int -> unit
+
 (** Total number of edges: two per user branch. *)
 val edge_universe_size : t -> int
 

@@ -384,14 +384,13 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
     then max_int (* every branch deoptimizes *)
     else config.Pe_config.nt_counter_threshold
   in
-  let bits = Bitbuf.create ~capacity_bits:(1 lsl 16) () in
   (* One fast-tier handle for the whole run: segments then allocate
-     nothing (closures, branch log and exit flushing all live in the
-     handle — see Fast_loop). *)
-  let fl = Fast_loop.make machine ctx coverage ~bits in
+     nothing (parameters and exit flushing live in the handle — see
+     Fast_loop). *)
+  let fl = Fast_loop.make machine ctx coverage in
   let fast_insns = ref 0 in
   let fast_segments = ref 0 in
-  let fast_branch_bits = ref 0 in
+  let fast_branches = ref 0 in
   (* Observatory: why did the fast tier hand this pc to the instrumented
      tier? The fast tier stops *before* executing a special instruction, so
      the cause is readable from the decoded image at the current pc. *)
@@ -434,7 +433,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
           min (fuel - insns)
             (!last_reset + config.Pe_config.counter_reset_interval - insns)
         in
-        Bitbuf.clear bits;
+        let branches = ctx.Context.stats.Context.branches in
         let fstop = Fast_loop.run fl ~spawning ~threshold ~budget in
         let retired = Fast_loop.retired fl in
         if retired > 0 then begin
@@ -442,7 +441,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
              retired-instruction index (report provenance) follows here. *)
           machine.Machine.insn_index <- machine.Machine.insn_index + retired;
           fast_insns := !fast_insns + retired;
-          fast_branch_bits := !fast_branch_bits + Bitbuf.length bits;
+          fast_branches :=
+            !fast_branches + ctx.Context.stats.Context.branches - branches;
           incr fast_segments
         end;
         match fstop with
@@ -456,6 +456,9 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
         | Fast_loop.Special_branch_nontaken ->
           if obs then incr d_branch;
           step_slow 0
+        (* Only sandboxed stores overflow and the primary context is never
+           sandboxed; degrade to a fault like [Cpu.Ev_overflow] below. *)
+        | Fast_loop.Overflow -> `Faulted Cpu.Sandbox_overflow
       end
       else begin
         (* Instrumented-tier instruction outside the fast/slow split: either
@@ -508,7 +511,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
   if !fast_insns > 0 then begin
     Telemetry.count tel "selective.fast_insns" !fast_insns;
     Telemetry.count tel "selective.segments" !fast_segments;
-    Telemetry.count tel "selective.fast_branch_bits" !fast_branch_bits
+    (* conditional branches retired on the fast tier *)
+    Telemetry.count tel "selective.fast_branch_bits" !fast_branches
   end;
   if obs then begin
     (* Deopt-cause histogram and tier pinning, exported only when the

@@ -1,18 +1,19 @@
-(* The selective fast tier: a stripped interpreter for the taken path.
+(* The selective fast tier: a stripped interpreter for the taken path and
+   NT-Paths alike.
 
    This is the engine's answer to detection bloat (coverage-preserving
-   selective instrumentation, as in HeXcite): the taken path runs here with
-   no detector hooks, no watchpoint probes, no store-hook dispatch, no
-   recorder branches and no per-instruction sandbox match — just registers,
-   memory, cache timing, coverage bits and the branch-direction log. The
-   moment an instruction needs any of the heavy machinery (a syscall, a
-   watch/unwatch, a detector check that would file a report, a fault, or a
-   branch whose cold-edge counter makes it a spawn candidate) the loop stops
-   *before* that instruction and the engine executes it on the fully
-   instrumented tier ([Cpu.step]). Deoptimization, not re-execution: no
-   instruction ever runs twice, so every observable — architectural state,
-   stats, cache/BTB contents, coverage, reports, recorder stream, program
-   output — is bit-for-bit what the instrumented tier alone would produce.
+   selective instrumentation, as in HeXcite): execution runs here with no
+   detector hooks, no watchpoint probes, no store-hook dispatch and no
+   recorder branches — just registers, memory, cache timing and coverage
+   bits. The moment an instruction needs any of the heavy machinery (a
+   syscall, a watch/unwatch, a detector check that would file a report, a
+   fault, or a branch whose cold-edge counter makes it a spawn candidate)
+   the loop stops *before* that instruction and the caller executes it on
+   the fully instrumented tier ([Cpu.step]).
+   Deoptimization, not re-execution: no instruction ever runs twice, so
+   every observable — architectural state, stats, cache/BTB contents,
+   coverage, reports, recorder stream, program output — is bit-for-bit what
+   the instrumented tier alone would produce.
 
    Correctness of the stop-before discipline rests on every case below
    either (a) committing *exactly* the state transitions the instrumented
@@ -20,7 +21,15 @@
    stopping. The pre-checks make (b) possible without exceptions: memory
    operands are validated with [Memory.is_valid] (the exact complement of
    [Memory.check]'s raise condition) and divisors checked against zero
-   before any side effect.
+   before any side effect. The register effects themselves are [Cpu]'s own
+   inlined helpers, so the two tiers share one body of ISA semantics.
+
+   One case commits an instruction and still stops: a sandboxed store can
+   overflow the path's L1 line budget, which is only discoverable *by doing
+   the write*. The instrumented tier retires that instruction (stats and
+   latency charged, pc not advanced) and raises; [Overflow] reproduces
+   exactly that committed state. The taken path never has a sandbox, so it
+   cannot reach this stop.
 
    Spawn-candidate detection probes the BTB side-effect-free
    ([Btb.probe_exercise]). Within a fast segment a branch's forced-edge
@@ -32,33 +41,43 @@
    reason — the insertion and its accounting belong to the instrumented
    tier's [Btb.counts]/[Btb.exercise] pair; for exercised non-candidates
    [Btb.probe_exercise] commits that pair's exact observable effect in the
-   same single associative search that tested the predicate.
+   same single associative search that tested the predicate. A [max_int]
+   threshold makes every branch a candidate and touches nothing: the
+   deopt-at-every-branch setting.
 
-   Both loops are tail-recursive over plain integer state (pc and the five
+   Which tier a segment serves is data, read from the context at segment
+   entry ([run]): no sandbox is the taken path (plain memory, committed
+   cache ownership, taken-path coverage); a sandbox is an NT-Path (buffered
+   memory, speculative ownership under the path's id, NT-Path coverage).
+   Only memory accesses and branch-edge records test the tier; the
+   per-instruction statement record goes to a sink picked at entry.
+
+   The loop is tail-recursive over plain integer state (pc and the five
    stat deltas), so the per-instruction bookkeeping lives in registers; the
    context's stats are updated once, at segment exit.
 
    Performance structure: the handle is a flat mutable record and the
-   interpreter loops are *top-level* recursive functions over it. Keeping
-   the loops (and their helpers) at top level matters twice over, without
+   interpreter loop is a *top-level* recursive function over it. Keeping
+   the loop (and its helpers) at top level matters twice over, without
    flambda: a segment call allocates nothing (per-call parameters are
    record stores, exit state flushes straight into the context, every
-   [stop]/[nt_stop] constructor is constant), and every call in the
-   per-instruction path — the recursive step, the latency probe, the
-   coverage/BTB/sandbox hooks — is a known direct call. The closure-tree
-   variant of this file cost both ways: per-segment closure records
-   (~300M minor words per sweep; NT-Paths deoptimize at every watch, check
-   and virtualised syscall) and, worse, helpers captured from an enclosing
-   closure compile to unknown-function applications (the caml_apply
-   helpers) on every instruction.
+   [stop] constructor is constant), and every call in the per-instruction
+   path — the recursive step, the latency probe, the coverage/BTB/sandbox
+   hooks — is a known direct call. The closure-tree variant of this file
+   cost both ways: per-segment closure records (~300M minor words per
+   sweep; NT-Paths deoptimize at every watch, check and virtualised
+   syscall) and, worse, helpers captured from an enclosing closure compile
+   to unknown-function applications (the caml_apply helpers) on every
+   instruction.
 
-   The engine guarantees before entry: the context is the primary (never
-   sandboxed, predicate false unless a fix block is somehow live), no
-   watchpoints are armed, no store hook is attached, and the configuration
-   has no per-branch randomness or profiling (checked in [Engine.run]). *)
+   The callers guarantee before entry ([Engine.run] for the taken path,
+   [Nt_path.run] for NT-Paths): no watchpoints are armed, no store hook is
+   attached, and every per-branch action the fast tier omits (random
+   spawning, profiled fixing, spawn-everywhere, forced cold edges inside
+   NT-Paths) is covered by [threshold = max_int]. *)
 
 type stop =
-  | Budget  (** segment budget exhausted (fuel or counter-reset boundary) *)
+  | Budget  (** segment budget exhausted *)
   | Special
       (** the instruction at [ctx.pc] needs the instrumented tier; nothing
           about it has been committed *)
@@ -67,19 +86,29 @@ type stop =
           evaluated as taken (cross-checked against the instrumented tier) *)
   | Special_branch_nontaken
       (** like [Special_branch_taken], condition evaluated as not taken *)
+  | Overflow
+      (** a sandboxed store overflowed the path's L1 budget; the store has
+          retired in place *)
 
 type t = {
   machine : Machine.t;
   ctx : Context.t;
   coverage : Coverage.t;
-  bits : Bitbuf.t;
   dcode : Decode.t array;
   mem : Memory.t;
   words : int array;
   btb : Btb.t;
   regs : int array;
-  l1 : Cache.t;
   code_len : int;
+  (* The tier, re-read from the context at every segment ([run]): an NT
+     arena's context is retargeted per spawn (CMP spawns land on idle
+     cores' L1s, the 8-bit path id is fresh per spawn). *)
+  mutable l1 : Cache.t;
+  mutable sandbox : Context.sandbox option;
+  mutable owner : int;
+  mutable pcs : Coverage.pc_sink;
+      (* the statement-coverage kind, so the per-instruction record does
+         not test the tier *)
   (* per-segment parameters and results *)
   mutable spawning : bool;
   mutable threshold : int;
@@ -89,17 +118,39 @@ type t = {
       (* batched latency accounting (DESIGN.md §13): accesses the cache's
          MRU memo answers are L1 hits with zero stall cycles and no cache
          state change, counted here and flushed to the hit counter once per
-         segment, mirroring how the stat deltas flush *)
+         segment, mirroring how the stat deltas flush. The owner is the
+         path's id inside an NT-Path, so a memoized *write* only
+         short-circuits when the line already carries this path's tag (no
+         retag, no journal due). *)
 }
 
 let[@inline always] latency t ~write addr =
-  if Cache.memo_probe t.l1 addr ~owner:Cache.committed_owner ~write then begin
+  if Cache.memo_probe t.l1 addr ~owner:t.owner ~write then begin
     t.memo_hits <- t.memo_hits + 1;
     0
   end
   else
-    Machine.access_latency t.machine t.l1 ~owner:Cache.committed_owner ~write
-      ~speculative:false addr
+    Machine.access_latency t.machine t.l1 ~owner:t.owner ~write
+      ~speculative:(match t.sandbox with None -> false | Some _ -> true)
+      addr
+
+let[@inline always] read t addr =
+  match t.sandbox with
+  | None -> Array.unsafe_get t.words addr
+  | Some sb -> Context.sandbox_read sb t.mem addr
+
+(* [false]: the write overflowed the sandbox's L1 budget. *)
+let[@inline always] write t addr v =
+  match t.sandbox with
+  | None ->
+    Memory.write_valid t.mem addr v;
+    true
+  | Some sb -> Context.sandbox_write sb t.mem addr v
+
+let[@inline always] record_edge t pc taken =
+  match t.sandbox with
+  | None -> Coverage.record_taken t.coverage pc taken
+  | Some _ -> Coverage.record_nt t.coverage pc taken
 
 (* Segment exit: final pc into the context, the stat deltas accumulated in
    the loop's registers onto its counters, the retired count into the
@@ -114,9 +165,22 @@ let[@inline always] finish t pc n cyc ld st br =
   stats.Context.branches <- stats.Context.branches + br;
   t.retired <- n
 
+(* The two exits are cold (once per segment): kept out of line so the
+   loop's hot arms stay compact. *)
+let[@inline never] special t pc n cyc ld st br =
+  finish t pc n cyc ld st br;
+  Special
+
+(* The overflowing store at [pc] retires in place: its stats and latency
+   are already in [n]..[st], the pc is not advanced. *)
+let[@inline never] overflow t pc n cyc ld st br =
+  finish t pc n cyc ld st br;
+  Overflow
+
 (* [pc]..[br] are the live per-instruction state; every executed
-   instruction mirrors the instrumented tier's [Coverage.record_pc_taken]
-   (engine loop top) and the insns/cycles bump of [Cpu.step]. *)
+   instruction mirrors the instrumented tier's per-pc coverage record
+   (engine and NT-Path loop tops) and the insns/cycles bump of
+   [Cpu.step]. *)
 let rec go t pc n cyc ld st br =
   if n >= t.budget then begin
     finish t pc n cyc ld st br;
@@ -127,85 +191,69 @@ let rec go t pc n cyc ld st br =
     let regs = t.regs in
     match Array.unsafe_get t.dcode pc with
     | Decode.D_alu (op, rd, rs, rt) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (Decode.eval_alu op (Array.unsafe_get regs rs)
-             (Array.unsafe_get regs rt));
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.exec_alu regs op rd (Array.unsafe_get regs rs)
+        (Array.unsafe_get regs rt);
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_alui (op, rd, rs, imm) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (Decode.eval_alu op (Array.unsafe_get regs rs) imm);
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.exec_alu regs op rd (Array.unsafe_get regs rs) imm;
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_div (rd, rs, rt) ->
       let b = Array.unsafe_get regs rt in
       (* zero divisor: the instrumented tier faults (Div_by_zero) *)
       if b = 0 then special t pc n cyc ld st br
       else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs / b);
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.exec_div regs rd (Array.unsafe_get regs rs) b;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_mod (rd, rs, rt) ->
       let b = Array.unsafe_get regs rt in
       if b = 0 then special t pc n cyc ld st br
       else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs mod b);
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.exec_mod regs rd (Array.unsafe_get regs rs) b;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_divi (rd, rs, imm) ->
       if imm = 0 then special t pc n cyc ld st br
       else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs / imm);
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.exec_div regs rd (Array.unsafe_get regs rs) imm;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_modi (rd, rs, imm) ->
       if imm = 0 then special t pc n cyc ld st br
       else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs mod imm);
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.exec_mod regs rd (Array.unsafe_get regs rs) imm;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_cmp (c, rd, rs, rt) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (if
-             Insn.eval_cmp c (Array.unsafe_get regs rs)
-               (Array.unsafe_get regs rt)
-           then 1
-           else 0);
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.exec_cmp regs c rd (Array.unsafe_get regs rs)
+        (Array.unsafe_get regs rt);
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_cmpi (c, rd, rs, imm) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (if Insn.eval_cmp c (Array.unsafe_get regs rs) imm then 1 else 0);
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.exec_cmp regs c rd (Array.unsafe_get regs rs) imm;
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_li (rd, imm) ->
-      if rd <> 0 then Array.unsafe_set regs rd imm;
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.write_reg regs rd imm;
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_mov (rd, rs) ->
-      if rd <> 0 then Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-      Coverage.record_pc_taken t.coverage pc;
+      Cpu.write_reg regs rd (Array.unsafe_get regs rs);
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_load (rd, base, off) ->
       let addr = Array.unsafe_get regs base + off in
       if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false addr in
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get t.words addr);
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.write_reg regs rd (read t addr);
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
       end
     | Decode.D_store (rs, base, off) ->
@@ -213,9 +261,10 @@ let rec go t pc n cyc ld st br =
       if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:true addr in
-        Memory.write_valid t.mem addr (Array.unsafe_get regs rs);
-        Coverage.record_pc_taken t.coverage pc;
-        go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        Coverage.record_pc t.pcs pc;
+        if write t addr (Array.unsafe_get regs rs) then
+          go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        else overflow t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
       end
     | Decode.D_br (c, rs, rt, target) ->
       let taken =
@@ -231,15 +280,14 @@ let rec go t pc n cyc ld st br =
         if taken then Special_branch_taken else Special_branch_nontaken
       end
       else begin
-        Bitbuf.push t.bits taken;
-        Coverage.record_taken t.coverage pc taken;
-        Coverage.record_pc_taken t.coverage pc;
+        record_edge t pc taken;
+        Coverage.record_pc t.pcs pc;
         go t
           (if taken then target else pc + 1)
           (n + 1) (cyc + 1) ld st (br + 1)
       end
     | Decode.D_jmp target ->
-      Coverage.record_pc_taken t.coverage pc;
+      Coverage.record_pc t.pcs pc;
       go t target (n + 1) (cyc + 1) ld st br
     | Decode.D_call target ->
       let sp = Array.unsafe_get regs Reg.sp - 1 in
@@ -247,18 +295,19 @@ let rec go t pc n cyc ld st br =
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
-        Memory.write_valid t.mem sp (pc + 1);
-        Coverage.record_pc_taken t.coverage pc;
-        go t target (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        Coverage.record_pc t.pcs pc;
+        if write t sp (pc + 1) then
+          go t target (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        else overflow t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
       end
     | Decode.D_ret ->
       let sp = Array.unsafe_get regs Reg.sp in
       if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
-        let ra = Array.unsafe_get t.words sp in
+        let ra = read t sp in
         Array.unsafe_set regs Reg.sp (sp + 1);
-        Coverage.record_pc_taken t.coverage pc;
+        Coverage.record_pc t.pcs pc;
         go t ra (n + 1) (cyc + 1 + lat) (ld + 1) st br
       end
     | Decode.D_push rs ->
@@ -267,19 +316,20 @@ let rec go t pc n cyc ld st br =
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
-        Memory.write_valid t.mem sp (Array.unsafe_get regs rs);
-        Coverage.record_pc_taken t.coverage pc;
-        go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        Coverage.record_pc t.pcs pc;
+        if write t sp (Array.unsafe_get regs rs) then
+          go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        else overflow t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
       end
     | Decode.D_pop rd ->
       let sp = Array.unsafe_get regs Reg.sp in
       if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
-        let v = Array.unsafe_get t.words sp in
+        let v = read t sp in
         Array.unsafe_set regs Reg.sp (sp + 1);
-        if rd <> 0 then Array.unsafe_set regs rd v;
-        Coverage.record_pc_taken t.coverage pc;
+        Cpu.write_reg regs rd v;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
       end
     | Decode.D_checkz (rs, _site) ->
@@ -287,48 +337,46 @@ let rec go t pc n cyc ld st br =
          report (detector machinery) — instrumented tier's job. *)
       if Array.unsafe_get regs rs = 0 then special t pc n cyc ld st br
       else begin
-        Coverage.record_pc_taken t.coverage pc;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_pred _ ->
-      (* The primary context's predicate is false outside NT-Path fix
-         blocks, making this a fallthrough; a live predicate means a fix
-         block is executing and the instrumented tier must run it. *)
+      (* The predicate is false outside consistency-fix blocks, making this
+         a fallthrough; a live predicate means a fix block is executing
+         (an NT-Path's entry stub) and the instrumented tier must run it. *)
       if t.ctx.Context.pred then special t pc n cyc ld st br
       else begin
-        Coverage.record_pc_taken t.coverage pc;
+        Coverage.record_pc t.pcs pc;
         go t (pc + 1) (n + 1) (cyc + 1) ld st br
       end
     | Decode.D_clearpred ->
       t.ctx.Context.pred <- false;
-      Coverage.record_pc_taken t.coverage pc;
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_nop ->
-      Coverage.record_pc_taken t.coverage pc;
+      Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_syscall _ | Decode.D_watch _ | Decode.D_unwatch _
     | Decode.D_halt ->
       special t pc n cyc ld st br
   end
 
-and special t pc n cyc ld st br =
-  finish t pc n cyc ld st br;
-  Special
-
-let make machine ctx coverage ~bits =
+let make machine ctx coverage =
   let dcode = machine.Machine.dcode in
   {
     machine;
     ctx;
     coverage;
-    bits;
     dcode;
     mem = machine.Machine.mem;
     words = machine.Machine.mem.Memory.words;
     btb = machine.Machine.btb;
     regs = ctx.Context.regs;
-    l1 = ctx.Context.l1;
     code_len = Array.length dcode;
+    l1 = ctx.Context.l1;
+    sandbox = None;
+    owner = Cache.committed_owner;
+    pcs = Coverage.pc_sink coverage ~nt:false;
     spawning = false;
     threshold = 0;
     budget = 0;
@@ -337,312 +385,17 @@ let make machine ctx coverage ~bits =
   }
 
 let run t ~spawning ~threshold ~budget =
+  let ctx = t.ctx in
+  t.l1 <- ctx.Context.l1;
+  t.sandbox <- ctx.Context.sandbox;
+  t.owner <- Context.path_id ctx;
+  t.pcs <- Coverage.pc_sink t.coverage ~nt:(Context.is_sandboxed ctx);
   t.spawning <- spawning;
   t.threshold <- threshold;
   t.budget <- budget;
   t.memo_hits <- 0;
-  let stop = go t t.ctx.Context.pc 0 0 0 0 0 in
+  let stop = go t ctx.Context.pc 0 0 0 0 0 in
   if t.memo_hits > 0 then Cache.add_hits t.l1 t.memo_hits;
   stop
 
 let retired t = t.retired
-
-(* The NT-Path variant of the fast tier: same stop-before-special discipline,
-   but memory traffic goes through the path's sandbox (speculative cache
-   ownership, buffered writes), per-instruction coverage is the NT-Path kind,
-   inner branches follow the actual condition with no BTB traffic, and the
-   budget is [MaxNTPathLength]. One genuinely new case: a sandboxed store can
-   overflow the path's L1 line budget, which is only discoverable *by doing
-   the write* — the instrumented tier retires that instruction (stats and
-   latency charged, pc not advanced) and raises; [Nt_overflow] reproduces
-   exactly that committed state and lets {!Nt_path.run} terminate the path.
-
-   [Nt_path.run] guarantees before entry: the context is sandboxed in
-   [sandbox]; no watchpoints armed; no store hook; the configuration neither
-   forces cold edges inside NT-Paths ([follow_nontaken_in_nt]) nor is
-   excluded by the selective switches. *)
-
-type nt_stop =
-  | Nt_budget  (** [MaxNTPathLength] reached *)
-  | Nt_special
-      (** the instruction at [ctx.pc] needs the instrumented tier; nothing
-          about it has been committed *)
-  | Nt_overflow
-      (** a sandboxed store overflowed the path's L1 budget; the store
-          instruction has retired (stats, latency) with [ctx.pc] left on it,
-          exactly as the instrumented tier leaves it *)
-
-type nt = {
-  n_machine : Machine.t;
-  n_ctx : Context.t;
-  n_sandbox : Context.sandbox;
-  n_coverage : Coverage.t;
-  n_dcode : Decode.t array;
-  n_mem : Memory.t;
-  n_regs : int array;
-  n_code_len : int;
-  (* The arena's L1 is retargeted per spawn (CMP spawns land on idle cores'
-     L1s) and the 8-bit path id is fresh per spawn, so both are refreshed
-     from the context/sandbox at every segment ([run_nt]). *)
-  mutable n_l1 : Cache.t;
-  mutable n_path_id : int;
-  mutable n_deopt : bool;
-  mutable n_budget : int;
-  mutable n_retired : int;
-  mutable n_memo_hits : int;
-}
-
-(* Same batched memo accounting as the taken-path loop; the owner is the
-   path's id, so a memoized *write* only short-circuits when the line
-   already carries this path's tag (no retag, no journal due). *)
-let[@inline always] nt_latency t ~write addr =
-  if Cache.memo_probe t.n_l1 addr ~owner:t.n_path_id ~write then begin
-    t.n_memo_hits <- t.n_memo_hits + 1;
-    0
-  end
-  else
-    Machine.access_latency t.n_machine t.n_l1 ~owner:t.n_path_id ~write
-      ~speculative:true addr
-
-let[@inline always] nt_finish t pc n cyc ld st br =
-  t.n_ctx.Context.pc <- pc;
-  let stats = t.n_ctx.Context.stats in
-  stats.Context.insns <- stats.Context.insns + n;
-  stats.Context.cycles <- stats.Context.cycles + cyc;
-  stats.Context.loads <- stats.Context.loads + ld;
-  stats.Context.stores <- stats.Context.stores + st;
-  stats.Context.branches <- stats.Context.branches + br;
-  t.n_retired <- n
-
-let rec nt_go t pc n cyc ld st br =
-  if n >= t.n_budget then begin
-    nt_finish t pc n cyc ld st br;
-    Nt_budget
-  end
-  else if pc < 0 || pc >= t.n_code_len then nt_special t pc n cyc ld st br
-  else begin
-    let regs = t.n_regs in
-    match Array.unsafe_get t.n_dcode pc with
-    | Decode.D_alu (op, rd, rs, rt) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (Decode.eval_alu op (Array.unsafe_get regs rs)
-             (Array.unsafe_get regs rt));
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_alui (op, rd, rs, imm) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (Decode.eval_alu op (Array.unsafe_get regs rs) imm);
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_div (rd, rs, rt) ->
-      let b = Array.unsafe_get regs rt in
-      if b = 0 then nt_special t pc n cyc ld st br
-      else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs / b);
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_mod (rd, rs, rt) ->
-      let b = Array.unsafe_get regs rt in
-      if b = 0 then nt_special t pc n cyc ld st br
-      else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs mod b);
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_divi (rd, rs, imm) ->
-      if imm = 0 then nt_special t pc n cyc ld st br
-      else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs / imm);
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_modi (rd, rs, imm) ->
-      if imm = 0 then nt_special t pc n cyc ld st br
-      else begin
-        if rd <> 0 then
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs mod imm);
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_cmp (c, rd, rs, rt) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (if
-             Insn.eval_cmp c (Array.unsafe_get regs rs)
-               (Array.unsafe_get regs rt)
-           then 1
-           else 0);
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_cmpi (c, rd, rs, imm) ->
-      if rd <> 0 then
-        Array.unsafe_set regs rd
-          (if Insn.eval_cmp c (Array.unsafe_get regs rs) imm then 1 else 0);
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_li (rd, imm) ->
-      if rd <> 0 then Array.unsafe_set regs rd imm;
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_mov (rd, rs) ->
-      if rd <> 0 then Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_load (rd, base, off) ->
-      let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.n_mem addr) then nt_special t pc n cyc ld st br
-      else begin
-        let lat = nt_latency t ~write:false addr in
-        let v = Context.sandbox_read t.n_sandbox t.n_mem addr in
-        if rd <> 0 then Array.unsafe_set regs rd v;
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
-      end
-    | Decode.D_store (rs, base, off) ->
-      let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.n_mem addr) then nt_special t pc n cyc ld st br
-      else begin
-        let lat = nt_latency t ~write:true addr in
-        Coverage.record_pc_nt t.n_coverage pc;
-        if Context.sandbox_write t.n_sandbox t.n_mem addr (Array.unsafe_get regs rs)
-        then nt_go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
-        else begin
-          (* overflow: the store retires in place, pc not advanced *)
-          nt_finish t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br;
-          Nt_overflow
-        end
-      end
-    | Decode.D_br (c, rs, rt, target) ->
-      (* [n_deopt] ([follow_nontaken_in_nt] ablation): edge selection
-         consults the BTB per inner branch — instrumented tier's job; stop
-         before the branch commits anything. *)
-      if t.n_deopt then nt_special t pc n cyc ld st br
-      else begin
-        let taken =
-          Insn.eval_cmp c (Array.unsafe_get regs rs)
-            (Array.unsafe_get regs rt)
-        in
-        Coverage.record_nt t.n_coverage pc taken;
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t
-          (if taken then target else pc + 1)
-          (n + 1) (cyc + 1) ld st (br + 1)
-      end
-    | Decode.D_jmp target ->
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t target (n + 1) (cyc + 1) ld st br
-    | Decode.D_call target ->
-      let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.n_mem sp) then nt_special t pc n cyc ld st br
-      else begin
-        Array.unsafe_set regs Reg.sp sp;
-        let lat = nt_latency t ~write:true sp in
-        Coverage.record_pc_nt t.n_coverage pc;
-        if Context.sandbox_write t.n_sandbox t.n_mem sp (pc + 1) then
-          nt_go t target (n + 1) (cyc + 1 + lat) ld (st + 1) br
-        else begin
-          nt_finish t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br;
-          Nt_overflow
-        end
-      end
-    | Decode.D_ret ->
-      let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.n_mem sp) then nt_special t pc n cyc ld st br
-      else begin
-        let lat = nt_latency t ~write:false sp in
-        let ra = Context.sandbox_read t.n_sandbox t.n_mem sp in
-        Array.unsafe_set regs Reg.sp (sp + 1);
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t ra (n + 1) (cyc + 1 + lat) (ld + 1) st br
-      end
-    | Decode.D_push rs ->
-      let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.n_mem sp) then nt_special t pc n cyc ld st br
-      else begin
-        Array.unsafe_set regs Reg.sp sp;
-        let lat = nt_latency t ~write:true sp in
-        Coverage.record_pc_nt t.n_coverage pc;
-        if Context.sandbox_write t.n_sandbox t.n_mem sp (Array.unsafe_get regs rs)
-        then nt_go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
-        else begin
-          nt_finish t pc (n + 1) (cyc + 1 + lat) ld (st + 1) br;
-          Nt_overflow
-        end
-      end
-    | Decode.D_pop rd ->
-      let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.n_mem sp) then nt_special t pc n cyc ld st br
-      else begin
-        let lat = nt_latency t ~write:false sp in
-        let v = Context.sandbox_read t.n_sandbox t.n_mem sp in
-        Array.unsafe_set regs Reg.sp (sp + 1);
-        if rd <> 0 then Array.unsafe_set regs rd v;
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
-      end
-    | Decode.D_checkz (rs, _site) ->
-      if Array.unsafe_get regs rs = 0 then nt_special t pc n cyc ld st br
-      else begin
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_pred _ ->
-      (* Consistency-fix blocks (predicate live at path entry) run on the
-         instrumented tier; once [Clearpred] retires this is fallthrough. *)
-      if t.n_ctx.Context.pred then nt_special t pc n cyc ld st br
-      else begin
-        Coverage.record_pc_nt t.n_coverage pc;
-        nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-      end
-    | Decode.D_clearpred ->
-      t.n_ctx.Context.pred <- false;
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_nop ->
-      Coverage.record_pc_nt t.n_coverage pc;
-      nt_go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    | Decode.D_syscall _ | Decode.D_watch _ | Decode.D_unwatch _
-    | Decode.D_halt ->
-      nt_special t pc n cyc ld st br
-  end
-
-and nt_special t pc n cyc ld st br =
-  nt_finish t pc n cyc ld st br;
-  Nt_special
-
-let make_nt machine ctx sandbox coverage =
-  let dcode = machine.Machine.dcode in
-  {
-    n_machine = machine;
-    n_ctx = ctx;
-    n_sandbox = sandbox;
-    n_coverage = coverage;
-    n_dcode = dcode;
-    n_mem = machine.Machine.mem;
-    n_regs = ctx.Context.regs;
-    n_code_len = Array.length dcode;
-    n_l1 = ctx.Context.l1;
-    n_path_id = Cache.committed_owner;
-    n_deopt = false;
-    n_budget = 0;
-    n_retired = 0;
-    n_memo_hits = 0;
-  }
-
-let run_nt t ~deopt_branches ~budget =
-  t.n_l1 <- t.n_ctx.Context.l1;
-  t.n_path_id <- Context.sandbox_path_id t.n_sandbox;
-  t.n_deopt <- deopt_branches;
-  t.n_budget <- budget;
-  t.n_memo_hits <- 0;
-  let stop = nt_go t t.n_ctx.Context.pc 0 0 0 0 0 in
-  if t.n_memo_hits > 0 then Cache.add_hits t.n_l1 t.n_memo_hits;
-  stop
-
-let nt_retired t = t.n_retired

@@ -1,19 +1,26 @@
-(** The selective fast tier: a stripped taken-path interpreter that commits
-    exactly the observable state transitions of the instrumented tier
-    ([Cpu.step] under {!Engine.run}) for the instructions it executes, and
+(** The selective fast tier: a stripped interpreter that commits exactly the
+    observable state transitions of the instrumented tier ([Cpu.step] under
+    {!Engine.run} or {!Nt_path.run}) for the instructions it executes, and
     stops — committing nothing — immediately before any instruction that
     needs detector, watchpoint, syscall, recorder or spawn machinery. The
-    engine then executes that instruction on the instrumented tier
+    caller then executes that instruction on the instrumented tier
     (deoptimization, not re-execution), keeping every observable bit-for-bit
     identical to a fully instrumented run.
 
-    Both tiers are packaged as handles ({!make}/{!make_nt}) built once per
-    run (or per NT arena) so that a segment call allocates nothing: per-call
-    parameters travel through the handle, exit state is flushed straight
-    into the context, and the stop constructors are all constant. *)
+    One loop serves the taken path and NT-Paths. The difference between
+    them is read from the context at every segment: an unsandboxed context
+    runs on plain memory under committed cache ownership with taken-path
+    coverage; a sandboxed one routes memory through its sandbox (buffered
+    writes, speculative cache ownership under [Context.path_id]) and
+    records NT-Path coverage.
+
+    The handle ({!make}) is built once per run (or per NT arena) so that a
+    segment call allocates nothing: per-call parameters travel through the
+    handle, exit state is flushed straight into the context, and the stop
+    constructors are all constant. *)
 
 type stop =
-  | Budget  (** segment budget exhausted (fuel or counter-reset boundary) *)
+  | Budget  (** segment budget exhausted *)
   | Special
       (** the instruction at [ctx.pc] needs the instrumented tier; nothing
           about it has been committed *)
@@ -23,24 +30,32 @@ type stop =
           instrumented tier's own evaluation) *)
   | Special_branch_nontaken
       (** like [Special_branch_taken] with the condition not taken *)
+  | Overflow
+      (** a sandboxed store overflowed the path's L1 line budget; the store
+          has retired (stats and latency charged, [ctx.pc] left on it) —
+          exactly the state the instrumented tier's raise leaves behind.
+          Unreachable for an unsandboxed context. *)
 
-(** A taken-path fast-tier handle, bound to one machine, primary context,
-    coverage sink and branch-direction log. *)
+(** A fast-tier handle, bound to one machine, context and coverage sink.
+    The context's L1, sandbox and path id are re-read at every segment, so
+    a pooled NT context retargeted per spawn (CMP core L1s, fresh 8-bit
+    path ids) needs no handle rebuild. *)
 type t
 
-val make : Machine.t -> Context.t -> Coverage.t -> bits:Bitbuf.t -> t
+val make : Machine.t -> Context.t -> Coverage.t -> t
 
 (** [run t ~spawning ~threshold ~budget] executes up to [budget]
-    instructions of the taken path on the fast tier, starting at [ctx.pc].
-    [spawning] is false when branches take no instrumented-tier action at
-    all ({!Pe_config.Baseline} without profiled fixing: no BTB traffic,
-    branches never deoptimize); otherwise any branch whose forced-edge
-    counter probes below [threshold] (or misses the BTB) stops the segment.
-    Passing [threshold = max_int] therefore deoptimizes at *every* branch —
-    how the engine keeps straight-line code fast under configurations with
-    per-branch actions (random spawning's RNG draw, profiled fixing's
-    observation, spawn-everywhere). Taken branch directions are appended to
-    the handle's [bits].
+    instructions on the fast tier, starting at [ctx.pc]. [spawning] is
+    false when branches take no instrumented-tier action at all (no BTB
+    traffic, branches never deoptimize): {!Pe_config.Baseline} without
+    profiled fixing on the taken path, and every NT-Path that follows
+    actual conditions. Otherwise any branch whose forced-edge counter
+    probes below [threshold] (or misses the BTB) stops the segment. Passing
+    [threshold = max_int] therefore deoptimizes at *every* branch, touching
+    no BTB state — how the callers keep straight-line code fast under
+    configurations with per-branch actions (random spawning's RNG draw,
+    profiled fixing's observation, spawn-everywhere, forced cold edges
+    inside NT-Paths).
 
     Retired instructions are already added to [ctx]'s stats when this
     returns (read the count with {!retired}; the caller must add it to
@@ -48,48 +63,11 @@ val make : Machine.t -> Context.t -> Coverage.t -> bits:Bitbuf.t -> t
     execute — for [Special]/[Special_branch_*], the instruction the
     instrumented tier must run.
 
-    Preconditions (enforced by {!Engine.run}): [ctx] is the primary,
-    unsandboxed context; no watchpoints armed; no store hook; and under
-    per-branch-action configurations (random spawning, profiled fixing,
-    spawn-everywhere), [spawning = true] with [threshold = max_int]. *)
+    Preconditions (enforced by {!Engine.run} and {!Nt_path.run}): no
+    watchpoints armed; no store hook; the taken path's context is the
+    primary, an NT-Path's is sandboxed; and under per-branch-action
+    configurations, [spawning = true] with [threshold = max_int]. *)
 val run : t -> spawning:bool -> threshold:int -> budget:int -> stop
 
 (** Instructions retired by the most recent {!run} segment. *)
 val retired : t -> int
-
-type nt_stop =
-  | Nt_budget  (** [MaxNTPathLength] reached *)
-  | Nt_special
-      (** the instruction at [ctx.pc] needs the instrumented tier; nothing
-          about it has been committed *)
-  | Nt_overflow
-      (** a sandboxed store overflowed the path's L1 line budget; the store
-          has retired (stats and latency charged, [ctx.pc] left on it) —
-          exactly the state the instrumented tier's raise leaves behind *)
-
-(** An NT-Path fast-tier handle, bound to one machine, pooled NT context,
-    pooled sandbox and coverage sink (see {!Nt_path.make_arena}). The
-    context's L1 and the sandbox's path id are re-read at every segment, so
-    per-spawn retargeting (CMP core L1s, fresh 8-bit path ids) needs no
-    handle rebuild. *)
-type nt
-
-val make_nt : Machine.t -> Context.t -> Context.sandbox -> Coverage.t -> nt
-
-(** [run_nt t ~deopt_branches ~budget] is the NT-Path fast tier: the same
-    stop-before-special discipline as {!run}, with memory routed through
-    the sandbox (speculative cache ownership, buffered writes), NT-Path
-    coverage recording, actual-condition branch following and no BTB
-    traffic. [deopt_branches] (the [follow_nontaken_in_nt] ablation, whose
-    inner-branch edge selection consults the BTB) stops the segment before
-    every conditional branch instead. Retired instructions are already in
-    [ctx]'s stats (read the count with {!nt_retired}; the caller must add
-    it to [Machine.insn_index]).
-
-    Preconditions (enforced by {!Nt_path.run}): [ctx] is sandboxed in the
-    handle's sandbox; no watchpoints armed; no store hook; [deopt_branches]
-    is set iff the configuration forces cold edges inside NT-Paths. *)
-val run_nt : nt -> deopt_branches:bool -> budget:int -> nt_stop
-
-(** Instructions retired by the most recent {!run_nt} segment. *)
-val nt_retired : nt -> int

@@ -44,7 +44,7 @@ let is_unsafe record =
 type arena = {
   ctx : Context.t;
   sandbox : Context.sandbox;
-  mutable fl : Fast_loop.nt option;
+  mutable fl : Fast_loop.t option;
       (* built lazily on the first spawn: the coverage sink only reaches
          this module through [run] *)
   c_term : Telemetry.counter_handle array;  (* indexed by [term_index] *)
@@ -134,21 +134,23 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
   (* Selective fast tier inside the path. When the run forces cold edges at
      inner branches ([follow_nontaken_in_nt], which needs per-branch BTB
      counts), the fast tier deoptimizes at every branch instead of being
-     disabled — straight-line stretches stay fast. Watchpoints and the store
-     hook are rechecked every iteration — the path itself arms and disarms
-     them. *)
+     disabled — straight-line stretches stay fast: with [threshold =
+     max_int] every branch is a spawn candidate and the probe touches no
+     BTB state. Otherwise branches follow the actual condition with no BTB
+     traffic. Watchpoints and the store hook are rechecked every iteration
+     — the path itself arms and disarms them. *)
   let fast_ok = Pe_config.selective_on config in
   let deopt_branches = config.Pe_config.follow_nontaken_in_nt in
   (* One fast-tier handle per arena (built on the first spawn, when the
      run's coverage sink is first in hand): segments after that allocate
-     nothing. The handle is bound to the arena's context and sandbox, which
-     are exactly this path's — and it re-reads the context's L1 and the
-     sandbox's path id per segment, covering per-spawn retargeting. *)
+     nothing. The handle is bound to the arena's context — exactly this
+     path's — and re-reads its L1, sandbox and path id per segment,
+     covering per-spawn retargeting. *)
   let fl =
     match arena.fl with
     | Some fl -> fl
     | None ->
-      let fl = Fast_loop.make_nt machine ctx sandbox coverage in
+      let fl = Fast_loop.make machine ctx coverage in
       arena.fl <- Some fl;
       fl
   in
@@ -166,16 +168,20 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
       let budget =
         config.Pe_config.max_nt_path_length - ctx.Context.stats.Context.insns
       in
-      let fstop = Fast_loop.run_nt fl ~deopt_branches ~budget in
-      let retired = Fast_loop.nt_retired fl in
+      let fstop =
+        Fast_loop.run fl ~spawning:deopt_branches ~threshold:max_int ~budget
+      in
+      let retired = Fast_loop.retired fl in
       (* The fast tier bumped the context's stats; the global index (report
          provenance) follows here, before any instrumented-tier report. *)
       machine.Machine.insn_index <- machine.Machine.insn_index + retired;
       fast_insns := !fast_insns + retired;
       match fstop with
-      | Fast_loop.Nt_budget -> T_max_length
-      | Fast_loop.Nt_special -> step_slow ()
-      | Fast_loop.Nt_overflow -> T_cache_overflow
+      | Fast_loop.Budget -> T_max_length
+      | Fast_loop.Special | Fast_loop.Special_branch_taken
+      | Fast_loop.Special_branch_nontaken ->
+        step_slow ()
+      | Fast_loop.Overflow -> T_cache_overflow
     end
     else step_slow ()
   and step_slow () =

@@ -36,12 +36,6 @@ type t =
   | D_halt
   | D_nop
 
-(* Non-faulting binop evaluation; [Div]/[Mod] never reach here (decode
-   splits them into [D_div]/[D_mod]). Alias of the single authoritative
-   implementation in [Insn] — PR 4 had to fix the same shift-mask bug in
-   two hand-kept copies of this table. *)
-let eval_alu = Insn.eval_alu
-
 let rec decode_insn insn =
   match insn with
   | Insn.Binop (Insn.Div, rd, rs, rt) -> D_div (rd, rs, rt)

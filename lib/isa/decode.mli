@@ -33,9 +33,5 @@ type t =
   | D_halt
   | D_nop
 
-(** Evaluate a non-faulting binop (same semantics as [Insn.eval_binop] on
-    the same operands). Raises [Assert_failure] on [Div]/[Mod]. *)
-val eval_alu : Insn.binop -> int -> int -> int
-
 (** Decode a whole code array; [decode code].(pc) executes [code.(pc)]. *)
 val decode : Insn.t array -> t array

@@ -64,7 +64,7 @@ val cmp_name : cmp -> string
 val sys_name : sys -> string
 
 (** Evaluate a non-faulting binop. The single source of truth for ALU
-    semantics ([eval_binop] and [Decode.eval_alu] both resolve here).
+    semantics ([eval_binop] and both interpreter tiers resolve here).
     Raises [Assert_failure] on [Div]/[Mod]. *)
 val eval_alu : binop -> int -> int -> int
 

@@ -138,6 +138,26 @@ let do_syscall machine ctx sys =
     Io.set_exit io status;
     Ev_exit status
 
+(* Per-opcode register effects, shared with the selective fast tier
+   ([Fast_loop]) so the ISA's register semantics have one body. Register
+   reads go straight to the array: [write_reg] is the r0 rule — [Reg.zero]'s
+   slot is never written (see also [Context.set_reg]), so it always reads 0.
+   The division helpers run after the caller's zero check. The annotation
+   matters: inlining copies the body as compiled, and an unannotated
+   ['a array] store would be a generic one (float-array tag test plus
+   [caml_modify]) in every caller. *)
+let[@inline always] write_reg (regs : int array) rd (v : int) =
+  if rd <> 0 then Array.unsafe_set regs rd v
+
+let[@inline always] exec_alu regs op rd a b =
+  write_reg regs rd (Insn.eval_alu op a b)
+
+let[@inline always] exec_cmp regs c rd a b =
+  write_reg regs rd (if Insn.eval_cmp c a b then 1 else 0)
+
+let[@inline always] exec_div regs rd a b = write_reg regs rd (a / b)
+let[@inline always] exec_mod regs rd a b = write_reg regs rd (a mod b)
+
 (* Execute the instruction at [ctx.pc]; advances [ctx.pc], updates timing and
    returns the event the engine must dispatch on. For a sandboxed context, a
    syscall is reported *without* being executed (unsafe event: the engine
@@ -146,30 +166,24 @@ let do_syscall machine ctx sys =
 
    Dispatch is over the machine's pre-decoded execution form ([Decode.t]),
    not raw [Insn.t]: register indices are plain ints, Div/Mod are split out
-   so the ALU fast path neither faults nor allocates. Register reads go
-   straight to the array — [Reg.zero]'s slot is never written (see
-   [Context.set_reg] and the [rd <> 0] guards below), so it always reads 0. *)
+   so the ALU fast path neither faults nor allocates. *)
 let rec exec machine ctx pc d =
   let regs = ctx.Context.regs in
   match d with
       | Decode.D_alu (op, rd, rs, rt) ->
-        if rd <> 0 then
-          Array.unsafe_set regs rd
-            (Decode.eval_alu op (Array.unsafe_get regs rs)
-               (Array.unsafe_get regs rt));
+        exec_alu regs op rd (Array.unsafe_get regs rs)
+          (Array.unsafe_get regs rt);
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_alui (op, rd, rs, imm) ->
-        if rd <> 0 then
-          Array.unsafe_set regs rd
-            (Decode.eval_alu op (Array.unsafe_get regs rs) imm);
+        exec_alu regs op rd (Array.unsafe_get regs rs) imm;
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_div (rd, rs, rt) ->
         let b = Array.unsafe_get regs rt in
         if b = 0 then Ev_fault Div_by_zero
         else begin
-          if rd <> 0 then Array.unsafe_set regs rd (Array.unsafe_get regs rs / b);
+          exec_div regs rd (Array.unsafe_get regs rs) b;
           ctx.Context.pc <- pc + 1;
           Ev_normal
         end
@@ -177,55 +191,44 @@ let rec exec machine ctx pc d =
         let b = Array.unsafe_get regs rt in
         if b = 0 then Ev_fault Div_by_zero
         else begin
-          if rd <> 0 then
-            Array.unsafe_set regs rd (Array.unsafe_get regs rs mod b);
+          exec_mod regs rd (Array.unsafe_get regs rs) b;
           ctx.Context.pc <- pc + 1;
           Ev_normal
         end
       | Decode.D_divi (rd, rs, imm) ->
         if imm = 0 then Ev_fault Div_by_zero
         else begin
-          if rd <> 0 then
-            Array.unsafe_set regs rd (Array.unsafe_get regs rs / imm);
+          exec_div regs rd (Array.unsafe_get regs rs) imm;
           ctx.Context.pc <- pc + 1;
           Ev_normal
         end
       | Decode.D_modi (rd, rs, imm) ->
         if imm = 0 then Ev_fault Div_by_zero
         else begin
-          if rd <> 0 then
-            Array.unsafe_set regs rd (Array.unsafe_get regs rs mod imm);
+          exec_mod regs rd (Array.unsafe_get regs rs) imm;
           ctx.Context.pc <- pc + 1;
           Ev_normal
         end
       | Decode.D_cmp (c, rd, rs, rt) ->
-        if rd <> 0 then
-          Array.unsafe_set regs rd
-            (if
-               Insn.eval_cmp c (Array.unsafe_get regs rs)
-                 (Array.unsafe_get regs rt)
-             then 1
-             else 0);
+        exec_cmp regs c rd (Array.unsafe_get regs rs)
+          (Array.unsafe_get regs rt);
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_cmpi (c, rd, rs, imm) ->
-        if rd <> 0 then
-          Array.unsafe_set regs rd
-            (if Insn.eval_cmp c (Array.unsafe_get regs rs) imm then 1 else 0);
+        exec_cmp regs c rd (Array.unsafe_get regs rs) imm;
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_li (rd, imm) ->
-        if rd <> 0 then Array.unsafe_set regs rd imm;
+        write_reg regs rd imm;
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_mov (rd, rs) ->
-        if rd <> 0 then Array.unsafe_set regs rd (Array.unsafe_get regs rs);
+        write_reg regs rd (Array.unsafe_get regs rs);
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_load (rd, base, off) ->
         let addr = Array.unsafe_get regs base + off in
-        let v = data_read machine ctx addr in
-        if rd <> 0 then Array.unsafe_set regs rd v;
+        write_reg regs rd (data_read machine ctx addr);
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_store (rs, base, off) ->
@@ -260,8 +263,7 @@ let rec exec machine ctx pc d =
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_pop rd ->
-        let v = pop machine ctx in
-        if rd <> 0 then Array.unsafe_set regs rd v;
+        write_reg regs rd (pop machine ctx);
         ctx.Context.pc <- pc + 1;
         Ev_normal
       | Decode.D_syscall sys ->

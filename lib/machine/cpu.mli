@@ -36,6 +36,28 @@ type event =
 
 val fault_to_string : fault -> string
 
+(** {2 Register effects}
+
+    The per-opcode register semantics, shared by {!step} and the selective
+    fast tier ([Fast_loop]) and inlined into both. Operands are register
+    values (or immediates); the destination is a register index. *)
+
+(** [write_reg regs rd v]: the r0 rule — a write to [Reg.zero] is dropped,
+    so its slot always reads 0. *)
+val write_reg : int array -> int -> int -> unit
+
+(** ALU ops ([Div]/[Mod] excluded — decode splits them out). *)
+val exec_alu : int array -> Insn.binop -> int -> int -> int -> unit
+
+(** Compare: writes 1 or 0. *)
+val exec_cmp : int array -> Insn.cmp -> int -> int -> int -> unit
+
+(** Division and remainder; the caller has already faulted a zero
+    divisor. *)
+val exec_div : int array -> int -> int -> int -> unit
+
+val exec_mod : int array -> int -> int -> int -> unit
+
 val step : Machine.t -> Context.t -> event
 
 type run_outcome = {

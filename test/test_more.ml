@@ -14,11 +14,11 @@ let exec ?(options = Codegen.default_options) ?(input = "") source =
 let check_output name source expected =
   Alcotest.(check string) name expected (exec source)
 
-let test_cache_overflow_terminates_path () =
-  (* the forced edge dirties more distinct L1 lines than the cache can
-     buffer: the paper's capacity-driven squash *)
-  let source =
-    {|
+(* The forced edge dirties more distinct L1 lines than the cache can
+   buffer: the paper's capacity-driven squash. Also run through the
+   selective differential (test_selective.ml). *)
+let l1_overflow_source =
+  {|
 int flag = 0;
 int big[48000];
 int main() {
@@ -34,12 +34,14 @@ int main() {
   return 0;
 }
 |}
-  in
-  let compiled = Compile.compile source in
+
+let l1_overflow_config =
+  { Pe_config.default with Pe_config.max_nt_path_length = 1_000_000 }
+
+let test_cache_overflow_terminates_path () =
+  let compiled = Compile.compile l1_overflow_source in
   let machine = Machine.create compiled.Compile.program in
-  let config =
-    { Pe_config.default with Pe_config.max_nt_path_length = 1_000_000 }
-  in
+  let config = l1_overflow_config in
   let result = Engine.run ~config machine in
   let overflows =
     List.filter

@@ -8,8 +8,9 @@
 
 (* The shift amount is masked to the word size (63), not 62: a [land 62]
    mask zeroes bit 0, silently turning every odd shift amount into the next
-   smaller even one — [shl x, 1] evaluated to [x]. Exercise both interpreter
-   tiers' ALU evaluators on odd amounts. *)
+   smaller even one — [shl x, 1] evaluated to [x]. Exercise the faulting
+   wrapper and the ALU evaluator both interpreter tiers share on odd
+   amounts. *)
 let test_shift_mask () =
   List.iter
     (fun s ->
@@ -20,7 +21,7 @@ let test_shift_mask () =
       Alcotest.(check int)
         (Printf.sprintf "eval_alu shl by %d" s)
         (3 lsl s)
-        (Decode.eval_alu Insn.Shl 3 s);
+        (Insn.eval_alu Insn.Shl 3 s);
       Alcotest.(check (option int))
         (Printf.sprintf "eval_binop shr by %d" s)
         (Some (-4096 asr s))
@@ -28,7 +29,7 @@ let test_shift_mask () =
       Alcotest.(check int)
         (Printf.sprintf "eval_alu shr by %d" s)
         (-4096 asr s)
-        (Decode.eval_alu Insn.Shr (-4096) s))
+        (Insn.eval_alu Insn.Shr (-4096) s))
     [ 1; 3; 5; 33; 63 ]
 
 let run_minic ?(selective = true) ?(input = "") source =
@@ -157,7 +158,11 @@ let prop_probe_exercise_equiv =
   QCheck.Test.make
     ~name:"probe_exercise = probe_counts, then lookup_exercise if rejected"
     ~count:100
-    (QCheck.make QCheck.Gen.(pair (int_bound 16) btb_ops_gen))
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (frequency [ (4, int_bound 16); (1, return max_int) ])
+           btb_ops_gen))
     (fun (threshold, ops) ->
       let b1 = Btb.create ~entries:16 ~assoc:2 in
       let b2 = Btb.create ~entries:16 ~assoc:2 in
@@ -177,7 +182,20 @@ let prop_probe_exercise_equiv =
           Btb.probe_exercise b1 pc ~taken ~threshold
           = reference b2 pc ~taken)
         ops
-      && btb_state b1 = btb_state b2)
+      && btb_state b1 = btb_state b2
+      && (threshold <> max_int
+         ||
+         (* The deopt-at-every-branch setting the fast tier's branch arm
+            relies on (forced cold edges inside NT-Paths, per-branch-action
+            configurations): on a BTB warmed by [ops], hits and misses alike
+            are candidates and the probe commits nothing. *)
+         let b3 = Btb.create ~entries:16 ~assoc:2 in
+         List.iter (fun (pc, taken) -> Btb.lookup_exercise b3 pc ~taken) ops;
+         let before = btb_state b3 in
+         List.for_all
+           (fun (pc, taken) -> Btb.probe_exercise b3 pc ~taken ~threshold)
+           ops
+         && btb_state b3 = before))
 
 (* --- selective/instrumented differential ------------------------------------- *)
 
@@ -207,9 +225,7 @@ let run_traced ~selective ~config ~input compiled =
 (* One workload under one configuration: run fully instrumented and
    selectively, then demand identical observables — including the flight
    recorder's event stream. *)
-let check_differential name ?detector ?bug ~config workload =
-  let compiled = Workload.compile ?detector ?bug workload in
-  let input = workload.Workload.default_input in
+let check_differential_compiled name ~config ~input compiled =
   let (m_off, r_off), dumps_off =
     run_traced ~selective:false ~config ~input compiled
   in
@@ -225,6 +241,11 @@ let check_differential name ?detector ?bug ~config workload =
     (List.map Recorder.jsonl_of_dump dumps_off)
     (List.map Recorder.jsonl_of_dump dumps_on);
   (r_off, r_on)
+
+let check_differential name ?detector ?bug ~config workload =
+  check_differential_compiled name ~config
+    ~input:workload.Workload.default_input
+    (Workload.compile ?detector ?bug workload)
 
 let test_differential_workloads () =
   let pt = Registry.print_tokens in
@@ -274,6 +295,25 @@ let test_differential_per_branch_configs () =
        ~config:{ cfg with Pe_config.follow_nontaken_in_nt = true }
        pt)
 
+(* An NT-Path store that overflows the L1 buffer retires in place (stats and
+   latency charged, pc left on the store) before the path terminates; the
+   fast tier must leave exactly the state [Cpu.step]'s raise leaves. *)
+let test_differential_cache_overflow () =
+  let compiled = Compile.compile Test_more.l1_overflow_source in
+  let r_off, r_on =
+    check_differential_compiled "L1 overflow"
+      ~config:Test_more.l1_overflow_config ~input:"" compiled
+  in
+  Alcotest.(check bool)
+    "NT-Path records identical" true
+    (r_off.Engine.nt_records = r_on.Engine.nt_records);
+  Alcotest.(check bool)
+    "an NT-Path overflowed with selective on" true
+    (List.exists
+       (fun (r : Nt_path.record) ->
+         r.Nt_path.termination = Nt_path.T_cache_overflow)
+       r_on.Engine.nt_records)
+
 (* --- random-program differential --------------------------------------------- *)
 
 (* Small MiniC programs with data-dependent and cold branches, shifts and
@@ -314,11 +354,17 @@ let program_gen =
   QCheck.Gen.(pair (map (fun n -> 2 + n) (int_bound 18))
                 (list_size (map (fun n -> 1 + n) (int_bound 3)) clause_gen))
 
+(* Every optimization level: -O2's register-homed code exercises the fast
+   tier on different instruction mixes than -O0's stack traffic. *)
 let prop_random_program_differential =
   QCheck.Test.make ~name:"random programs: selective = instrumented" ~count:25
-    (QCheck.make ~print:program_src program_gen) (fun params ->
+    (QCheck.make
+       ~print:(fun (level, params) ->
+         Printf.sprintf "-%s\n%s" (Opt.to_string level) (program_src params))
+       QCheck.Gen.(pair (oneofl [ Opt.O0; Opt.O1; Opt.O2 ]) program_gen))
+    (fun (level, params) ->
       let source = program_src params in
-      let compiled = Compile.compile source in
+      let compiled = Compile.compile ~level source in
       let run selective =
         let machine = Machine.create compiled.Compile.program in
         let config = { Pe_config.default with Pe_config.selective } in
@@ -345,5 +391,7 @@ let tests =
       `Quick test_differential_workloads;
     Alcotest.test_case "per-branch-action configs stay equivalent" `Quick
       test_differential_per_branch_configs;
+    Alcotest.test_case "L1-overflow NT-Paths stay equivalent" `Quick
+      test_differential_cache_overflow;
     QCheck_alcotest.to_alcotest prop_random_program_differential;
   ]
