@@ -12,6 +12,10 @@
 open Bechamel
 open Toolkit
 
+(* The cache-probe fast path of every machine the bench creates:
+   [PEXP_CACHE_FASTPATH=0] turns it off, as it does for the CLIs. *)
+let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
+
 (* --- part 2: one Bechamel kernel per table/figure -------------------------- *)
 
 let compile_once workload = Workload.compile workload
@@ -23,7 +27,7 @@ let sched_compiled = lazy (compile_once Registry.schedule)
 
 let run_engine ?(mode = Pe_config.Standard) compiled (workload : Workload.t) =
   let machine =
-    Machine.create ~input:workload.Workload.default_input
+    Machine.create ~fastpath ~input:workload.Workload.default_input
       compiled.Compile.program
   in
   Engine.run ~config:(Workload.pe_config ~mode workload) machine
@@ -36,7 +40,7 @@ let bench_fig3 () =
   (* the crash-latency collection kernel: cold-edge spawning, no fixing *)
   let compiled = Lazy.force sched_compiled in
   let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
+    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
       compiled.Compile.program
   in
   Engine.run ~config:Pe_config.latency_study machine
@@ -51,7 +55,8 @@ let bench_tab4 () =
   (* one bug-detection verdict *)
   let compiled = Lazy.force pt2_ccured in
   let machine =
-    Machine.create ~input:Registry.print_tokens2.Workload.default_input
+    Machine.create ~fastpath
+      ~input:Registry.print_tokens2.Workload.default_input
       compiled.Compile.program
   in
   let result =
@@ -70,7 +75,8 @@ let bench_tab5 () =
   (* the before-fixing configuration of Table 5 *)
   let compiled = Lazy.force tab5_nofix in
   let machine =
-    Machine.create ~input:Registry.print_tokens2.Workload.default_input
+    Machine.create ~fastpath
+      ~input:Registry.print_tokens2.Workload.default_input
       compiled.Compile.program
   in
   let config =
@@ -88,7 +94,7 @@ let bench_cov2 () =
   (* one generated-input run of the cumulative-coverage loop *)
   let compiled = Lazy.force pt_compiled in
   let input = Registry.print_tokens.Workload.gen_input cov2_rng in
-  let machine = Machine.create ~input compiled.Compile.program in
+  let machine = Machine.create ~fastpath ~input compiled.Compile.program in
   Engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
 
 let bench_ovh1 () =
@@ -99,7 +105,7 @@ let bench_ovh2 () =
   (* the software-PathExpander run of the HW/SW comparison *)
   let compiled = Lazy.force pt_compiled in
   let machine =
-    Machine.create ~input:Registry.print_tokens.Workload.default_input
+    Machine.create ~fastpath ~input:Registry.print_tokens.Workload.default_input
       compiled.Compile.program
   in
   Soft_engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
@@ -108,7 +114,7 @@ let bench_par1 () =
   (* one sweep point of the parameter study *)
   let compiled = Lazy.force sched_compiled in
   let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
+    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
       compiled.Compile.program
   in
   let config =
@@ -123,7 +129,7 @@ let bench_abl1 () =
   (* the forced-edge ablation configuration *)
   let compiled = Lazy.force sched_compiled in
   let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
+    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
       compiled.Compile.program
   in
   let config =
@@ -171,7 +177,8 @@ let run_bechamel ~quota () =
       results []
     |> List.sort compare
   in
-  Table.print
+  print_endline
+  @@ Table.render
     ~aligns:[ Table.Left; Table.Right ]
     ~header:[ "kernel"; "time per run" ]
     (List.map
@@ -219,7 +226,9 @@ let run_bechamel ~quota () =
    disk tier a fresh warm process would hit), [warm_sweep_runs_s] (every
    repeat) and [cache_hit_rate] (cache hits over probes across the warm
    repeats; 1.0 when every leg replays). All three are null when the
-   cache is disabled with PEXP_RESULT_CACHE=0. *)
+   cache is disabled with PEXP_RESULT_CACHE=0. The two warm wall times are
+   printed to the microsecond: a warm sweep takes milliseconds, which
+   three decimals round to 0.000. *)
 let bench_schema_version = 7
 
 (* Dynamic retired instructions of one plain-CPU run per registry workload
@@ -230,7 +239,7 @@ let retired_insns level =
     (fun (w : Workload.t) ->
       let compiled = Workload.compile ~opt:level w in
       let machine =
-        Machine.create ~input:w.Workload.default_input
+        Machine.create ~fastpath ~input:w.Workload.default_input
           compiled.Compile.program
       in
       let r = Cpu.run_baseline machine in
@@ -252,7 +261,7 @@ let occupancy_fractions () =
       (fun (fast, insns, memo, probes) (w : Workload.t) ->
         let compiled = Workload.compile w in
         let machine =
-          Machine.create ~input:w.Workload.default_input
+          Machine.create ~fastpath ~input:w.Workload.default_input
             compiled.Compile.program
         in
         let _ = Engine.run ~config:(Workload.pe_config w) machine in
@@ -331,12 +340,12 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
      let w = Array.copy warm_walls in
      Array.sort compare w;
      Buffer.add_string buf
-       (Printf.sprintf {|,"warm_sweep_wall_s":%.3f|} w.(0));
+       (Printf.sprintf {|,"warm_sweep_wall_s":%.6f|} w.(0));
      Buffer.add_string buf {|,"warm_sweep_runs_s":[|};
      Array.iteri
        (fun i t ->
          if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf (Printf.sprintf "%.3f" t))
+         Buffer.add_string buf (Printf.sprintf "%.6f" t))
        warm_walls;
      Buffer.add_char buf ']';
      Buffer.add_string buf
@@ -383,28 +392,29 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
     Build_info.profile
     (100.0 *. float_of_int (t0 - t2) /. float_of_int t0)
 
+(* The whole bench runs serial — including nested fan-out inside
+   experiments — so the sweep wall time in the JSON measures single-core
+   simulator throughput and is comparable across hosts, and Bechamel timing
+   is not polluted by sibling domains. *)
+let sweep_spec = { Run_spec.default with fastpath; jobs = 1 }
+
 (* One timed serial sweep, optionally flight-recorded. The capture costs
    allocation and time, so the recorded sweep's wall time is measured but
    only the untraced configuration is comparable against historical BENCH
    files. [level] pins the optimizer level every compilation in the sweep
-   uses (the -O2 leg of the trajectory); the process default is restored
-   afterwards so Bechamel kernels keep benchmarking the reference
-   emission. *)
+   uses (the -O2 leg of the trajectory). *)
 let timed_sweep ?(level = Opt.O0) ~trace_dir () =
-  Opt.set_default level;
-  Fun.protect
-    ~finally:(fun () -> Opt.set_default Opt.O0)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      (match trace_dir with
-       | None -> Runner.run_all ~jobs:1 ()
-       | Some dir ->
-         let (), dumps =
-           Recorder.capture_runs (fun () -> Runner.run_all ~jobs:1 ())
-         in
-         let files = Recorder.save_dir ~dir dumps in
-         Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir);
-      Unix.gettimeofday () -. t0)
+  let spec = { sweep_spec with opt = level; trace = trace_dir <> None } in
+  let t0 = Unix.gettimeofday () in
+  let legs = Runner.run_list spec Runner.all in
+  Option.iter
+    (fun dir ->
+      let files =
+        Recorder.save_dir ~dir (List.concat_map (fun a -> a.Runner.traces) legs)
+      in
+      Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir)
+    trace_dir;
+  Unix.gettimeofday () -. t0
 
 (* One timed full serial sweep served from the result cache (the caller has
    already populated it). The in-memory tier is cleared first, so every
@@ -413,9 +423,7 @@ let timed_sweep ?(level = Opt.O0) ~trace_dir () =
 let timed_cached_sweep ~cache () =
   Resultcache.clear_memory cache;
   let t0 = Unix.gettimeofday () in
-  let (_ : (string * string) list * (string * string) list) =
-    Runner.run_cached ~cache ~jobs:1 Runner.all
-  in
+  ignore (Runner.run_cached ~cache sweep_spec Runner.all);
   Unix.gettimeofday () -. t0
 
 let () =
@@ -454,16 +462,11 @@ let () =
      sweep would only measure the recorder; force a single run. *)
   if !trace_dir <> None then repeat := 1;
   print_endline "=== PathExpander: full reproduction of the evaluation ===";
-  (* The whole bench runs serial — including nested fan-out inside
-     experiments — so the sweep wall time in the JSON measures single-core
-     simulator throughput and is comparable across hosts, and Bechamel
-     timing is not polluted by sibling domains. *)
-  Exp_common.set_jobs 1;
   (* The result-cache axis: a private (or --cache-dir) store, populated by
      one cold sweep then timed warm. Honors the PEXP_RESULT_CACHE=0 kill
      switch — the warm keys are then null in the JSON. *)
   let cache =
-    if not (Resultcache.enabled ()) then None
+    if Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" then None
     else
       let dir =
         match !cache_dir with
@@ -507,9 +510,7 @@ let () =
         (* Cold populating sweep (stdout still silenced — it prints the
            identical report), then timed warm repeats over a fresh
            stats window so the hit rate reflects only the warm probes. *)
-        let (_ : (string * string) list * (string * string) list) =
-          Runner.run_cached ~cache ~jobs:1 Runner.all
-        in
+        ignore (Runner.run_cached ~cache sweep_spec Runner.all);
         Resultcache.reset_stats cache;
         let warm_walls = Array.make !repeat 0.0 in
         for i = 0 to !repeat - 1 do

@@ -119,24 +119,8 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-(* The cached sweep path: probe/serve/store per experiment leg through
-   [Runner.run_cached], then write any requested artifact directories from
-   the merged (cached + fresh) serialized artifacts. *)
-let run_cached_sweep ~cache ~trace_dir ~obs_dir experiments =
-  let traces, obs =
-    Runner.run_cached ~cache ~trace:(trace_dir <> None)
-      ~obs:(obs_dir <> None) experiments
-  in
-  (match trace_dir with
-   | None -> ()
-   | Some dir ->
-     let files = Recorder.save_dir_raw ~dir traces in
-     Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir);
-  (match obs_dir with
-   | None -> ()
-   | Some dir ->
-     let files = Obs.save_dir_raw ~dir obs in
-     Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir);
+(* Byte counts and hit/miss counters of a cached sweep, on stderr. *)
+let report_cache cache =
   let stat = Resultcache.stat cache in
   Printf.eprintf
     "result cache: %d hits (%d memory, %d disk), %d misses, %d stored, %d \
@@ -149,19 +133,26 @@ let run_cached_sweep ~cache ~trace_dir ~obs_dir experiments =
     (stat "resultcache.corrupt")
     (stat "resultcache.bytes_read")
     (stat "resultcache.bytes_written")
-    (Resultcache.dir cache);
-  Resultcache.submit_stats cache
+    (Resultcache.dir cache)
 
 let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
   if list then list_ids ()
   else begin
-    Exp_common.set_jobs jobs;
-    Pe_config.set_selective_enabled selective;
-    Opt.set_default opt;
+    let spec =
+      {
+        Run_spec.opt;
+        selective;
+        fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0";
+        trace = trace_dir <> None;
+        obs = obs_dir <> None;
+        telemetry = telemetry <> None;
+        jobs = max 1 jobs;
+      }
+    in
     let cache =
       match cache_dir with
       | None -> None
-      | Some dir when not (Resultcache.enabled ()) ->
+      | Some dir when Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" ->
         Printf.eprintf
           "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
           dir;
@@ -172,53 +163,43 @@ let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
         None
       | Some dir -> Some (Resultcache.create ~dir ())
     in
-    let experiments () =
+    (* open before the (possibly minutes-long) sweep so a bad path fails
+       fast instead of discarding finished runs *)
+    let telemetry_oc =
+      Option.map
+        (fun file ->
+          try (open_out file, file)
+          with Sys_error msg ->
+            Printf.eprintf "cannot open telemetry file: %s\n" msg;
+            exit 1)
+        telemetry
+    in
+    let experiments =
       match ids with [] -> Runner.all | ids -> experiments_for ids
     in
-    match cache with
-    | Some cache ->
-      run_cached_sweep ~cache ~trace_dir ~obs_dir (experiments ())
-    | None ->
-    let run () =
-      match ids with
-      | [] -> Runner.run_all ()
-      | ids -> Runner.run_list (experiments_for ids)
+    let legs =
+      match cache with
+      | Some cache -> Runner.run_cached ~cache spec experiments
+      | None -> Runner.run_list spec experiments
     in
-    (* Trace capture wraps the sweep (innermost) so it composes with
-       --telemetry; each finished run submits an immutable event dump. *)
-    let run () =
-      match trace_dir with
-      | None -> run ()
-      | Some dir ->
-        let v, dumps = Recorder.capture_runs run in
-        let files = Recorder.save_dir ~dir dumps in
-        Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir;
-        v
-    in
-    (* Observatory capture composes the same way; it also arms the engine's
-       per-run attribution bookkeeping for the duration of the sweep. *)
-    let run () =
-      match obs_dir with
-      | None -> run ()
-      | Some dir ->
-        let v, snaps = Obs.capture_runs run in
-        let files = Obs.save_dir ~dir snaps in
-        Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir;
-        v
-    in
-    match telemetry with
-    | None -> run ()
-    | Some file ->
-      (* open before the (possibly minutes-long) sweep so a bad path fails
-         fast instead of discarding finished runs *)
-      let oc =
-        try open_out file
-        with Sys_error msg ->
-          Printf.eprintf "cannot open telemetry file: %s\n" msg;
-          exit 1
-      in
-      let (), runs = Telemetry.collect_runs run in
-      write_telemetry oc file runs
+    let gather f = List.concat_map f legs in
+    Option.iter
+      (fun dir ->
+        let files =
+          Recorder.save_dir ~dir (gather (fun a -> a.Runner.traces))
+        in
+        Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir)
+      trace_dir;
+    Option.iter
+      (fun dir ->
+        let files = Obs.save_dir ~dir (gather (fun a -> a.Runner.obs)) in
+        Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir)
+      obs_dir;
+    Option.iter report_cache cache;
+    Option.iter
+      (fun (oc, file) ->
+        write_telemetry oc file (gather (fun a -> a.Runner.telemetry)))
+      telemetry_oc
   end
 
 let cmd =

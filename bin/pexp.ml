@@ -28,9 +28,9 @@ let list_apps () =
         (Workload.bug_count w) w.Workload.descr)
     Registry.all
 
-let termination_summary records =
+let termination_summary out records =
   let count p = List.length (List.filter p records) in
-  Sink.printf
+  Printf.ksprintf out
     "NT-Path terminations: %d max-length, %d crash, %d unsafe, %d program-end, %d overflow\n"
     (count (fun (r : Nt_path.record) -> r.Nt_path.termination = Nt_path.T_max_length))
     (count Nt_path.is_crash)
@@ -47,11 +47,13 @@ let write_file path content =
    exported artifacts depend on — the compiled program image hash (which
    already folds in app source, planted bug, detector instrumentation,
    fixing and optimization level), the fully resolved Pe_config
-   fingerprint, the detector/mode/opt names for human-auditable keys, the
-   strategy toggles, the input digest, the result-schema version and the
-   build id, plus every flag that changes what gets printed or exported. *)
-let run_key ~app ~detector ~mode ~bug ~fixing ~selective ~stats ~disasm ~opt
-    ~trace ~trace_chrome ~obs ~program ~input ~config =
+   fingerprint, the detector/mode names for human-auditable keys, the run
+   spec, the input digest, the result-schema version and the build id,
+   plus every flag that changes what gets printed or exported. The spec
+   says whether a trace is recorded; [trace] and [chrome] name which
+   exports it feeds. *)
+let run_key ~spec ~app ~detector ~mode ~bug ~fixing ~stats ~disasm ~trace
+    ~trace_chrome ~program ~input ~config =
   Resultcache.key
     [
       ("kind", "run");
@@ -62,17 +64,14 @@ let run_key ~app ~detector ~mode ~bug ~fixing ~selective ~stats ~disasm ~opt
       ("pe_config", Pe_config.fingerprint config);
       ("detector", Codegen.detector_name detector);
       ("mode", Pe_config.mode_name mode);
-      ("opt", Opt.to_string opt);
-      ("selective", string_of_bool selective);
+      ("spec", Run_spec.fingerprint spec);
       ("fixing", string_of_bool fixing);
-      ("cache_fastpath", string_of_bool (Cache.fastpath_enabled ()));
       ("input", Resultcache.digest_hex input);
       ("bug", match bug with None -> "none" | Some v -> string_of_int v);
       ("stats", string_of_bool stats);
       ("disasm", string_of_bool disasm);
       ("trace", string_of_bool (trace <> None));
       ("chrome", string_of_bool (trace_chrome <> None));
-      ("obs", string_of_bool (obs <> None));
     ]
 
 (* Where each named bundle artifact lands for this invocation. A hit's
@@ -83,9 +82,9 @@ let artifact_paths ~trace ~trace_chrome ~obs =
     (fun (name, path) -> Option.map (fun p -> (name, p)) path)
     [ ("trace", trace); ("chrome", trace_chrome); ("obs", obs) ]
 
-let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
-    ~random_input ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs
-    ~prometheus =
+let run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
+    ~stats ~disasm ~trace ~trace_chrome ~dump_pass ~obs ~prometheus =
+  let opt = spec.Run_spec.opt in
   let workload = Registry.find app in
   let compiled =
     match dump_pass with
@@ -100,10 +99,10 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
          compilation. *)
       let dump name text =
         if name = pass then begin
-          Sink.printf "=== after %s ===\n" name;
-          Sink.print_string text;
+          Printf.printf "=== after %s ===\n" name;
+          print_string text;
           if text <> "" && text.[String.length text - 1] <> '\n' then
-            Sink.print_newline ()
+            print_newline ()
         end
       in
       Compile.compile
@@ -116,27 +115,31 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
     else workload.Workload.default_input
   in
   let config =
-    { (Workload.pe_config ~mode workload) with Pe_config.fixing; selective }
+    {
+      (Workload.pe_config ~mode workload) with
+      Pe_config.fixing;
+      selective = spec.Run_spec.selective;
+    }
   in
-  (* The simulation plus its complete report, every stdout byte through the
-     sink and every exported file through [write_artifact] — so a cache miss
-     can capture exactly what an uncached run emits. *)
-  let simulate ~write_artifact () =
-    if disasm then
-      Sink.print_string (Program.disassemble compiled.Compile.program);
+  (* The simulation plus its complete report, every stdout byte through
+     [out] and every exported file through [write_artifact] — so a cache
+     miss can capture exactly what an uncached run emits. *)
+  let simulate ~out ~write_artifact () =
+    let printf fmt = Printf.ksprintf out fmt in
+    if disasm then out (Program.disassemble compiled.Compile.program);
     let recorder =
-      if trace <> None || trace_chrome <> None then Recorder.create ()
-      else Recorder.disabled
+      if spec.Run_spec.trace then Recorder.create () else Recorder.disabled
     in
-    let machine = Machine.create ~input ~recorder compiled.Compile.program in
-    (* Arm the observatory's per-run bookkeeping (deopt-cause
-       classification, NT sequence stamps) before the run when a snapshot
-       was requested. *)
-    if obs <> None then Pe_config.set_obs_enabled true;
+    let machine =
+      Machine.create ~input ~recorder ~fastpath:spec.Run_spec.fastpath
+        compiled.Compile.program
+    in
     if obs <> None || prometheus <> None then
       Telemetry.set_label machine.Machine.telemetry
         (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
-    let result = Engine.run ~config machine in
+    (* With a snapshot requested, the run also keeps the observatory's
+       bookkeeping (deopt-cause classification, NT sequence stamps). *)
+    let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
     (match obs with
      | None -> ()
      | Some file ->
@@ -171,29 +174,29 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
        write_artifact "chrome" file (Recorder.chrome_of_dump (dump ()));
        Printf.eprintf "chrome trace: %d events -> %s\n%!"
          (Recorder.length recorder) file);
-    Sink.printf "%s under %s (%s): %s\n" app
+    printf "%s under %s (%s): %s\n" app
       (Codegen.detector_name detector)
       (Pe_config.mode_name mode)
       (Engine.outcome_name result.Engine.outcome);
-    Sink.printf
+    printf
       "taken path: %d instructions, %d cycles; total %d cycles; %d NT-Paths\n"
       result.Engine.taken_insns result.Engine.taken_cycles
       result.Engine.total_cycles result.Engine.spawns;
-    Sink.printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
+    printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
       (Coverage.taken_pct result.Engine.coverage)
       (Coverage.combined_pct result.Engine.coverage);
     if stats then begin
-      termination_summary result.Engine.nt_records;
-      Sink.printf "selective fast tier: %d instructions in %d segments\n"
+      termination_summary out result.Engine.nt_records;
+      printf "selective fast tier: %d instructions in %d segments\n"
         result.Engine.fast_insns result.Engine.fast_segments
     end;
     let reports = machine.Machine.reports in
-    Sink.printf "detector reports: %d (%d distinct sites)\n"
+    printf "detector reports: %d (%d distinct sites)\n"
       (Report.count reports)
       (List.length (Report.distinct_sites reports));
     List.iter
       (fun id ->
-        Sink.printf "  %s\n"
+        printf "  %s\n"
           (Site.to_string compiled.Compile.program.Program.sites.(id)))
       (Report.distinct_sites reports);
     match bug with
@@ -201,7 +204,7 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
     | Some version ->
       let bug = Workload.find_bug workload version in
       let analysis = Analysis.analyze ~compiled ~machine ~bug in
-      Sink.printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
+      printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
         bug.Bug.id
         (if Analysis.detected analysis then "DETECTED" else "not detected")
         analysis.Analysis.detected_on_taken_path
@@ -216,9 +219,8 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
   match cache with
   | Some cache when not bypass ->
     let key =
-      run_key ~app ~detector ~mode ~bug ~fixing ~selective ~stats ~disasm
-        ~opt ~trace ~trace_chrome ~obs ~program:compiled.Compile.program
-        ~input ~config
+      run_key ~spec ~app ~detector ~mode ~bug ~fixing ~stats ~disasm ~trace
+        ~trace_chrome ~program:compiled.Compile.program ~input ~config
     in
     let paths = artifact_paths ~trace ~trace_chrome ~obs in
     (match Resultcache.find cache key with
@@ -231,7 +233,7 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
              Printf.eprintf "%s: cached -> %s\n%!" name path
            | None -> ())
          bundle.Resultcache.artifacts;
-       Sink.print_string bundle.Resultcache.stdout;
+       print_string bundle.Resultcache.stdout;
        Printf.eprintf "result cache: hit %s\n%!" (Resultcache.key_hash key)
      | None ->
        let collected = ref [] in
@@ -239,10 +241,12 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
          collected := (name, content) :: !collected;
          write_file path content
        in
-       let (), out = Sink.with_capture (simulate ~write_artifact) in
+       let buf = Buffer.create 4096 in
+       simulate ~out:(Buffer.add_string buf) ~write_artifact ();
+       let out = Buffer.contents buf in
        Resultcache.store cache key
          { Resultcache.stdout = out; artifacts = List.rev !collected };
-       Sink.print_string out;
+       print_string out;
        Printf.eprintf "result cache: miss, stored %s\n%!"
          (Resultcache.key_hash key))
   | _ ->
@@ -251,7 +255,7 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
         "result cache: bypassed (--dump-pass / --prometheus output is not \
          replayable)\n\
          %!";
-    simulate ~write_artifact:live_write ()
+    simulate ~out:print_string ~write_artifact:live_write ()
 
 open Cmdliner
 
@@ -377,19 +381,28 @@ let main list app detector mode bug fixing selective seed random_input stats
     disasm trace trace_chrome opt dump_pass obs prometheus cache_dir =
   if list then list_apps ()
   else
+    let spec =
+      {
+        Run_spec.default with
+        opt;
+        selective;
+        fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0";
+        trace = trace <> None || trace_chrome <> None;
+        obs = obs <> None;
+      }
+    in
     let cache =
       match cache_dir with
       | None -> None
-      | Some dir when not (Resultcache.enabled ()) ->
+      | Some dir when Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" ->
         Printf.eprintf
           "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
           dir;
         None
       | Some dir -> Some (Resultcache.create ~dir ())
     in
-    run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
-      ~random_input ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs
-      ~prometheus
+    run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
+      ~stats ~disasm ~trace ~trace_chrome ~dump_pass ~obs ~prometheus
 
 let cmd =
   let doc = "run a workload under a dynamic bug detector with PathExpander" in

@@ -42,8 +42,8 @@ val boundary_value : Insn.cmp -> int -> int
 
 (** Generate an executable image from a typed program via the nanopass
     pipeline; the result is validated before being returned. [level]
-    defaults to the process-wide {!Opt.default_level} (normally [O0], the
-    emission byte-identical to the historical single-pass generator).
+    defaults to [O0], the emission byte-identical to the historical
+    single-pass generator.
     [dump] receives each executed pass's name and pretty-printed output. *)
 val generate :
   ?options:options ->

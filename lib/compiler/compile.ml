@@ -10,7 +10,7 @@ type compiled = {
 
 (* Compile a MiniC source string, together with the runtime prelude, into an
    executable program image. [level] picks the optimization pipeline
-   (default: the process-wide {!Opt.default_level}); [dump] observes each
+   (default [O0]); [dump] observes each
    executed pass's pretty-printed output. *)
 let compile ?(options = Codegen.default_options) ?level ?dump source =
   try

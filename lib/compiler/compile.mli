@@ -12,9 +12,9 @@ type compiled = {
 (** Compile a MiniC source string together with the runtime prelude.
     [options] selects the detector instrumentation and whether the
     consistency-fixing stubs are emitted (defaults: no detector, fixing
-    on). [level] selects the optimization pipeline, defaulting to the
-    process-wide {!Opt.default_level}; [dump] observes each executed
-    pass's pretty-printed output (see {!Pipeline.run}). *)
+    on). [level] selects the optimization pipeline, defaulting to [O0];
+    [dump] observes each executed pass's pretty-printed output (see
+    {!Pipeline.run}). *)
 val compile :
   ?options:Codegen.options ->
   ?level:Opt.level ->

@@ -4,11 +4,7 @@
    lowering only, producing images byte-identical to the historical
    single-pass code generator. O1 adds the machine-independent cleanups and
    cheap selection improvements; O2 adds register allocation. Each level is
-   itself deterministic — the level is simply another axis of the sweep.
-
-   The default level is a process-global knob (mirroring
-   [Pe_config.selective_enabled]) so binaries can flip a whole run with one
-   flag without threading the level through every experiment. *)
+   itself deterministic — the level is simply another axis of the sweep. *)
 
 type level = O0 | O1 | O2
 
@@ -23,12 +19,3 @@ let of_string = function
 let at_least lv floor =
   let rank = function O0 -> 0 | O1 -> 1 | O2 -> 2 in
   rank lv >= rank floor
-
-(* Process-wide default, used when a compilation does not pin a level.
-   Atomic for the same reason as [Pe_config.selective_enabled]: parallel
-   sweep domains read it concurrently. *)
-let default = Atomic.make O0
-
-let set_default lv = Atomic.set default lv
-
-let default_level () = Atomic.get default

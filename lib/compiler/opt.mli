@@ -16,9 +16,3 @@ val of_string : string -> level option
 
 (** [at_least lv floor] — level ordering O0 < O1 < O2. *)
 val at_least : level -> level -> bool
-
-(** Process-wide default level used when a compilation does not pin one
-    (mirrors [Pe_config.selective_enabled]). Starts at [O0]. *)
-val set_default : level -> unit
-
-val default_level : unit -> level

@@ -35,10 +35,9 @@ let pass_names =
     "lower";
   ]
 
-let run ?(options = Instr_select.default_options) ?level
+let run ?(options = Instr_select.default_options) ?(level = Opt.O0)
     ?(dump : (string -> string -> unit) option) (tp : Tast.tprogram) : Program.t
     =
-  let level = match level with Some l -> l | None -> Opt.default_level () in
   let emit_dump name render =
     match dump with Some f -> f name (render ()) | None -> ()
   in

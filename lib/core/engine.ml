@@ -88,17 +88,17 @@ module Vring = struct
     go 0
 end
 
-let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
+let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
+    machine =
   let mconfig = machine.Machine.config in
   let program = machine.Machine.program in
   let ctx = Machine.main_context machine in
   let coverage = Coverage.create program in
-  (* Coverage Observatory (DESIGN.md §15): when armed process-wide, collect
+  (* Coverage Observatory (DESIGN.md §15): when armed, collect
      frontier-attribution bookkeeping (which NT-Path first covered each
      edge, which edges lost their spawn to the budget) and tier/deopt-cause
      counters. All of it is pure observation — arming changes no simulated
      behaviour, so observed and unobserved runs stay byte-identical. *)
-  let obs = Pe_config.obs_on () in
   if obs then Coverage.arm_attribution coverage;
   let skipped_edge_set = Hashtbl.create 16 in
   let d_branch = ref 0
@@ -368,7 +368,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
      the exact sequence the single-tier loop produces. Watchpoints and store
      hooks are re-checked each iteration below because they come and go at
      runtime. *)
-  let selective_ok = Pe_config.selective_on config in
+  let selective_ok = config.Pe_config.selective in
   let spawning =
     (* Branches need the instrumented tier whenever they spawn (non-Baseline
        modes) or observe condition-variable history (profiled fixing, which
@@ -548,8 +548,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
       (run_wall *. float_of_int !nt_insns /. float_of_int total_insns);
   Telemetry.gauge tel "phase.taken_s"
     (run_wall -. Telemetry.timer_total tel "phase.nt_path");
-  Telemetry.submit tel;
-  Recorder.submit ~label:(Telemetry.label tel) recorder;
   {
     outcome;
     taken_insns = ctx.Context.stats.Context.insns;

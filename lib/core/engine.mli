@@ -32,7 +32,7 @@ type result = {
           point (spawn-candidate branch, syscall, detector event, fault) or
           a fuel/counter-reset boundary *)
   skipped_edges : int list;
-      (** Coverage Observatory only (armed via {!Pe_config.set_obs_enabled}):
+      (** Coverage Observatory only (armed by [run ~obs:true]):
           encoded edges [2*pc + dir] whose spawn was suppressed by the CMP
           outstanding-path budget, sorted distinct; [[]] when unarmed *)
 }
@@ -40,5 +40,8 @@ type result = {
 val outcome_name : outcome -> string
 
 (** Run the program loaded in [machine] under the given PathExpander
-    configuration. [fuel] bounds taken-path instructions as a safety net. *)
-val run : ?config:Pe_config.t -> ?fuel:int -> Machine.t -> result
+    configuration. [fuel] bounds taken-path instructions as a safety net.
+    [obs] (default off) arms the Coverage Observatory's bookkeeping
+    (DESIGN.md §15): frontier attribution, the skipped-edge list and
+    deopt-cause counters. Arming changes no simulated behaviour. *)
+val run : ?config:Pe_config.t -> ?fuel:int -> ?obs:bool -> Machine.t -> result

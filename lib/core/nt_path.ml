@@ -139,7 +139,7 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
      BTB state. Otherwise branches follow the actual condition with no BTB
      traffic. Watchpoints and the store hook are rechecked every iteration
      — the path itself arms and disarms them. *)
-  let fast_ok = Pe_config.selective_on config in
+  let fast_ok = config.Pe_config.selective in
   let deopt_branches = config.Pe_config.follow_nontaken_in_nt in
   (* One fast-tier handle per arena (built on the first spawn, when the
      run's coverage sink is first in hand): segments after that allocate

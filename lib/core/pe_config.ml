@@ -16,29 +16,6 @@ type t = {
   selective : bool;
 }
 
-(* Process-wide kill switch for selective (fast/slow split) execution, so a
-   single CLI flag can force every run in a sweep back onto the fully
-   instrumented interpreter without threading a parameter through each
-   experiment's config plumbing. Atomic: sweep workers on other domains read
-   it. Both this and the per-run [selective] field must be on. *)
-let selective_enabled = Atomic.make true
-
-let set_selective_enabled b = Atomic.set selective_enabled b
-
-let selective_on config = config.selective && Atomic.get selective_enabled
-
-let selective_enabled () = Atomic.get selective_enabled
-
-(* Process-wide observatory arm switch (same shape as the selective kill
-   switch): when set, runs collect frontier-attribution bookkeeping and
-   deopt-cause counters for the Coverage Observatory. Off by default — the
-   observatory must not perturb unobserved sweeps. *)
-let obs_enabled = Atomic.make false
-
-let set_obs_enabled b = Atomic.set obs_enabled b
-
-let obs_on () = Atomic.get obs_enabled
-
 (* Paper defaults (Section 6.3): threshold 5, 1000-instruction NT-Paths, 32
    outstanding NT-Paths for the CMP option. *)
 let default =

@@ -53,25 +53,6 @@ type t = {
           instrumented tier while they last. Default on. *)
 }
 
-(** Process-wide selective kill switch (CLI plumbing): when set to [false],
-    every run behaves as if [selective = false] regardless of its config. *)
-val set_selective_enabled : bool -> unit
-
-(** Current value of the process-wide selective switch (a result-cache key
-    component — the per-run effective value is {!selective_on}). *)
-val selective_enabled : unit -> bool
-
-(** Is selective execution effective for [config] — its own flag AND the
-    process-wide switch. *)
-val selective_on : t -> bool
-
-(** Process-wide Coverage Observatory switch (DESIGN.md §15): when armed,
-    runs collect frontier-attribution bookkeeping and deopt-cause counters.
-    Off by default; arming must not change any observable run output. *)
-val set_obs_enabled : bool -> unit
-
-val obs_on : unit -> bool
-
 val default : t
 val baseline : t
 val siemens : t

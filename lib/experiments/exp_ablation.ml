@@ -4,7 +4,7 @@
    instructions from ~5% to ~16%, so PathExpander follows only taken edges
    within an NT-Path. *)
 
-let measure (workload : Workload.t) ~follow =
+let measure ctx (workload : Workload.t) ~follow =
   let config =
     {
       (Workload.pe_config workload) with
@@ -12,20 +12,20 @@ let measure (workload : Workload.t) ~follow =
       max_nt_path_length = 1000;
     }
   in
-  let r = Exp_common.run_app ~config workload in
+  let r = Exp_common.run_app ctx ~config workload in
   let records = r.Exp_common.result.Engine.nt_records in
   let crashes = List.length (List.filter Nt_path.is_crash records) in
   ( Coverage.combined_pct r.Exp_common.result.Engine.coverage,
     Stats.pct ~num:crashes ~den:(max 1 (List.length records)) )
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Ablation (Section 4.2): following non-taken edges inside NT-Paths";
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let cov_off, crash_off = measure workload ~follow:false in
-        let cov_on, crash_on = measure workload ~follow:true in
+        let cov_off, crash_off = measure ctx workload ~follow:false in
+        let cov_on, crash_on = measure ctx workload ~follow:true in
         [
           workload.Workload.name;
           Table.fpct cov_off;
@@ -35,7 +35,7 @@ let run () =
         ])
       [ Registry.gzip; Registry.go; Registry.parser ]
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:
       [
@@ -46,6 +46,6 @@ let run () =
         "crash ratio (forced)";
       ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(forcing cold edges inside NT-Paths buys little coverage but multiplies\n\
      the crash ratio — the reason the design follows only taken edges)"

@@ -1,32 +1,83 @@
 (* Shared plumbing for the experiment harness. *)
 
+(* One experiment leg's explicit run state. The accumulators are written
+   from whichever domain finished a run — [par_map] fans runs out — so the
+   mutex guards them; the report text is only written from the leg's own
+   domain, after its fan-outs return. *)
+type ctx = {
+  spec : Run_spec.t;
+  out : string -> unit;
+  lock : Mutex.t;
+  mutable traces : (string * string) list;
+  mutable snapshots : (string * string) list;
+  mutable sinks : Telemetry.t list;
+}
+
+let context ~spec ~out =
+  { spec; out; lock = Mutex.create (); traces = []; snapshots = []; sinks = [] }
+
+let collected ctx =
+  Mutex.protect ctx.lock (fun () ->
+      (List.rev ctx.traces, List.rev ctx.snapshots, List.rev ctx.sinks))
+
+let print ctx s = ctx.out s
+let printf ctx fmt = Printf.ksprintf ctx.out fmt
+
+let table ctx ?aligns ~header rows =
+  ctx.out (Table.render ?aligns ~header rows ^ "\n")
+
+let heading ctx title = printf ctx "\n=== %s ===\n" title
+
 type run = {
   compiled : Compile.compiled;
   machine : Machine.t;
   result : Engine.result;
 }
 
-(* The sweep-wide worker budget, set once from the CLI's --jobs before any
-   experiment runs. *)
-let jobs_setting = Atomic.make 1
+(* Every run owns its own [Machine.t], so runs are trivially independent;
+   results come back in input order, making a parallel sweep
+   byte-identical to a serial one. *)
+let par_map ctx f xs = Pool.map ~jobs:ctx.spec.Run_spec.jobs f xs
 
-let set_jobs n = Atomic.set jobs_setting (max 1 n)
+let compile ctx ?detector ?fixing ?bug workload =
+  Workload.compile ?detector ?fixing ~opt:ctx.spec.Run_spec.opt ?bug workload
 
-let jobs () = Atomic.get jobs_setting
+let machine ctx ~input program =
+  let recorder =
+    if ctx.spec.Run_spec.trace then Recorder.create () else Recorder.disabled
+  in
+  Machine.create ~input ~recorder ~fastpath:ctx.spec.Run_spec.fastpath program
 
-(* Deterministic fan-out for workload×config sweeps: each item runs on a
-   pool worker (every run owns its own [Machine.t], so runs are trivially
-   independent) and results come back in input order, making a parallel
-   sweep byte-identical to a serial one. Degrades to [List.map] when --jobs
-   is 1 or when already inside a pool worker. *)
-let par_map f xs = Pool.map ~jobs:(jobs ()) f xs
+let engine ctx ~config machine =
+  let spec = ctx.spec in
+  let config =
+    {
+      config with
+      Pe_config.selective =
+        config.Pe_config.selective && spec.Run_spec.selective;
+    }
+  in
+  let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
+  let tel = machine.Machine.telemetry in
+  let recorder = machine.Machine.recorder in
+  (* Serialized here, on the run's own domain, so parallel sweeps render
+     their traces in parallel. *)
+  let trace =
+    if Recorder.enabled recorder then
+      let label = Telemetry.label tel in
+      Some (label, Recorder.jsonl_of_dump (Recorder.dump ~label recorder))
+    else None
+  in
+  Mutex.protect ctx.lock (fun () ->
+      Option.iter (fun t -> ctx.traces <- t :: ctx.traces) trace;
+      if spec.Run_spec.telemetry then ctx.sinks <- tel :: ctx.sinks);
+  (config, result)
 
-(* Compile and execute one workload configuration. *)
-let run_app ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
+let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     ?(mode = Pe_config.Standard) ?config ?input (workload : Workload.t) =
-  let compiled = Workload.compile ~detector ~fixing ?bug workload in
+  let compiled = compile ctx ~detector ~fixing ?bug workload in
   let input = Option.value ~default:workload.Workload.default_input input in
-  let machine = Machine.create ~input compiled.Compile.program in
+  let machine = machine ctx ~input compiled.Compile.program in
   let config =
     match config with
     | Some c -> { c with Pe_config.fixing = c.Pe_config.fixing && fixing }
@@ -38,15 +89,18 @@ let run_app ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     (Printf.sprintf "%s/%s%s" workload.Workload.name
        (Pe_config.mode_name config.Pe_config.mode)
        (match bug with Some b -> Printf.sprintf "/v%d" b | None -> ""));
-  let result = Engine.run ~config machine in
-  (* Observatory capture happens before release only by convention — release
-     recycles the simulated address space, and the snapshot reads coverage,
-     BTB and telemetry, all of which survive it. *)
-  if Obs.armed () then
-    Obs.submit
-      (Obs.snapshot
-         ~label:(Telemetry.label machine.Machine.telemetry)
-         ~program:compiled.Compile.program ~machine ~result ~config);
+  let config, result = engine ctx ~config machine in
+  (* The snapshot reads coverage, BTB and telemetry, all of which survive
+     [Machine.release]; taking it first is only convention. *)
+  if ctx.spec.Run_spec.obs then begin
+    let snap =
+      Obs.snapshot
+        ~label:(Telemetry.label machine.Machine.telemetry)
+        ~program:compiled.Compile.program ~machine ~result ~config
+    in
+    Mutex.protect ctx.lock (fun () ->
+        ctx.snapshots <- (Obs.label snap, Obs.to_json snap) :: ctx.snapshots)
+  end;
   (* The run is over; callers only consult reports/output/telemetry, so the
      simulated address space can go back to the pool now. *)
   Machine.release machine;
@@ -70,6 +124,3 @@ let bugs_for workload detector =
 let overhead_pct ~baseline ~with_pe =
   if baseline = 0 then 0.0
   else 100.0 *. float_of_int (with_pe - baseline) /. float_of_int baseline
-
-let heading title =
-  Sink.printf "\n=== %s ===\n" title

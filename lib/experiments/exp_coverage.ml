@@ -2,21 +2,21 @@
    monitored run versus PathExpander, per application. The paper reports an
    average improvement from 40% to 65%. *)
 
-let measure (workload : Workload.t) =
-  let r = Exp_common.run_app workload in
+let measure ctx (workload : Workload.t) =
+  let r = Exp_common.run_app ctx workload in
   let cov = r.Exp_common.result.Engine.coverage in
   ( Coverage.taken_pct cov,
     Coverage.combined_pct cov,
     Coverage.stmt_taken_pct cov,
     Coverage.stmt_combined_pct cov )
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Coverage (Section 7.3): branch and statement coverage of a single run";
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let base, pe, sbase, spe = measure workload in
+        let base, pe, sbase, spe = measure ctx workload in
         ( [
             workload.Workload.name;
             Table.fpct base;
@@ -33,7 +33,7 @@ let run () =
   and p = avg (fun (_, p, _, _) -> p)
   and sb = avg (fun (_, _, sb, _) -> sb)
   and sp = avg (fun (_, _, _, sp) -> sp) in
-  Table.print
+  Exp_common.table ctx
     ~aligns:
       [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:

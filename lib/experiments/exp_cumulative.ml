@@ -5,9 +5,9 @@
 
 let checkpoints = [ 1; 5; 10; 25; 50 ]
 
-let cumulative ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
+let cumulative ctx ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
   let rng = Rng.create seed in
-  let compiled = Workload.compile workload in
+  let compiled = Exp_common.compile ctx workload in
   let acc = Coverage.create compiled.Compile.program in
   let at = Hashtbl.create 8 in
   for i = 1 to inputs do
@@ -15,8 +15,10 @@ let cumulative ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
       if i = 1 then workload.Workload.default_input
       else workload.Workload.gen_input rng
     in
-    let machine = Machine.create ~input compiled.Compile.program in
-    let result = Engine.run ~config:(Workload.pe_config workload) machine in
+    let machine = Exp_common.machine ctx ~input compiled.Compile.program in
+    let _, result =
+      Exp_common.engine ctx ~config:(Workload.pe_config workload) machine
+    in
     Machine.release machine;
     Coverage.merge_into ~dst:acc result.Engine.coverage;
     if List.mem i checkpoints then
@@ -24,8 +26,8 @@ let cumulative ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
   done;
   at
 
-let run ?(inputs = 50) () =
-  Exp_common.heading
+let run ?(inputs = 50) ctx =
+  Exp_common.heading ctx
     (Printf.sprintf
        "Cumulative coverage (Section 7.3): %d generated inputs per application"
        inputs);
@@ -42,8 +44,8 @@ let run ?(inputs = 50) () =
   (* one worker per application; each app's 50-input loop is inherently
      serial (it accumulates one coverage union) *)
   let results =
-    Exp_common.par_map
-      (fun (w : Workload.t) -> (w, cumulative ~inputs w))
+    Exp_common.par_map ctx
+      (fun (w : Workload.t) -> (w, cumulative ctx ~inputs w))
       apps
   in
   List.iter
@@ -59,14 +61,15 @@ let run ?(inputs = 50) () =
       (match Hashtbl.find_opt at inputs with
        | Some (base, pe) -> gains := (pe -. base) :: !gains
        | None -> ());
-      Table.print
+      Exp_common.table ctx
         ~header:
           ("inputs"
           :: List.concat_map
                (fun cp -> [ Printf.sprintf "%d base" cp; Printf.sprintf "%d PE" cp ])
                checkpoints)
         [ workload.Workload.name :: cells ];
-      Sink.print_newline ())
+      Exp_common.print ctx "\n")
     results;
-  Sink.printf "Average cumulative improvement after %d inputs: %s\n" inputs
+  Exp_common.printf ctx "Average cumulative improvement after %d inputs: %s\n"
+    inputs
     (Table.fpct (Stats.mean !gains))

@@ -2,4 +2,4 @@
 
 (** Print the per-application progression and the average improvement
     after [inputs] (default 50) generated test cases. *)
-val run : ?inputs:int -> unit -> unit
+val run : ?inputs:int -> Exp_common.ctx -> unit

@@ -14,7 +14,7 @@
    saturated edge still spawns occasionally; we measure whether the bc bug
    is recovered and what the exploration costs. *)
 
-let survival (workload : Workload.t) ~sandbox_syscalls =
+let survival ctx (workload : Workload.t) ~sandbox_syscalls =
   let config =
     {
       Pe_config.latency_study with
@@ -23,7 +23,7 @@ let survival (workload : Workload.t) ~sandbox_syscalls =
       sandbox_syscalls;
     }
   in
-  let r = Exp_common.run_app ~fixing:false ~config workload in
+  let r = Exp_common.run_app ctx ~fixing:false ~config workload in
   let records = r.Exp_common.result.Engine.nt_records in
   let survived =
     List.length
@@ -37,14 +37,14 @@ let survival (workload : Workload.t) ~sandbox_syscalls =
   in
   Stats.pct ~num:survived ~den:(max 1 (List.length records))
 
-let run_os_support () =
-  Sink.printf
+let run_os_support ctx =
+  Exp_common.printf ctx
     "\n-- ext1: OS support for unsafe events (Section 3.2 future work) --\n";
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let without = survival workload ~sandbox_syscalls:false in
-        let with_os = survival workload ~sandbox_syscalls:true in
+        let without = survival ctx workload ~sandbox_syscalls:false in
+        let with_os = survival ctx workload ~sandbox_syscalls:true in
         [
           workload.Workload.name;
           Table.fpct without;
@@ -52,30 +52,32 @@ let run_os_support () =
         ])
       Registry.latency_apps
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right ]
     ~header:
       [ "Application"; "survive 1000 insns"; "with sandboxed syscalls" ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(the paper predicted that with OS support 'more than 90% of NT-Paths\n\
      may potentially execute up to 1000 instructions')"
 
-let bc_bug_detected config =
+let bc_bug_detected ctx config =
   let bug = Workload.find_bug Registry.bc 2 in
-  let r = Exp_common.run_app ~detector:Codegen.Ccured ~bug:2 ~config Registry.bc in
+  let r =
+    Exp_common.run_app ctx ~detector:Codegen.Ccured ~bug:2 ~config Registry.bc
+  in
   let analysis =
     Analysis.analyze ~compiled:r.Exp_common.compiled ~machine:r.Exp_common.machine
       ~bug
   in
   (Analysis.detected analysis, r.Exp_common.result.Engine.spawns)
 
-let run_random_selection () =
-  Sink.printf
+let run_random_selection ctx =
+  Exp_common.printf ctx
     "\n-- ext2: random factor in NT-Path selection (Section 7.1 suggestion) --\n";
   let chances = [ 0.0; 0.01; 0.05; 0.2 ] in
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun chance ->
         let config =
           {
@@ -83,7 +85,7 @@ let run_random_selection () =
             Pe_config.random_spawn_chance = chance;
           }
         in
-        let detected, spawns = bc_bug_detected config in
+        let detected, spawns = bc_bug_detected ctx config in
         [
           Printf.sprintf "%.3f" chance;
           string_of_bool detected;
@@ -91,11 +93,11 @@ let run_random_selection () =
         ])
       chances
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Right; Table.Left; Table.Right ]
     ~header:[ "random chance"; "bc hot-edge bug detected"; "NT-Paths" ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(at threshold 5 the bug's entry edge is saturated and never spawned;\n\
      a small random factor re-explores hot edges and recovers the bug)"
 
@@ -107,35 +109,36 @@ let run_random_selection () =
    Violations that the bug-free binary also produces under PathExpander
    (forced-path anomalies) are subtracted as the detector's own noise. *)
 
-let diduce_names (workload : Workload.t) ~bug ~mode =
-  let compiled = Workload.compile ?bug workload in
+let diduce_names ctx (workload : Workload.t) ~bug ~mode =
+  let compiled = Exp_common.compile ctx ?bug workload in
   let train = Diduce.create compiled.Compile.program in
-  let machine =
-    Machine.create ~input:workload.Workload.default_input compiled.Compile.program
+  let run config =
+    let machine =
+      Exp_common.machine ctx ~input:workload.Workload.default_input
+        compiled.Compile.program
+    in
+    Diduce.attach train machine;
+    ignore (Exp_common.engine ctx ~config machine);
+    Machine.release machine
   in
-  Diduce.attach train machine;
-  ignore (Engine.run ~config:Pe_config.baseline machine);
-  Machine.release machine;
+  run Pe_config.baseline;
   Diduce.start_monitoring train;
-  let machine =
-    Machine.create ~input:workload.Workload.default_input compiled.Compile.program
-  in
-  Diduce.attach train machine;
-  ignore (Engine.run ~config:(Workload.pe_config ~mode workload) machine);
-  Machine.release machine;
+  run (Workload.pe_config ~mode workload);
   List.sort_uniq compare
     (List.map
        (fun v -> (v.Diduce.addr, v.Diduce.surprise))
        (Diduce.nt_path_violations train))
 
-let run_diduce () =
-  Sink.printf
+let run_diduce ctx =
+  Exp_common.printf ctx
     "\n-- ext3: an assertion-free invariant detector (DIDUCE-style) --\n";
   let apps = [ Registry.schedule; Registry.schedule2; Registry.print_tokens2 ] in
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let noise = diduce_names workload ~bug:None ~mode:Pe_config.Standard in
+        let noise =
+          diduce_names ctx workload ~bug:None ~mode:Pe_config.Standard
+        in
         let semantic =
           List.filter (fun b -> b.Bug.kind = Bug.Semantic) workload.Workload.bugs
         in
@@ -151,7 +154,7 @@ let run_diduce () =
           List.filter
             (fun (bug : Bug.t) ->
               let hits =
-                diduce_names workload ~bug:(Some bug.Bug.version)
+                diduce_names ctx workload ~bug:(Some bug.Bug.version)
                   ~mode:Pe_config.Standard
               in
               List.exists (exceeds noise) hits)
@@ -160,7 +163,7 @@ let run_diduce () =
         let baseline_caught =
           List.filter
             (fun (bug : Bug.t) ->
-              diduce_names workload ~bug:(Some bug.Bug.version)
+              diduce_names ctx workload ~bug:(Some bug.Bug.version)
                 ~mode:Pe_config.Baseline
               <> [])
             semantic
@@ -175,12 +178,12 @@ let run_diduce () =
         ])
       apps
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Left ]
     ~header:
       [ "Application"; "semantic bugs"; "baseline"; "DIDUCE+PE"; "which" ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(no assertions compiled in: the invariant monitor alone, fed non-taken\n\
      paths by PathExpander, exposes the state-smashing bugs)"
 
@@ -192,7 +195,7 @@ let run_diduce () =
    value satisfying the forced edge when one exists, falling back to the
    boundary stub otherwise. *)
 
-let fixing_quality (workload : Workload.t) ~profiled =
+let fixing_quality ctx (workload : Workload.t) ~profiled =
   let bugs = Exp_common.bugs_for workload Codegen.Ccured in
   let per_bug =
     List.map
@@ -204,7 +207,7 @@ let fixing_quality (workload : Workload.t) ~profiled =
           }
         in
         let r =
-          Exp_common.run_app ~detector:Codegen.Ccured ~bug:bug.Bug.version
+          Exp_common.run_app ctx ~detector:Codegen.Ccured ~bug:bug.Bug.version
             ~config workload
         in
         let analysis =
@@ -229,15 +232,19 @@ let fixing_quality (workload : Workload.t) ~profiled =
   in
   (fps, detected, crash, overrides)
 
-let run_profiled_fixing () =
-  Sink.printf
+let run_profiled_fixing ctx =
+  Exp_common.printf ctx
     "\n-- ext4: profile-guided consistency fixing (Section 4.4 future work) --\n";
   let apps = [ Registry.go; Registry.bc; Registry.man; Registry.print_tokens2 ] in
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let b_fp, b_det, b_crash, _ = fixing_quality workload ~profiled:false in
-        let p_fp, p_det, p_crash, used = fixing_quality workload ~profiled:true in
+        let b_fp, b_det, b_crash, _ =
+          fixing_quality ctx workload ~profiled:false
+        in
+        let p_fp, p_det, p_crash, used =
+          fixing_quality ctx workload ~profiled:true
+        in
         [
           workload.Workload.name;
           Table.f1 b_fp;
@@ -250,7 +257,7 @@ let run_profiled_fixing () =
         ])
       apps
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:
       [
         Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
@@ -268,14 +275,14 @@ let run_profiled_fixing () =
         "overrides used";
       ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(profiled values come from each variable's observed history; detection\n\
      is unchanged and NT-Path crash behaviour stays comparable -- the deeper\n\
      inconsistency misses need the symbolic fixing the paper defers)"
 
-let run () =
-  Exp_common.heading "Extensions: the paper's future work, implemented";
-  run_os_support ();
-  run_random_selection ();
-  run_diduce ();
-  run_profiled_fixing ()
+let run ctx =
+  Exp_common.heading ctx "Extensions: the paper's future work, implemented";
+  run_os_support ctx;
+  run_random_selection ctx;
+  run_diduce ctx;
+  run_profiled_fixing ctx

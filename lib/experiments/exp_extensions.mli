@@ -2,5 +2,5 @@
     random NT-Path selection, the DIDUCE-style detector and profiled
     fixing. *)
 
-(** Print this experiment's table(s)/series to stdout. *)
-val run : unit -> unit
+(** Print this experiment's table(s)/series to the context's output. *)
+val run : Exp_common.ctx -> unit

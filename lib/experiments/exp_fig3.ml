@@ -14,7 +14,7 @@ type stats = {
   survived : int;
 }
 
-let collect (workload : Workload.t) =
+let collect ctx (workload : Workload.t) =
   let config =
     {
       Pe_config.latency_study with
@@ -23,7 +23,7 @@ let collect (workload : Workload.t) =
     }
   in
   let r =
-    Exp_common.run_app ~fixing:false ~config workload
+    Exp_common.run_app ctx ~fixing:false ~config workload
   in
   let records = r.Exp_common.result.Engine.nt_records in
   let crash_latencies =
@@ -60,27 +60,27 @@ let series name total latencies =
   in
   name :: row
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Figure 3: Crash-Latency and Unsafe-Latency cumulative distributions";
-  Sink.printf
+  Exp_common.printf ctx
     "(fraction of NT-Paths stopped by crash / unsafe event before executing\n\
     \ N instructions; NT-Paths spawned on every cold edge, no fixing)\n\n";
   let collected =
-    Exp_common.par_map
-      (fun (w : Workload.t) -> (w, collect w))
+    Exp_common.par_map ctx
+      (fun (w : Workload.t) -> (w, collect ctx w))
       Registry.latency_apps
   in
   List.iter
     (fun ((workload : Workload.t), stats) ->
-      Sink.printf "%s: %d NT-Paths, %s survive to 1000 instructions\n"
+      Exp_common.printf ctx "%s: %d NT-Paths, %s survive to 1000 instructions\n"
         workload.Workload.name stats.total
         (Table.fpct (Stats.pct ~num:stats.survived ~den:stats.total));
-      Table.print
+      Exp_common.table ctx
         ~header:("stopped by <= N insns" :: List.map string_of_int points)
         [
           series "crash" stats.total stats.crash_latencies;
           series "unsafe event" stats.total stats.unsafe_latencies;
         ];
-      Sink.print_newline ())
+      Exp_common.print ctx "\n")
     collected

@@ -11,9 +11,9 @@ type row = {
   spawns : int;
 }
 
-let measure ?detector (workload : Workload.t) =
+let measure ctx ?detector (workload : Workload.t) =
   let cycles mode =
-    let r = Exp_common.run_app ?detector ~mode workload in
+    let r = Exp_common.run_app ctx ?detector ~mode workload in
     (r.Exp_common.result.Engine.total_cycles, r.Exp_common.result.Engine.spawns)
   in
   let baseline_cycles, _ = cycles Pe_config.Baseline in
@@ -23,10 +23,10 @@ let measure ?detector (workload : Workload.t) =
 
 (* one pool worker per application; each measures its three modes on
    machines it owns *)
-let rows ?detector apps =
-  Exp_common.par_map
+let rows ctx ?detector apps =
+  Exp_common.par_map ctx
     (fun w ->
-      let m = measure ?detector w in
+      let m = measure ctx ?detector w in
       let std = Exp_common.overhead_pct ~baseline:m.baseline_cycles ~with_pe:m.standard_cycles in
       let cmp = Exp_common.overhead_pct ~baseline:m.baseline_cycles ~with_pe:m.cmp_cycles in
       ( [
@@ -39,13 +39,13 @@ let rows ?detector apps =
         (std, cmp) ))
     apps
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Overhead (Section 7.4): PathExpander standard configuration vs CMP option";
-  let all = rows Registry.perf_apps in
+  let all = rows ctx Registry.perf_apps in
   let stds = List.map (fun (_, (s, _)) -> s) all in
   let cmps = List.map (fun (_, (_, c)) -> c) all in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:[ "Application"; "Baseline cycles"; "NT-Paths"; "Standard"; "CMP" ]
     (List.map fst all

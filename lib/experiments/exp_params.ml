@@ -9,11 +9,11 @@
 
 let sweep_apps () = [ Registry.gzip; Registry.print_tokens; Registry.bc ]
 
-let coverage_and_overhead (workload : Workload.t) config =
+let coverage_and_overhead ctx (workload : Workload.t) config =
   let baseline =
-    Exp_common.run_app ~mode:Pe_config.Baseline workload
+    Exp_common.run_app ctx ~mode:Pe_config.Baseline workload
   in
-  let pe = Exp_common.run_app ~config workload in
+  let pe = Exp_common.run_app ctx ~config workload in
   ( Coverage.combined_pct pe.Exp_common.result.Engine.coverage,
     Exp_common.overhead_pct
       ~baseline:baseline.Exp_common.result.Engine.total_cycles
@@ -38,12 +38,13 @@ let rec chunk n xs =
     hd :: chunk n tl
   end
 
-let sweep_max_length () =
-  Sink.printf "\n-- MaxNTPathLength sweep (standard configuration) --\n";
+let sweep_max_length ctx =
+  Exp_common.printf ctx
+    "\n-- MaxNTPathLength sweep (standard configuration) --\n";
   let lengths = [ 100; 300; 1000; 3000 ] in
   let apps = sweep_apps () in
   let cells =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun ((workload : Workload.t), len) ->
         let config =
           {
@@ -51,7 +52,7 @@ let sweep_max_length () =
             Pe_config.max_nt_path_length = len;
           }
         in
-        let cov, ovh, _ = coverage_and_overhead workload config in
+        let cov, ovh, _ = coverage_and_overhead ctx workload config in
         [ Table.fpct cov; Table.fpct ovh ])
       (grid apps lengths)
   in
@@ -62,7 +63,7 @@ let sweep_max_length () =
       apps
       (chunk (List.length lengths) cells)
   in
-  Table.print
+  Exp_common.table ctx
     ~header:
       ("app (cov / overhead)"
       :: List.concat_map
@@ -70,13 +71,13 @@ let sweep_max_length () =
            lengths)
     rows
 
-let sweep_threshold () =
-  Sink.printf
+let sweep_threshold ctx =
+  Exp_common.printf ctx
     "\n-- NTPathCounterThreshold sweep (coverage; bc hot-edge bug recovery) --\n";
   let thresholds = [ 1; 2; 5; 8; 16 ] in
   let apps = sweep_apps () in
   let cells =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun ((workload : Workload.t), t) ->
         let config =
           {
@@ -84,7 +85,7 @@ let sweep_threshold () =
             Pe_config.nt_counter_threshold = t;
           }
         in
-        let cov, _, _ = coverage_and_overhead workload config in
+        let cov, _, _ = coverage_and_overhead ctx workload config in
         Table.fpct cov)
       (grid apps thresholds)
   in
@@ -94,7 +95,9 @@ let sweep_threshold () =
       apps
       (chunk (List.length thresholds) cells)
   in
-  Table.print ~header:("coverage" :: List.map string_of_int thresholds) rows;
+  Exp_common.table ctx
+    ~header:("coverage" :: List.map string_of_int thresholds)
+    rows;
   (* the bc hot-entry-edge bug (v2) versus the threshold *)
   let bug = Workload.find_bug Registry.bc 2 in
   let detect t =
@@ -105,7 +108,7 @@ let sweep_threshold () =
       }
     in
     let r =
-      Exp_common.run_app ~detector:Codegen.Ccured ~bug:2 ~config Registry.bc
+      Exp_common.run_app ctx ~detector:Codegen.Ccured ~bug:2 ~config Registry.bc
     in
     let analysis =
       Analysis.analyze ~compiled:r.Exp_common.compiled
@@ -114,21 +117,21 @@ let sweep_threshold () =
     Analysis.detected analysis
   in
   let verdicts =
-    Exp_common.par_map (fun t -> string_of_bool (detect t)) thresholds
+    Exp_common.par_map ctx (fun t -> string_of_bool (detect t)) thresholds
   in
-  Table.print
+  Exp_common.table ctx
     ~header:("bc hot-edge bug detected" :: List.map string_of_int thresholds)
     [ "detected" :: verdicts ]
 
-let sweep_max_paths () =
-  Sink.printf "\n-- MaxNumNTPaths sweep (CMP option) --\n";
+let sweep_max_paths ctx =
+  Exp_common.printf ctx "\n-- MaxNumNTPaths sweep (CMP option) --\n";
   let limits = [ 1; 4; 8; 32 ] in
   let apps = sweep_apps () in
   let cells =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun ((workload : Workload.t), limit) ->
         let baseline =
-          Exp_common.run_app ~mode:Pe_config.Baseline workload
+          Exp_common.run_app ctx ~mode:Pe_config.Baseline workload
         in
         let config =
           {
@@ -136,7 +139,7 @@ let sweep_max_paths () =
             Pe_config.max_num_nt_paths = limit;
           }
         in
-        let pe = Exp_common.run_app ~config workload in
+        let pe = Exp_common.run_app ctx ~config workload in
         [
           Table.fpct
             (Exp_common.overhead_pct
@@ -153,7 +156,7 @@ let sweep_max_paths () =
       apps
       (chunk (List.length limits) cells)
   in
-  Table.print
+  Exp_common.table ctx
     ~header:
       ("app (overhead / skipped)"
       :: List.concat_map
@@ -161,8 +164,8 @@ let sweep_max_paths () =
            limits)
     rows
 
-let run () =
-  Exp_common.heading "Parameter study (Section 7.6)";
-  sweep_max_length ();
-  sweep_threshold ();
-  sweep_max_paths ()
+let run ctx =
+  Exp_common.heading ctx "Parameter study (Section 7.6)";
+  sweep_max_length ctx;
+  sweep_threshold ctx;
+  sweep_max_paths ctx

@@ -4,16 +4,17 @@
    restore-log maintenance) on the critical path. The paper reports that the
    hardware design's overhead is 3-4 orders of magnitude lower. *)
 
-let measure (workload : Workload.t) =
+let measure ctx (workload : Workload.t) =
   let hw_baseline =
-    (Exp_common.run_app ~mode:Pe_config.Baseline workload).Exp_common.result
+    (Exp_common.run_app ctx ~mode:Pe_config.Baseline workload).Exp_common.result
   in
   let hw_cmp =
-    (Exp_common.run_app ~mode:Pe_config.Cmp workload).Exp_common.result
+    (Exp_common.run_app ctx ~mode:Pe_config.Cmp workload).Exp_common.result
   in
-  let compiled = Workload.compile workload in
+  let compiled = Exp_common.compile ctx workload in
   let machine =
-    Machine.create ~input:workload.Workload.default_input compiled.Compile.program
+    Exp_common.machine ctx ~input:workload.Workload.default_input
+      compiled.Compile.program
   in
   let sw = Soft_engine.run ~config:(Workload.pe_config workload) machine in
   Machine.release machine;
@@ -24,13 +25,13 @@ let measure (workload : Workload.t) =
   let sw_overhead = 100.0 *. (sw.Soft_engine.accounting.Pin_model.slowdown -. 1.0) in
   (hw_overhead, sw_overhead)
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Hardware vs software PathExpander (Section 7.5): overhead comparison";
   let rows =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (workload : Workload.t) ->
-        let hw, sw = measure workload in
+        let hw, sw = measure ctx workload in
         let ratio = if hw <= 0.0 then infinity else sw /. hw in
         ( [
             workload.Workload.name;
@@ -45,7 +46,7 @@ let run () =
   in
   let hws = List.map (fun (_, (h, _)) -> h) rows in
   let sws = List.map (fun (_, (_, s)) -> s) rows in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:
       [

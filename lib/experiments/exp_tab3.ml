@@ -12,8 +12,8 @@ let tools_for (workload : Workload.t) =
          | Bug.Semantic -> "Assertions")
        kinds)
 
-let run () =
-  Exp_common.heading "Table 3: Applications and bugs evaluated";
+let run ctx =
+  Exp_common.heading ctx "Table 3: Applications and bugs evaluated";
   let rows =
     List.map
       (fun (workload : Workload.t) ->
@@ -28,7 +28,7 @@ let run () =
   let total =
     [ "total"; ""; string_of_int Registry.total_bugs; "" ]
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Left ]
     ~header:[ "Application"; "LOC"; "#Bugs"; "Detection Tool" ]
     (rows @ [ total ])

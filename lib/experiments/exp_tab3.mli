@@ -1,4 +1,4 @@
 (** Table 3 — applications and bugs evaluated. *)
 
-(** Print this experiment's table(s)/series to stdout. *)
-val run : unit -> unit
+(** Print this experiment's table(s)/series to the context's output. *)
+val run : Exp_common.ctx -> unit

@@ -10,10 +10,10 @@ type row = {
   pe_detected : int;
 }
 
-let evaluate_bug (workload : Workload.t) detector (bug : Bug.t) =
+let evaluate_bug ctx (workload : Workload.t) detector (bug : Bug.t) =
   let test mode =
     let r =
-      Exp_common.run_app ~detector ~bug:bug.Bug.version ~mode workload
+      Exp_common.run_app ctx ~detector ~bug:bug.Bug.version ~mode workload
     in
     let analysis =
       Analysis.analyze ~compiled:r.Exp_common.compiled
@@ -23,11 +23,13 @@ let evaluate_bug (workload : Workload.t) detector (bug : Bug.t) =
   in
   (test Pe_config.Baseline, test Pe_config.Standard)
 
-let app_row detector (workload : Workload.t) =
+let app_row ctx detector (workload : Workload.t) =
   let bugs = Exp_common.bugs_for workload detector in
   (* per-bug fan-out: every (bug, mode) verdict is an independent pair of
      compile+run jobs *)
-  let results = Exp_common.par_map (evaluate_bug workload detector) bugs in
+  let results =
+    Exp_common.par_map ctx (evaluate_bug ctx workload detector) bugs
+  in
   {
     app = workload.Workload.name;
     tested = List.length bugs;
@@ -47,10 +49,10 @@ let semantic_apps () =
       List.exists (fun b -> b.Bug.kind = Bug.Semantic) w.Workload.bugs)
     Registry.buggy_apps
 
-let rows_for detector apps =
+let rows_for ctx detector apps =
   List.map
     (fun w ->
-      let row = app_row detector w in
+      let row = app_row ctx detector w in
       [
         Exp_common.detector_label detector;
         row.app;
@@ -62,11 +64,11 @@ let rows_for detector apps =
 
 (* Unique-bug totals (memory bugs are tested by both CCured and iWatcher but
    counted once, as in the paper's "21 of 38"). *)
-let unique_totals () =
+let unique_totals ctx =
   let count_for detector apps =
     List.fold_left
       (fun (tested, base, pe) w ->
-        let row = app_row detector w in
+        let row = app_row ctx detector w in
         (tested + row.tested, base + row.baseline_detected, pe + row.pe_detected))
       (0, 0, 0) apps
   in
@@ -75,21 +77,21 @@ let unique_totals () =
   let (a, b, c), (d, e, f) = (mem, sem) in
   (a + d, b + e, c + f)
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Table 4: Bug detection results (non-bug-triggering inputs)";
   let rows =
-    rows_for Codegen.Ccured (memory_apps ())
-    @ rows_for Codegen.Iwatcher (memory_apps ())
-    @ rows_for Codegen.Assertions (semantic_apps ())
+    rows_for ctx Codegen.Ccured (memory_apps ())
+    @ rows_for ctx Codegen.Iwatcher (memory_apps ())
+    @ rows_for ctx Codegen.Assertions (semantic_apps ())
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right ]
     ~header:
       [ "Dynamic Tool"; "Application"; "#Bug Tested"; "Baseline"; "PathExpander" ]
     rows;
-  let tested, base, pe = unique_totals () in
-  Sink.printf
+  let tested, base, pe = unique_totals ctx in
+  Exp_common.printf ctx
     "Distinct bugs: %d tested, %d detected by the baseline, %d detected with\n\
      PathExpander (memory bugs counted once across CCured and iWatcher).\n"
     tested base pe

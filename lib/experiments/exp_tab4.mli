@@ -7,4 +7,4 @@ val memory_apps : unit -> Workload.t list
 val semantic_apps : unit -> Workload.t list
 
 (** Print the table and the distinct-bug totals. *)
-val run : unit -> unit
+val run : Exp_common.ctx -> unit

@@ -7,13 +7,13 @@
 
 type cell = { fp : int; detected : int }
 
-let evaluate (workload : Workload.t) detector ~fixing =
+let evaluate ctx (workload : Workload.t) detector ~fixing =
   let bugs = Exp_common.bugs_for workload detector in
   let per_bug =
     List.map
       (fun (bug : Bug.t) ->
         let r =
-          Exp_common.run_app ~detector ~fixing ~bug:bug.Bug.version workload
+          Exp_common.run_app ctx ~detector ~fixing ~bug:bug.Bug.version workload
         in
         let analysis =
           Analysis.analyze ~compiled:r.Exp_common.compiled
@@ -30,15 +30,15 @@ let evaluate (workload : Workload.t) detector ~fixing =
     detected = List.fold_left ( + ) 0 (List.map snd per_bug);
   }
 
-let run () =
-  Exp_common.heading
+let run ctx =
+  Exp_common.heading ctx
     "Table 5: False-positive pruning by key-variable value fixing";
   let apps = Exp_tab4.memory_apps () in
   let make_rows detector =
-    Exp_common.par_map
+    Exp_common.par_map ctx
       (fun (w : Workload.t) ->
-        let before = evaluate w detector ~fixing:false in
-        let after = evaluate w detector ~fixing:true in
+        let before = evaluate ctx w detector ~fixing:false in
+        let after = evaluate ctx w detector ~fixing:true in
         ( [
             Exp_common.detector_label detector;
             w.Workload.name;
@@ -69,7 +69,7 @@ let run () =
         ];
       ]
   in
-  Table.print
+  Exp_common.table ctx
     ~aligns:
       [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:
@@ -82,6 +82,6 @@ let run () =
         "#Bug after";
       ]
     rows;
-  Sink.print_endline
+  Exp_common.printf ctx "%s\n"
     "(the man bug is detected only after fixing: without it the forced edge\n\
      dereferences the NULL include pointer and the NT-Path crashes first)"

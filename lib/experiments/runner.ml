@@ -3,7 +3,7 @@
 type experiment = {
   id : string;
   title : string;
-  run : unit -> unit;
+  run : Exp_common.ctx -> unit;
 }
 
 let all =
@@ -18,7 +18,7 @@ let all =
     {
       id = "cov2";
       title = "Cumulative coverage over 50 inputs";
-      run = (fun () -> Exp_cumulative.run ());
+      run = (fun ctx -> Exp_cumulative.run ctx);
     };
     { id = "ovh1"; title = "Standard vs CMP overhead"; run = Exp_overhead.run };
     { id = "ovh2"; title = "Hardware vs software overhead"; run = Exp_sw_hw.run };
@@ -33,40 +33,38 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-let capture e =
-  let (), out = Sink.with_capture e.run in
-  out
-
-(* With [jobs <= 1] experiments stream to stdout as they run; with more, each
-   experiment executes under a domain-local capture buffer and the outputs are
-   printed in registry (presentation) order, so the bytes on stdout are the
-   same either way. Nested fan-out inside an experiment degrades to serial in
-   worker domains (see Pool), so the domain count stays bounded by [jobs]. *)
-let run_list ?jobs experiments =
-  let jobs = match jobs with Some j -> j | None -> Exp_common.jobs () in
-  if jobs <= 1 then List.iter (fun e -> e.run ()) experiments
-  else List.iter Sink.print_string (Pool.map ~jobs capture experiments)
-
-let run_all ?jobs () = run_list ?jobs all
-
 let ids () = List.map (fun e -> e.id) all
+
+type artifacts = {
+  stdout : string;
+  traces : (string * string) list;
+  obs : (string * string) list;
+  telemetry : Telemetry.t list;
+}
+
+(* The artifact lists are sorted (label, content): runs fanned out inside a
+   leg finish in nondeterministic order, and the canonical order keeps
+   stored bundles independent of it. *)
+let capture spec e =
+  let buf = Buffer.create 4096 in
+  let ctx = Exp_common.context ~spec ~out:(Buffer.add_string buf) in
+  e.run ctx;
+  let traces, obs, telemetry = Exp_common.collected ctx in
+  {
+    stdout = Buffer.contents buf;
+    traces = List.sort compare traces;
+    obs = List.sort compare obs;
+    telemetry;
+  }
 
 (* ---- Content-addressed result cache (DESIGN.md §16) ---------------------- *)
 
-(* One cache entry per experiment leg: the complete deterministic artifact
-   bundle an experiment contributes to a sweep — its captured stdout, every
-   flight-recorder trace its runs submitted, every observatory snapshot.
-   Determinism (byte-identical output serial/parallel, selective/fastpath
-   on or off in their own key axes) is what makes the leg cacheable at
-   all; the key names everything the bytes depend on, and anything it
-   cannot name as data (the simulator code itself) is covered by the
-   build-id axis, which invalidates on any rebuild. *)
-
-type artifacts = {
-  a_stdout : string;
-  a_traces : (string * string) list;  (** (run label, JSONL trace) *)
-  a_obs : (string * string) list;  (** (run label, snapshot JSON) *)
-}
+(* One cache entry per experiment leg: its complete deterministic artifact
+   bundle — stdout, every flight-recorder trace, every observatory
+   snapshot. Determinism is what makes a leg cacheable at all; the key
+   names everything the bytes depend on, and anything it cannot name as
+   data (the simulator code itself) is covered by the build-id axis, which
+   invalidates on any rebuild. *)
 
 (* Everything run-relevant in the workload registry, hashed once per
    process: the sources (all bug variants), inputs and NT-Path budgets. *)
@@ -83,20 +81,16 @@ let registry_fingerprint () =
     registry_fingerprint_memo := Some fp;
     fp
 
-let experiment_key ~trace ~obs e =
+let experiment_key spec e =
   Resultcache.key
     [
       ("kind", "experiment");
       ("schema", string_of_int Resultcache.schema_version);
       ("build", Resultcache.build_id ());
       ("experiment", e.id);
-      ("opt", Opt.to_string (Opt.default_level ()));
-      ("selective", string_of_bool (Pe_config.selective_enabled ()));
-      ("cache_fastpath", string_of_bool (Cache.fastpath_enabled ()));
-      ("pe_config", Pe_config.fingerprint Pe_config.default);
       ("registry", registry_fingerprint ());
-      ("trace", if trace then "on" else "off");
-      ("obs", if obs then "on" else "off");
+      ("pe_config", Pe_config.fingerprint Pe_config.default);
+      ("spec", Run_spec.fingerprint spec);
     ]
 
 (* Artifact bundles are flat (name, content) lists; the run label rides in
@@ -105,10 +99,10 @@ let experiment_key ~trace ~obs e =
    keeps intact. *)
 let encode_artifacts a =
   {
-    Resultcache.stdout = a.a_stdout;
+    Resultcache.stdout = a.stdout;
     artifacts =
-      List.map (fun (l, c) -> ("trace:" ^ l, c)) a.a_traces
-      @ List.map (fun (l, c) -> ("obs:" ^ l, c)) a.a_obs;
+      List.map (fun (l, c) -> ("trace:" ^ l, c)) a.traces
+      @ List.map (fun (l, c) -> ("obs:" ^ l, c)) a.obs;
   }
 
 let decode_artifacts (b : Resultcache.bundle) =
@@ -124,77 +118,49 @@ let decode_artifacts (b : Resultcache.bundle) =
         Option.map (fun l -> (l, content)) (strip prefix name))
       b.Resultcache.artifacts
   in
-  { a_stdout = b.Resultcache.stdout; a_traces = pick "trace:"; a_obs = pick "obs:" }
-
-(* Run one experiment capturing its complete artifact set. Stdout diverts
-   into the domain-local sink buffer; trace dumps and observatory
-   snapshots divert into domain-local collectors — every run of one
-   experiment executes on this domain (nested fan-out degrades serial in
-   pool workers), so sibling experiments never interleave. The artifact
-   lists are sorted (label, content): within one experiment runs are
-   serial so submission order is already deterministic, but the canonical
-   order keeps stored bundles independent of that incidental fact. *)
-let capture_artifacts ~trace ~obs e =
-  let traces = ref [] and snaps = ref [] in
-  let body () = Sink.with_capture e.run in
-  let body () =
-    if obs then
-      Obs.with_domain_collector
-        (fun s -> snaps := (Obs.label s, Obs.to_json s) :: !snaps)
-        body
-    else body ()
-  in
-  let body () =
-    if trace then
-      Recorder.with_domain_collector
-        (fun d -> traces := (d.Recorder.label, Recorder.jsonl_of_dump d) :: !traces)
-        body
-    else body ()
-  in
-  let (), out = body () in
   {
-    a_stdout = out;
-    a_traces = List.sort compare !traces;
-    a_obs = List.sort compare !snaps;
+    stdout = b.Resultcache.stdout;
+    traces = pick "trace:";
+    obs = pick "obs:";
+    telemetry = [];
   }
 
-let run_cached ~cache ?(trace = false) ?(obs = false) ?jobs experiments =
-  let jobs = match jobs with Some j -> j | None -> Exp_common.jobs () in
-  (* Probe serially on this domain (the cache is cheap and single-domain),
-     then fan only the misses out. *)
-  let probes =
-    List.map
-      (fun e ->
-        let key = experiment_key ~trace ~obs e in
-        (e, key, Option.map decode_artifacts (Resultcache.find cache key)))
-      experiments
+(* Probe every leg serially on this domain (the cache is cheap), run the
+   misses — fanned across [spec.jobs] domains; nested fan-out inside a leg
+   then degrades to serial in the pool's workers, so the domain count
+   stays bounded — store them, and print every leg's stdout in list
+   (presentation) order, so the bytes are the same at any [--jobs]. *)
+let run ?cache ?(out = print_string) spec experiments =
+  let key e = experiment_key spec e in
+  let probe e =
+    Option.bind cache (fun cache ->
+        Option.map decode_artifacts (Resultcache.find cache (key e)))
   in
+  let probes = List.map (fun e -> (e, probe e)) experiments in
   let misses =
-    List.filter (fun (_, _, hit) -> Option.is_none hit) probes
+    List.filter_map
+      (fun (e, hit) -> if Option.is_none hit then Some e else None)
+      probes
   in
-  if trace then Recorder.set_tracing (Some Recorder.default_capacity);
-  if obs then Pe_config.set_obs_enabled true;
-  let fresh =
-    Fun.protect
-      ~finally:(fun () ->
-        if trace then Recorder.set_tracing None;
-        if obs then Pe_config.set_obs_enabled false)
-      (fun () ->
-        Pool.map ~jobs (fun (e, _, _) -> capture_artifacts ~trace ~obs e) misses)
-  in
-  List.iter2
-    (fun (_, key, _) a -> Resultcache.store cache key (encode_artifacts a))
-    misses fresh;
-  (* Reassemble in registry (presentation) order: hits from the cache,
-     misses from the fresh runs, positionally. *)
+  let fresh = Pool.map ~jobs:spec.Run_spec.jobs (capture spec) misses in
+  Option.iter
+    (fun cache ->
+      List.iter2
+        (fun e a -> Resultcache.store cache (key e) (encode_artifacts a))
+        misses fresh)
+    cache;
+  (* Reassemble in list order: hits from the cache, misses from the fresh
+     runs, positionally. *)
   let rec assemble probes fresh =
     match (probes, fresh) with
     | [], _ -> []
-    | (_, _, Some a) :: rest, fresh -> a :: assemble rest fresh
-    | (_, _, None) :: rest, a :: fresh -> a :: assemble rest fresh
-    | (_, _, None) :: _, [] -> assert false
+    | (_, Some a) :: rest, fresh -> a :: assemble rest fresh
+    | (_, None) :: rest, a :: fresh -> a :: assemble rest fresh
+    | (_, None) :: _, [] -> assert false
   in
   let results = assemble probes fresh in
-  List.iter (fun a -> Sink.print_string a.a_stdout) results;
-  ( List.concat_map (fun a -> a.a_traces) results,
-    List.concat_map (fun a -> a.a_obs) results )
+  List.iter (fun a -> out a.stdout) results;
+  results
+
+let run_list ?out spec experiments = run ?out spec experiments
+let run_cached ~cache ?out spec experiments = run ~cache ?out spec experiments

@@ -6,48 +6,50 @@
 type experiment = {
   id : string;  (** e.g. ["tab4"], ["fig3"], ["ext1"] *)
   title : string;
-  run : unit -> unit;  (** prints the table(s)/series to stdout *)
+  run : Exp_common.ctx -> unit;
+      (** prints the table(s)/series to the context's output *)
 }
 
 val all : experiment list
 val find : string -> experiment option
-
-(** Run one experiment with its output captured instead of printed; returns
-    exactly the bytes it would have written to stdout. *)
-val capture : experiment -> string
-
-(** Run a selection of experiments. [jobs] defaults to
-    {!Exp_common.jobs}[ ()]; with [jobs > 1] the experiments are fanned
-    across a domain pool and their captured outputs printed in list order,
-    byte-identical to a serial run. *)
-val run_list : ?jobs:int -> experiment list -> unit
-
-(** Run everything, in presentation order. *)
-val run_all : ?jobs:int -> unit -> unit
-
 val ids : unit -> string list
 
-(** The cache key of one experiment leg (DESIGN.md §16): experiment id,
-    result-schema version, build id, optimization level, the selective and
-    cache-fastpath strategy toggles, the default {!Pe_config} fingerprint,
-    the workload-registry content fingerprint, and which artifact captures
-    ([trace], [obs]) are requested. [--jobs] is deliberately absent — a
-    parallel sweep's bytes are identical to a serial one's. *)
-val experiment_key : trace:bool -> obs:bool -> experiment -> Resultcache.key
+(** Everything one experiment leg leaves behind, as values. *)
+type artifacts = {
+  stdout : string;  (** exactly the bytes the leg prints *)
+  traces : (string * string) list;
+      (** (run label, JSONL trace), sorted; [[]] unless the spec traces *)
+  obs : (string * string) list;
+      (** (run label, snapshot JSON), sorted; [[]] unless the spec observes *)
+  telemetry : Telemetry.t list;
+      (** every run's sink, in run order; [[]] unless the spec asks for
+          telemetry (never cached: it holds wall-clock timers) *)
+}
 
-(** Run a selection of experiments through the content-addressed result
-    cache: each leg probes the cache, serves its stored artifact bundle on
-    a hit, and is executed (with stdout, flight-recorder dumps and
-    observatory snapshots captured) then stored on a miss. Stdout prints in
-    list order either way, byte-identical to {!run_list}. When [trace]
-    ([resp.] [obs]) is set, tracing (observatory bookkeeping) is armed for
-    the duration and the returned [(label, serialized)] pairs — cached and
-    fresh merged, in submission order per leg — are ready for
-    {!Recorder.save_dir_raw} ({!Obs.save_dir_raw}). *)
+(** Run one experiment under [spec] on a fresh context. *)
+val capture : Run_spec.t -> experiment -> artifacts
+
+(** Run a selection of experiments under [spec], with [spec.jobs > 1]
+    fanning them across a domain pool. Each leg's stdout goes to [out]
+    (default [print_string]) in list order, byte-identical to a serial
+    run; the artifacts come back in list order too. *)
+val run_list :
+  ?out:(string -> unit) -> Run_spec.t -> experiment list -> artifacts list
+
+(** The cache key of one experiment leg (DESIGN.md §16): build id,
+    result-schema version, experiment id, the workload-registry content
+    fingerprint, the default {!Pe_config} fingerprint and
+    {!Run_spec.fingerprint} — everything but [--jobs], since a parallel
+    sweep's bytes are identical to a serial one's. *)
+val experiment_key : Run_spec.t -> experiment -> Resultcache.key
+
+(** {!run_list} through the content-addressed result cache: each leg is
+    probed, served from its stored bundle on a hit, and run then stored on
+    a miss. Stdout and the returned traces and snapshots are
+    byte-identical to {!run_list}'s either way. *)
 val run_cached :
   cache:Resultcache.t ->
-  ?trace:bool ->
-  ?obs:bool ->
-  ?jobs:int ->
+  ?out:(string -> unit) ->
+  Run_spec.t ->
   experiment list ->
-  (string * string) list * (string * string) list
+  artifacts list

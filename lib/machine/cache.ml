@@ -93,19 +93,6 @@ type t = {
 
 let committed_owner = 0
 
-(* Process-wide default for the probe fast path: every cache created while
-   the switch is on carries memo + filter. [PEXP_CACHE_FASTPATH=0] is the
-   environment kill switch (CI equivalence matrix); output is byte-identical
-   either way. *)
-let fastpath_default =
-  Atomic.make
-    (match Sys.getenv_opt "PEXP_CACHE_FASTPATH" with
-     | Some "0" -> false
-     | Some _ | None -> true)
-
-let set_fastpath_enabled b = Atomic.set fastpath_default b
-let fastpath_enabled () = Atomic.get fastpath_default
-
 let log2_pow2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
   if n > 0 && n land (n - 1) = 0 then go n 0 else -1
@@ -132,7 +119,7 @@ let create ~size_kb ~assoc ~line_bytes =
     misses = 0;
     memo_hits = 0;
     filter_hits = 0;
-    fastpath = Atomic.get fastpath_default;
+    fastpath = true;
     memo_laddr0 = min_int;
     memo_set0 = -1;
     memo_owner0 = -1;

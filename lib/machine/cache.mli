@@ -59,13 +59,6 @@ val add_hits : t -> int -> unit
     and re-enabling kills the memo, so stale entries are never trusted. *)
 val set_fastpath : t -> bool -> unit
 
-(** Process-wide default for caches created from now on. Initialised from
-    the [PEXP_CACHE_FASTPATH] environment variable ([0] = off, the CI kill
-    switch); on unless told otherwise. *)
-val set_fastpath_enabled : bool -> unit
-
-val fastpath_enabled : unit -> bool
-
 (** Invalidate all lines version-tagged [owner]; returns how many.
     O(lines the owner touched since its last squash/commit) for 8-bit
     owner ids, via a per-owner journal of ownership acquisitions. *)

@@ -12,6 +12,7 @@ type t = {
   mutable store_hook : (Context.t -> int -> int -> unit) option;
   telemetry : Telemetry.t;
   recorder : Recorder.t;
+  fastpath : bool;
 }
 
 (* One-slot decode memo: experiments compile a program once and then create
@@ -29,7 +30,8 @@ let decode_code code =
     Atomic.set decode_memo (Some (code, d));
     d
 
-let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
+let create ?(config = Machine_config.default) ?(input = "")
+    ?(recorder = Recorder.disabled) ?(fastpath = true) program =
   Program.validate program;
   let mem =
     Memory.create ~globals_words:program.Program.globals_words
@@ -42,18 +44,13 @@ let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
      base, which is only known once memory is laid out. *)
   if program.Program.globals_words > 0 then
     Memory.write mem Memory.null_guard mem.Memory.heap_base;
-  (* The flight recorder defaults through the process-global tracing switch:
-     the disabled singleton (one branch per emit site, no storage) unless a
-     sweep capture is armed. *)
-  let recorder =
-    match recorder with Some r -> r | None -> Recorder.obtain ()
-  in
   let l2 =
     Cache.create ~size_kb:config.Machine_config.l2_size_kb
       ~assoc:config.Machine_config.l2_assoc
       ~line_bytes:config.Machine_config.line_bytes
   in
   Cache.set_recorder l2 recorder;
+  Cache.set_fastpath l2 fastpath;
   {
     config;
     program;
@@ -70,6 +67,7 @@ let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
     store_hook = None;
     telemetry = Telemetry.create ();
     recorder;
+    fastpath;
   }
 
 let new_l1 machine =
@@ -79,6 +77,7 @@ let new_l1 machine =
       ~line_bytes:machine.config.Machine_config.line_bytes
   in
   Cache.set_recorder l1 machine.recorder;
+  Cache.set_fastpath l1 machine.fastpath;
   l1
 
 let main_context machine =

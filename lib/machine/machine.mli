@@ -24,23 +24,25 @@ type t = {
           invariant monitor *)
   telemetry : Telemetry.t;
       (** per-run observability sink; the engine fills it with spawn,
-          termination, cache, BTB and phase-timing data and submits it to
-          the global collector at the end of the run *)
+          termination, cache, BTB and phase-timing data *)
   recorder : Recorder.t;
       (** per-run flight recorder of NT-Path lifecycle events in sim time;
-          the {!Recorder.disabled} singleton unless tracing is armed (or an
-          explicit recorder was passed to {!create}), making every emit site
-          a single branch *)
+          the {!Recorder.disabled} singleton unless an enabled recorder was
+          passed to {!create}, making every emit site a single branch *)
+  fastpath : bool;
+      (** the cache-probe fast path (memo + filter) of every cache this
+          machine creates *)
 }
 
 (** Validates the program, lays out memory, installs initial data and points
     the runtime allocator's break word (global address 1) at the heap base.
-    [recorder] overrides the process-global tracing default
-    ({!Recorder.obtain}); it is attached to the L2 and every L1 this machine
-    creates. *)
+    [recorder] (default {!Recorder.disabled}) is attached to the L2 and
+    every L1 this machine creates; [fastpath] (default on) sets their
+    probe fast path ({!Cache.set_fastpath}). Output is byte-identical
+    either way. *)
 val create :
   ?config:Machine_config.t -> ?input:string -> ?recorder:Recorder.t ->
-  Program.t -> t
+  ?fastpath:bool -> Program.t -> t
 
 (** A fresh L1 cache with this machine's geometry (one per core). *)
 val new_l1 : t -> Cache.t

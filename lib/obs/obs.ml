@@ -7,7 +7,7 @@
    A snapshot is rendered to its final JSON string inside the worker domain
    that ran the workload, from deterministic inputs only (coverage bitmaps,
    BTB state, simulation counters — never wall-clock), so a parallel sweep
-   submits byte-identical snapshots in nondeterministic order and
+   collects byte-identical snapshots in nondeterministic order and
    [save_dir] restores a canonical order, exactly like the flight
    recorder's trace capture.
 
@@ -42,7 +42,7 @@ let schema_version = 1
      [Coverage.nt_first_seq] while the observatory is armed).
    - [nt-unattributed]: the sibling is NT-covered but carries no sequence
      stamp — only possible when the run executed without the observatory
-     armed (e.g. a snapshot taken outside [capture_runs]). *)
+     armed (a snapshot of a run made without [Engine.run ~obs:true]). *)
 
 type frontier_entry = {
   fr_pc : int;
@@ -329,117 +329,7 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
   in
   { label; json }
 
-(* A snapshot rebuilt from its serialized parts — how the result cache
-   (DESIGN.md §16) replays stored observatory artifacts through the same
-   submit/save funnel as live ones. *)
-let of_parts ~label ~json = { label; json }
-
-(* ---- Capture (mirrors the recorder / telemetry collector protocol) ------- *)
-
-let collector_mutex = Mutex.create ()
-let collector : (t -> unit) option ref = ref None
-
-(* A domain-local collector overrides the process-global one (same protocol
-   as [Recorder.with_domain_collector]): the cached experiment runner pins
-   each experiment's runs to one domain and gathers its snapshots there. *)
-let domain_collector : (t -> unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_domain_collector f body =
-  let slot = Domain.DLS.get domain_collector in
-  let saved = !slot in
-  slot := Some f;
-  match body () with
-  | v ->
-    slot := saved;
-    v
-  | exception e ->
-    slot := saved;
-    raise e
-
-let armed () =
-  !(Domain.DLS.get domain_collector) <> None
-  ||
-  (Mutex.lock collector_mutex;
-   let r = !collector <> None in
-   Mutex.unlock collector_mutex;
-   r)
-
-let submit s =
-  match !(Domain.DLS.get domain_collector) with
-  | Some f -> f s
-  | None ->
-    Mutex.lock collector_mutex;
-    let c = !collector in
-    Mutex.unlock collector_mutex;
-    (match c with None -> () | Some f -> f s)
-
-(* Arm the observatory around [f]: the engine-side bookkeeping switch
-   ([Pe_config.set_obs_enabled]) plus a snapshot-accumulating collector.
-   Returns [f ()]'s value and the snapshots in submission order. *)
-let capture_runs f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  Mutex.lock collector_mutex;
-  collector :=
-    Some
-      (fun s ->
-        Mutex.lock acc_mutex;
-        acc := s :: !acc;
-        Mutex.unlock acc_mutex);
-  Mutex.unlock collector_mutex;
-  Pe_config.set_obs_enabled true;
-  let finish () =
-    Pe_config.set_obs_enabled false;
-    Mutex.lock collector_mutex;
-    collector := None;
-    Mutex.unlock collector_mutex
-  in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e
-
-(* ---- Directory export (same canonical order as Recorder.save_dir) -------- *)
-
-let sanitize_label label =
-  let buf = Buffer.create (String.length label) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' ->
-        Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    label;
-  if Buffer.length buf = 0 then "run" else Buffer.contents buf
-
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-let write_file file contents =
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
-(* One JSON file per snapshot. Submission order is nondeterministic under a
-   parallel sweep, so files are ordered by (label, content) — identical
-   sweeps name identical bytes identically, serial or [--jobs N]. The raw
-   entry point takes already-serialized [(label, json)] pairs so cached
-   snapshots replay through the exact canonical naming. *)
-let save_dir_raw ~dir snapshots =
-  ensure_dir dir;
-  let keyed = List.sort compare snapshots in
-  List.mapi
-    (fun i (label, json) ->
-      let file =
-        Filename.concat dir
-          (Printf.sprintf "obs-%04d-%s.json" i (sanitize_label label))
-      in
-      write_file file (json ^ "\n");
-      file)
-    keyed
+(* ---- Directory export (the same writer as the flight recorder's) -------- *)
 
 let save_dir ~dir snapshots =
-  save_dir_raw ~dir (List.map (fun s -> (s.label, s.json)) snapshots)
+  Artifact_dir.save ~dir ~prefix:"obs" ~ext:"json" ~newline:true snapshots

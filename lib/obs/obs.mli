@@ -54,39 +54,9 @@ val snapshot :
   config:Pe_config.t ->
   t
 
-(** Rebuild a snapshot from its serialized parts — replaying cached
-    observatory artifacts through the same submit/save funnel as live
-    ones. [json] is the single-line snapshot JSON, no trailing newline. *)
-val of_parts : label:string -> json:string -> t
-
-(** Is a capture in progress (a domain-local or process-global collector
-    installed)? The experiment funnel snapshots each run iff armed. *)
-val armed : unit -> bool
-
-(** Hand a snapshot to the installed collector; no-op when unarmed. Safe
-    from any domain. A domain-local collector ({!with_domain_collector})
-    takes precedence over the process-global one. *)
-val submit : t -> unit
-
-(** [with_domain_collector f body] runs [body] with [f] installed as this
-    domain's snapshot collector (restored afterwards, also on raise); the
-    cached experiment runner uses it to attribute snapshots to the
-    experiment that produced them. The engine-side bookkeeping switch
-    ({!Pe_config.set_obs_enabled}) is the caller's responsibility. *)
-val with_domain_collector : (t -> unit) -> (unit -> 'a) -> 'a
-
-(** Arm the observatory around [f]: sets {!Pe_config.set_obs_enabled} (the
-    engine-side bookkeeping switch) and installs a snapshot-accumulating
-    collector; both are cleared afterwards (also on raise). Returns
-    [f ()]'s value and the snapshots in submission order. *)
-val capture_runs : (unit -> 'a) -> 'a * t list
-
-(** Write one [obs-%04d-<label>.json] file per snapshot into [dir]
-    (created if missing), ordered by (label, content) — canonical across
-    serial and parallel sweeps. Returns the file paths in order. *)
-val save_dir : dir:string -> t list -> string list
-
-(** {!save_dir} over already-serialized [(label, json)] pairs (no trailing
-    newlines) — the same canonical order and naming, for replaying cached
-    snapshots byte-for-byte alongside live ones. *)
-val save_dir_raw : dir:string -> (string * string) list -> string list
+(** Write one [obs-NNNN-<label>.json] file per [(label, json)] pair (the
+    JSON without its trailing newline, which the file gets) into [dir]
+    (created if missing) through {!Artifact_dir.save}: numbered in (label,
+    content) order, canonical across serial and parallel sweeps and
+    result-cache replays. Returns the file paths in order. *)
+val save_dir : dir:string -> (string * string) list -> string list

@@ -11,13 +11,6 @@
 let schema_version = 1
 let manifest_schema_version = 1
 
-(* The kill switch is read per call (not once at startup) so tests can
-   toggle it with [Unix.putenv]. *)
-let enabled () =
-  match Sys.getenv_opt "PEXP_RESULT_CACHE" with
-  | Some "0" -> false
-  | Some _ | None -> true
-
 let digest_hex s = Digest.to_hex (Digest.string s)
 
 (* Compiled program images are plain data (no closures, no custom blocks),
@@ -375,7 +368,5 @@ let hit_rate t =
       let hits = c "resultcache.hit_mem" + c "resultcache.hit_disk" in
       let total = hits + c "resultcache.miss" in
       if total = 0 then 0.0 else float_of_int hits /. float_of_int total)
-
-let submit_stats t = locked t (fun () -> Telemetry.submit t.telemetry)
 
 let reset_stats t = locked t (fun () -> Telemetry.reset t.telemetry)

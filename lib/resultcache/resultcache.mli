@@ -20,8 +20,8 @@
     call them from a single domain. A mutex keeps concurrent use safe.
 
     The kill switch: when the environment variable [PEXP_RESULT_CACHE] is
-    ["0"], {!enabled} is false and every front end ignores its cache
-    directory, restoring exact uncached behavior. *)
+    ["0"], every front end (the CLIs and the bench harness read it) ignores
+    its cache directory, restoring exact uncached behavior. *)
 
 (** Result-schema version. Part of every key (and stamped into manifests):
     bump it whenever the layout or meaning of cached artifacts changes, so
@@ -30,9 +30,6 @@ val schema_version : int
 
 (** Manifest-layout version stamped into [manifest.json]. *)
 val manifest_schema_version : int
-
-(** [false] iff [PEXP_RESULT_CACHE=0] is set in the environment. *)
-val enabled : unit -> bool
 
 (** MD5 hex of a string — the content-hash primitive for key components
     (program images, inputs). *)
@@ -118,9 +115,5 @@ val stats_json : t -> string
 (** Fraction of probes served from either tier since the last
     {!reset_stats} ([0.] when no probes happened). *)
 val hit_rate : t -> float
-
-(** Hand the stats sink to the process-global telemetry collector
-    ({!Telemetry.submit}); no-op when none is installed. *)
-val submit_stats : t -> unit
 
 val reset_stats : t -> unit

@@ -189,10 +189,8 @@ let events t =
 
 (* ---- Immutable per-run snapshot ----------------------------------------- *)
 
-(* A submitted run's trace: the retained events plus enough metadata to name
-   and validate the file. Snapshots, not live recorders, are what sweep
-   capture accumulates — the flat arrays go back to the GC with the
-   machine. *)
+(* A finished run's trace: the retained events plus enough metadata to name
+   and validate the file. *)
 type dump = { label : string; events : event list; total : int; dropped : int }
 
 let dump ?(label = "") t =
@@ -387,129 +385,7 @@ let chrome_of_dump d =
           ] );
     ]
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-(* ---- Process-global capture (sweep tracing) ----------------------------- *)
-
-(* Mirrors the Telemetry collector: [set_tracing] arms machine creation
-   ([obtain] hands out fresh enabled recorders instead of the disabled
-   singleton) and engines [submit] finished runs as immutable dumps. *)
-let tracing_mutex = Mutex.create ()
-let tracing_capacity : int option ref = ref None
-let trace_collector : (dump -> unit) option ref = ref None
-
-let set_tracing cap =
-  Mutex.lock tracing_mutex;
-  tracing_capacity := cap;
-  Mutex.unlock tracing_mutex
-
-let tracing () =
-  Mutex.lock tracing_mutex;
-  let r = !tracing_capacity <> None in
-  Mutex.unlock tracing_mutex;
-  r
-
-let obtain () =
-  Mutex.lock tracing_mutex;
-  let cap = !tracing_capacity in
-  Mutex.unlock tracing_mutex;
-  match cap with None -> disabled | Some capacity -> create ~capacity ()
-
-(* A domain-local collector overrides the process-global one: the cached
-   experiment runner (DESIGN.md §16) pins every run of one experiment to
-   one domain and gathers that experiment's dumps locally, so concurrent
-   experiments on sibling domains never interleave their submissions. *)
-let domain_collector : (dump -> unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_domain_collector f body =
-  let slot = Domain.DLS.get domain_collector in
-  let saved = !slot in
-  slot := Some f;
-  match body () with
-  | v ->
-    slot := saved;
-    v
-  | exception e ->
-    slot := saved;
-    raise e
-
-let submit ~label t =
-  if t.enabled then begin
-    match !(Domain.DLS.get domain_collector) with
-    | Some f -> f (dump ~label t)
-    | None ->
-      Mutex.lock tracing_mutex;
-      let c = !trace_collector in
-      Mutex.unlock tracing_mutex;
-      (match c with None -> () | Some f -> f (dump ~label t))
-  end
-
-(* Run [f] with tracing armed and a dump-accumulating collector installed;
-   returns [f ()]'s value and every submitted run, in submission order. *)
-let capture_runs ?(capacity = default_capacity) f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  Mutex.lock tracing_mutex;
-  tracing_capacity := Some capacity;
-  trace_collector :=
-    Some
-      (fun d ->
-        Mutex.lock acc_mutex;
-        acc := d :: !acc;
-        Mutex.unlock acc_mutex);
-  Mutex.unlock tracing_mutex;
-  let finish () =
-    Mutex.lock tracing_mutex;
-    tracing_capacity := None;
-    trace_collector := None;
-    Mutex.unlock tracing_mutex
-  in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e
-
 (* ---- Directory export --------------------------------------------------- *)
 
-let sanitize_label label =
-  let buf = Buffer.create (String.length label) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' ->
-        Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    label;
-  if Buffer.length buf = 0 then "run" else Buffer.contents buf
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-(* Write one JSONL file per (label, serialized trace) pair into [dir].
-   Submission order is nondeterministic under a parallel sweep, so files
-   are ordered by (label, serialized content) — identical sweeps name
-   identical bytes identically, serial or [--jobs N]. The raw entry point
-   also lets the result cache (DESIGN.md §16) replay stored traces through
-   the exact canonical naming a live sweep uses. *)
-let save_dir_raw ~dir traces =
-  ensure_dir dir;
-  let keyed = List.sort compare traces in
-  List.mapi
-    (fun i (label, jsonl) ->
-      let file =
-        Filename.concat dir
-          (Printf.sprintf "trace-%04d-%s.jsonl" i (sanitize_label label))
-      in
-      write_file file jsonl;
-      file)
-    keyed
-
-let save_dir ~dir dumps =
-  save_dir_raw ~dir (List.map (fun d -> (d.label, jsonl_of_dump d)) dumps)
+let save_dir ~dir traces =
+  Artifact_dir.save ~dir ~prefix:"trace" ~ext:"jsonl" ~newline:false traces

@@ -85,7 +85,7 @@ val dropped : t -> int
 (** Retained events, oldest first. *)
 val events : t -> event list
 
-(** An immutable per-run trace snapshot (what sweep capture accumulates). *)
+(** An immutable per-run trace snapshot. *)
 type dump = { label : string; events : event list; total : int; dropped : int }
 
 val dump : ?label:string -> t -> dump
@@ -101,46 +101,9 @@ val jsonl_of_dump : dump -> string
     events instants; [ts] is sim cycles rendered as microseconds. *)
 val chrome_of_dump : dump -> string
 
-val write_file : string -> string -> unit
-
-(** Arm ([Some capacity]) or disarm ([None]) process-global tracing:
-    {!obtain} hands out fresh enabled recorders while armed. *)
-val set_tracing : int option -> unit
-
-(** Whether tracing is armed. *)
-val tracing : unit -> bool
-
-(** A fresh enabled recorder while tracing is armed, {!disabled} otherwise.
-    Safe from any domain. *)
-val obtain : unit -> t
-
-(** Hand a finished run's recorder (as a dump) to the installed trace
-    collector; no-op when the recorder is disabled or no capture is
-    active. Safe from any domain. A domain-local collector
-    ({!with_domain_collector}) takes precedence over the process-global
-    one. *)
-val submit : label:string -> t -> unit
-
-(** [with_domain_collector f body] runs [body] with [f] installed as this
-    domain's dump collector (restored afterwards, also on raise). Used by
-    the cached experiment runner to attribute dumps to the experiment that
-    produced them: each experiment's runs stay on one domain, so sibling
-    experiments on other domains never interleave. Tracing must still be
-    armed ({!set_tracing}) for machines to obtain enabled recorders. *)
-val with_domain_collector : (dump -> unit) -> (unit -> 'a) -> 'a
-
-(** [capture_runs f] arms tracing and installs a dump-accumulating
-    collector around [f]; returns [f ()]'s result and the dumps submitted
-    during it, in submission order. Disarms afterwards (also on raise). *)
-val capture_runs : ?capacity:int -> (unit -> 'a) -> 'a * dump list
-
-(** Write one JSONL file per dump into [dir] (created if missing), named
-    [trace-NNNN-<label>.jsonl] and ordered by (label, content) so a
-    parallel sweep writes byte-identical files to a serial one. Returns the
+(** Write one [trace-NNNN-<label>.jsonl] file per [(label, jsonl)] pair
+    into [dir] (created if missing) through {!Artifact_dir.save}: numbered
+    in (label, content) order, so a parallel sweep, a serial one and a
+    result-cache replay write byte-identical directories. Returns the
     paths written. *)
-val save_dir : dir:string -> dump list -> string list
-
-(** {!save_dir} over already-serialized [(label, jsonl)] pairs — the same
-    canonical order and naming, for replaying cached traces byte-for-byte
-    alongside (or instead of) live ones. *)
-val save_dir_raw : dir:string -> (string * string) list -> string list
+val save_dir : dir:string -> (string * string) list -> string list

@@ -4,9 +4,7 @@
    aggregated over a sweep).
 
    A sink belongs to exactly one run (one [Machine.t]); it is mutated from a
-   single domain, so none of the per-sink operations lock. The only shared
-   state is the optional process-global collector, which is mutex-protected
-   so parallel sweep workers can submit their sinks concurrently. *)
+   single domain, so none of the per-sink operations lock. *)
 
 type timer = {
   mutable total_s : float;
@@ -519,47 +517,3 @@ let aggregate_json sinks =
                    ] ))
              (sorted_bindings ttotals)) );
     ]
-
-(* ---- Process-global collector ------------------------------------------- *)
-
-let collector_mutex = Mutex.create ()
-let collector : (t -> unit) option ref = ref None
-
-let set_collector c =
-  Mutex.lock collector_mutex;
-  collector := c;
-  Mutex.unlock collector_mutex
-
-let collecting () =
-  Mutex.lock collector_mutex;
-  let r = !collector <> None in
-  Mutex.unlock collector_mutex;
-  r
-
-(* Hand a finished run's sink to the installed collector (no-op without
-   one). Safe to call from any domain. *)
-let submit t =
-  Mutex.lock collector_mutex;
-  let c = !collector in
-  Mutex.unlock collector_mutex;
-  match c with None -> () | Some f -> f t
-
-(* Install a list-accumulating collector around [f]; returns [f ()]'s value
-   together with every sink submitted during it, in submission order. *)
-let collect_runs f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  set_collector
-    (Some
-       (fun t ->
-         Mutex.lock acc_mutex;
-         acc := t :: !acc;
-         Mutex.unlock acc_mutex));
-  let finish () = set_collector None in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e

@@ -3,9 +3,7 @@
     A sink collects named integer counters, float gauges, accumulating
     wall-clock timers and a bounded span trace, and renders them as
     deterministic-keyed JSON. One sink belongs to one run (one [Machine.t])
-    and is mutated from a single domain; the optional process-global
-    collector is mutex-protected so parallel sweep workers can submit
-    concurrently.
+    and is mutated from a single domain.
 
     The JSON schema (documented in DESIGN.md):
     {v
@@ -104,18 +102,3 @@ val reset : t -> unit
 (** Aggregate many per-run sinks: counters and gauges become
     sum/mean/min/max/runs distributions; timers sum totals and counts. *)
 val aggregate_json : t list -> string
-
-(** Install (or clear) the process-global collector that [submit] feeds. *)
-val set_collector : (t -> unit) option -> unit
-
-(** Whether a collector is installed. *)
-val collecting : unit -> bool
-
-(** Hand a finished run's sink to the collector; no-op without one. Safe
-    from any domain. *)
-val submit : t -> unit
-
-(** [collect_runs f] installs a list-accumulating collector around [f];
-    returns [f ()]'s result and the sinks submitted during it, in
-    submission order. Clears the collector afterwards (also on raise). *)
-val collect_runs : (unit -> 'a) -> 'a * t list

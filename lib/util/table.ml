@@ -45,9 +45,6 @@ let render ?(aligns = []) ~header rows =
   in
   String.concat "\n" lines
 
-(* Through [Sink] so captured experiment runs collect their tables. *)
-let print ?aligns ~header rows = Sink.print_endline (render ?aligns ~header rows)
-
 let fpct x = Printf.sprintf "%.1f%%" x
 
 let f1 x = Printf.sprintf "%.1f" x

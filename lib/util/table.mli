@@ -7,9 +7,6 @@ type align = Left | Right
     Raises [Invalid_argument] otherwise. *)
 val render : ?aligns:align list -> header:string list -> string list list -> string
 
-(** [print] is [render] followed by [print_endline]. *)
-val print : ?aligns:align list -> header:string list -> string list list -> unit
-
 (** Format a float as a percentage with one decimal: [12.3%]. *)
 val fpct : float -> string
 

@@ -30,89 +30,22 @@ let find_bug workload version =
 (* Compile a workload, optionally with one planted bug version. Compilation
    is deterministic and the compiled image is read-only (machines never
    mutate the program), so results are memoised: experiment sweeps ask for
-   the same workload×detector×bug combination over and over. The table is a
-   bounded LRU — each hit restamps its entry with a monotonic tick and an
-   insert past capacity drops the least-recently-used entry — so a sweep
-   over arbitrarily many (source, opt) combinations holds at most
-   [compile_cache_capacity] images at once instead of growing without
-   eviction. The mutex keeps table and clock safe under parallel sweep
-   domains; a racing duplicate compile just yields a structurally identical
-   image. *)
-let compile_capacity = ref 128
-let compile_memo = Hashtbl.create 64
-let compile_mutex = Mutex.create ()
-let compile_clock = ref 0
-let compile_evictions = ref 0
+   the same workload×detector×bug combination over and over. The memo is a
+   bounded LRU, so a sweep over arbitrarily many (source, opt) combinations
+   holds at most 128 images at once instead of growing without eviction;
+   a racing duplicate compile on another domain just yields a structurally
+   identical image. *)
+let compile_memo = Lru.create ~capacity:128
 
-(* Drop least-recently-used entries until the table is under [limit].
-   Called with the mutex held. O(size) per eviction — the table is small by
-   construction, and eviction only happens on insert past capacity. *)
-let evict_to_locked limit =
-  while Hashtbl.length compile_memo > limit do
-    let victim =
-      Hashtbl.fold
-        (fun key (_, stamp) acc ->
-          match acc with
-          | Some (_, best) when best <= !stamp -> acc
-          | _ -> Some (key, !stamp))
-        compile_memo None
-    in
-    match victim with
-    | Some (key, _) ->
-      Hashtbl.remove compile_memo key;
-      incr compile_evictions
-    | None -> ()
-  done
-
-let set_compile_cache_capacity n =
-  if n < 1 then invalid_arg "Workload.set_compile_cache_capacity";
-  Mutex.lock compile_mutex;
-  compile_capacity := n;
-  evict_to_locked n;
-  Mutex.unlock compile_mutex
-
-let compile_cache_length () =
-  Mutex.lock compile_mutex;
-  let n = Hashtbl.length compile_memo in
-  Mutex.unlock compile_mutex;
-  n
-
-let compile_cache_evictions () =
-  Mutex.lock compile_mutex;
-  let n = !compile_evictions in
-  Mutex.unlock compile_mutex;
-  n
-
-let compile ?(detector = Codegen.No_detector) ?(fixing = true) ?opt ?bug
-    workload =
-  let level =
-    match opt with Some l -> l | None -> Opt.default_level ()
-  in
-  let key = (workload.name, detector, fixing, bug, level) in
-  Mutex.lock compile_mutex;
-  let cached =
-    match Hashtbl.find_opt compile_memo key with
-    | Some (compiled, stamp) ->
-      incr compile_clock;
-      stamp := !compile_clock;
-      Some compiled
-    | None -> None
-  in
-  Mutex.unlock compile_mutex;
-  match cached with
+let compile ?(detector = Codegen.No_detector) ?(fixing = true)
+    ?(opt = Opt.O0) ?bug workload =
+  let key = (workload.name, detector, fixing, bug, opt) in
+  match Lru.find compile_memo key with
   | Some compiled -> compiled
   | None ->
     let options = { Codegen.detector; fixing } in
-    let compiled =
-      Compile.compile ~options ~level (workload.source ~bug)
-    in
-    Mutex.lock compile_mutex;
-    if not (Hashtbl.mem compile_memo key) then begin
-      evict_to_locked (!compile_capacity - 1);
-      incr compile_clock;
-      Hashtbl.add compile_memo key (compiled, ref !compile_clock)
-    end;
-    Mutex.unlock compile_mutex;
+    let compiled = Compile.compile ~options ~level:opt (workload.source ~bug) in
+    Lru.add compile_memo key compiled;
     compiled
 
 (* PathExpander configuration appropriate for this workload: the paper's

@@ -26,11 +26,10 @@ val bug_count : t -> int
 val find_bug : t -> int -> Bug.t
 
 (** Compile the workload, optionally with one planted bug version. [opt]
-    selects the optimization level (default: the process-wide
-    {!Opt.default_level}); results are memoised per
-    workload×detector×fixing×bug×level in a bounded LRU (so repeated
-    sweeps hit, while arbitrarily many distinct combinations cannot grow
-    the table without eviction). *)
+    selects the optimization level (default [O0]); results are memoised
+    per workload×detector×fixing×bug×level in a bounded {!Lru} of 128
+    entries (so repeated sweeps hit, while arbitrarily many distinct
+    combinations cannot grow the table without eviction). *)
 val compile :
   ?detector:Codegen.detector ->
   ?fixing:bool ->
@@ -38,16 +37,6 @@ val compile :
   ?bug:int ->
   t ->
   Compile.compiled
-
-(** Bound the compile memo (default 128 entries); shrinking below the
-    current size evicts least-recently-used entries immediately. *)
-val set_compile_cache_capacity : int -> unit
-
-(** Entries currently memoised. *)
-val compile_cache_length : unit -> int
-
-(** Entries ever evicted by the LRU bound. *)
-val compile_cache_evictions : unit -> int
 
 (** Content fingerprint (MD5 hex) of everything run-relevant and reachable
     as data: name, class, NT-Path budget, default input, the bug-free

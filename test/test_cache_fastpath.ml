@@ -197,16 +197,11 @@ let test_toggle_kills_memo () =
    with the fast path on and off — identical reports, output and retired
    counts. *)
 let run_iwatcher ~fastpath source =
-  let saved = Cache.fastpath_enabled () in
-  Cache.set_fastpath_enabled fastpath;
-  Fun.protect
-    ~finally:(fun () -> Cache.set_fastpath_enabled saved)
-    (fun () ->
-      let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
-      let compiled = Compile.compile ~options source in
-      let machine = Machine.create ~input:"" compiled.Compile.program in
-      let result = Engine.run ~config:Pe_config.default machine in
-      (machine, result))
+  let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
+  let compiled = Compile.compile ~options source in
+  let machine = Machine.create ~input:"" ~fastpath compiled.Compile.program in
+  let result = Engine.run ~config:Pe_config.default machine in
+  (machine, result)
 
 let test_watchpoint_store_fastpath_parity () =
   let source =

@@ -189,8 +189,8 @@ let prop_primes_maximal =
 
 (* ---- Observatory snapshots ----------------------------------------------- *)
 
-(* One observed run of a registry workload: arm the engine-side bookkeeping,
-   run, snapshot, disarm. *)
+(* One observed run of a registry workload: run with the engine-side
+   bookkeeping armed, then snapshot. *)
 let observed_snapshot ?(mode = Pe_config.Standard) name =
   let workload = Registry.find name in
   let compiled = Workload.compile workload in
@@ -199,14 +199,10 @@ let observed_snapshot ?(mode = Pe_config.Standard) name =
       compiled.Compile.program
   in
   let config = Workload.pe_config ~mode workload in
-  Pe_config.set_obs_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Pe_config.set_obs_enabled false)
-    (fun () ->
-      let result = Engine.run ~config machine in
-      Obs.snapshot
-        ~label:(name ^ "/" ^ Pe_config.mode_name mode)
-        ~program:compiled.Compile.program ~machine ~result ~config)
+  let result = Engine.run ~obs:true ~config machine in
+  Obs.snapshot
+    ~label:(name ^ "/" ^ Pe_config.mode_name mode)
+    ~program:compiled.Compile.program ~machine ~result ~config
 
 let json_of snap =
   match Jsonu.parse (Obs.to_json snap) with
@@ -295,21 +291,32 @@ let test_snapshot_deterministic () =
   let b = Obs.to_json (observed_snapshot "schedule") in
   Alcotest.(check string) "snapshot bytes stable" a b
 
-(* The capture protocol: [capture_runs] arms the engine switch, collects one
-   snapshot per experiment run, and disarms on the way out. *)
-let test_capture_runs () =
-  let (), snaps =
-    Obs.capture_runs (fun () ->
-        Alcotest.(check bool) "armed inside" true (Obs.armed ());
-        Alcotest.(check bool) "engine switch on inside" true
-          (Pe_config.obs_on ());
-        ignore (Exp_common.run_app (Registry.find "schedule")))
+(* The capture protocol: a spec with [obs] arms each run's engine-side
+   bookkeeping and keeps one snapshot per experiment run; without it a run
+   is neither armed nor snapshotted. *)
+let test_capture_protocol () =
+  let run spec =
+    let ctx = Exp_common.context ~spec ~out:ignore in
+    let r = Exp_common.run_app ctx (Registry.find "schedule") in
+    let _, snaps, _ = Exp_common.collected ctx in
+    (r, snaps)
   in
-  Alcotest.(check bool) "disarmed after" false (Obs.armed ());
-  Alcotest.(check bool) "engine switch off after" false (Pe_config.obs_on ());
+  let r_plain, plain = run Run_spec.default in
+  Alcotest.(check int) "unobserved run: no snapshot" 0 (List.length plain);
+  Alcotest.(check bool) "unobserved run: no deopt counters" true
+    (Telemetry.counter r_plain.Exp_common.machine.Machine.telemetry
+       "obs.deopt.branch"
+    = 0);
+  let r, snaps = run { Run_spec.default with Run_spec.obs = true } in
+  Alcotest.(check bool) "observed run: engine bookkeeping armed" true
+    (Telemetry.counter r.Exp_common.machine.Machine.telemetry
+       "obs.deopt.branch"
+    > 0);
   Alcotest.(check int) "one snapshot per run" 1 (List.length snaps);
-  Alcotest.(check string) "labelled" "schedule/standard"
-    (Obs.label (List.hd snaps))
+  Alcotest.(check string) "labelled" "schedule/standard" (fst (List.hd snaps));
+  Alcotest.(check string) "same bytes as a direct snapshot"
+    (Obs.to_json (observed_snapshot "schedule"))
+    (snd (List.hd snaps))
 
 (* ---- Prometheus exposition ------------------------------------------------ *)
 
@@ -353,32 +360,36 @@ let test_telemetry_reset () =
     (Telemetry.to_json (Telemetry.create ~label:"keep-me" ()))
     (Telemetry.to_json t)
 
-(* Regression: the global collector receives each run's sink exactly once,
-   and nothing in the sweep funnel mutates a sink after submission — what a
-   collector saw at submit time is what it holds at the end. (The sinks are
-   shared by reference, so a post-submit [reset] *would* rewrite history;
-   this pins that no engine/experiment code path does.) *)
+(* Regression: a telemetry-collecting context receives each run's sink
+   exactly once, and nothing in the sweep funnel mutates a sink after the
+   run that filled it returns — what the context held then is what it
+   holds at the end. (The sinks are shared by reference, so a later
+   [reset] *would* rewrite history; this pins that no engine/experiment
+   code path does.) *)
 let test_collector_snapshot_isolation () =
-  let seen = ref [] in
-  Telemetry.set_collector
-    (Some (fun t -> seen := (t, Telemetry.to_json t) :: !seen));
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_collector None)
-    (fun () ->
-      ignore (Exp_common.run_app (Registry.find "schedule"));
-      ignore (Exp_common.run_app (Registry.find "print_tokens")));
-  let seen = List.rev !seen in
-  Alcotest.(check int) "one submission per run" 2 (List.length seen);
-  (match seen with
-   | [ (t1, _); (t2, _) ] ->
-     Alcotest.(check bool) "distinct sinks" false (t1 == t2)
-   | _ -> ());
+  let ctx =
+    Exp_common.context
+      ~spec:{ Run_spec.default with Run_spec.telemetry = true }
+      ~out:ignore
+  in
+  let run name =
+    ignore (Exp_common.run_app ctx (Registry.find name));
+    let _, _, sinks = Exp_common.collected ctx in
+    let t = List.nth sinks (List.length sinks - 1) in
+    (t, Telemetry.to_json t)
+  in
+  let ((t1, _) as first) = run "schedule" in
+  let ((t2, _) as second) = run "print_tokens" in
+  let _, _, sinks = Exp_common.collected ctx in
+  Alcotest.(check int) "one sink per run" 2 (List.length sinks);
+  Alcotest.(check bool) "distinct sinks, in run order" true
+    (t1 != t2 && List.for_all2 ( == ) sinks [ t1; t2 ]);
   List.iter
-    (fun (t, at_submit) ->
+    (fun (t, at_return) ->
       Alcotest.(check string)
-        ("unchanged since submit: " ^ Telemetry.label t)
-        at_submit (Telemetry.to_json t))
-    seen
+        ("unchanged since its run: " ^ Telemetry.label t)
+        at_return (Telemetry.to_json t))
+    [ first; second ]
 
 let tests =
   [
@@ -396,7 +407,8 @@ let tests =
       test_attribution_modes;
     Alcotest.test_case "snapshot: deterministic bytes" `Quick
       test_snapshot_deterministic;
-    Alcotest.test_case "snapshot: capture protocol" `Quick test_capture_runs;
+    Alcotest.test_case "snapshot: capture protocol" `Quick
+      test_capture_protocol;
     Alcotest.test_case "telemetry: prometheus exposition" `Quick
       test_prometheus;
     Alcotest.test_case "telemetry: reset" `Quick test_telemetry_reset;

@@ -1,6 +1,7 @@
 (* Parallel harness tests: the Pool domain pool (ordering, nesting,
-   exceptions), the Sink capture buffers, and end-to-end determinism of the
-   experiment runner — a parallel sweep must print exactly the serial bytes. *)
+   exceptions), the experiment context's output, and end-to-end determinism
+   of the experiment runner — a parallel sweep must print exactly the
+   serial bytes. *)
 
 let range n = List.init n (fun i -> i)
 
@@ -37,47 +38,21 @@ let test_pool_exception () =
   Alcotest.check_raises "worker exception re-raised" Exit (fun () ->
       ignore (Pool.map ~jobs:4 (fun x -> if x = 7 then raise Exit else x) (range 20)))
 
-let test_sink_capture () =
-  let v, out =
-    Sink.with_capture (fun () ->
-        Sink.print_string "a";
-        Sink.printf "%d" 1;
-        Sink.print_endline "b";
-        Sink.print_newline ();
-        42)
+let test_context_output () =
+  let buf = Buffer.create 64 in
+  let ctx =
+    Exp_common.context ~spec:Run_spec.default ~out:(Buffer.add_string buf)
   in
-  Alcotest.(check int) "result" 42 v;
-  Alcotest.(check string) "captured" "a1b\n\n" out
+  Exp_common.print ctx "a";
+  Exp_common.printf ctx "%d" 1;
+  Exp_common.heading ctx "h";
+  Exp_common.table ctx ~header:[ "x" ] [ [ "1" ] ];
+  Alcotest.(check string) "captured"
+    ("a1\n=== h ===\n" ^ Table.render ~header:[ "x" ] [ [ "1" ] ] ^ "\n")
+    (Buffer.contents buf)
 
-let test_sink_nested () =
-  let (inner_v, inner_out), outer_out =
-    Sink.with_capture (fun () ->
-        Sink.print_string "before ";
-        let r = Sink.with_capture (fun () -> Sink.print_string "inner"; 1) in
-        Sink.print_string "after";
-        r)
-  in
-  Alcotest.(check int) "inner result" 1 inner_v;
-  Alcotest.(check string) "inner capture" "inner" inner_out;
-  Alcotest.(check string) "outer skips inner" "before after" outer_out
-
-let test_sink_restored_on_raise () =
-  let (), out =
-    Sink.with_capture (fun () ->
-        (try
-           ignore
-             (Sink.with_capture (fun () ->
-                  Sink.print_string "lost";
-                  raise Exit))
-         with Exit -> ());
-        Sink.print_string "back")
-  in
-  Alcotest.(check string) "outer sink restored" "back" out
-
-let with_jobs n f =
-  let old = Exp_common.jobs () in
-  Exp_common.set_jobs n;
-  Fun.protect ~finally:(fun () -> Exp_common.set_jobs old) f
+let capture ~jobs e =
+  (Runner.capture { Run_spec.default with Run_spec.jobs } e).Runner.stdout
 
 let experiment id =
   match Runner.find id with
@@ -89,8 +64,8 @@ let experiment id =
    output to its serial run. *)
 let test_experiment_determinism () =
   let e = experiment "abl1" in
-  let serial = with_jobs 1 (fun () -> Runner.capture e) in
-  let parallel = with_jobs 4 (fun () -> Runner.capture e) in
+  let serial = capture ~jobs:1 e in
+  let parallel = capture ~jobs:4 e in
   Alcotest.(check bool) "produced output" true (String.length serial > 0);
   Alcotest.(check string) "jobs=4 byte-identical to serial" serial parallel
 
@@ -98,11 +73,14 @@ let test_runner_parallel_order () =
   (* experiment-level fan-out: captured outputs are printed in registry
      order, so a parallel run of several experiments concatenates exactly *)
   let es = List.map experiment [ "tab2"; "tab3" ] in
-  let expected = String.concat "" (List.map Runner.capture es) in
-  let (), streamed =
-    Sink.with_capture (fun () -> Runner.run_list ~jobs:2 es)
-  in
-  Alcotest.(check string) "order preserved" expected streamed
+  let expected = String.concat "" (List.map (capture ~jobs:1) es) in
+  let streamed = Buffer.create 4096 in
+  ignore
+    (Runner.run_list ~out:(Buffer.add_string streamed)
+       { Run_spec.default with Run_spec.jobs = 2 }
+       es);
+  Alcotest.(check string) "order preserved" expected
+    (Buffer.contents streamed)
 
 let tests =
   [
@@ -110,9 +88,7 @@ let tests =
     Alcotest.test_case "pool degenerate inputs" `Quick test_pool_degenerate;
     Alcotest.test_case "pool nested maps" `Quick test_pool_nested;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
-    Alcotest.test_case "sink capture" `Quick test_sink_capture;
-    Alcotest.test_case "sink nesting" `Quick test_sink_nested;
-    Alcotest.test_case "sink restored on raise" `Quick test_sink_restored_on_raise;
+    Alcotest.test_case "context output capture" `Quick test_context_output;
     Alcotest.test_case "sweep determinism (jobs=4 = serial)" `Slow
       test_experiment_determinism;
     Alcotest.test_case "runner output order" `Quick test_runner_parallel_order;

@@ -325,27 +325,28 @@ let test_chrome_output_valid () =
          slices
      | _ -> Alcotest.fail "missing traceEvents array")
 
-(* --- global capture ------------------------------------------------------- *)
+(* --- run-spec capture ----------------------------------------------------- *)
 
-let test_capture_runs () =
-  Alcotest.(check bool) "tracing off outside capture" false (Recorder.tracing ());
-  let (), dumps =
-    Recorder.capture_runs (fun () ->
-        let _, machine, _, _ = traced_run () in
-        (* traced_run passes its own recorder; a default machine picks the
-           armed capture up instead *)
-        ignore machine;
-        let compiled = Compile.compile buggy_source in
-        let m = Machine.create compiled.Compile.program in
-        ignore (Engine.run m))
+(* A run made through the experiment harness carries an enabled recorder
+   exactly when the spec traces, and its trace lands in the context. *)
+let test_spec_capture () =
+  let run spec =
+    let ctx = Exp_common.context ~spec ~out:ignore in
+    let r = Exp_common.run_app ctx (Registry.find "schedule") in
+    let traces, _, _ = Exp_common.collected ctx in
+    (r, traces)
   in
-  Alcotest.(check bool) "tracing rearmed off" false (Recorder.tracing ());
-  Alcotest.(check bool) "captured the default-recorder run" true
-    (List.length dumps >= 1);
+  let r_plain, plain = run Run_spec.default in
+  Alcotest.(check bool) "untraced run keeps the disabled recorder" false
+    (Recorder.enabled r_plain.Exp_common.machine.Machine.recorder);
+  Alcotest.(check int) "nothing captured untraced" 0 (List.length plain);
+  let _, dumps = run { Run_spec.default with Run_spec.trace = true } in
+  Alcotest.(check (list string)) "one labelled trace per run"
+    [ "schedule/standard" ] (List.map fst dumps);
   (* save_dir writes deterministically named, parseable files *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "pexp_trace_test" in
   let files = Recorder.save_dir ~dir dumps in
-  Alcotest.(check int) "one file per dump" (List.length dumps)
+  Alcotest.(check int) "one file per trace" (List.length dumps)
     (List.length files);
   List.iter
     (fun f ->
@@ -381,5 +382,5 @@ let tests =
     Alcotest.test_case "JSONL lines all parse" `Quick
       test_jsonl_every_line_parses;
     Alcotest.test_case "Chrome trace is valid" `Quick test_chrome_output_valid;
-    Alcotest.test_case "capture_runs + save_dir" `Quick test_capture_runs;
+    Alcotest.test_case "spec trace capture + save_dir" `Quick test_spec_capture;
   ]

@@ -328,31 +328,26 @@ let test_fingerprint_fields () =
 (* ---- Bounded compile memo ------------------------------------------------- *)
 
 let test_compile_lru () =
-  let saved_len = Workload.compile_cache_length () in
-  ignore saved_len;
-  Workload.set_compile_cache_capacity 2;
-  Fun.protect
-    ~finally:(fun () -> Workload.set_compile_cache_capacity 128)
-    (fun () ->
-      Alcotest.(check bool) "capacity applies immediately" true
-        (Workload.compile_cache_length () <= 2);
-      let before = Workload.compile_cache_evictions () in
-      let w = Registry.print_tokens2 in
-      let c1 = Workload.compile ~bug:1 w in
-      let c2 = Workload.compile ~bug:2 w in
-      ignore c2;
-      (* touching bug 1 makes it most-recently-used, so compiling a third
-         variant evicts bug 2, not bug 1 *)
-      let c1' = Workload.compile ~bug:1 w in
-      Alcotest.(check bool) "hit returns the memoized instance" true
-        (c1 == c1');
-      let _ = Workload.compile ~bug:3 w in
-      Alcotest.(check bool) "evictions counted" true
-        (Workload.compile_cache_evictions () > before);
-      Alcotest.(check bool) "bounded" true
-        (Workload.compile_cache_length () <= 2);
-      let c1'' = Workload.compile ~bug:1 w in
-      Alcotest.(check bool) "lru survivor still memoized" true (c1 == c1''))
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Lru.create") (fun () ->
+      ignore (Lru.create ~capacity:0));
+  let memo = Lru.create ~capacity:2 in
+  Lru.add memo 1 "one";
+  Lru.add memo 2 "two";
+  Lru.add memo 1 "dup";
+  Alcotest.(check (option string))
+    "a duplicate add keeps the first" (Some "one") (Lru.find memo 1);
+  (* the hit made 1 most-recently-used, so a third key evicts 2, not 1 *)
+  Lru.add memo 3 "three";
+  Alcotest.(check int) "evictions counted" 1 (Lru.evictions memo);
+  Alcotest.(check int) "bounded" 2 (Lru.length memo);
+  Alcotest.(check (option string)) "lru victim gone" None (Lru.find memo 2);
+  Alcotest.(check (option string)) "lru survivor still memoized" (Some "one")
+    (Lru.find memo 1);
+  (* the workload compile memo rides on it *)
+  let w = Registry.print_tokens2 in
+  Alcotest.(check bool) "hit returns the memoized instance" true
+    (Workload.compile ~bug:1 w == Workload.compile ~bug:1 w)
 
 (* ---- The cached experiment runner ----------------------------------------- *)
 
@@ -364,44 +359,67 @@ let find_experiments ids =
       | None -> Alcotest.fail ("unknown experiment " ^ id))
     ids
 
+let stdout_of legs = String.concat "" (List.map (fun a -> a.Runner.stdout) legs)
+let traces_of legs = List.concat_map (fun a -> a.Runner.traces) legs
+let obs_of legs = List.concat_map (fun a -> a.Runner.obs) legs
+let capturing = { Run_spec.default with Run_spec.trace = true; obs = true }
+
 let test_run_cached_cold_warm () =
   let dir = tmp_dir () in
   let experiments = find_experiments [ "tab2"; "tab3" ] in
-  let uncached, () =
-    let (), out = Sink.with_capture (fun () -> Runner.run_list ~jobs:1 experiments) in
-    (out, ())
+  let quiet = ignore in
+  let uncached =
+    stdout_of (Runner.run_list ~out:quiet Run_spec.default experiments)
   in
   let cache = Resultcache.create ~dir () in
-  let run () =
-    Sink.with_capture (fun () ->
-        Runner.run_cached ~cache ~trace:true ~obs:true ~jobs:1 experiments)
-  in
-  let cold_artifacts, cold = run () in
+  let cold = Runner.run_cached ~cache ~out:quiet capturing experiments in
   Alcotest.(check int) "cold misses" 2
     (Resultcache.stat cache "resultcache.miss");
   (* a fresh store instance: both legs must replay from disk, bytes equal *)
-  let cache2 = Resultcache.create ~dir () in
-  let cache = cache2 in
-  let warm_artifacts, warm =
-    Sink.with_capture (fun () ->
-        Runner.run_cached ~cache ~trace:true ~obs:true ~jobs:1 experiments)
-  in
+  let cache = Resultcache.create ~dir () in
+  let warm = Runner.run_cached ~cache ~out:quiet capturing experiments in
   Alcotest.(check int) "warm disk hits" 2
     (Resultcache.stat cache "resultcache.hit_disk");
-  Alcotest.(check string) "stdout replays byte-identically" cold warm;
+  Alcotest.(check string) "stdout replays byte-identically" (stdout_of cold)
+    (stdout_of warm);
   Alcotest.(check bool) "trace artifacts replay" true
-    (fst cold_artifacts = fst warm_artifacts);
-  Alcotest.(check bool) "obs artifacts replay" true
-    (snd cold_artifacts = snd warm_artifacts);
+    (traces_of cold = traces_of warm);
+  Alcotest.(check bool) "obs artifacts replay" true (obs_of cold = obs_of warm);
   (* trace/obs capture is a different key axis than the plain sweep, and
      the plain sweep's bytes match the uncached runner *)
-  let plain_artifacts, plain =
-    Sink.with_capture (fun () -> Runner.run_cached ~cache ~jobs:1 experiments)
+  let plain =
+    Runner.run_cached ~cache ~out:quiet Run_spec.default experiments
   in
   Alcotest.(check bool) "plain sweep has no artifacts" true
-    (plain_artifacts = ([], []));
+    (traces_of plain = [] && obs_of plain = []);
   Alcotest.(check string) "cached output matches uncached runner" uncached
-    plain
+    (stdout_of plain)
+
+(* A cold leg run on the caller's domain fans its runs out to pool workers
+   (abl1 par_maps three workloads): every run's trace and snapshot must
+   still reach the leg, be stored, and replay unchanged. *)
+let test_run_cached_fanned_out_leg () =
+  let experiments = find_experiments [ "abl1" ] in
+  let quiet = ignore in
+  let uncached = Runner.run_list ~out:quiet capturing experiments in
+  Alcotest.(check int) "uncached traces" 6 (List.length (traces_of uncached));
+  Alcotest.(check int) "uncached snapshots" 6 (List.length (obs_of uncached));
+  let dir = tmp_dir () in
+  let cache = Resultcache.create ~dir () in
+  let parallel = { capturing with Run_spec.jobs = 2 } in
+  let cold = Runner.run_cached ~cache ~out:quiet parallel experiments in
+  Alcotest.(check bool) "cold traces match the serial capture" true
+    (traces_of cold = traces_of uncached);
+  Alcotest.(check bool) "cold snapshots match the serial capture" true
+    (obs_of cold = obs_of uncached);
+  let cache = Resultcache.create ~dir () in
+  let warm = Runner.run_cached ~cache ~out:quiet parallel experiments in
+  Alcotest.(check int) "warm disk hit" 1
+    (Resultcache.stat cache "resultcache.hit_disk");
+  Alcotest.(check bool) "warm traces replay" true
+    (traces_of warm = traces_of uncached);
+  Alcotest.(check bool) "warm snapshots replay" true
+    (obs_of warm = obs_of uncached)
 
 let tests =
   [
@@ -422,4 +440,6 @@ let tests =
     Alcotest.test_case "bounded compile memo" `Quick test_compile_lru;
     Alcotest.test_case "cached runner cold/warm" `Slow
       test_run_cached_cold_warm;
+    Alcotest.test_case "cached runner, fanned-out cold leg" `Slow
+      test_run_cached_fanned_out_leg;
   ]

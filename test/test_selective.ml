@@ -215,12 +215,10 @@ let observables machine (result : Engine.result) =
     Machine.output machine )
 
 let run_traced ~selective ~config ~input compiled =
-  Recorder.capture_runs (fun () ->
-      let machine = Machine.create ~input compiled.Compile.program in
-      let result =
-        Engine.run ~config:{ config with Pe_config.selective } machine
-      in
-      (machine, result))
+  let recorder = Recorder.create () in
+  let machine = Machine.create ~input ~recorder compiled.Compile.program in
+  let result = Engine.run ~config:{ config with Pe_config.selective } machine in
+  ((machine, result), [ Recorder.dump recorder ])
 
 (* One workload under one configuration: run fully instrumented and
    selectively, then demand identical observables — including the flight

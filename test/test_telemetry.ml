@@ -1,5 +1,6 @@
 (* Telemetry sink tests: counters, gauges, spans/timers, the JSON shape
-   (sorted keys, escaping), aggregation and the global run collector. *)
+   (sorted keys, escaping), aggregation and the experiment context's run
+   collector. *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -78,23 +79,22 @@ let test_aggregate () =
   check_contains "min" {|"min":1|} json;
   check_contains "max" {|"max":3|} json
 
+(* The run collector is the experiment context: it keeps every run's sink,
+   in run order, exactly when the spec asks for telemetry. *)
 let test_collector () =
-  Alcotest.(check bool) "no collector installed" false (Telemetry.collecting ());
-  let t1 = Telemetry.create ~label:"one" () in
-  Telemetry.submit t1 (* no-op without a collector *);
-  let (), runs =
-    Telemetry.collect_runs (fun () ->
-        Alcotest.(check bool) "collecting inside" true (Telemetry.collecting ());
-        Telemetry.submit t1;
-        Telemetry.submit (Telemetry.create ~label:"two" ()))
+  let sinks spec =
+    let ctx = Exp_common.context ~spec ~out:ignore in
+    let schedule = Registry.find "schedule" in
+    ignore (Exp_common.run_app ctx ~mode:Pe_config.Baseline schedule);
+    ignore (Exp_common.run_app ctx schedule);
+    let _, _, sinks = Exp_common.collected ctx in
+    List.map Telemetry.label sinks
   in
-  Alcotest.(check (list string)) "submission order" [ "one"; "two" ]
-    (List.map Telemetry.label runs);
-  Alcotest.(check bool) "cleared after" false (Telemetry.collecting ())
-
-let test_collector_cleared_on_raise () =
-  (try ignore (Telemetry.collect_runs (fun () -> raise Exit)) with Exit -> ());
-  Alcotest.(check bool) "cleared on raise" false (Telemetry.collecting ())
+  Alcotest.(check (list string)) "nothing kept without telemetry" []
+    (sinks Run_spec.default);
+  Alcotest.(check (list string)) "run order"
+    [ "schedule/baseline"; "schedule/standard" ]
+    (sinks { Run_spec.default with Run_spec.telemetry = true })
 
 let tests =
   [
@@ -105,6 +105,4 @@ let tests =
     Alcotest.test_case "json shape" `Quick test_json_shape;
     Alcotest.test_case "aggregate" `Quick test_aggregate;
     Alcotest.test_case "run collector" `Quick test_collector;
-    Alcotest.test_case "collector cleared on raise" `Quick
-      test_collector_cleared_on_raise;
   ]
