@@ -1,212 +1,29 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation (the
-   same registry `bin/experiments.exe` exposes) — this is the output that
-   EXPERIMENTS.md records against the paper.
-
-   Part 2 times one representative kernel per table/figure with Bechamel, so
-   regressions in the harness itself are visible: each kernel is the
-   dominant simulation workload behind the corresponding experiment, scaled
-   to microbenchmark size. *)
-
-open Bechamel
-open Toolkit
+   It regenerates every table and figure of the paper's evaluation (the
+   same registry `bin/experiments.exe` exposes) — the output that
+   EXPERIMENTS.md records against the paper — and writes the timing and
+   occupancy trajectory of those sweeps as JSON. Per-layer costs come from
+   the campaign benchmark's tracer (`campaignbench/run.py --trace 1`). *)
 
 (* The cache-probe fast path of every machine the bench creates:
    [PEXP_CACHE_FASTPATH=0] turns it off, as it does for the CLIs. *)
 let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
 
-(* --- part 2: one Bechamel kernel per table/figure -------------------------- *)
-
-let compile_once workload = Workload.compile workload
-
-let pt_compiled = lazy (compile_once Registry.print_tokens)
-let pt2_ccured =
-  lazy (Workload.compile ~detector:Codegen.Ccured ~bug:10 Registry.print_tokens2)
-let sched_compiled = lazy (compile_once Registry.schedule)
-
-let run_engine ?(mode = Pe_config.Standard) compiled (workload : Workload.t) =
-  let machine =
-    Machine.create ~fastpath ~input:workload.Workload.default_input
-      compiled.Compile.program
-  in
-  Engine.run ~config:(Workload.pe_config ~mode workload) machine
-
-let bench_fig1 () =
-  (* one detection run of the Figure 1 bug under CCured + PathExpander *)
-  run_engine (Lazy.force pt2_ccured) Registry.print_tokens2
-
-let bench_fig3 () =
-  (* the crash-latency collection kernel: cold-edge spawning, no fixing *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  Engine.run ~config:Pe_config.latency_study machine
-
-let bench_tab2 () = Machine_config.to_rows Machine_config.default
-
-let bench_tab3 () =
-  (* Table 3's LOC column: source generation + line counting *)
-  List.map Workload.loc Registry.buggy_apps
-
-let bench_tab4 () =
-  (* one bug-detection verdict *)
-  let compiled = Lazy.force pt2_ccured in
-  let machine =
-    Machine.create ~fastpath
-      ~input:Registry.print_tokens2.Workload.default_input
-      compiled.Compile.program
-  in
-  let result =
-    Engine.run ~config:(Workload.pe_config Registry.print_tokens2) machine
-  in
-  ignore result;
-  Analysis.analyze ~compiled ~machine
-    ~bug:(Workload.find_bug Registry.print_tokens2 10)
-
-let tab5_nofix =
-  lazy
-    (Workload.compile ~detector:Codegen.Ccured ~fixing:false ~bug:10
-       Registry.print_tokens2)
-
-let bench_tab5 () =
-  (* the before-fixing configuration of Table 5 *)
-  let compiled = Lazy.force tab5_nofix in
-  let machine =
-    Machine.create ~fastpath
-      ~input:Registry.print_tokens2.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    { (Workload.pe_config Registry.print_tokens2) with Pe_config.fixing = false }
-  in
-  Engine.run ~config machine
-
-let bench_cov1 () =
-  (* a coverage measurement run *)
-  run_engine (Lazy.force pt_compiled) Registry.print_tokens
-
-let cov2_rng = Rng.create 5
-
-let bench_cov2 () =
-  (* one generated-input run of the cumulative-coverage loop *)
-  let compiled = Lazy.force pt_compiled in
-  let input = Registry.print_tokens.Workload.gen_input cov2_rng in
-  let machine = Machine.create ~fastpath ~input compiled.Compile.program in
-  Engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
-
-let bench_ovh1 () =
-  (* the CMP-option run of the overhead table *)
-  run_engine ~mode:Pe_config.Cmp (Lazy.force sched_compiled) Registry.schedule
-
-let bench_ovh2 () =
-  (* the software-PathExpander run of the HW/SW comparison *)
-  let compiled = Lazy.force pt_compiled in
-  let machine =
-    Machine.create ~fastpath ~input:Registry.print_tokens.Workload.default_input
-      compiled.Compile.program
-  in
-  Soft_engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
-
-let bench_par1 () =
-  (* one sweep point of the parameter study *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    {
-      (Workload.pe_config Registry.schedule) with
-      Pe_config.nt_counter_threshold = 8;
-    }
-  in
-  Engine.run ~config machine
-
-let bench_abl1 () =
-  (* the forced-edge ablation configuration *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~fastpath ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    {
-      (Workload.pe_config Registry.schedule) with
-      Pe_config.follow_nontaken_in_nt = true;
-    }
-  in
-  Engine.run ~config machine
-
-let kernels =
-  Test.make_grouped ~name:"pathexpander"
-    [
-      Test.make ~name:"fig1-detection-run" (Staged.stage bench_fig1);
-      Test.make ~name:"fig3-latency-study" (Staged.stage bench_fig3);
-      Test.make ~name:"tab2-config-rows" (Staged.stage bench_tab2);
-      Test.make ~name:"tab3-loc-count" (Staged.stage bench_tab3);
-      Test.make ~name:"tab4-bug-verdict" (Staged.stage bench_tab4);
-      Test.make ~name:"tab5-before-fixing" (Staged.stage bench_tab5);
-      Test.make ~name:"cov1-coverage-run" (Staged.stage bench_cov1);
-      Test.make ~name:"cov2-generated-input" (Staged.stage bench_cov2);
-      Test.make ~name:"ovh1-cmp-run" (Staged.stage bench_ovh1);
-      Test.make ~name:"ovh2-software-pe" (Staged.stage bench_ovh2);
-      Test.make ~name:"par1-sweep-point" (Staged.stage bench_par1);
-      Test.make ~name:"abl1-forced-edges" (Staged.stage bench_abl1);
-    ]
-
-let run_bechamel ~quota () =
-  print_endline "\n=== Bechamel micro-benchmarks (one kernel per table/figure) ===";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] kernels in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> est
-          | Some _ | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_endline
-  @@ Table.render
-    ~aligns:[ Table.Left; Table.Right ]
-    ~header:[ "kernel"; "time per run" ]
-    (List.map
-       (fun (name, ns) ->
-         let human =
-           if Float.is_nan ns then "-"
-           else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-           else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-           else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-           else Printf.sprintf "%.0f ns" ns
-         in
-         [ name; human ])
-       rows);
-  rows
-
-(* Machine-readable benchmark trajectory: per-kernel ns/op from Bechamel plus
-   the wall time of one full serial reproduction sweep, as sorted-key JSON.
-   CI uploads this as an artifact so per-PR regressions are visible.
+(* Machine-readable benchmark trajectory: the wall time of one full serial
+   reproduction sweep plus deterministic work counters, as JSON. CI uploads
+   this as an artifact so per-PR regressions are visible.
 
    [bench_schema_version] stamps the file so downstream comparisons can tell
    layouts apart; bump it whenever a key is added, removed or re-meaninged.
-   Version 1 was the unstamped BENCH_PR2.json layout; version 3 added the
-   optional [sweep_wall_baseline_s] (the pre-change sweep wall, passed with
-   [--baseline] when regenerating after a performance change); version 4
-   added [profile] (the dune build profile the binary was compiled with),
-   [sweep_wall_runs_s] (every repeat's wall time, [--repeat N]) and
-   [sweep_wall_median_s]/[sweep_wall_var_s2] — with repeats,
-   [sweep_wall_s] itself is the minimum, the usual noise-robust statistic
+   Version 1 was the unstamped BENCH_PR2.json layout (per-kernel ns/op of
+   12 micro-benchmarks in [kernels_ns], plus the sweep wall time);
+   version 3 added the optional [sweep_wall_baseline_s] (the pre-change
+   sweep wall, passed with [--baseline] when regenerating after a
+   performance change); version 4 added [profile] (the dune build profile
+   the binary was compiled with), [sweep_wall_runs_s] (every repeat's wall
+   time, [--repeat N]) and [sweep_wall_median_s]/[sweep_wall_var_s2] —
+   with repeats, [sweep_wall_s] itself is the minimum, the usual noise-robust statistic
    for a deterministic workload on a shared host; version 5 added the
    optimizer axis: [sweep_wall_o2_s]/[sweep_wall_o2_runs_s] (the same
    serial sweep compiled at -O2, min over the same repeat count) and
@@ -221,15 +38,17 @@ let run_bechamel ~quota () =
    them directly rather than on a noisy wall time. Version 7 added the
    result-cache axis: [warm_sweep_wall_s] (min wall time, over the same
    repeat count, of one full serial sweep served entirely from the
-   content-addressed result cache after a cold populating sweep — the
-   in-memory tier is cleared before every repeat, so this measures the
-   disk tier a fresh warm process would hit), [warm_sweep_runs_s] (every
+   content-addressed result cache after a cold populating sweep: the
+   on-disk store a fresh warm process would hit), [warm_sweep_runs_s] (every
    repeat) and [cache_hit_rate] (cache hits over probes across the warm
    repeats; 1.0 when every leg replays). All three are null when the
    cache is disabled with PEXP_RESULT_CACHE=0. The two warm wall times are
    printed to the microsecond: a warm sweep takes milliseconds, which
-   three decimals round to 0.000. *)
-let bench_schema_version = 7
+   three decimals round to 0.000. Version 8 removed [kernels_ns] (and the
+   micro-benchmarks that filled it): nothing gated those figures,
+   and the campaign benchmark's per-layer tracer measures the same layers
+   on real operations. *)
+let bench_schema_version = 8
 
 (* Dynamic retired instructions of one plain-CPU run per registry workload
    (default input, default compile options) at the given level — the -O2
@@ -292,7 +111,7 @@ let variance a =
     ss /. float_of_int (n - 1)
   end
 
-let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
+let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs =
   let sorted = Array.copy sweep_walls in
   Array.sort compare sorted;
   let sweep_wall_s = sorted.(0) in
@@ -301,17 +120,8 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{";
   Buffer.add_string buf
-    (Printf.sprintf {|"schema":%d,"jobs":%d,"profile":"%s","kernels_ns":{|}
-       bench_schema_version jobs Build_info.profile);
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      if Float.is_nan ns then
-        Buffer.add_string buf (Printf.sprintf {|"%s":null|} name)
-      else Buffer.add_string buf (Printf.sprintf {|"%s":%.1f|} name ns))
-    (List.sort compare rows);
-  Buffer.add_string buf
-    (Printf.sprintf {|},"sweep_wall_s":%.3f|} sweep_wall_s);
+    (Printf.sprintf {|"schema":%d,"jobs":%d,"profile":"%s","sweep_wall_s":%.3f|}
+       bench_schema_version jobs Build_info.profile sweep_wall_s);
   Buffer.add_string buf
     (Printf.sprintf {|,"sweep_wall_median_s":%.3f|} (median sorted));
   Buffer.add_string buf
@@ -394,8 +204,7 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
 
 (* The whole bench runs serial — including nested fan-out inside
    experiments — so the sweep wall time in the JSON measures single-core
-   simulator throughput and is comparable across hosts, and Bechamel timing
-   is not polluted by sibling domains. *)
+   simulator throughput and is comparable across hosts. *)
 let sweep_spec = { Run_spec.default with fastpath; jobs = 1 }
 
 (* One timed serial sweep, optionally flight-recorded. The capture costs
@@ -416,19 +225,15 @@ let timed_sweep ?(level = Opt.O0) ~trace_dir () =
     trace_dir;
   Unix.gettimeofday () -. t0
 
-(* One timed full serial sweep served from the result cache (the caller has
-   already populated it). The in-memory tier is cleared first, so every
-   repeat measures the disk tier a fresh warm process would hit, not a
-   hashtable lookup. *)
+(* One timed full serial sweep served from the on-disk result cache (the
+   caller has already populated it): what a fresh warm process pays. *)
 let timed_cached_sweep ~cache () =
-  Resultcache.clear_memory cache;
   let t0 = Unix.gettimeofday () in
   ignore (Runner.run_cached ~cache sweep_spec Runner.all);
   Unix.gettimeofday () -. t0
 
 let () =
   let json_path = ref "BENCH.json" in
-  let smoke = ref false in
   let trace_dir = ref None in
   let cache_dir = ref None in
   let baseline = ref None in
@@ -446,9 +251,6 @@ let () =
       if n < 1 then invalid_arg "bench: --repeat wants a positive count";
       repeat := n;
       parse rest
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
     | "--trace-dir" :: dir :: rest ->
       trace_dir := Some dir;
       parse rest
@@ -458,6 +260,15 @@ let () =
     | arg :: _ -> invalid_arg ("bench: unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (* Output directories are created before any leg runs, so a bad path
+     fails fast instead of discarding a finished sweep. *)
+  let create_or_exit flag create dir =
+    try create dir
+    with Sys_error msg ->
+      Printf.eprintf "bench: cannot create %s %s (%s)\n%!" flag dir msg;
+      exit 1
+  in
+  Option.iter (create_or_exit "--trace-dir" Artifact_dir.mkdir_p) !trace_dir;
   (* Tracing changes what a sweep costs, so repeated timing of a traced
      sweep would only measure the recorder; force a single run. *)
   if !trace_dir <> None then repeat := 1;
@@ -476,7 +287,8 @@ let () =
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "pexp-bench-cache.%d" (Unix.getpid ()))
       in
-      Some (Resultcache.create ~dir ())
+      Some
+        (create_or_exit "--cache-dir" (fun dir -> Resultcache.create ~dir ()) dir)
   in
   let warm = ref None in
   let sweep_walls = Array.make !repeat 0.0 in
@@ -517,6 +329,5 @@ let () =
           warm_walls.(i) <- timed_cached_sweep ~cache ()
         done;
         warm := Some (warm_walls, Resultcache.hit_rate cache));
-  let rows = run_bechamel ~quota:(if !smoke then 0.1 else 0.4) () in
   write_json ~path:!json_path ~sweep_walls ~o2_walls ~warm:!warm
-    ~baseline:!baseline ~jobs:1 rows
+    ~baseline:!baseline ~jobs:1

@@ -123,17 +123,23 @@ let cache_dir_arg =
 let report_cache cache =
   let stat = Resultcache.stat cache in
   Printf.eprintf
-    "result cache: %d hits (%d memory, %d disk), %d misses, %d stored, %d \
-     corrupt; %d bytes read, %d written -> %s\n\
+    "result cache: %d hits, %d misses, %d stored, %d corrupt; %d bytes read, \
+     %d written -> %s\n\
      %!"
-    (stat "resultcache.hit_mem" + stat "resultcache.hit_disk")
-    (stat "resultcache.hit_mem")
     (stat "resultcache.hit_disk")
     (stat "resultcache.miss") (stat "resultcache.store")
     (stat "resultcache.corrupt")
     (stat "resultcache.bytes_read")
     (stat "resultcache.bytes_written")
     (Resultcache.dir cache)
+
+(* Output directories are created before any leg runs, so a bad path fails
+   fast instead of discarding a finished (possibly minutes-long) sweep. *)
+let create_or_exit flag create dir =
+  try create dir
+  with Sys_error msg ->
+    Printf.eprintf "experiments: cannot create %s %s (%s)\n%!" flag dir msg;
+    exit 1
 
 let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
   if list then list_ids ()
@@ -161,8 +167,14 @@ let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
         Printf.eprintf
           "result cache: disabled under --telemetry (ignoring %s)\n%!" dir;
         None
-      | Some dir -> Some (Resultcache.create ~dir ())
+      | Some dir ->
+        Some
+          (create_or_exit "--cache-dir"
+             (fun dir -> Resultcache.create ~dir ())
+             dir)
     in
+    Option.iter (create_or_exit "--trace-dir" Artifact_dir.mkdir_p) trace_dir;
+    Option.iter (create_or_exit "--obs-dir" Artifact_dir.mkdir_p) obs_dir;
     (* open before the (possibly minutes-long) sweep so a bad path fails
        fast instead of discarding finished runs *)
     let telemetry_oc =

@@ -399,7 +399,12 @@ let main list app detector mode bug fixing selective seed random_input stats
           "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
           dir;
         None
-      | Some dir -> Some (Resultcache.create ~dir ())
+      | Some dir -> (
+        (* created before the run, so a bad path fails fast *)
+        try Some (Resultcache.create ~dir ())
+        with Sys_error msg ->
+          Printf.eprintf "pexp: cannot create --cache-dir %s (%s)\n%!" dir msg;
+          exit 1)
     in
     run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
       ~stats ~disasm ~trace ~trace_chrome ~dump_pass ~obs ~prometheus

@@ -214,11 +214,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
   in
   (* One pooled context + sandbox recycled across every spawn of this run. *)
   let nt_arena = Nt_path.make_arena machine ~l1:ctx.Context.l1 in
-  let nt_insns = ref 0 in
-  (* NT-Path phase time is derived at run end from the instruction split
-     (see the telemetry block below) rather than measured per spawn: a
-     [Telemetry.span] here cost two [Unix.gettimeofday] calls per NT-Path,
-     which for short paths rivalled the path's own execution time. *)
   let recorder = machine.Machine.recorder in
   let last_spawn_cycle = ref 0 in
   (* Histogram handles resolved once per run; spawns observe through them
@@ -253,7 +248,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
     if Recorder.enabled recorder then Recorder.set_base recorder 0;
     Telemetry.hist_observe h_len record.Nt_path.insns;
     Telemetry.hist_observe h_dirty record.Nt_path.squashed_lines;
-    nt_insns := !nt_insns + record.Nt_path.insns;
     record
   in
   let spawn_standard ~entry ~br_pc ~forced_direction =
@@ -539,15 +533,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
         Cache.record_telemetry l1 tel ~prefix:(Printf.sprintf "l1.core%d" (i + 1)))
       (Lazy.force cmp_l1s);
   Btb.record_telemetry machine.Machine.btb tel ~prefix:"btb";
-  (* Phase split, derived once per run instead of clocked twice per spawn:
-     apportion the measured wall time by retired-instruction share. *)
-  let run_wall = Telemetry.timer_total tel "engine.run" in
-  let total_insns = ctx.Context.stats.Context.insns + !nt_insns in
-  if !nt_insns > 0 && total_insns > 0 then
-    Telemetry.timer_record tel "phase.nt_path"
-      (run_wall *. float_of_int !nt_insns /. float_of_int total_insns);
-  Telemetry.gauge tel "phase.taken_s"
-    (run_wall -. Telemetry.timer_total tel "phase.nt_path");
   {
     outcome;
     taken_insns = ctx.Context.stats.Context.insns;

@@ -105,6 +105,4 @@ let access_latency machine l1 ~owner ~write ~speculative addr =
    be read; the memory contents are dead at that point. *)
 let release machine = Memory.release machine.mem
 
-let site_count machine = Array.length machine.program.Program.sites
-
 let output machine = Io.output machine.io

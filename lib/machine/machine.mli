@@ -64,7 +64,5 @@ val access_latency :
     must not be read afterwards. *)
 val release : t -> unit
 
-val site_count : t -> int
-
 (** Program output so far. *)
 val output : t -> string

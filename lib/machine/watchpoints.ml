@@ -7,11 +7,11 @@ type mode = Watch_read | Watch_write | Watch_both
 
 type range = { lo : int; hi : int; site : int; mode : mode }
 
-type t = { mutable ranges : range list; mutable triggers : int }
+type t = { mutable ranges : range list }
 
 type journal_entry = Added of range | Removed of range list
 
-let create () = { ranges = []; triggers = 0 }
+let create () = { ranges = [] }
 
 let watch ?(mode = Watch_both) unit ~lo ~hi ~site =
   if hi < lo then invalid_arg "Watchpoints.watch: empty range";
@@ -37,10 +37,8 @@ let mode_matches mode ~is_write =
 let hit_sites unit ~is_write addr =
   List.filter_map
     (fun r ->
-      if addr >= r.lo && addr < r.hi && mode_matches r.mode ~is_write then begin
-        unit.triggers <- unit.triggers + 1;
+      if addr >= r.lo && addr < r.hi && mode_matches r.mode ~is_write then
         Some r.site
-      end
       else None)
     unit.ranges
 
@@ -59,5 +57,3 @@ let count unit = List.length unit.ranges
    iteration). *)
 let[@inline always] is_empty unit =
   match unit.ranges with [] -> true | _ :: _ -> false
-let triggers unit = unit.triggers
-let clear unit = unit.ranges <- []

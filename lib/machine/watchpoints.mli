@@ -23,8 +23,7 @@ val watch : ?mode:mode -> t -> lo:int -> hi:int -> site:int -> journal_entry
 (** Remove every range fully inside [\[lo, hi)]. *)
 val unwatch : t -> lo:int -> hi:int -> journal_entry
 
-(** Sites of all ranges containing [addr] that match this access kind
-    (increments the trigger count). *)
+(** Sites of all ranges containing [addr] that match this access kind. *)
 val hit_sites : t -> is_write:bool -> int -> int list
 
 val is_watched : t -> int -> bool
@@ -37,5 +36,3 @@ val count : t -> int
 (** [count t = 0], without walking the range list — for per-iteration
     checks. *)
 val is_empty : t -> bool
-val triggers : t -> int
-val clear : t -> unit

@@ -1,7 +1,6 @@
 (* Content-addressed whole-run result cache (DESIGN.md §16).
 
-   Two tiers: a bounded in-process table (tier 1) over an on-disk
-   content-addressed store (tier 2). Entries are keyed by the MD5 of a
+   One on-disk content-addressed store. Entries are keyed by the MD5 of a
    canonical key text — a sorted-key JSON object naming every component of
    the run fingerprint — and hold a checksummed manifest plus the artifact
    bytes. Loads verify everything (manifest shape, full key text, sizes,
@@ -48,7 +47,6 @@ let key parts =
   in
   { text; hash = digest_hex text }
 
-let key_text k = k.text
 let key_hash k = k.hash
 
 (* ---- Bundles and manifests ----------------------------------------------- *)
@@ -92,36 +90,19 @@ let manifest_of_bundle key bundle =
 
 type t = {
   dir : string;
-  memory_capacity : int;
   max_entries : int;
-  memory : (string, bundle) Hashtbl.t;  (* key hash -> bundle *)
-  order : string Queue.t;  (* tier-1 FIFO eviction order *)
   telemetry : Telemetry.t;
   mutex : Mutex.t;
   mutable tmp_counter : int;
 }
 
-let counter_names =
-  [
-    "resultcache.hit_mem"; "resultcache.hit_disk"; "resultcache.miss";
-    "resultcache.store"; "resultcache.corrupt"; "resultcache.evict";
-    "resultcache.bytes_read"; "resultcache.bytes_written";
-  ]
-
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-let create ?(memory_capacity = 64) ?(max_entries = 256) ~dir () =
-  if memory_capacity < 1 then
-    invalid_arg "Resultcache.create: memory_capacity must be positive";
+let create ?(max_entries = 256) ~dir () =
   if max_entries < 1 then
     invalid_arg "Resultcache.create: max_entries must be positive";
-  ensure_dir dir;
+  Artifact_dir.mkdir_p dir;
   {
     dir;
-    memory_capacity;
     max_entries;
-    memory = Hashtbl.create 64;
-    order = Queue.create ();
     telemetry = Telemetry.create ~label:"resultcache" ();
     mutex = Mutex.create ();
     tmp_counter = 0;
@@ -240,47 +221,26 @@ let load_entry t key =
   in
   ({ stdout; artifacts }, bytes)
 
-(* ---- Tier 1 -------------------------------------------------------------- *)
-
-let memory_insert t key bundle =
-  if not (Hashtbl.mem t.memory key.hash) then begin
-    while Queue.length t.order >= t.memory_capacity do
-      let oldest = Queue.pop t.order in
-      Hashtbl.remove t.memory oldest;
-      bump t "resultcache.evict"
-    done;
-    Hashtbl.replace t.memory key.hash bundle;
-    Queue.push key.hash t.order
-  end
-  else Hashtbl.replace t.memory key.hash bundle
-
 (* ---- Public operations ---------------------------------------------------- *)
 
 let find t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.memory key.hash with
-      | Some bundle ->
-        bump t "resultcache.hit_mem";
-        Some bundle
-      | None ->
-        if not (Sys.file_exists (entry_dir t key)) then begin
+      if not (Sys.file_exists (entry_dir t key)) then begin
+        bump t "resultcache.miss";
+        None
+      end
+      else
+        match load_entry t key with
+        | bundle, bytes ->
+          bump t "resultcache.hit_disk";
+          count t "resultcache.bytes_read" bytes;
+          Some bundle
+        | exception (Corrupt _ | Sys_error _ | Unix.Unix_error _) ->
+          (* A torn, truncated or hand-edited entry: count it, treat it as
+             a miss. The next [store] replaces it wholesale. *)
+          bump t "resultcache.corrupt";
           bump t "resultcache.miss";
-          None
-        end
-        else begin
-          match load_entry t key with
-          | bundle, bytes ->
-            bump t "resultcache.hit_disk";
-            count t "resultcache.bytes_read" bytes;
-            memory_insert t key bundle;
-            Some bundle
-          | exception (Corrupt _ | Sys_error _ | Unix.Unix_error _) ->
-            (* A torn, truncated or hand-edited entry: count it, treat it
-               as a miss. The next [store] replaces it wholesale. *)
-            bump t "resultcache.corrupt";
-            bump t "resultcache.miss";
-            None
-        end)
+          None)
 
 (* Evict oldest-by-mtime entries until the store is back under its bound.
    Wall-clock mtimes order housekeeping only; they never touch keys or
@@ -313,14 +273,13 @@ let prune_disk t =
 
 let store t key bundle =
   locked t (fun () ->
-      memory_insert t key bundle;
       let tmp =
         t.tmp_counter <- t.tmp_counter + 1;
         Filename.concat t.dir
           (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) t.tmp_counter)
       in
       (try
-         ensure_dir tmp;
+         Artifact_dir.mkdir_p tmp;
          let manifest = manifest_of_bundle key bundle in
          write_file (Filename.concat tmp "stdout") bundle.stdout;
          List.iteri
@@ -342,30 +301,18 @@ let store t key bundle =
                0 bundle.artifacts);
          prune_disk t
        with Sys_error _ | Unix.Unix_error _ ->
-         (* Disk store is best-effort (read-only cache dir, full disk, a
-            racing writer): the run already succeeded, and tier 1 holds the
-            bundle for this process. *)
+         (* The store is best-effort (read-only cache dir, full disk, a
+            racing writer): the run already succeeded, and a later probe
+            simply misses. *)
          (try if Sys.file_exists tmp then remove_tree tmp
           with Sys_error _ | Unix.Unix_error _ -> ())))
 
-let clear_memory t =
-  locked t (fun () ->
-      Hashtbl.reset t.memory;
-      Queue.clear t.order)
-
 let stat t name = locked t (fun () -> Telemetry.counter t.telemetry name)
-
-let stats t =
-  locked t (fun () ->
-      List.map (fun n -> (n, Telemetry.counter t.telemetry n)) counter_names
-      |> List.sort compare)
-
-let stats_json t = locked t (fun () -> Telemetry.to_json t.telemetry)
 
 let hit_rate t =
   locked t (fun () ->
       let c = Telemetry.counter t.telemetry in
-      let hits = c "resultcache.hit_mem" + c "resultcache.hit_disk" in
+      let hits = c "resultcache.hit_disk" in
       let total = hits + c "resultcache.miss" in
       if total = 0 then 0.0 else float_of_int hits /. float_of_int total)
 

@@ -6,9 +6,7 @@
     makes finished runs perfectly cacheable: a warm sweep replays the stored
     artifact bundle by copy instead of re-simulating.
 
-    The cache is two-tier. Tier 1 is an in-process table (bounded, FIFO
-    eviction) so repeated probes within one process are a hashtable lookup.
-    Tier 2 is an on-disk content-addressed store: one directory per key
+    The cache is an on-disk content-addressed store: one directory per key
     hash, holding a checksummed [manifest.json] plus the artifact bytes.
     Every load verifies sizes and MD5 checksums and re-checks the full
     canonical key text (never just its hash); any mismatch, truncation or
@@ -54,11 +52,9 @@ type key
     different keys. Duplicate part names raise [Invalid_argument]. *)
 val key : (string * string) list -> key
 
-(** The canonical key text (stored in the manifest and re-checked on load,
-    so hash collisions can never alias entries). *)
-val key_text : key -> string
-
-(** MD5 hex of {!key_text} — the entry's directory name. *)
+(** MD5 hex of the canonical key text — the entry's directory name. The
+    full text is stored in the manifest and re-checked on load, so hash
+    collisions can never alias entries. *)
 val key_hash : key -> string
 
 (** {1 Artifact bundles} *)
@@ -76,43 +72,33 @@ type bundle = {
 
 type t
 
-(** [create ~dir ()] opens (creating [dir] if missing) an on-disk store.
-    [memory_capacity] bounds the tier-1 table (default 64 entries, FIFO);
-    [max_entries] bounds the on-disk store (default 256 entries; storing
-    past the bound evicts the oldest entries by modification time). *)
-val create : ?memory_capacity:int -> ?max_entries:int -> dir:string -> unit -> t
+(** [create ~dir ()] opens an on-disk store, creating [dir] and any missing
+    parents ({!Artifact_dir.mkdir_p}; raises [Sys_error] when that fails).
+    [max_entries] bounds the store (default 256 entries; storing past the
+    bound evicts the oldest entries by modification time). *)
+val create : ?max_entries:int -> dir:string -> unit -> t
 
 val dir : t -> string
 
-(** Probe both tiers. A disk hit verifies the manifest, key text, sizes and
-    checksums, then promotes the bundle into the memory tier. *)
+(** Probe the store. A hit verifies the manifest, key text, sizes and
+    checksums; any defect is a counted miss. *)
 val find : t -> key -> bundle option
 
-(** Store a bundle under [key] in both tiers. The disk entry is written to
-    a temporary directory and renamed into place, so a concurrent reader
-    never observes a torn entry; an existing entry is replaced. *)
+(** Store a bundle under [key]. The entry is written to a temporary
+    directory and renamed into place, so a concurrent reader never observes
+    a torn entry; an existing entry is replaced. Best-effort: an I/O
+    failure leaves the store without the entry. *)
 val store : t -> key -> bundle -> unit
-
-(** Drop the tier-1 table (tier 2 untouched) — lets one process measure the
-    disk path, and frees memory between sweeps. *)
-val clear_memory : t -> unit
 
 (** {1 Statistics} *)
 
-(** Counters (exact names): [resultcache.hit_mem], [resultcache.hit_disk],
-    [resultcache.miss], [resultcache.store], [resultcache.corrupt],
-    [resultcache.evict], [resultcache.bytes_read],
-    [resultcache.bytes_written]. Kept on a {!Telemetry} sink labelled
-    ["resultcache"]. *)
+(** Counters (exact names): [resultcache.hit_disk], [resultcache.miss],
+    [resultcache.store], [resultcache.corrupt], [resultcache.evict],
+    [resultcache.bytes_read], [resultcache.bytes_written]. Kept on a
+    {!Telemetry} sink labelled ["resultcache"]. *)
 val stat : t -> string -> int
 
-(** All counters with non-zero history, sorted by name. *)
-val stats : t -> (string * int) list
-
-(** The stats sink as one-line sorted-key JSON ({!Telemetry.to_json}). *)
-val stats_json : t -> string
-
-(** Fraction of probes served from either tier since the last
+(** Fraction of probes that hit since the last
     {!reset_stats} ([0.] when no probes happened). *)
 val hit_rate : t -> float
 

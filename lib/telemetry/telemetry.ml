@@ -1,7 +1,7 @@
 (* Lightweight observability for simulator runs: named counters, float
-   gauges, log-bucketed integer histograms, accumulating wall-clock timers
-   and a bounded span trace, emitted as structured JSON (per run, or
-   aggregated over a sweep).
+   gauges, log-bucketed integer histograms and accumulating wall-clock
+   timers, emitted as structured JSON (per run, or aggregated over a
+   sweep).
 
    A sink belongs to exactly one run (one [Machine.t]); it is mutated from a
    single domain, so none of the per-sink operations lock. *)
@@ -11,8 +11,6 @@ type timer = {
   mutable count : int;
   mutable max_s : float;
 }
-
-type span = { sp_name : string; sp_depth : int; sp_start_s : float; sp_dur_s : float }
 
 (* Log-bucketed histogram of non-negative integer observations. Bucket 0
    holds values <= 0; bucket i >= 1 holds [2^(i-1), 2^i - 1], so 63 buckets
@@ -33,16 +31,7 @@ type t = {
   gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   timers : (string, timer) Hashtbl.t;
-  mutable trace : span list;  (* newest first, bounded *)
-  mutable trace_len : int;
-  mutable trace_dropped : int;  (* spans past the bound, silently elided *)
-  mutable depth : int;
-  created_s : float;
 }
-
-let trace_limit = 64
-
-let now () = Unix.gettimeofday ()
 
 let create ?(label = "") () =
   {
@@ -51,11 +40,6 @@ let create ?(label = "") () =
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 8;
     timers = Hashtbl.create 8;
-    trace = [];
-    trace_len = 0;
-    trace_dropped = 0;
-    depth = 0;
-    created_s = now ();
   }
 
 let set_label t label = t.label <- label
@@ -174,31 +158,11 @@ let timer_record t name dur =
   tm.count <- tm.count + 1;
   if dur > tm.max_s then tm.max_s <- dur
 
-let push_span t name start dur =
-  if t.trace_len < trace_limit then begin
-    t.trace <-
-      {
-        sp_name = name;
-        sp_depth = t.depth;
-        sp_start_s = start -. t.created_s;
-        sp_dur_s = dur;
-      }
-      :: t.trace;
-    t.trace_len <- t.trace_len + 1
-  end
-  else t.trace_dropped <- t.trace_dropped + 1
-
-(* Time [f], accumulating under timer [name] and recording a trace span.
-   Nested [span] calls record their depth, giving a poor man's trace tree. *)
+(* Time [f], accumulating its wall time under timer [name] whether it
+   returns or raises. *)
 let span t name f =
-  let start = now () in
-  t.depth <- t.depth + 1;
-  let finish () =
-    t.depth <- t.depth - 1;
-    let dur = now () -. start in
-    timer_record t name dur;
-    push_span t name start dur
-  in
+  let start = Unix.gettimeofday () in
+  let finish () = timer_record t name (Unix.gettimeofday () -. start) in
   match f () with
   | v ->
     finish ();
@@ -209,8 +173,6 @@ let span t name f =
 
 let timer_total t name =
   match Hashtbl.find_opt t.timers name with Some tm -> tm.total_s | None -> 0.0
-
-let trace_dropped t = t.trace_dropped
 
 (* ---- JSON emission (via Jsonu; keys sorted so output is stable) --------- *)
 
@@ -265,20 +227,6 @@ let timers_json t =
              ] ))
        (sorted_bindings t.timers))
 
-let trace_json t =
-  let spans = List.rev t.trace in
-  Jsonu.jarr
-    (List.map
-       (fun sp ->
-         jobj
-           [
-             ("name", jstr sp.sp_name);
-             ("depth", string_of_int sp.sp_depth);
-             ("start_s", jfloat sp.sp_start_s);
-             ("dur_s", jfloat sp.sp_dur_s);
-           ])
-       spans)
-
 let to_json t =
   jobj
     [
@@ -287,8 +235,6 @@ let to_json t =
       ("gauges", gauges_json t);
       ("hists", hists_json t);
       ("timers", timers_json t);
-      ("trace", trace_json t);
-      ("trace_dropped", string_of_int t.trace_dropped);
     ]
 
 (* ---- Prometheus text exposition (DESIGN.md §15) -------------------------- *)
@@ -326,8 +272,7 @@ let prom_label_value v =
    server can expose many runs side by side. Counters and gauges map
    directly; timers expose accumulated seconds and invocation counts;
    log-bucketed histograms become cumulative-bucket histogram series with
-   upper bounds at the bucket range tops. The span trace is not exposed —
-   it is a debugging artifact, not a metric. *)
+   upper bounds at the bucket range tops. *)
 let to_prometheus t =
   let b = Buffer.create 4096 in
   let run_label =
@@ -395,11 +340,7 @@ let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists;
-  Hashtbl.reset t.timers;
-  t.trace <- [];
-  t.trace_len <- 0;
-  t.trace_dropped <- 0;
-  t.depth <- 0
+  Hashtbl.reset t.timers
 
 (* ---- Aggregation over a sweep ------------------------------------------- *)
 

@@ -1,7 +1,7 @@
 (** Lightweight observability for simulator runs.
 
-    A sink collects named integer counters, float gauges, accumulating
-    wall-clock timers and a bounded span trace, and renders them as
+    A sink collects named integer counters, float gauges, log-bucketed
+    histograms and accumulating wall-clock timers, and renders them as
     deterministic-keyed JSON. One sink belongs to one run (one [Machine.t])
     and is mutated from a single domain.
 
@@ -12,9 +12,7 @@
       "gauges":   { "<name>": <float>, ... },
       "hists":    { "<name>": {"count":i, "sum":i, "min":i, "max":i,
                                "buckets":[[<lo>,<count>], ...]}, ... },
-      "timers":   { "<name>": {"total_s":f, "count":i, "max_s":f}, ... },
-      "trace":    [ {"name":s, "depth":i, "start_s":f, "dur_s":f}, ... ],
-      "trace_dropped": <int> }
+      "timers":   { "<name>": {"total_s":f, "count":i, "max_s":f}, ... } }
     v} *)
 
 type t
@@ -68,13 +66,9 @@ val hist_count : t -> string -> int
     ascending range order; [[]] when the histogram was never observed. *)
 val hist_buckets : t -> string -> (int * int) list
 
-(** [span t name f] runs [f], accumulating its wall time under timer [name]
-    and appending a span (with nesting depth) to the bounded trace. Spans
-    past the trace bound are counted in {!trace_dropped} instead. *)
+(** [span t name f] runs [f], accumulating its wall time under timer
+    [name] (also when [f] raises). *)
 val span : t -> string -> (unit -> 'a) -> 'a
-
-(** Spans elided because the bounded trace was full. *)
-val trace_dropped : t -> int
 
 (** Record an externally measured duration under timer [name]. *)
 val timer_record : t -> string -> float -> unit
@@ -89,14 +83,13 @@ val to_json : t -> string
     deterministic (sorted names, fixed float formatting), every series
     labelled [{run="<label>"}]. Counters and gauges map directly; timers
     become [_seconds_total]/[_invocations_total] counters; log-bucketed
-    histograms become cumulative-bucket histogram series. The span trace is
-    not exposed. *)
+    histograms become cumulative-bucket histogram series. *)
 val to_prometheus : t -> string
 
-(** Drop every metric and the span trace, returning the sink to its
-    just-created state (label kept). Counter and histogram handles resolved
-    before the reset are invalidated — adds through them would mutate
-    detached cells — so re-resolve handles after resetting. *)
+(** Drop every metric, returning the sink to its just-created state (label
+    kept). Counter and histogram handles resolved before the reset are
+    invalidated — adds through them would mutate detached cells — so
+    re-resolve handles after resetting. *)
 val reset : t -> unit
 
 (** Aggregate many per-run sinks: counters and gauges become

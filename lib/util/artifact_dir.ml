@@ -14,8 +14,23 @@ let sanitize_label label =
     label;
   if Buffer.length buf = 0 then "run" else Buffer.contents buf
 
+(* [Sys.file_exists] is false for a path under a regular file, so the
+   walk up stops at the first existing ancestor, which must be a directory. *)
+let rec mkdir_p dir =
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      raise (Sys_error (dir ^ ": Not a directory"))
+  end
+  else begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir ->
+      (* created concurrently by another writer *) ()
+  end
+
 let save ~dir ~prefix ~ext ~newline artifacts =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   List.mapi
     (fun i (label, content) ->
       let file =

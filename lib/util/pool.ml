@@ -51,5 +51,3 @@ let map ?jobs f xs =
     (match Atomic.get first_error with Some e -> raise e | None -> ());
     Array.to_list (Array.map (fun r -> Option.get r) results)
   end
-
-let iter ?jobs f xs = ignore (map ?jobs (fun x -> f x) xs)

@@ -15,4 +15,3 @@ val default_jobs : unit -> int
 val in_worker : unit -> bool
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit

@@ -58,21 +58,6 @@ let test_hist_aggregate () =
   Alcotest.(check bool) "aggregate parses" true
     (Result.is_ok (Jsonu.parse json))
 
-(* --- span-trace drop accounting (the old silent truncation) -------------- *)
-
-let test_trace_dropped () =
-  let t = Telemetry.create ~label:"drops" () in
-  for _ = 1 to 80 do
-    Telemetry.span t "s" (fun () -> ())
-  done;
-  Alcotest.(check int) "spans past the bound are counted, not lost" 16
-    (Telemetry.trace_dropped t);
-  check_contains "drop count exported" {|"trace_dropped":16|}
-    (Telemetry.to_json t);
-  let fresh = Telemetry.create () in
-  Alcotest.(check int) "fresh sink drops nothing" 0
-    (Telemetry.trace_dropped fresh)
-
 (* --- ring buffer semantics ----------------------------------------------- *)
 
 let test_ring_overflow () =
@@ -367,7 +352,6 @@ let tests =
     Alcotest.test_case "histogram bucket edges" `Quick test_hist_bucket_edges;
     Alcotest.test_case "histogram JSON shape" `Quick test_hist_json;
     Alcotest.test_case "histogram aggregation" `Quick test_hist_aggregate;
-    Alcotest.test_case "span-trace drops are counted" `Quick test_trace_dropped;
     Alcotest.test_case "ring overflow semantics" `Quick test_ring_overflow;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_is_noop;
     Alcotest.test_case "base+local sim clock" `Quick test_clock_base_local;

@@ -1,9 +1,9 @@
 (* Result-cache tests (DESIGN.md §16): key canonicalization, store→load
    round-trips (QCheck property plus directed cases), corruption handling
    (every defect is a counted miss, never a crash, never a wrong result),
-   tier bounds (memory FIFO, on-disk eviction), the Pe_config fingerprint's
-   field coverage, the bounded compile memo, and a cold/warm run of the
-   real experiment runner through the cache. *)
+   the on-disk eviction bound, nested output-directory creation, the
+   Pe_config fingerprint's field coverage, the bounded compile memo, and a
+   cold/warm run of the real experiment runner through the cache. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -65,19 +65,18 @@ let test_roundtrip_directed () =
     (Resultcache.find cache key = None);
   Resultcache.store cache key bundle;
   (match Resultcache.find cache key with
-   | Some b -> Alcotest.(check bool) "memory round-trip" true (bundle_eq bundle b)
-   | None -> Alcotest.fail "expected a memory hit");
-  (* a fresh instance over the same directory exercises the disk tier *)
-  let cache2 = Resultcache.create ~dir () in
-  (match Resultcache.find cache2 key with
    | Some b -> Alcotest.(check bool) "disk round-trip" true (bundle_eq bundle b)
    | None -> Alcotest.fail "expected a disk hit");
   Alcotest.(check int) "disk hit counted" 1
-    (Resultcache.stat cache2 "resultcache.hit_disk");
-  (* the disk hit promoted the bundle into tier 1 *)
-  ignore (Resultcache.find cache2 key);
-  Alcotest.(check int) "promotion" 1
-    (Resultcache.stat cache2 "resultcache.hit_mem")
+    (Resultcache.stat cache "resultcache.hit_disk");
+  (* a fresh instance over the same directory reads the same entry *)
+  let cache2 = Resultcache.create ~dir () in
+  (match Resultcache.find cache2 key with
+   | Some b ->
+     Alcotest.(check bool) "fresh-instance round-trip" true (bundle_eq bundle b)
+   | None -> Alcotest.fail "expected a disk hit");
+  Alcotest.(check int) "fresh-instance disk hit counted" 1
+    (Resultcache.stat cache2 "resultcache.hit_disk")
 
 let content_gen =
   QCheck.Gen.(string_size ~gen:(int_range 0 255 >|= Char.chr) (int_bound 200))
@@ -109,8 +108,6 @@ let roundtrip_prop =
       in
       let cache = Resultcache.create ~dir () in
       Resultcache.store cache key bundle;
-      (* force the disk path: the memory tier is dropped first *)
-      Resultcache.clear_memory cache;
       match Resultcache.find cache key with
       | Some b -> bundle_eq bundle b
       | None -> false)
@@ -143,7 +140,6 @@ let check_corruption name damage () =
   (* the entry is replaceable in place *)
   let bundle = { Resultcache.stdout = "repaired"; artifacts = [] } in
   Resultcache.store cache key bundle;
-  Resultcache.clear_memory cache;
   match Resultcache.find cache key with
   | Some b -> Alcotest.(check string) (name ^ " repaired") "repaired" b.Resultcache.stdout
   | None -> Alcotest.fail "expected the repaired entry"
@@ -208,27 +204,7 @@ let test_missing_manifest () =
   Alcotest.(check int) "still a probe miss" 1
     (Resultcache.stat cache "resultcache.miss")
 
-(* ---- Tier bounds --------------------------------------------------------- *)
-
-let test_memory_bound () =
-  let dir = tmp_dir () in
-  let cache = Resultcache.create ~memory_capacity:2 ~dir () in
-  let key i = Resultcache.key [ ("n", string_of_int i) ] in
-  let bundle i =
-    { Resultcache.stdout = string_of_int i; artifacts = [] }
-  in
-  for i = 1 to 4 do
-    Resultcache.store cache (key i) (bundle i)
-  done;
-  Alcotest.(check int) "fifo evictions" 2
-    (Resultcache.stat cache "resultcache.evict");
-  (* 1 and 2 fell out of tier 1 but remain on disk *)
-  ignore (Resultcache.find cache (key 1));
-  Alcotest.(check int) "old entry served from disk" 1
-    (Resultcache.stat cache "resultcache.hit_disk");
-  ignore (Resultcache.find cache (key 4));
-  Alcotest.(check int) "new entry served from memory" 1
-    (Resultcache.stat cache "resultcache.hit_mem")
+(* ---- Store bound ---------------------------------------------------------- *)
 
 let entry_count dir =
   Sys.readdir dir |> Array.to_list
@@ -247,6 +223,44 @@ let test_disk_bound () =
       { Resultcache.stdout = string_of_int i; artifacts = [] }
   done;
   Alcotest.(check int) "disk store stays bounded" 3 (entry_count dir)
+
+(* ---- Output directories ---------------------------------------------------- *)
+
+(* Every front end creates its --cache-dir, --trace-dir and --obs-dir with
+   parents; a path that cannot be created raises [Sys_error] only, which the
+   front ends turn into a one-line message and exit 1. *)
+let test_nested_dirs () =
+  let base = tmp_dir () in
+  let cache_dir = Filename.concat base (Filename.concat "c1" "c2") in
+  let cache = Resultcache.create ~dir:cache_dir () in
+  let key = Resultcache.key [ ("kind", "nested") ] in
+  let bundle = { Resultcache.stdout = "nested\n"; artifacts = [] } in
+  Resultcache.store cache key bundle;
+  Alcotest.(check bool) "store in a created nested dir" true
+    (Option.fold ~none:false ~some:(bundle_eq bundle)
+       (Resultcache.find cache key));
+  let art_dir = Filename.concat base (Filename.concat "a1" "a2") in
+  let files =
+    Artifact_dir.save ~dir:art_dir ~prefix:"t" ~ext:"txt" ~newline:false
+      [ ("x", "1") ]
+  in
+  Alcotest.(check (list string)) "save into a created nested dir"
+    [ Filename.concat art_dir "t-0000-x.txt" ] files;
+  Alcotest.(check bool) "file written" true (Sys.file_exists (List.hd files));
+  let file = Filename.concat base "regular" in
+  close_out (open_out file);
+  let under = Filename.concat file "sub" in
+  let raises_sys_error f =
+    match f () with _ -> false | exception Sys_error _ -> true
+  in
+  Alcotest.(check bool) "create under a regular file: Sys_error" true
+    (raises_sys_error (fun () -> ignore (Resultcache.create ~dir:under ())));
+  Alcotest.(check bool) "save under a regular file: Sys_error" true
+    (raises_sys_error (fun () ->
+         Artifact_dir.save ~dir:under ~prefix:"t" ~ext:"txt" ~newline:false
+           [ ("x", "1") ]));
+  Alcotest.(check bool) "the file itself as a dir: Sys_error" true
+    (raises_sys_error (fun () -> Artifact_dir.mkdir_p file))
 
 let test_hit_rate_and_reset () =
   let dir = tmp_dir () in
@@ -432,8 +446,8 @@ let tests =
     Alcotest.test_case "garbage manifest" `Quick test_garbage_manifest;
     Alcotest.test_case "key-text mismatch" `Quick test_key_text_mismatch;
     Alcotest.test_case "missing manifest" `Quick test_missing_manifest;
-    Alcotest.test_case "memory tier bound" `Quick test_memory_bound;
     Alcotest.test_case "disk store bound" `Quick test_disk_bound;
+    Alcotest.test_case "nested output directories" `Quick test_nested_dirs;
     Alcotest.test_case "hit rate and reset" `Quick test_hit_rate_and_reset;
     Alcotest.test_case "config fingerprint fields" `Quick
       test_fingerprint_fields;

@@ -27,6 +27,17 @@ let test_gauges () =
   Alcotest.(check (option (float 1e-9))) "last write wins" (Some 2.5)
     (Telemetry.gauge_value t "g")
 
+let timer_count t name =
+  match Jsonu.parse (Telemetry.to_json t) with
+  | Ok json -> (
+    match Option.bind (Jsonu.member "timers" json) (Jsonu.member name) with
+    | Some timer -> (
+      match Jsonu.member "count" timer with
+      | Some (Jsonu.Num n) -> int_of_float n
+      | _ -> Alcotest.fail "timer without a count")
+    | None -> 0)
+  | Error msg -> Alcotest.fail msg
+
 let test_span () =
   let t = Telemetry.create () in
   let v = Telemetry.span t "work" (fun () -> 41 + 1) in
@@ -37,7 +48,9 @@ let test_span () =
     Telemetry.span t "outer" (fun () ->
         Telemetry.span t "work" (fun () -> 1))
   in
-  Alcotest.(check int) "nested span" 1 v2;
+  Alcotest.(check int) "nested span returns the result" 1 v2;
+  Alcotest.(check int) "each call adds to the timer" 2 (timer_count t "work");
+  Alcotest.(check int) "outer timer" 1 (timer_count t "outer");
   Telemetry.timer_record t "ext" 0.25;
   Alcotest.(check (float 1e-9)) "recorded duration" 0.25
     (Telemetry.timer_total t "ext")
@@ -45,7 +58,9 @@ let test_span () =
 let test_span_reraises () =
   let t = Telemetry.create () in
   Alcotest.check_raises "exception passes through" Exit (fun () ->
-      Telemetry.span t "boom" (fun () -> raise Exit))
+      Telemetry.span t "boom" (fun () -> raise Exit));
+  Alcotest.(check int) "a raising call still adds to the timer" 1
+    (timer_count t "boom")
 
 let test_json_shape () =
   let t = Telemetry.create ~label:{|sched/"std"|} () in
