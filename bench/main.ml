@@ -84,7 +84,6 @@ let occupancy_fractions () =
             compiled.Compile.program
         in
         let _ = Engine.run ~config:(Workload.pe_config w) machine in
-        Machine.release machine;
         let c = Telemetry.counter machine.Machine.telemetry in
         ( fast + c "selective.fast_insns" + c "nt.fast_insns",
           insns + c "taken.insns" + c "nt.insns",

@@ -96,7 +96,6 @@ type t = {
   coverage : Coverage.t;
   dcode : Decode.t array;
   mem : Memory.t;
-  words : int array;
   btb : Btb.t;
   regs : int array;
   code_len : int;
@@ -136,7 +135,7 @@ let[@inline always] latency t ~write addr =
 
 let[@inline always] read t addr =
   match t.sandbox with
-  | None -> Array.unsafe_get t.words addr
+  | None -> Memory.read_valid t.mem addr
   | Some sb -> Context.sandbox_read sb t.mem addr
 
 (* [false]: the write overflowed the sandbox's L1 budget. *)
@@ -369,7 +368,6 @@ let make machine ctx coverage =
     coverage;
     dcode;
     mem = machine.Machine.mem;
-    words = machine.Machine.mem.Memory.words;
     btb = machine.Machine.btb;
     regs = ctx.Context.regs;
     code_len = Array.length dcode;

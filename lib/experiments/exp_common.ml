@@ -90,8 +90,6 @@ let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
        (Pe_config.mode_name config.Pe_config.mode)
        (match bug with Some b -> Printf.sprintf "/v%d" b | None -> ""));
   let config, result = engine ctx ~config machine in
-  (* The snapshot reads coverage, BTB and telemetry, all of which survive
-     [Machine.release]; taking it first is only convention. *)
   if ctx.spec.Run_spec.obs then begin
     let snap =
       Obs.snapshot
@@ -101,9 +99,6 @@ let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     Mutex.protect ctx.lock (fun () ->
         ctx.snapshots <- (Obs.label snap, Obs.to_json snap) :: ctx.snapshots)
   end;
-  (* The run is over; callers only consult reports/output/telemetry, so the
-     simulated address space can go back to the pool now. *)
-  Machine.release machine;
   { compiled; machine; result }
 
 let detector_label = function

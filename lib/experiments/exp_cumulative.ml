@@ -19,7 +19,6 @@ let cumulative ctx ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
     let _, result =
       Exp_common.engine ctx ~config:(Workload.pe_config workload) machine
     in
-    Machine.release machine;
     Coverage.merge_into ~dst:acc result.Engine.coverage;
     if List.mem i checkpoints then
       Hashtbl.replace at i (Coverage.taken_pct acc, Coverage.combined_pct acc)

@@ -118,8 +118,7 @@ let diduce_names ctx (workload : Workload.t) ~bug ~mode =
         compiled.Compile.program
     in
     Diduce.attach train machine;
-    ignore (Exp_common.engine ctx ~config machine);
-    Machine.release machine
+    ignore (Exp_common.engine ctx ~config machine)
   in
   run Pe_config.baseline;
   Diduce.start_monitoring train;

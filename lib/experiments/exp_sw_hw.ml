@@ -17,7 +17,6 @@ let measure ctx (workload : Workload.t) =
       compiled.Compile.program
   in
   let sw = Soft_engine.run ~config:(Workload.pe_config workload) machine in
-  Machine.release machine;
   let hw_overhead =
     Exp_common.overhead_pct ~baseline:hw_baseline.Engine.total_cycles
       ~with_pe:hw_cmp.Engine.total_cycles

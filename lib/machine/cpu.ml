@@ -75,7 +75,7 @@ let data_read machine ctx addr =
       + Machine.access_latency machine ctx.Context.l1
           ~owner:Cache.committed_owner ~write:false ~speculative:false addr;
     (* checked above *)
-    Array.unsafe_get mem.Memory.words addr
+    Memory.read_valid mem addr
   | Some sb ->
     stats.Context.cycles <-
       stats.Context.cycles

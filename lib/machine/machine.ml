@@ -100,9 +100,6 @@ let access_latency machine l1 ~owner ~write ~speculative addr =
      | Cache.Hit -> machine.config.Machine_config.l2_latency
      | Cache.Miss -> machine.config.Machine_config.mem_latency)
 
-(* Recycle the machine's simulated address space (see Memory.release). Call
-   once the run is over and only results — reports, output, telemetry — will
-   be read; the memory contents are dead at that point. *)
-let release machine = Memory.release machine.mem
+let release (_ : t) = ()
 
 let output machine = Io.output machine.io

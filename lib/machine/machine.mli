@@ -58,10 +58,9 @@ val main_context : t -> Context.t
 val access_latency :
   t -> Cache.t -> owner:int -> write:bool -> speculative:bool -> int -> int
 
-(** Recycle this machine's simulated address space into the {!Memory} pool.
-    Call once the run is finished and only its *results* — reports, program
-    output, telemetry, statistics — will be consulted; the memory image
-    must not be read afterwards. *)
+(** Does nothing. Memory holds only the pages a run wrote and the GC
+    reclaims them with the machine, so there is nothing to give back early.
+    Kept only for the campaign benchmark, which still calls it. *)
 val release : t -> unit
 
 (** Program output so far. *)

@@ -1,13 +1,8 @@
 type t = {
-  words : int array;
+  pages : int array array;
   globals_end : int;
   heap_base : int;
-  heap_end : int;
-  stack_limit : int;
   stack_base : int;
-  mutable heap_hi : int;
-  mutable stack_lo : int;
-  mutable released : bool;
 }
 
 type fault = Null_access | Out_of_range of int
@@ -16,94 +11,55 @@ exception Fault of fault
 
 let null_guard = Program.null_guard_words
 
-(* Address-space pool. A default machine's memory is a ~1.3M-word array;
-   allocating and zeroing one per simulated run dominates run setup for the
-   short microbenchmark programs. Released arrays are re-zeroed only over
-   the two write watermarks — [0, heap_hi] below [stack_limit] and
-   [stack_lo, stack_base) above — which for these workloads is a few
-   thousand words, then parked here keyed by total size. Arrays in the pool
-   are always all-zero, so a pooled take is indistinguishable from a fresh
-   [Array.make]. The mutex keeps the pool safe under parallel sweep
-   domains. *)
-let pool : (int, int array list ref) Hashtbl.t = Hashtbl.create 8
-let pool_mutex = Mutex.create ()
+let page_bits = 10
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
 
-let pool_take size =
-  Mutex.lock pool_mutex;
-  let taken =
-    match Hashtbl.find_opt pool size with
-    | Some ({ contents = arr :: rest } as cell) ->
-      cell := rest;
-      Some arr
-    | _ -> None
-  in
-  Mutex.unlock pool_mutex;
-  taken
-
-let pool_put size arr =
-  Mutex.lock pool_mutex;
-  (match Hashtbl.find_opt pool size with
-  | Some cell -> cell := arr :: !cell
-  | None -> Hashtbl.add pool size (ref [ arr ]));
-  Mutex.unlock pool_mutex
+(* Every page of every memory starts as this one. It is never written:
+   [write_valid] swaps a fresh page in before its first store, so an
+   untouched page costs one pointer, not [page_words] words. *)
+let zero_page = Array.make page_words 0
 
 let create ~globals_words ~heap_words ~stack_words =
   let globals_end = null_guard + globals_words in
   let heap_base = globals_end in
-  let heap_end = heap_base + heap_words in
-  let stack_limit = heap_end in
-  let stack_base = stack_limit + stack_words in
-  let words =
-    match pool_take stack_base with
-    | Some arr -> arr
-    | None -> Array.make stack_base 0
-  in
-  {
-    words;
-    globals_end;
-    heap_base;
-    heap_end;
-    stack_limit;
-    stack_base;
-    heap_hi = -1;
-    stack_lo = stack_base;
-    released = false;
-  }
+  let stack_base = heap_base + heap_words + stack_words in
+  let page_count = (stack_base + page_mask) lsr page_bits in
+  { pages = Array.make page_count zero_page; globals_end; heap_base; stack_base }
 
-let release mem =
-  if not mem.released then begin
-    mem.released <- true;
-    if mem.heap_hi >= 0 then Array.fill mem.words 0 (mem.heap_hi + 1) 0;
-    if mem.stack_lo < mem.stack_base then
-      Array.fill mem.words mem.stack_lo (mem.stack_base - mem.stack_lo) 0;
-    mem.heap_hi <- -1;
-    mem.stack_lo <- mem.stack_base;
-    pool_put mem.stack_base mem.words
-  end
-
-let size mem = Array.length mem.words
+let size mem = mem.stack_base
 
 let check mem addr =
   if addr >= 0 && addr < null_guard then raise (Fault Null_access)
-  else if addr < 0 || addr >= Array.length mem.words then
+  else if addr < 0 || addr >= mem.stack_base then
     raise (Fault (Out_of_range addr))
+
+let[@inline always] read_valid mem addr =
+  Array.unsafe_get
+    (Array.unsafe_get mem.pages (addr lsr page_bits))
+    (addr land page_mask)
 
 let read mem addr =
   check mem addr;
-  Array.unsafe_get mem.words addr
+  read_valid mem addr
+
+(* Out of line: a page's first store is rare, and [write_valid] is inlined
+   into every store site of the fast tier. *)
+let[@inline never] write_fresh_page mem addr value =
+  let page = Array.make page_words 0 in
+  Array.unsafe_set page (addr land page_mask) value;
+  Array.unsafe_set mem.pages (addr lsr page_bits) page
 
 let[@inline always] write_valid mem addr value =
-  Array.unsafe_set mem.words addr value;
-  if addr < mem.stack_limit then begin
-    if addr > mem.heap_hi then mem.heap_hi <- addr
-  end
-  else if addr < mem.stack_lo then mem.stack_lo <- addr
+  let page = Array.unsafe_get mem.pages (addr lsr page_bits) in
+  if page == zero_page then write_fresh_page mem addr value
+  else Array.unsafe_set page (addr land page_mask) value
 
 let write mem addr value =
   check mem addr;
   write_valid mem addr value
 
-let is_valid mem addr = addr >= null_guard && addr < Array.length mem.words
+let is_valid mem addr = addr >= null_guard && addr < mem.stack_base
 
 let fault_to_string = function
   | Null_access -> "null access"

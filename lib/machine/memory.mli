@@ -1,4 +1,4 @@
-(** Flat word-addressed data memory.
+(** Word-addressed data memory, stored as pages allocated on first write.
 
     Layout: the first [Program.null_guard_words] addresses form an unmapped
     null page (accessing any of them is a null-access fault), then globals,
@@ -6,21 +6,21 @@
     Every other address inside the space is accessible — the machine faults
     on null-page, negative or beyond-address-space accesses, the
     access-violation crash model the paper's NT-Path crash-latency study
-    relies on. *)
+    relies on.
+
+    Storage is independent of that layout: the space is cut into fixed
+    1024-word pages, every page starts as one shared all-zero page that is
+    never written, and the first store to a page gives it its own words.
+    A run pays for the pages it writes, not for the address space. *)
 
 type t = {
-  words : int array;
+  pages : int array array;
+      (** page [i] holds addresses [[i * 1024, (i + 1) * 1024)]; read-only
+          outside this module — untouched pages alias one shared zero page,
+          so every store goes through {!write} or {!write_valid} *)
   globals_end : int;  (** first address past the globals segment *)
   heap_base : int;
-  heap_end : int;
-  stack_limit : int;  (** lowest legal stack address *)
-  stack_base : int;  (** initial stack pointer *)
-  mutable heap_hi : int;
-      (** highest address written below [stack_limit], or -1 — bounds the
-          re-zero on {!release} *)
-  mutable stack_lo : int;
-      (** lowest address written at or above [stack_limit], or [stack_base] *)
-  mutable released : bool;
+  stack_base : int;  (** initial stack pointer; also the space's size *)
 }
 
 type fault = Null_access | Out_of_range of int
@@ -32,15 +32,6 @@ val null_guard : int
 
 val create : globals_words:int -> heap_words:int -> stack_words:int -> t
 
-(** Return this memory's backing array to a size-keyed pool for reuse by a
-    later {!create} of the same geometry. Only the written watermark ranges
-    are re-zeroed, so releasing is O(words actually touched), not O(address
-    space). The memory must not be read or written afterwards — its words
-    now belong to whichever machine takes them next. Double release is a
-    no-op. Pooled arrays are always all-zero, so simulation results are
-    identical with or without pooling. *)
-val release : t -> unit
-
 (** Total address-space size in words. *)
 val size : t -> int
 
@@ -50,11 +41,15 @@ val check : t -> int -> unit
 (** Raises {!Fault} if [addr] is not accessible. *)
 val read : t -> int -> int
 
+(** [read] minus the access check, for callers that have just established
+    [is_valid]. *)
+val read_valid : t -> int -> int
+
 val write : t -> int -> int -> unit
 
 (** [write] minus the access check, for callers that have just established
     [is_valid] (the selective fast tier validates operands *before*
-    committing an instruction). Same watermark maintenance. *)
+    committing an instruction). The first store to a page allocates it. *)
 val write_valid : t -> int -> int -> unit
 
 (** Exactly the complement of {!check}'s raise condition. *)

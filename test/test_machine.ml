@@ -28,12 +28,64 @@ let test_memory_out_of_range () =
     (fun () -> ignore (Memory.read m (-5)))
 
 let test_memory_read_write () =
-  let m = mem () in
+  let m = mem () and other = mem () in
   Memory.write m 20 123;
   Alcotest.(check int) "read back" 123 (Memory.read m 20);
+  (* untouched pages share one zero page: a write must not show through it *)
+  Alcotest.(check int) "other memory untouched" 0 (Memory.read other 20);
+  Alcotest.(check int) "fresh memory untouched" 0 (Memory.read (mem ()) 20);
   Memory.load_init m [ (21, 7); (22, 8) ];
   Alcotest.(check int) "init 21" 7 (Memory.read m 21);
-  Alcotest.(check int) "init 22" 8 (Memory.read m 22)
+  Alcotest.(check int) "init 22" 8 (Memory.read m 22);
+  (* both sides of a page edge, the first global and the last stack word *)
+  let edges = [ Memory.null_guard; 1023; 1024; Memory.size m - 1 ] in
+  List.iter (fun a -> Memory.write m a (a + 1)) edges;
+  List.iter
+    (fun a ->
+      Alcotest.(check int) (Printf.sprintf "edge %d" a) (a + 1) (Memory.read m a))
+    edges;
+  Alcotest.(check int) "after first global" 0
+    (Memory.read m (Memory.null_guard + 1));
+  Alcotest.(check int) "before last stack word" 0
+    (Memory.read m (Memory.size m - 2))
+
+(* Words allocated by [f], minor and major, plus any growth of the major
+   heap. Emptying the minor heap first keeps a promotion from growing the
+   major heap in the middle of the measurement. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  let r = f () in
+  let minor1, _, major1 = Gc.counters () in
+  let heap1 = (Gc.quick_stat ()).Gc.heap_words in
+  ( r,
+    int_of_float (minor1 -. minor0 +. major1 -. major0) + max 0 (heap1 - heap0) )
+
+let test_memory_pays_for_writes_only () =
+  let c = Machine_config.default in
+  let m, create_words =
+    allocated_words (fun () ->
+        Memory.create ~globals_words:100 ~heap_words:c.Machine_config.heap_words
+          ~stack_words:c.Machine_config.stack_words)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "create: %d words for a %d-word space" create_words
+       (Memory.size m))
+    true
+    (create_words < Memory.size m / 256);
+  let sum, read_words =
+    allocated_words (fun () ->
+        let sum = ref 0 in
+        for a = Memory.null_guard to Memory.size m - 1 do
+          sum := !sum + Memory.read m a
+        done;
+        !sum)
+  in
+  Alcotest.(check int) "all zero" 0 sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "reading every word allocated %d words" read_words)
+    true (read_words < 256)
 
 let test_cache_hit_miss () =
   let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
@@ -301,6 +353,8 @@ let tests =
     Alcotest.test_case "memory null page" `Quick test_memory_null_page;
     Alcotest.test_case "memory out of range" `Quick test_memory_out_of_range;
     Alcotest.test_case "memory read/write" `Quick test_memory_read_write;
+    Alcotest.test_case "memory pays for writes only" `Quick
+      test_memory_pays_for_writes_only;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
     Alcotest.test_case "cache versioning" `Quick test_cache_versioning;

@@ -21,26 +21,31 @@ let writes_arb =
 
 let fresh_mem () = Memory.create ~globals_words:600 ~heap_words:64 ~stack_words:64
 
+(* Every accessible word, in address order. *)
+let contents mem =
+  Array.init (Memory.size mem - Memory.null_guard) (fun i ->
+      Memory.read mem (Memory.null_guard + i))
+
 let prop_overlay_discard_is_identity =
   QCheck.Test.make ~name:"overlay discard leaves memory intact" ~count:200
     writes_arb (fun writes ->
       let mem = fresh_mem () in
       List.iteri (fun i (a, _) -> Memory.write mem a i) writes;
-      let snapshot = Array.copy mem.Memory.words in
+      let snapshot = contents mem in
       let sb = Context.make_sandbox ~path_id:1 ~line_limit:10_000 ~words_per_line:8 in
       List.iter (fun (a, v) -> ignore (Context.sandbox_write sb mem a v)) writes;
-      snapshot = mem.Memory.words)
+      snapshot = contents mem)
 
 let prop_write_log_rollback_is_identity =
   QCheck.Test.make ~name:"write-log rollback restores memory" ~count:200
     writes_arb (fun writes ->
       let mem = fresh_mem () in
       List.iteri (fun i (a, _) -> Memory.write mem a (i * 3)) writes;
-      let snapshot = Array.copy mem.Memory.words in
+      let snapshot = contents mem in
       let sb = Context.make_write_log_sandbox ~path_id:1 in
       List.iter (fun (a, v) -> ignore (Context.sandbox_write sb mem a v)) writes;
       Context.rollback_write_log sb mem;
-      snapshot = mem.Memory.words)
+      snapshot = contents mem)
 
 let prop_sandboxes_agree =
   QCheck.Test.make ~name:"overlay and write-log sandboxes read identically"

@@ -49,7 +49,7 @@ let test_write_log_restores_memory () =
   let soft = run_mem true in
   let differences = ref 0 in
   for addr = Memory.null_guard to Memory.size base - 1 do
-    if base.Memory.words.(addr) <> soft.Memory.words.(addr) then incr differences
+    if Memory.read base addr <> Memory.read soft addr then incr differences
   done;
   Alcotest.(check int) "memory identical after rollbacks" 0 !differences
 
