@@ -28,7 +28,7 @@ let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
    optimizer axis: [sweep_wall_o2_s]/[sweep_wall_o2_runs_s] (the same
    serial sweep compiled at -O2, min over the same repeat count) and
    [retired_insns] (per-workload dynamic retired instructions of one
-   plain-CPU default-input run at -O0 and -O2, with totals and the
+   baseline-mode default-input run at -O0 and -O2, with totals and the
    aggregate reduction percentage); version 6 added the occupancy axis:
    [fast_tier_fraction] (fraction of simulated instructions — taken path
    plus NT-Paths, over one standard-mode default-input run of every
@@ -50,7 +50,7 @@ let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
    on real operations. *)
 let bench_schema_version = 8
 
-(* Dynamic retired instructions of one plain-CPU run per registry workload
+(* Dynamic retired instructions of one baseline-mode run per registry workload
    (default input, default compile options) at the given level — the -O2
    acceptance metric: the aggregate reduction must stay >= 15%. *)
 let retired_insns level =
@@ -61,12 +61,12 @@ let retired_insns level =
         Machine.create ~fastpath ~input:w.Workload.default_input
           compiled.Compile.program
       in
-      let r = Cpu.run_baseline machine in
-      (match r.Cpu.outcome with
+      let r = Engine.run ~config:Pe_config.baseline machine in
+      (match r.Engine.outcome with
        | `Halted | `Exited _ -> ()
        | `Faulted _ | `Fuel_exhausted ->
          invalid_arg ("bench: retired-insn run died: " ^ w.Workload.name));
-      (w.Workload.name, r.Cpu.insns))
+      (w.Workload.name, r.Engine.taken_insns))
     Registry.all
 
 (* Aggregate execution-tier and cache-memo occupancy over one standard-mode

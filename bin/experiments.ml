@@ -67,7 +67,8 @@ let telemetry_arg =
 
 let selective_arg =
   let doc =
-    "Run taken paths through the selective fast/slow interpreter split \
+    "Run taken paths and NT-Paths, hardware and software PathExpander \
+     alike, through the selective fast/slow interpreter split \
      (coverage-preserving selective detection). Output is byte-identical \
      either way; $(b,--selective=false) pins every run to the fully \
      instrumented interpreter, for equivalence checks and timing baselines."

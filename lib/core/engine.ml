@@ -33,7 +33,8 @@ type result = {
   coverage : Coverage.t;
   fast_insns : int;
       (* taken-path instructions retired on the selective fast tier *)
-  fast_segments : int;  (* fast segments executed (deoptimization count + 1) *)
+  fast_segments : int;
+      (* fast segments that retired at least one instruction *)
   skipped_edges : int list;
       (* observatory only: encoded edges (2*pc + dir) whose spawn was
          suppressed by the CMP outstanding-path budget, sorted distinct;
@@ -45,6 +46,16 @@ let outcome_name = function
   | `Exited n -> Printf.sprintf "exited(%d)" n
   | `Faulted f -> "faulted: " ^ Cpu.fault_to_string f
   | `Fuel_exhausted -> "fuel-exhausted"
+
+let outcome_of_exit : Fast_loop.exit -> outcome = function
+  | Fast_loop.Limit -> `Fuel_exhausted
+  | Fast_loop.Exited status -> `Exited status
+  | Fast_loop.Halted -> `Halted
+  | Fast_loop.Fault f -> `Faulted f
+  (* Sandbox events: the taken path has no sandbox, so no write of its can
+     overflow an L1 buffer and its syscalls execute; degrade to a fault if
+     that ever changes. *)
+  | Fast_loop.Overflow | Fast_loop.Unsafe _ -> `Faulted Cpu.Sandbox_overflow
 
 type cmp_state = {
   core_free : int array;  (* per idle core: cycle when it becomes free *)
@@ -101,13 +112,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
      behaviour, so observed and unobserved runs stay byte-identical. *)
   if obs then Coverage.arm_attribution coverage;
   let skipped_edge_set = Hashtbl.create 16 in
-  let d_branch = ref 0
-  and d_syscall = ref 0
-  and d_watch = ref 0
-  and d_detector = ref 0
-  and d_fault = ref 0
-  and d_other = ref 0
-  and pinned_insns = ref 0 in
   let nt_records = ref [] in
   let spawns = ref 0 in
   let skipped = ref 0 in
@@ -213,7 +217,9 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
     id
   in
   (* One pooled context + sandbox recycled across every spawn of this run. *)
-  let nt_arena = Nt_path.make_arena machine ~l1:ctx.Context.l1 in
+  let nt_arena =
+    Nt_path.make_arena machine config coverage ~l1:ctx.Context.l1
+  in
   let recorder = machine.Machine.recorder in
   let last_spawn_cycle = ref 0 in
   (* Histogram handles resolved once per run; spawns observe through them
@@ -240,9 +246,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
        spawn ordinal, which indexes the run's [nt_records] (spawn order). *)
     if obs then Coverage.set_nt_seq coverage !spawns;
     let record =
-      Nt_path.run ?fix_override machine config coverage ~arena:nt_arena ~l1
-        ~regs:ctx.Context.regs ~entry ~spawn_br_pc:br_pc ~forced_direction
-        ~path_id
+      Nt_path.run ?fix_override nt_arena ~l1 ~regs:ctx.Context.regs ~entry
+        ~spawn_br_pc:br_pc ~forced_direction ~path_id
     in
     if obs then Coverage.set_nt_seq coverage 0;
     if Recorder.enabled recorder then Recorder.set_base recorder 0;
@@ -304,7 +309,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
       cmp.active_finish <- finish :: cmp.active_finish
     end
   in
-  let handle_branch ~br_pc ~taken =
+  let handle_branch () =
+    let br_pc = ctx.Context.br_pc and taken = ctx.Context.br_taken in
     Coverage.record_taken coverage br_pc taken;
     if config.Pe_config.profiled_fixing then observe_condition_var br_pc;
     match config.Pe_config.mode with
@@ -333,8 +339,9 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
      (Section 3.1), so the cadence follows the primary context's
      retired-instruction count. [Machine.insn_index] also advances
      inside sandboxed NT-Paths, which would tie the reset rate to how
-     many NT-Paths happened to spawn. *)
-  let maybe_reset () =
+     many NT-Paths happened to spawn. The tick returns the next reset
+     boundary, so no fast segment crosses it. *)
+  let tick () =
     if
       ctx.Context.stats.Context.insns - !last_reset
       >= config.Pe_config.counter_reset_interval
@@ -347,26 +354,19 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
           ~insns:ctx.Context.stats.Context.insns
       end;
       last_reset := ctx.Context.stats.Context.insns
-    end
+    end;
+    !last_reset + config.Pe_config.counter_reset_interval
   in
-  (* Selective (fast/slow) execution. Some configurations take an action at
-     *every* branch that the fast tier deliberately omits — randomised
-     spawning draws the RNG per branch, profiled fixing observes the
-     condition variable per branch, spawn-everywhere makes every branch a
-     spawn. Rather than pinning those runs to the instrumented tier, force a
-     deoptimization at every branch: with [threshold = max_int] the fast
-     tier's [Btb.probe_exercise] reports every branch as a spawn candidate
-     (leaving the BTB untouched), so the straight-line stretches between
-     branches still run fast while every per-branch action — RNG draw,
-     observation, BTB traffic, spawn — happens on the instrumented tier in
-     the exact sequence the single-tier loop produces. Watchpoints and store
-     hooks are re-checked each iteration below because they come and go at
-     runtime. *)
-  let selective_ok = config.Pe_config.selective in
+  (* Some configurations take an action at *every* branch that the fast
+     tier deliberately omits — randomised spawning draws the RNG per branch,
+     profiled fixing observes the condition variable per branch,
+     spawn-everywhere makes every branch a spawn. [threshold = max_int]
+     deoptimizes at every branch instead (see Fast_loop.drive), so every
+     per-branch action happens on the instrumented tier in the exact
+     sequence a single-tier run produces. Branches need the instrumented
+     tier at all whenever they spawn (non-Baseline modes) or observe
+     condition-variable history (profiled fixing, in every mode). *)
   let spawning =
-    (* Branches need the instrumented tier whenever they spawn (non-Baseline
-       modes) or observe condition-variable history (profiled fixing, which
-       observes in every mode). *)
     config.Pe_config.mode <> Pe_config.Baseline
     || config.Pe_config.profiled_fixing
   in
@@ -375,118 +375,19 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
       config.Pe_config.random_spawn_chance > 0.0
       || config.Pe_config.profiled_fixing
       || config.Pe_config.spawn_everywhere
-    then max_int (* every branch deoptimizes *)
+    then max_int
     else config.Pe_config.nt_counter_threshold
   in
-  (* One fast-tier handle for the whole run: segments then allocate
-     nothing (parameters and exit flushing live in the handle — see
-     Fast_loop). *)
-  let fl = Fast_loop.make machine ctx coverage in
-  let fast_insns = ref 0 in
-  let fast_segments = ref 0 in
-  let fast_branches = ref 0 in
-  (* Observatory: why did the fast tier hand this pc to the instrumented
-     tier? The fast tier stops *before* executing a special instruction, so
-     the cause is readable from the decoded image at the current pc. *)
-  let classify_deopt () =
-    let pc = ctx.Context.pc in
-    let dcode = machine.Machine.dcode in
-    if pc < 0 || pc >= Array.length dcode then incr d_fault
-    else
-      let rec go = function
-        | Decode.D_syscall _ -> incr d_syscall
-        | Decode.D_watch _ | Decode.D_unwatch _ -> incr d_watch
-        | Decode.D_checkz _ -> incr d_detector
-        | Decode.D_div _ | Decode.D_mod _ | Decode.D_divi _ | Decode.D_modi _
-        | Decode.D_load _ | Decode.D_store _ | Decode.D_call _ | Decode.D_ret
-        | Decode.D_push _ | Decode.D_pop _ ->
-          (* memory/divisor operands the fast tier refused to touch *)
-          incr d_fault
-        | Decode.D_pred d -> go d
-        | _ -> incr d_other
-      in
-      go dcode.(pc)
+  let fl = Fast_loop.make ~obs machine ctx coverage in
+  let hooks =
+    { Fast_loop.tick; branch = handle_branch; syscall = (fun _ -> true) }
   in
-  let rec loop () =
-    if ctx.Context.stats.Context.insns >= fuel then `Fuel_exhausted
-    else begin
-      maybe_reset ();
-      if
-        selective_ok
-        && Watchpoints.is_empty machine.Machine.watch
-        && (match machine.Machine.store_hook with
-           | None -> true
-           | Some _ -> false)
-      then begin
-        (* Segment budget: stop exactly at the fuel and counter-reset
-           boundaries, so both fire at the same retired-instruction counts
-           as the single-tier loop. Both differences are positive here (the
-           fuel check above, the reset just performed). *)
-        let insns = ctx.Context.stats.Context.insns in
-        let budget =
-          min (fuel - insns)
-            (!last_reset + config.Pe_config.counter_reset_interval - insns)
-        in
-        let branches = ctx.Context.stats.Context.branches in
-        let fstop = Fast_loop.run fl ~spawning ~threshold ~budget in
-        let retired = Fast_loop.retired fl in
-        if retired > 0 then begin
-          (* The fast tier bumped the context's stats itself; the global
-             retired-instruction index (report provenance) follows here. *)
-          machine.Machine.insn_index <- machine.Machine.insn_index + retired;
-          fast_insns := !fast_insns + retired;
-          fast_branches :=
-            !fast_branches + ctx.Context.stats.Context.branches - branches;
-          incr fast_segments
-        end;
-        match fstop with
-        | Fast_loop.Budget -> loop ()
-        | Fast_loop.Special ->
-          if obs then classify_deopt ();
-          step_slow (-1)
-        | Fast_loop.Special_branch_taken ->
-          if obs then incr d_branch;
-          step_slow 1
-        | Fast_loop.Special_branch_nontaken ->
-          if obs then incr d_branch;
-          step_slow 0
-        (* Only sandboxed stores overflow and the primary context is never
-           sandboxed; degrade to a fault like [Cpu.Ev_overflow] below. *)
-        | Fast_loop.Overflow -> `Faulted Cpu.Sandbox_overflow
-      end
-      else begin
-        (* Instrumented-tier instruction outside the fast/slow split: either
-           selective execution is off for this run, or active watchpoints /
-           a store hook pin execution to the instrumented tier. *)
-        if obs && selective_ok then incr pinned_insns;
-        step_slow (-1)
-      end
-    end
-  (* One instruction on the fully instrumented tier — the deoptimization
-     target for fast-segment stops, and the whole interpreter when selective
-     execution is off or inapplicable. [predicted] is the fast tier's
-     evaluation of a spawn-candidate branch's condition (1 taken,
-     0 not taken, -1 none) — an int, not a bool option, so per-step calls
-     allocate nothing. *)
-  and step_slow predicted =
-    Coverage.record_pc_taken coverage ctx.Context.pc;
-    match Cpu.step machine ctx with
-    | Cpu.Ev_normal | Cpu.Ev_syscall _ -> loop ()
-    | Cpu.Ev_branch ->
-      if predicted >= 0 && (predicted = 1) <> ctx.Context.br_taken then
-        (* Both tiers evaluate the same compare on the same registers;
-           disagreement means an interpreter bug, not a program outcome. *)
-        failwith "Engine: selective fast tier diverged at a branch";
-      handle_branch ~br_pc:ctx.Context.br_pc ~taken:ctx.Context.br_taken;
-      loop ()
-    | Cpu.Ev_exit status -> `Exited status
-    | Cpu.Ev_halt -> `Halted
-    | Cpu.Ev_fault f -> `Faulted f
-    (* The primary context is never sandboxed, so no write of its can
-       overflow an L1 buffer; degrade to a fault if that ever changes. *)
-    | Cpu.Ev_overflow -> `Faulted Cpu.Sandbox_overflow
+  let outcome =
+    Telemetry.span tel "engine.run" (fun () ->
+        outcome_of_exit
+          (Fast_loop.drive fl hooks ~selective:config.Pe_config.selective
+             ~spawning ~threshold ~limit:fuel))
   in
-  let outcome = Telemetry.span tel "engine.run" loop in
   let taken_cycles = ctx.Context.stats.Context.cycles in
   let total_cycles =
     match config.Pe_config.mode with
@@ -502,23 +403,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
   Telemetry.count tel "engine.spawns" !spawns;
   Telemetry.count tel "engine.skipped_spawns" !skipped;
   Telemetry.count tel "engine.profiled_overrides" !overrides;
-  if !fast_insns > 0 then begin
-    Telemetry.count tel "selective.fast_insns" !fast_insns;
-    Telemetry.count tel "selective.segments" !fast_segments;
-    (* conditional branches retired on the fast tier *)
-    Telemetry.count tel "selective.fast_branch_bits" !fast_branches
-  end;
-  if obs then begin
-    (* Deopt-cause histogram and tier pinning, exported only when the
-       observatory is armed so unobserved telemetry output is unchanged. *)
-    Telemetry.count tel "obs.deopt.branch" !d_branch;
-    Telemetry.count tel "obs.deopt.syscall" !d_syscall;
-    Telemetry.count tel "obs.deopt.watch" !d_watch;
-    Telemetry.count tel "obs.deopt.detector" !d_detector;
-    Telemetry.count tel "obs.deopt.fault" !d_fault;
-    Telemetry.count tel "obs.deopt.other" !d_other;
-    Telemetry.count tel "obs.pinned_insns" !pinned_insns
-  end;
+  Fast_loop.record_telemetry fl tel;
   Telemetry.count tel "taken.insns" ctx.Context.stats.Context.insns;
   Telemetry.count tel "taken.branches" ctx.Context.stats.Context.branches;
   Telemetry.count tel "taken.cycles" taken_cycles;
@@ -545,8 +430,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
     skipped_spawns = !skipped;
     profiled_overrides = !overrides;
     coverage;
-    fast_insns = !fast_insns;
-    fast_segments = !fast_segments;
+    fast_insns = Fast_loop.fast_insns fl;
+    fast_segments = Fast_loop.fast_segments fl;
     skipped_edges =
       List.sort_uniq compare
         (Hashtbl.fold (fun k () acc -> k :: acc) skipped_edge_set []);

@@ -28,9 +28,10 @@ type result = {
       (** taken-path instructions retired on the selective fast tier
           ({!Fast_loop}); 0 when selective execution is off or inapplicable *)
   fast_segments : int;
-      (** number of fast segments executed — each ends at a deoptimization
-          point (spawn-candidate branch, syscall, detector event, fault) or
-          a fuel/counter-reset boundary *)
+      (** fast segments that retired at least one instruction — each ends
+          at a deoptimization point (spawn-candidate branch, syscall,
+          detector event, fault) or a fuel/counter-reset boundary; a segment
+          that stops on its first instruction is not counted *)
   skipped_edges : int list;
       (** Coverage Observatory only (armed by [run ~obs:true]):
           encoded edges [2*pc + dir] whose spawn was suppressed by the CMP
@@ -38,6 +39,10 @@ type result = {
 }
 
 val outcome_name : outcome -> string
+
+(** The outcome a taken-path drive's exit stands for: [Limit] is fuel
+    exhaustion. *)
+val outcome_of_exit : Fast_loop.exit -> outcome
 
 (** Run the program loaded in [machine] under the given PathExpander
     configuration. [fuel] bounds taken-path instructions as a safety net.

@@ -1,94 +1,83 @@
-(* The selective fast tier: a stripped interpreter for the taken path and
-   NT-Paths alike.
+(* The run driver: the one loop behind the taken path, NT-Paths, the
+   software PathExpander and the plain baseline run, split across two
+   tiers (coverage-preserving selective instrumentation, as in HeXcite).
 
-   This is the engine's answer to detection bloat (coverage-preserving
-   selective instrumentation, as in HeXcite): execution runs here with no
-   detector hooks, no watchpoint probes, no store-hook dispatch and no
-   recorder branches — just registers, memory, cache timing and coverage
-   bits. The moment an instruction needs any of the heavy machinery (a
-   syscall, a watch/unwatch, a detector check that would file a report, a
-   fault, or a branch whose cold-edge counter makes it a spawn candidate)
-   the loop stops *before* that instruction and the caller executes it on
-   the fully instrumented tier ([Cpu.step]).
-   Deoptimization, not re-execution: no instruction ever runs twice, so
-   every observable — architectural state, stats, cache/BTB contents,
-   coverage, reports, recorder stream, program output — is bit-for-bit what
-   the instrumented tier alone would produce.
+   The fast tier ([go]) runs with no detector hooks, no watchpoint probes,
+   no store-hook dispatch and no recorder branches — just registers,
+   memory, cache timing and coverage bits. The moment an instruction needs
+   heavy machinery (a syscall, a watch/unwatch, a detector check that would
+   file a report, a fault, or a branch whose cold-edge counter makes it a
+   spawn candidate) the segment stops *before* it, and [drive] executes
+   that one instruction on the instrumented tier ([Cpu.step]) and hands
+   the event to the caller's hooks. Deoptimization, not re-execution: no
+   instruction runs twice, so every observable — architectural state,
+   stats, cache/BTB contents, coverage, reports, recorder stream, output —
+   is bit-for-bit what the instrumented tier alone would produce.
 
-   Correctness of the stop-before discipline rests on every case below
-   either (a) committing *exactly* the state transitions the instrumented
-   tier commits for that instruction, or (b) committing *nothing* and
-   stopping. The pre-checks make (b) possible without exceptions: memory
-   operands are validated with [Memory.is_valid] (the exact complement of
-   [Memory.check]'s raise condition) and divisors checked against zero
-   before any side effect. The register effects themselves are [Cpu]'s own
-   inlined helpers, so the two tiers share one body of ISA semantics.
+   The stop-before discipline rests on every case of [go] either committing
+   *exactly* the instrumented tier's state transitions or committing
+   *nothing* and stopping. Pre-checks make the latter possible without
+   exceptions: memory operands are validated with [Memory.is_valid] (the
+   exact complement of [Memory.check]'s raise) and divisors checked against
+   zero before any side effect. The register effects are [Cpu]'s own
+   inlined helpers. One case commits and still stops: a sandboxed store
+   that overflows the path's L1 line budget, only discoverable by doing
+   the write. The instrumented tier retires it (stats and latency charged,
+   pc not advanced) and raises; [Overflowed] leaves exactly that state.
 
-   One case commits an instruction and still stops: a sandboxed store can
-   overflow the path's L1 line budget, which is only discoverable *by doing
-   the write*. The instrumented tier retires that instruction (stats and
-   latency charged, pc not advanced) and raises; [Overflow] reproduces
-   exactly that committed state. The taken path never has a sandbox, so it
-   cannot reach this stop.
+   Spawn candidates are found by a side-effect-free BTB probe
+   ([Btb.probe_exercise]). Within a segment a forced-edge counter never
+   decreases (spawns only happen on the instrumented tier), so stale
+   counters can only deoptimize spuriously, never miss a spawn. A BTB miss
+   always deoptimizes: the insertion belongs to the instrumented tier's
+   [Btb.counts]/[Btb.exercise] pair, whose exact effect the probe commits
+   for exercised non-candidates. A [max_int] threshold makes every branch a
+   candidate and touches nothing.
 
-   Spawn-candidate detection probes the BTB side-effect-free
-   ([Btb.probe_exercise]). Within a fast segment a branch's forced-edge
-   counter is monotone non-decreasing (the engine only increments non-taken
-   edge counters when it spawns, and spawns only happen on the instrumented
-   tier), so probing possibly-stale counters is conservative: a branch may
-   deoptimize spuriously (the instrumented tier then decides for real), but
-   a spawn can never be missed. BTB misses always deoptimize for the same
-   reason — the insertion and its accounting belong to the instrumented
-   tier's [Btb.counts]/[Btb.exercise] pair; for exercised non-candidates
-   [Btb.probe_exercise] commits that pair's exact observable effect in the
-   same single associative search that tested the predicate. A [max_int]
-   threshold makes every branch a candidate and touches nothing: the
-   deopt-at-every-branch setting.
-
-   Which tier a segment serves is data, read from the context at segment
-   entry ([run]): no sandbox is the taken path (plain memory, committed
-   cache ownership, taken-path coverage); a sandbox is an NT-Path (buffered
+   The tier is data, read from the context at segment entry ([segment]):
+   no sandbox is the taken path (plain memory, committed cache ownership,
+   taken-path coverage); a sandbox is an NT-Path (buffered or logged
    memory, speculative ownership under the path's id, NT-Path coverage).
-   Only memory accesses and branch-edge records test the tier; the
-   per-instruction statement record goes to a sink picked at entry.
 
-   The loop is tail-recursive over plain integer state (pc and the five
-   stat deltas), so the per-instruction bookkeeping lives in registers; the
-   context's stats are updated once, at segment exit.
+   Performance structure: [go] is a *top-level* tail-recursive function
+   over a flat mutable handle and plain integer state (pc and five stat
+   deltas, flushed into the context once per segment). Without flambda
+   that matters twice: a segment allocates nothing (parameters are record
+   stores, every [stop] constructor is constant), and every call on the
+   per-instruction path is a known direct call. A closure-tree variant
+   cost ~300M minor words per sweep and caml_apply on every instruction.
+   The driver ([drive_loop]/[step]) is top level for the same reason. *)
 
-   Performance structure: the handle is a flat mutable record and the
-   interpreter loop is a *top-level* recursive function over it. Keeping
-   the loop (and its helpers) at top level matters twice over, without
-   flambda: a segment call allocates nothing (per-call parameters are
-   record stores, exit state flushes straight into the context, every
-   [stop] constructor is constant), and every call in the per-instruction
-   path — the recursive step, the latency probe, the coverage/BTB/sandbox
-   hooks — is a known direct call. The closure-tree variant of this file
-   cost both ways: per-segment closure records (~300M minor words per
-   sweep; NT-Paths deoptimize at every watch, check and virtualised
-   syscall) and, worse, helpers captured from an enclosing closure compile
-   to unknown-function applications (the caml_apply helpers) on every
-   instruction.
-
-   The callers guarantee before entry ([Engine.run] for the taken path,
-   [Nt_path.run] for NT-Paths): no watchpoints are armed, no store hook is
-   attached, and every per-branch action the fast tier omits (random
-   spawning, profiled fixing, spawn-everywhere, forced cold edges inside
-   NT-Paths) is covered by [threshold = max_int]. *)
-
+(* How a fast segment ended. *)
 type stop =
-  | Budget  (** segment budget exhausted *)
+  | Budget  (* segment budget exhausted *)
   | Special
-      (** the instruction at [ctx.pc] needs the instrumented tier; nothing
-          about it has been committed *)
+      (* the instruction at [ctx.pc] needs the instrumented tier; nothing
+         about it has been committed *)
   | Special_branch_taken
-      (** a spawn-candidate conditional branch whose condition the fast tier
-          evaluated as taken (cross-checked against the instrumented tier) *)
+      (* a spawn-candidate conditional branch whose condition the fast tier
+         evaluated as taken (cross-checked against the instrumented tier) *)
   | Special_branch_nontaken
-      (** like [Special_branch_taken], condition evaluated as not taken *)
+      (* like [Special_branch_taken], condition evaluated as not taken *)
+  | Overflowed
+      (* a sandboxed store overflowed the path's L1 budget; the store has
+         retired in place *)
+
+type exit =
+  | Limit
+  | Exited of int
+  | Halted
+  | Fault of Cpu.fault
   | Overflow
-      (** a sandboxed store overflowed the path's L1 budget; the store has
-          retired in place *)
+  | Unsafe of Insn.sys
+
+type hooks = {
+  tick : unit -> int;
+  branch : unit -> unit;
+  syscall : Insn.sys -> bool;
+}
+
+let no_tick () = max_int
 
 type t = {
   machine : Machine.t;
@@ -99,7 +88,7 @@ type t = {
   btb : Btb.t;
   regs : int array;
   code_len : int;
-  (* The tier, re-read from the context at every segment ([run]): an NT
+  (* The tier, re-read from the context at every segment ([segment]): an NT
      arena's context is retargeted per spawn (CMP spawns land on idle
      cores' L1s, the 8-bit path id is fresh per spawn). *)
   mutable l1 : Cache.t;
@@ -108,9 +97,13 @@ type t = {
   mutable pcs : Coverage.pc_sink;
       (* the statement-coverage kind, so the per-instruction record does
          not test the tier *)
-  (* per-segment parameters and results *)
+  (* per-drive parameters *)
+  mutable selective : bool;
   mutable spawning : bool;
   mutable threshold : int;
+  mutable limit : int;
+  mutable boundary : int;  (* where the caller's tick runs next *)
+  (* per-segment parameter and result *)
   mutable budget : int;
   mutable retired : int;
   mutable memo_hits : int;
@@ -121,7 +114,24 @@ type t = {
          path's id inside an NT-Path, so a memoized *write* only
          short-circuits when the line already carries this path's tag (no
          retag, no journal due). *)
+  (* per-drive accounting, reset by [drive]: a nested drive (an NT-Path run
+     from a branch hook) works on its own handle and cannot touch these *)
+  mutable fast_insns : int;
+  mutable fast_segments : int;
+  mutable fast_branches : int;
+  obs : bool;
+  deopts : int array;
+      (* observatory only: instrumented steps by cause, indexed by the
+         [d_*] constants below *)
 }
+
+let d_branch = 0
+let d_syscall = 1
+let d_watch = 2
+let d_detector = 3
+let d_fault = 4
+let d_other = 5
+let d_pinned = 6
 
 let[@inline always] latency t ~write addr =
   if Cache.memo_probe t.l1 addr ~owner:t.owner ~write then begin
@@ -174,12 +184,11 @@ let[@inline never] special t pc n cyc ld st br =
    are already in [n]..[st], the pc is not advanced. *)
 let[@inline never] overflow t pc n cyc ld st br =
   finish t pc n cyc ld st br;
-  Overflow
+  Overflowed
 
 (* [pc]..[br] are the live per-instruction state; every executed
-   instruction mirrors the instrumented tier's per-pc coverage record
-   (engine and NT-Path loop tops) and the insns/cycles bump of
-   [Cpu.step]. *)
+   instruction mirrors the per-pc coverage record [step] makes before the
+   instrumented tier and that tier's own insns/cycles bump. *)
 let rec go t pc n cyc ld st br =
   if n >= t.budget then begin
     finish t pc n cyc ld st br;
@@ -360,7 +369,7 @@ let rec go t pc n cyc ld st br =
       special t pc n cyc ld st br
   end
 
-let make machine ctx coverage =
+let make ?(obs = false) machine ctx coverage =
   let dcode = machine.Machine.dcode in
   {
     machine;
@@ -375,25 +384,165 @@ let make machine ctx coverage =
     sandbox = None;
     owner = Cache.committed_owner;
     pcs = Coverage.pc_sink coverage ~nt:false;
+    selective = false;
     spawning = false;
     threshold = 0;
+    limit = 0;
+    boundary = 0;
     budget = 0;
     retired = 0;
     memo_hits = 0;
+    fast_insns = 0;
+    fast_segments = 0;
+    fast_branches = 0;
+    obs;
+    deopts = Array.make 7 0;
   }
 
-let run t ~spawning ~threshold ~budget =
+(* One fast segment of up to [budget] instructions from [ctx.pc]. Kept out
+   of line: inlined into the driver, its three pointer stores would each be
+   copied (with their write barriers) into every continuation. *)
+let[@inline never] segment t ~budget =
   let ctx = t.ctx in
   t.l1 <- ctx.Context.l1;
   t.sandbox <- ctx.Context.sandbox;
   t.owner <- Context.path_id ctx;
   t.pcs <- Coverage.pc_sink t.coverage ~nt:(Context.is_sandboxed ctx);
-  t.spawning <- spawning;
-  t.threshold <- threshold;
   t.budget <- budget;
   t.memo_hits <- 0;
   let stop = go t ctx.Context.pc 0 0 0 0 0 in
   if t.memo_hits > 0 then Cache.add_hits t.l1 t.memo_hits;
   stop
 
-let retired t = t.retired
+(* Observatory: why did the fast tier hand this pc to the instrumented
+   tier? The fast tier stops *before* executing a special instruction, so
+   the cause is readable from the decoded image at the current pc. *)
+let count_deopt t cause =
+  t.deopts.(cause) <- t.deopts.(cause) + 1
+
+let[@inline never] classify_deopt t =
+  let pc = t.ctx.Context.pc in
+  let rec cause = function
+    | Decode.D_syscall _ -> d_syscall
+    | Decode.D_watch _ | Decode.D_unwatch _ -> d_watch
+    | Decode.D_checkz _ -> d_detector
+    | Decode.D_div _ | Decode.D_mod _ | Decode.D_divi _ | Decode.D_modi _
+    | Decode.D_load _ | Decode.D_store _ | Decode.D_call _ | Decode.D_ret
+    | Decode.D_push _ | Decode.D_pop _ ->
+      (* memory/divisor operands the fast tier refused to touch *)
+      d_fault
+    | Decode.D_pred d -> cause d
+    | _ -> d_other
+  in
+  count_deopt t
+    (if pc < 0 || pc >= t.code_len then d_fault else cause t.dcode.(pc))
+
+(* The tier protocol. Before every segment or instrumented step: the limit,
+   then the caller's tick once its boundary is reached, then the gate. A
+   segment's budget is clamped to the limit and the boundary, so both fire
+   at the same retired-instruction counts as in a single-tier run. *)
+let rec drive_loop t h =
+  let ctx = t.ctx in
+  let insns = ctx.Context.stats.Context.insns in
+  if insns >= t.limit then Limit
+  else begin
+    if insns >= t.boundary then t.boundary <- h.tick ();
+    let machine = t.machine in
+    let bound = if t.limit < t.boundary then t.limit else t.boundary in
+    if
+      t.selective && bound > insns
+      && Watchpoints.is_empty machine.Machine.watch
+      && (match machine.Machine.store_hook with None -> true | Some _ -> false)
+    then begin
+      let branches = ctx.Context.stats.Context.branches in
+      let stop = segment t ~budget:(bound - insns) in
+      let retired = t.retired in
+      if retired > 0 then begin
+        (* The segment bumped the context's stats itself; the global index
+           (report provenance) follows here, before any instrumented-tier
+           report. *)
+        machine.Machine.insn_index <- machine.Machine.insn_index + retired;
+        t.fast_insns <- t.fast_insns + retired;
+        t.fast_branches <-
+          t.fast_branches + ctx.Context.stats.Context.branches - branches;
+        t.fast_segments <- t.fast_segments + 1
+      end;
+      match stop with
+      | Budget -> drive_loop t h
+      | Special ->
+        if t.obs then classify_deopt t;
+        step t h (-1)
+      | Special_branch_taken ->
+        if t.obs then count_deopt t d_branch;
+        step t h 1
+      | Special_branch_nontaken ->
+        if t.obs then count_deopt t d_branch;
+        step t h 0
+      | Overflowed -> Overflow
+    end
+    else begin
+      (* Pinned: selective execution is off for this drive, armed
+         watchpoints / a store hook need the instrumented tier, or the tick
+         asked to run again before the next instruction (a reset interval
+         of 0), which leaves no budget for a segment. *)
+      if t.obs && t.selective then count_deopt t d_pinned;
+      step t h (-1)
+    end
+  end
+
+(* One instruction on the instrumented tier. [predicted] is the fast tier's
+   evaluation of a spawn-candidate branch's condition (1 taken, 0 not taken,
+   -1 none) — an int, not a bool option, so a step allocates nothing. *)
+and step t h predicted =
+  let ctx = t.ctx in
+  Coverage.record_pc
+    (Coverage.pc_sink t.coverage ~nt:(Context.is_sandboxed ctx))
+    ctx.Context.pc;
+  match Cpu.step t.machine ctx with
+  | Cpu.Ev_normal -> drive_loop t h
+  | Cpu.Ev_branch ->
+    if predicted >= 0 && (predicted = 1) <> ctx.Context.br_taken then
+      (* Both tiers evaluate the same compare on the same registers;
+         disagreement means an interpreter bug, not a program outcome. *)
+      failwith "Fast_loop: the fast tier diverged at a branch";
+    h.branch ();
+    drive_loop t h
+  | Cpu.Ev_syscall sys -> if h.syscall sys then drive_loop t h else Unsafe sys
+  | Cpu.Ev_exit status -> Exited status
+  | Cpu.Ev_halt -> Halted
+  | Cpu.Ev_fault f -> Fault f
+  | Cpu.Ev_overflow -> Overflow
+
+let drive t h ~selective ~spawning ~threshold ~limit =
+  t.selective <- selective;
+  t.spawning <- spawning;
+  t.threshold <- threshold;
+  t.limit <- limit;
+  t.boundary <- 0;
+  t.fast_insns <- 0;
+  t.fast_segments <- 0;
+  t.fast_branches <- 0;
+  Array.fill t.deopts 0 (Array.length t.deopts) 0;
+  drive_loop t h
+
+let fast_insns t = t.fast_insns
+let fast_segments t = t.fast_segments
+
+let record_telemetry t tel =
+  if t.fast_insns > 0 then begin
+    Telemetry.count tel "selective.fast_insns" t.fast_insns;
+    Telemetry.count tel "selective.segments" t.fast_segments;
+    (* conditional branches retired on the fast tier *)
+    Telemetry.count tel "selective.fast_branch_bits" t.fast_branches
+  end;
+  if t.obs then begin
+    (* Deopt-cause histogram and tier pinning, exported only when the
+       observatory is armed so unobserved telemetry output is unchanged. *)
+    Telemetry.count tel "obs.deopt.branch" t.deopts.(d_branch);
+    Telemetry.count tel "obs.deopt.syscall" t.deopts.(d_syscall);
+    Telemetry.count tel "obs.deopt.watch" t.deopts.(d_watch);
+    Telemetry.count tel "obs.deopt.detector" t.deopts.(d_detector);
+    Telemetry.count tel "obs.deopt.fault" t.deopts.(d_fault);
+    Telemetry.count tel "obs.deopt.other" t.deopts.(d_other);
+    Telemetry.count tel "obs.pinned_insns" t.deopts.(d_pinned)
+  end

@@ -1,73 +1,108 @@
-(** The selective fast tier: a stripped interpreter that commits exactly the
-    observable state transitions of the instrumented tier ([Cpu.step] under
-    {!Engine.run} or {!Nt_path.run}) for the instructions it executes, and
-    stops — committing nothing — immediately before any instruction that
+(** The run driver: the one loop behind every simulated run — the taken
+    path and NT-Paths of {!Engine.run}, the paths of the software
+    PathExpander and the plain baseline run.
+
+    A drive alternates two tiers. The selective fast tier is a stripped
+    interpreter that commits exactly the observable state transitions of
+    the instrumented tier ([step] in [Cpu]) for the instructions it
+    executes, and stops — committing nothing — before any instruction that
     needs detector, watchpoint, syscall, recorder or spawn machinery. The
-    caller then executes that instruction on the instrumented tier
-    (deoptimization, not re-execution), keeping every observable bit-for-bit
-    identical to a fully instrumented run.
+    driver then executes that one instruction on the instrumented tier
+    (deoptimization, not re-execution) and hands its event to the caller's
+    {!hooks}, keeping every observable bit-for-bit identical to a fully
+    instrumented run.
 
-    One loop serves the taken path and NT-Paths. The difference between
-    them is read from the context at every segment: an unsandboxed context
-    runs on plain memory under committed cache ownership with taken-path
-    coverage; a sandboxed one routes memory through its sandbox (buffered
-    writes, speculative cache ownership under [Context.path_id]) and
-    records NT-Path coverage.
+    The driver owns the tier protocol: the selective gate, segment budgets
+    clamped to the limit and the tick's boundary, the [Machine.insn_index]
+    sync after a fast segment, the per-pc coverage record before an
+    instrumented step (its kind read from [Context.is_sandboxed]), the
+    cross-check of a fast-evaluated branch, and the mapping of both tiers'
+    events onto one {!exit}. Callers keep only their own policy: spawning,
+    counter resets, redirects and syscall virtualisation, as hooks.
 
-    The handle ({!make}) is built once per run (or per NT arena) so that a
-    segment call allocates nothing: per-call parameters travel through the
-    handle, exit state is flushed straight into the context, and the stop
-    constructors are all constant. *)
+    The difference between the taken path and an NT-Path is read from the
+    context at every segment: an unsandboxed context runs on plain memory
+    under committed cache ownership with taken-path coverage; a sandboxed
+    one routes memory through its sandbox (buffered or logged writes,
+    speculative cache ownership under [Context.path_id]) and records
+    NT-Path coverage. *)
 
-type stop =
-  | Budget  (** segment budget exhausted *)
-  | Special
-      (** the instruction at [ctx.pc] needs the instrumented tier; nothing
-          about it has been committed *)
-  | Special_branch_taken
-      (** a spawn-candidate conditional branch at [ctx.pc]; the fast tier
-          evaluated its condition as taken (cross-checked against the
-          instrumented tier's own evaluation) *)
-  | Special_branch_nontaken
-      (** like [Special_branch_taken] with the condition not taken *)
-  | Overflow
-      (** a sandboxed store overflowed the path's L1 line budget; the store
-          has retired (stats and latency charged, [ctx.pc] left on it) —
-          exactly the state the instrumented tier's raise leaves behind.
-          Unreachable for an unsandboxed context. *)
+(** A driver handle, bound to one machine, context and coverage sink. The
+    context's L1, sandbox and path id are re-read at every segment, so a
+    pooled NT context retargeted per spawn (CMP core L1s, fresh 8-bit path
+    ids) needs no handle rebuild. A segment allocates nothing.
 
-(** A fast-tier handle, bound to one machine, context and coverage sink.
-    The context's L1, sandbox and path id are re-read at every segment, so
-    a pooled NT context retargeted per spawn (CMP core L1s, fresh 8-bit
-    path ids) needs no handle rebuild. *)
+    [obs] (default off) counts instrumented steps by cause for the Coverage
+    Observatory ({!record_telemetry}). *)
 type t
 
-val make : Machine.t -> Context.t -> Coverage.t -> t
+val make : ?obs:bool -> Machine.t -> Context.t -> Coverage.t -> t
 
-(** [run t ~spawning ~threshold ~budget] executes up to [budget]
-    instructions on the fast tier, starting at [ctx.pc]. [spawning] is
-    false when branches take no instrumented-tier action at all (no BTB
-    traffic, branches never deoptimize): {!Pe_config.Baseline} without
-    profiled fixing on the taken path, and every NT-Path that follows
-    actual conditions. Otherwise any branch whose forced-edge counter
-    probes below [threshold] (or misses the BTB) stops the segment. Passing
-    [threshold = max_int] therefore deoptimizes at *every* branch, touching
-    no BTB state — how the callers keep straight-line code fast under
-    configurations with per-branch actions (random spawning's RNG draw,
-    profiled fixing's observation, spawn-everywhere, forced cold edges
-    inside NT-Paths).
+(** How a drive ended. *)
+type exit =
+  | Limit  (** the context retired [limit] instructions *)
+  | Exited of int  (** the program called [exit] *)
+  | Halted
+  | Fault of Cpu.fault  (** the instruction at [ctx.pc] faulted *)
+  | Overflow
+      (** a sandboxed write exceeded the L1's buffering capacity; the store
+          has retired in place *)
+  | Unsafe of Insn.sys
+      (** a sandboxed syscall the [syscall] hook declined; not executed *)
 
-    Retired instructions are already added to [ctx]'s stats when this
-    returns (read the count with {!retired}; the caller must add it to
-    [Machine.insn_index]). [ctx.pc] is left at the next instruction to
-    execute — for [Special]/[Special_branch_*], the instruction the
-    instrumented tier must run.
+(** The caller's side of a drive. All three read the context they need
+    ([ctx.pc], the [br_*] scratch fields, registers) directly.
+    - [tick] runs at the start of the drive and then whenever the
+      context's retired-instruction count reaches the boundary it last
+      returned (before that count's segment or instrumented step): a
+      segment never crosses it, and a boundary at or below the current
+      count (a zero reset interval) makes the drive step instead.
+    - [branch] runs after the instrumented tier resolved a conditional
+      branch; it may redirect [ctx.pc].
+    - [syscall] runs when a sandboxed context meets a syscall, which the
+      instrumented tier reports without executing: [true] means the hook
+      handled it (and moved [ctx.pc] on), [false] ends the drive with
+      [Unsafe]. An unsandboxed context executes its syscalls itself. *)
+type hooks = {
+  tick : unit -> int;
+  branch : unit -> unit;
+  syscall : Insn.sys -> bool;
+}
 
-    Preconditions (enforced by {!Engine.run} and {!Nt_path.run}): no
-    watchpoints armed; no store hook; the taken path's context is the
-    primary, an NT-Path's is sandboxed; and under per-branch-action
-    configurations, [spawning = true] with [threshold = max_int]. *)
-val run : t -> spawning:bool -> threshold:int -> budget:int -> stop
+(** A [tick] with no boundary. *)
+val no_tick : unit -> int
 
-(** Instructions retired by the most recent {!run} segment. *)
-val retired : t -> int
+(** [drive t hooks ~selective ~spawning ~threshold ~limit] runs the context
+    from [ctx.pc] until it ends or its stats reach [limit] retired
+    instructions.
+
+    Segments run on the fast tier only when [selective] holds, no
+    watchpoints are armed and no store hook is attached (re-checked before
+    every segment). [spawning] is false when branches take no
+    instrumented-tier action at all (no BTB traffic, branches never
+    deoptimize). Otherwise any branch whose forced-edge counter probes below
+    [threshold] (or misses the BTB) deoptimizes; [threshold = max_int]
+    deoptimizes at *every* branch and touches no BTB state — how callers
+    with per-branch actions (random spawning's RNG draw, profiled fixing's
+    observation, spawn-everywhere, forced cold edges inside NT-Paths, the
+    software history) keep straight-line code fast. Such callers must pass
+    [spawning = true] with [threshold = max_int].
+
+    The drive's accounting ({!fast_insns}, {!fast_segments}, the
+    observatory counts) is reset on entry and belongs to [t]; a drive nested
+    in a hook must use another handle. *)
+val drive :
+  t -> hooks -> selective:bool -> spawning:bool -> threshold:int -> limit:int
+  -> exit
+
+(** Instructions the last drive retired on the fast tier. *)
+val fast_insns : t -> int
+
+(** Fast segments of the last drive that retired at least one
+    instruction. *)
+val fast_segments : t -> int
+
+(** The last drive's [selective.*] counters (when it ran any fast segment)
+    and, for an [obs] handle, its [obs.deopt.*] and [obs.pinned_insns]
+    counts. *)
+val record_telemetry : t -> Telemetry.t -> unit

@@ -34,19 +34,22 @@ let is_unsafe record =
   | T_unsafe _ -> true
   | T_max_length | T_crash _ | T_program_end | T_cache_overflow -> false
 
-(* Pooled spawn state: one context, one overlay sandbox, one fast-tier
-   handle and the per-spawn telemetry counter handles, recycled across every
-   NT-Path an engine run spawns. A spawn is then a register blit plus O(1)
-   resets instead of a context, two tables, a journal and a segment's worth
-   of closures allocated and thrown away per path — and its termination
-   accounting is five pre-resolved counter bumps instead of five string
-   hashes. *)
+(* Pooled spawn state: one context, one overlay sandbox, one driver handle
+   with its hooks and the per-spawn telemetry counter handles, recycled
+   across every NT-Path an engine run spawns. A spawn is then a register
+   blit plus O(1) resets instead of a context, two tables, a journal and a
+   segment's worth of closures allocated and thrown away per path — and its
+   termination accounting is five pre-resolved counter bumps instead of
+   five string hashes. *)
 type arena = {
+  machine : Machine.t;
+  config : Pe_config.t;
+  coverage : Coverage.t;
   ctx : Context.t;
   sandbox : Context.sandbox;
-  mutable fl : Fast_loop.t option;
-      (* built lazily on the first spawn: the coverage sink only reaches
-         this module through [run] *)
+  fl : Fast_loop.t;
+  hooks : Fast_loop.hooks;
+  input_pos : int ref;  (* the path-local [getc] cursor *)
   c_term : Telemetry.counter_handle array;  (* indexed by [term_index] *)
   c_insns : Telemetry.counter_handle;
   c_fast_insns : Telemetry.counter_handle;
@@ -65,15 +68,78 @@ let all_terminations =
   [| T_max_length; T_crash Cpu.Div_by_zero; T_unsafe Insn.Sys_exit;
      T_program_end; T_cache_overflow |]
 
-let make_arena machine ~l1 =
+let termination_of_exit = function
+  | Fast_loop.Limit -> T_max_length
+  | Fast_loop.Halted -> T_program_end
+  | Fast_loop.Fault fault -> T_crash fault
+  | Fast_loop.Overflow -> T_cache_overflow
+  | Fast_loop.Unsafe sys -> T_unsafe sys
+  (* A sandboxed syscall is reported without being executed, so a sandboxed
+     context cannot exit (see the sandboxed-syscall unit test). Treat a
+     broken invariant as the unsafe event it would have been, not a crash
+     of the simulator. *)
+  | Fast_loop.Exited _ -> T_unsafe Insn.Sys_exit
+
+(* The path's hooks. Inner branches follow the actual condition; with
+   [follow_nontaken_in_nt] (the Section 4.2 ablation) a cold non-taken edge
+   is forced instead, without any consistency fix. With [sandbox_syscalls]
+   (the OS-support extension, the paper's Section 3.2 future work) I/O
+   syscalls are virtualised instead of squashing — output is discarded,
+   getc reads ahead on a path-local cursor — so the path runs on. *)
+let hooks machine (config : Pe_config.t) coverage ctx input_pos =
+  let io = machine.Machine.io in
+  let branch () =
+    let br_pc = ctx.Context.br_pc in
+    let taken = ctx.Context.br_taken in
+    let followed =
+      if config.Pe_config.follow_nontaken_in_nt then begin
+        let taken_count, nontaken_count =
+          Btb.counts machine.Machine.btb br_pc
+        in
+        let forced_count = if taken then nontaken_count else taken_count in
+        if forced_count < config.Pe_config.nt_counter_threshold then begin
+          ctx.Context.pc <-
+            (if taken then br_pc + 1 else ctx.Context.br_target);
+          not taken
+        end
+        else taken
+      end
+      else taken
+    in
+    Coverage.record_nt coverage br_pc followed
+  in
+  let syscall sys =
+    config.Pe_config.sandbox_syscalls
+    &&
+    match sys with
+    | Insn.Sys_putc | Insn.Sys_print_int ->
+      ctx.Context.pc <- ctx.Context.pc + 1;
+      true
+    | Insn.Sys_getc ->
+      Context.set_reg ctx Reg.rv (Io.peek_at io !input_pos);
+      if Io.peek_at io !input_pos >= 0 then incr input_pos;
+      ctx.Context.pc <- ctx.Context.pc + 1;
+      true
+    | Insn.Sys_exit -> false
+  in
+  { Fast_loop.tick = Fast_loop.no_tick; branch; syscall }
+
+let make_arena machine config coverage ~l1 =
   let tel = machine.Machine.telemetry in
+  let ctx = Context.create ~l1 ~pc:0 ~sp:0 in
+  let input_pos = ref 0 in
   {
-    ctx = Context.create ~l1 ~pc:0 ~sp:0;
+    machine;
+    config;
+    coverage;
+    ctx;
     sandbox =
       Context.make_sandbox ~path_id:Cache.committed_owner
         ~line_limit:(Machine_config.l1_lines machine.Machine.config)
         ~words_per_line:(Machine_config.words_per_line machine.Machine.config);
-    fl = None;
+    fl = Fast_loop.make machine ctx coverage;
+    hooks = hooks machine config coverage ctx input_pos;
+    input_pos;
     c_term =
       Array.map
         (fun t -> Telemetry.counter_handle tel ("nt.term." ^ termination_name t))
@@ -92,13 +158,10 @@ let make_arena machine ~l1 =
    instructions execute. All memory writes are buffered in the sandbox; on
    termination the path's cache lines are gang-invalidated, its watchpoint
    mutations undone, and the buffered writes discarded — only detector
-   reports (the monitor memory area) survive.
-
-   Inner branches follow the actual condition; with
-   [follow_nontaken_in_nt] (the Section 4.2 ablation) a cold non-taken edge
-   is forced instead, without any consistency fix. *)
-let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
-    ~entry ~spawn_br_pc ~forced_direction ~path_id =
+   reports (the monitor memory area) survive. *)
+let run ?fix_override arena ~l1 ~regs ~entry ~spawn_br_pc ~forced_direction
+    ~path_id =
+  let machine = arena.machine and config = arena.config in
   let ctx = arena.ctx in
   Context.reset_for_spawn ctx ~l1 ~pc:entry;
   Array.blit regs 0 ctx.Context.regs 0 Reg.count;
@@ -113,116 +176,18 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
    | Some (addr, value) ->
      ignore (Context.sandbox_write sandbox machine.Machine.mem addr value)
    | None -> ctx.Context.pred <- config.Pe_config.fixing);
-  Coverage.record_nt coverage spawn_br_pc forced_direction;
-  (* OS-support extension (the paper's Section 3.2 future work): virtualise
-     I/O syscalls instead of squashing — output is discarded, getc reads
-     ahead on a path-local cursor, so the path runs on. *)
-  let nt_input_pos = ref (Io.input_pos machine.Machine.io) in
-  let virtualise_syscall sys =
-    match sys with
-    | Insn.Sys_putc | Insn.Sys_print_int ->
-      ctx.Context.pc <- ctx.Context.pc + 1;
-      true
-    | Insn.Sys_getc ->
-      Context.set_reg ctx Reg.rv (Io.peek_at machine.Machine.io !nt_input_pos);
-      if Io.peek_at machine.Machine.io !nt_input_pos >= 0 then
-        incr nt_input_pos;
-      ctx.Context.pc <- ctx.Context.pc + 1;
-      true
-    | Insn.Sys_exit -> false
+  Coverage.record_nt arena.coverage spawn_br_pc forced_direction;
+  arena.input_pos := Io.input_pos machine.Machine.io;
+  (* Forced cold edges at inner branches need per-branch BTB counts, so
+     every branch deoptimizes; otherwise branches follow the actual
+     condition with no BTB traffic. *)
+  let termination =
+    termination_of_exit
+      (Fast_loop.drive arena.fl arena.hooks
+         ~selective:config.Pe_config.selective
+         ~spawning:config.Pe_config.follow_nontaken_in_nt ~threshold:max_int
+         ~limit:config.Pe_config.max_nt_path_length)
   in
-  (* Selective fast tier inside the path. When the run forces cold edges at
-     inner branches ([follow_nontaken_in_nt], which needs per-branch BTB
-     counts), the fast tier deoptimizes at every branch instead of being
-     disabled — straight-line stretches stay fast: with [threshold =
-     max_int] every branch is a spawn candidate and the probe touches no
-     BTB state. Otherwise branches follow the actual condition with no BTB
-     traffic. Watchpoints and the store hook are rechecked every iteration
-     — the path itself arms and disarms them. *)
-  let fast_ok = config.Pe_config.selective in
-  let deopt_branches = config.Pe_config.follow_nontaken_in_nt in
-  (* One fast-tier handle per arena (built on the first spawn, when the
-     run's coverage sink is first in hand): segments after that allocate
-     nothing. The handle is bound to the arena's context — exactly this
-     path's — and re-reads its L1, sandbox and path id per segment,
-     covering per-spawn retargeting. *)
-  let fl =
-    match arena.fl with
-    | Some fl -> fl
-    | None ->
-      let fl = Fast_loop.make machine ctx coverage in
-      arena.fl <- Some fl;
-      fl
-  in
-  let fast_insns = ref 0 in
-  let rec loop () =
-    if ctx.Context.stats.Context.insns >= config.Pe_config.max_nt_path_length
-    then T_max_length
-    else if
-      fast_ok
-      && Watchpoints.is_empty machine.Machine.watch
-      && (match machine.Machine.store_hook with
-         | None -> true
-         | Some _ -> false)
-    then begin
-      let budget =
-        config.Pe_config.max_nt_path_length - ctx.Context.stats.Context.insns
-      in
-      let fstop =
-        Fast_loop.run fl ~spawning:deopt_branches ~threshold:max_int ~budget
-      in
-      let retired = Fast_loop.retired fl in
-      (* The fast tier bumped the context's stats; the global index (report
-         provenance) follows here, before any instrumented-tier report. *)
-      machine.Machine.insn_index <- machine.Machine.insn_index + retired;
-      fast_insns := !fast_insns + retired;
-      match fstop with
-      | Fast_loop.Budget -> T_max_length
-      | Fast_loop.Special | Fast_loop.Special_branch_taken
-      | Fast_loop.Special_branch_nontaken ->
-        step_slow ()
-      | Fast_loop.Overflow -> T_cache_overflow
-    end
-    else step_slow ()
-  and step_slow () =
-    begin
-      Coverage.record_pc_nt coverage ctx.Context.pc;
-      match Cpu.step machine ctx with
-      | Cpu.Ev_normal -> loop ()
-      | Cpu.Ev_branch ->
-        let br_pc = ctx.Context.br_pc in
-        let taken = ctx.Context.br_taken in
-        let followed =
-          if config.Pe_config.follow_nontaken_in_nt then begin
-            (* Ablation: force the cold non-taken edge instead. *)
-            let taken_count, nontaken_count = Btb.counts machine.Machine.btb br_pc in
-            let forced_count = if taken then nontaken_count else taken_count in
-            if forced_count < config.Pe_config.nt_counter_threshold then begin
-              ctx.Context.pc <-
-                (if taken then br_pc + 1 else ctx.Context.br_target);
-              not taken
-            end
-            else taken
-          end
-          else taken
-        in
-        Coverage.record_nt coverage br_pc followed;
-        loop ()
-      | Cpu.Ev_syscall sys ->
-        if config.Pe_config.sandbox_syscalls && virtualise_syscall sys then
-          loop ()
-        else T_unsafe sys
-      | Cpu.Ev_halt -> T_program_end
-      (* [Cpu.exec] reports a sandboxed syscall as [Ev_syscall] *without*
-         executing it, so [Ev_exit] cannot be produced here (see the
-         sandboxed-syscall unit test). Treat a broken invariant as the
-         unsafe event it would have been, not a crash of the simulator. *)
-      | Cpu.Ev_exit _ -> T_unsafe Insn.Sys_exit
-      | Cpu.Ev_fault fault -> T_crash fault
-      | Cpu.Ev_overflow -> T_cache_overflow
-    end
-  in
-  let termination = loop () in
   Context.undo_watches sandbox machine.Machine.watch;
   let recorder = machine.Machine.recorder in
   (* Time the squash (and the Terminate event below) at the path's own final
@@ -232,7 +197,8 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
   let squashed_lines = Cache.gang_invalidate l1 ~owner:path_id in
   Telemetry.counter_incr arena.c_term.(term_index termination);
   Telemetry.counter_add arena.c_insns ctx.Context.stats.Context.insns;
-  if !fast_insns > 0 then Telemetry.counter_add arena.c_fast_insns !fast_insns;
+  let fast_insns = Fast_loop.fast_insns arena.fl in
+  if fast_insns > 0 then Telemetry.counter_add arena.c_fast_insns fast_insns;
   Telemetry.counter_add arena.c_cycles ctx.Context.stats.Context.cycles;
   Telemetry.counter_add arena.c_squashed squashed_lines;
   if Recorder.enabled recorder then begin

@@ -32,12 +32,17 @@ val termination_name : termination -> string
 val is_crash : record -> bool
 val is_unsafe : record -> bool
 
-(** Pooled spawn state — a context and an overlay sandbox recycled across
-    every NT-Path of an engine run, so a spawn allocates nothing. *)
+(** The termination an NT-Path drive's exit stands for. *)
+val termination_of_exit : Fast_loop.exit -> termination
+
+(** Pooled spawn state — a context, an overlay sandbox and a driver handle
+    recycled across every NT-Path of an engine run, so a spawn allocates
+    nothing. *)
 type arena
 
-(** One arena for a machine's geometry; the L1 is retargeted per spawn. *)
-val make_arena : Machine.t -> l1:Cache.t -> arena
+(** One arena for an engine run: its machine, configuration and coverage
+    sink; the L1 is retargeted per spawn. *)
+val make_arena : Machine.t -> Pe_config.t -> Coverage.t -> l1:Cache.t -> arena
 
 (** Execute one NT-Path to termination. [regs] is the spawning core's
     register file (copied, never mutated); [l1] the cache the path runs
@@ -49,10 +54,7 @@ val make_arena : Machine.t -> l1:Cache.t -> arena
     sandbox at entry and suppresses the boundary stubs. *)
 val run :
   ?fix_override:int * int ->
-  Machine.t ->
-  Pe_config.t ->
-  Coverage.t ->
-  arena:arena ->
+  arena ->
   l1:Cache.t ->
   regs:int array ->
   entry:int ->

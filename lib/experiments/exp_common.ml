@@ -48,15 +48,16 @@ let machine ctx ~input program =
   in
   Machine.create ~input ~recorder ~fastpath:ctx.spec.Run_spec.fastpath program
 
+let spec_config ctx config =
+  {
+    config with
+    Pe_config.selective =
+      config.Pe_config.selective && ctx.spec.Run_spec.selective;
+  }
+
 let engine ctx ~config machine =
   let spec = ctx.spec in
-  let config =
-    {
-      config with
-      Pe_config.selective =
-        config.Pe_config.selective && spec.Run_spec.selective;
-    }
-  in
+  let config = spec_config ctx config in
   let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
   let tel = machine.Machine.telemetry in
   let recorder = machine.Machine.recorder in

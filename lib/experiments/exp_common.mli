@@ -55,8 +55,12 @@ val compile :
     a fresh enabled flight recorder. *)
 val machine : ctx -> input:string -> Program.t -> Machine.t
 
-(** Run the engine on a machine made by {!machine}: the spec's [selective]
-    is AND-ed into [config] and its [obs] arms the observatory
+(** [config] with the spec's [selective] AND-ed in: what every run of the
+    leg, hardware or software PathExpander, executes under. *)
+val spec_config : ctx -> Pe_config.t -> Pe_config.t
+
+(** Run the engine on a machine made by {!machine} under
+    [spec_config ctx config]; the spec's [obs] arms the observatory
     bookkeeping. Appends the run's trace and telemetry to the context and
     returns the effective configuration with the result. *)
 val engine :

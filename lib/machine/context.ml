@@ -131,7 +131,7 @@ type t = {
   mutable sandbox : sandbox option;
   stats : stats;
   mutable l1 : Cache.t;
-  (* Scratch fields the interpreter fills when [Cpu.step] returns
+  (* Scratch fields the instrumented interpreter fills when it returns
      [Ev_branch], so the per-branch event carries no allocation; the
      fallthrough is always [br_pc + 1]. *)
   mutable br_pc : int;

@@ -330,34 +330,3 @@ let step machine ctx =
     | Memory.Fault f -> Ev_fault (Mem_fault f)
     | Overflow -> Ev_overflow
   end
-
-type run_outcome = {
-  outcome : [ `Halted | `Exited of int | `Faulted of fault | `Fuel_exhausted ];
-  insns : int;
-  cycles : int;
-}
-
-(* Run a program to completion with no PathExpander involvement: the baseline
-   monitored run. *)
-let run_baseline ?(fuel = 200_000_000) machine =
-  let ctx = Machine.main_context machine in
-  let rec loop () =
-    if ctx.Context.stats.Context.insns >= fuel then `Fuel_exhausted
-    else
-      match step machine ctx with
-      | Ev_normal | Ev_branch | Ev_syscall _ -> loop ()
-      | Ev_exit status -> `Exited status
-      | Ev_halt -> `Halted
-      | Ev_fault f -> `Faulted f
-      (* An unsandboxed context cannot buffer writes, so [data_write] never
-         raises [Overflow] here (see the Ev_overflow-unreachable tests). If
-         the invariant is ever broken, surface a fault instead of crashing
-         the whole simulator. *)
-      | Ev_overflow -> `Faulted Sandbox_overflow
-  in
-  let outcome = loop () in
-  {
-    outcome;
-    insns = ctx.Context.stats.Context.insns;
-    cycles = ctx.Context.stats.Context.cycles;
-  }

@@ -1,10 +1,11 @@
 (** The instruction interpreter.
 
     [step] executes exactly one instruction in a context and returns the
-    event the surrounding engine must act on. PathExpander logic (BTB
+    event the surrounding driver must act on. PathExpander logic (BTB
     updates, NT-Path spawning, termination) lives entirely outside this
-    module, so the same interpreter serves the baseline run, the taken path,
-    NT-Paths, and the software-PathExpander implementation. *)
+    module: [Fast_loop.drive] is the one caller of [step], and serves the
+    baseline run, the taken path, NT-Paths and the software-PathExpander
+    implementation alike. *)
 
 type fault =
   | Mem_fault of Memory.fault
@@ -59,12 +60,3 @@ val exec_div : int array -> int -> int -> int -> unit
 val exec_mod : int array -> int -> int -> int -> unit
 
 val step : Machine.t -> Context.t -> event
-
-type run_outcome = {
-  outcome : [ `Halted | `Exited of int | `Faulted of fault | `Fuel_exhausted ];
-  insns : int;
-  cycles : int;
-}
-
-(** Run to completion with no PathExpander: the baseline monitored run. *)
-val run_baseline : ?fuel:int -> Machine.t -> run_outcome

@@ -32,59 +32,6 @@ let history_bump (history : history) pc dir =
   let i = history_index pc dir in
   history.(i) <- history.(i) + 1
 
-let run_nt_path machine (config : Pe_config.t) coverage ~ctx ~entry ~spawn_br_pc
-    ~forced_direction ~path_id =
-  let saved = Context.checkpoint ctx in
-  let sandbox = Context.make_write_log_sandbox ~path_id in
-  Context.set_spawn_info sandbox ~br_pc:spawn_br_pc ~edge:forced_direction;
-  Context.enter_sandbox ctx sandbox;
-  ctx.Context.pc <- entry;
-  ctx.Context.pred <- config.Pe_config.fixing;
-  Coverage.record_nt coverage spawn_br_pc forced_direction;
-  let start = ctx.Context.stats.Context.insns in
-  let start_branches = ctx.Context.stats.Context.branches in
-  let rec loop () =
-    if
-      ctx.Context.stats.Context.insns - start
-      >= config.Pe_config.max_nt_path_length
-    then Nt_path.T_max_length
-    else begin
-      Coverage.record_pc_nt coverage ctx.Context.pc;
-      match Cpu.step machine ctx with
-      | Cpu.Ev_normal -> loop ()
-      | Cpu.Ev_branch ->
-        Coverage.record_nt coverage ctx.Context.br_pc ctx.Context.br_taken;
-        loop ()
-      | Cpu.Ev_syscall sys -> Nt_path.T_unsafe sys
-      | Cpu.Ev_halt -> Nt_path.T_program_end
-      | Cpu.Ev_fault fault -> Nt_path.T_crash fault
-      (* Sandboxed syscalls are reported without executing, so [Ev_exit] is
-         unreachable here; degrade to the unsafe event rather than crash. *)
-      | Cpu.Ev_exit _ -> Nt_path.T_unsafe Insn.Sys_exit
-      (* Write-log sandboxes are unbounded ([sandbox_write] always returns
-         true), so overflow is unreachable; treat it as the graceful
-         NT-Path termination cause if the invariant ever breaks. *)
-      | Cpu.Ev_overflow -> Nt_path.T_cache_overflow
-    end
-  in
-  let termination = loop () in
-  let nt_writes = Context.write_log_size sandbox in
-  Context.rollback_write_log sandbox machine.Machine.mem;
-  Context.undo_watches sandbox machine.Machine.watch;
-  Context.exit_sandbox ctx;
-  Context.restore ctx saved;
-  {
-    Nt_path.spawn_br_pc;
-    forced_direction;
-    entry_pc = entry;
-    insns = ctx.Context.stats.Context.insns - start;
-    cycles = 0;
-    stores = nt_writes;
-    branches = ctx.Context.stats.Context.branches - start_branches;
-    squashed_lines = 0;  (* restore-log rollback: no cache lines to squash *)
-    termination;
-  }
-
 let run ?(config = Pe_config.default) ?(model = Pin_model.default)
     ?(fuel = 100_000_000) machine =
   let program = machine.Machine.program in
@@ -100,7 +47,64 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
   let nt_insns = ref 0 in
   let nt_branches = ref 0 in
   let nt_writes = ref 0 in
-  let handle_branch ~br_pc ~taken =
+  let selective = config.Pe_config.selective in
+  (* Two driver handles on the one context: each NT-Path is driven from
+     inside the taken drive's branch hook, and each drive's accounting
+     stays on its own handle. *)
+  let taken_fl = Fast_loop.make machine ctx coverage in
+  let nt_fl = Fast_loop.make machine ctx coverage in
+  (* NT-Paths follow the actual condition, with no BTB traffic, and
+     terminate at any syscall. *)
+  let nt_hooks =
+    {
+      Fast_loop.tick = Fast_loop.no_tick;
+      branch =
+        (fun () ->
+          Coverage.record_nt coverage ctx.Context.br_pc ctx.Context.br_taken);
+      syscall = (fun _ -> false);
+    }
+  in
+  (* The spawn saves the processor state; the write-log sandbox writes
+     through to memory and is rolled back at squash. *)
+  let run_nt_path ~entry ~spawn_br_pc ~forced_direction =
+    incr next_path_id;
+    let saved = Context.checkpoint ctx in
+    let path_id = ((!next_path_id - 1) mod 255) + 1 in
+    let sandbox = Context.make_write_log_sandbox ~path_id in
+    Context.set_spawn_info sandbox ~br_pc:spawn_br_pc ~edge:forced_direction;
+    Context.enter_sandbox ctx sandbox;
+    ctx.Context.pc <- entry;
+    ctx.Context.pred <- config.Pe_config.fixing;
+    Coverage.record_nt coverage spawn_br_pc forced_direction;
+    let start = ctx.Context.stats.Context.insns in
+    let start_branches = ctx.Context.stats.Context.branches in
+    let termination =
+      Nt_path.termination_of_exit
+        (Fast_loop.drive nt_fl nt_hooks ~selective ~spawning:false
+           ~threshold:max_int
+           ~limit:(start + config.Pe_config.max_nt_path_length))
+    in
+    let writes = Context.write_log_size sandbox in
+    Context.rollback_write_log sandbox machine.Machine.mem;
+    Context.undo_watches sandbox machine.Machine.watch;
+    Context.exit_sandbox ctx;
+    Context.restore ctx saved;
+    {
+      Nt_path.spawn_br_pc;
+      forced_direction;
+      entry_pc = entry;
+      insns = ctx.Context.stats.Context.insns - start;
+      cycles = 0;
+      stores = writes;
+      branches = ctx.Context.stats.Context.branches - start_branches;
+      squashed_lines = 0;  (* restore-log rollback: no cache lines to squash *)
+      termination;
+    }
+  in
+  (* The taken path's branch hook: every branch bumps the history, and a
+     cold non-taken edge is spawned on the spot. *)
+  let branch () =
+    let br_pc = ctx.Context.br_pc and taken = ctx.Context.br_taken in
     Coverage.record_taken coverage br_pc taken;
     let forced_count = history_count history br_pc (not taken) in
     history_bump history br_pc taken;
@@ -112,11 +116,8 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
       history_bump history br_pc (not taken);
       let entry = if taken then br_pc + 1 else ctx.Context.br_target in
       incr spawns;
-      incr next_path_id;
       let record =
-        run_nt_path machine config coverage ~ctx ~entry ~spawn_br_pc:br_pc
-          ~forced_direction:(not taken)
-          ~path_id:(((!next_path_id - 1) mod 255) + 1)
+        run_nt_path ~entry ~spawn_br_pc:br_pc ~forced_direction:(not taken)
       in
       nt_records := record :: !nt_records;
       nt_insns := !nt_insns + record.Nt_path.insns;
@@ -124,24 +125,15 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
       nt_writes := !nt_writes + record.Nt_path.stores
     end
   in
-  let rec loop () =
-    if ctx.Context.stats.Context.insns >= fuel then `Fuel_exhausted
-    else begin
-      Coverage.record_pc_taken coverage ctx.Context.pc;
-      match Cpu.step machine ctx with
-      | Cpu.Ev_normal | Cpu.Ev_syscall _ -> loop ()
-      | Cpu.Ev_branch ->
-        handle_branch ~br_pc:ctx.Context.br_pc ~taken:ctx.Context.br_taken;
-        loop ()
-      | Cpu.Ev_exit status -> `Exited status
-      | Cpu.Ev_halt -> `Halted
-      | Cpu.Ev_fault f -> `Faulted f
-      (* The taken-path context is outside any sandbox here, so overflow is
-         unreachable; fault gracefully instead of crashing. *)
-      | Cpu.Ev_overflow -> `Faulted Cpu.Sandbox_overflow
-    end
+  (* The history is the software's own, so every taken-path branch
+     deoptimizes ([threshold = max_int] touches no BTB state). *)
+  let outcome =
+    Engine.outcome_of_exit
+      (Fast_loop.drive taken_fl
+         { Fast_loop.tick = Fast_loop.no_tick; branch;
+           syscall = (fun _ -> true) }
+         ~selective ~spawning:true ~threshold:max_int ~limit:fuel)
   in
-  let outcome = loop () in
   (* The context ran both the taken path and (serially) every NT-Path; the
      taken path's own profile is the difference. *)
   let taken_insns = ctx.Context.stats.Context.insns - !nt_insns in

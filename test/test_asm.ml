@@ -103,7 +103,7 @@ main:
     }
   in
   let machine = Machine.create program in
-  (match (Cpu.run_baseline machine).Cpu.outcome with
+  (match (Engine.run ~config:Pe_config.baseline machine).Engine.outcome with
    | `Halted -> ()
    | _ -> Alcotest.fail "assembled program did not halt");
   Alcotest.(check string) "prints 42" "42" (Machine.output machine)

@@ -4,8 +4,8 @@
 let exec ?(options = Codegen.default_options) ?(input = "") source =
   let compiled = Compile.compile ~options source in
   let machine = Machine.create ~input compiled.Compile.program in
-  let result = Cpu.run_baseline machine in
-  (match result.Cpu.outcome with
+  let result = Engine.run ~config:Pe_config.baseline machine in
+  (match result.Engine.outcome with
    | `Halted | `Exited _ -> ()
    | `Faulted f -> Alcotest.failf "program faulted: %s" (Cpu.fault_to_string f)
    | `Fuel_exhausted -> Alcotest.fail "program ran out of fuel");
@@ -343,9 +343,9 @@ let test_exec_exit () =
     Compile.compile "int main() { exit(7); print_int(1); return 0; }"
   in
   let machine = Machine.create compiled.Compile.program in
-  let result = Cpu.run_baseline machine in
+  let result = Engine.run ~config:Pe_config.baseline machine in
   Alcotest.(check bool) "exit stops execution" true
-    (result.Cpu.outcome = `Exited 7);
+    (result.Engine.outcome = `Exited 7);
   Alcotest.(check string) "nothing printed" "" (Machine.output machine)
 
 (* --- compile-time structure ------------------------------------------------ *)

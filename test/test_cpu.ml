@@ -24,7 +24,7 @@ let build ?(globals = 4) code =
 
 let run ?input code =
   let machine = Machine.create ?input (build code) in
-  let result = Cpu.run_baseline machine in
+  let result = Engine.run ~config:Pe_config.baseline machine in
   (machine, result)
 
 let t0 = Reg.tmp 0
@@ -41,9 +41,9 @@ let test_arith_and_halt () =
         Insn.Halt;
       ]
   in
-  Alcotest.(check bool) "halted" true (result.Cpu.outcome = `Halted);
+  Alcotest.(check bool) "halted" true (result.Engine.outcome = `Halted);
   Alcotest.(check int) "6*7" 42 (Memory.read machine.Machine.mem g0);
-  Alcotest.(check int) "insns" 4 result.Cpu.insns
+  Alcotest.(check int) "insns" 4 result.Engine.taken_insns
 
 let test_branch_taken_and_not () =
   let machine, _ =
@@ -101,14 +101,14 @@ let test_syscalls () =
         Insn.Halt;
       ]
   in
-  Alcotest.(check bool) "halted" true (result.Cpu.outcome = `Halted);
+  Alcotest.(check bool) "halted" true (result.Engine.outcome = `Halted);
   Alcotest.(check string) "echo + int" "h42" (Machine.output machine)
 
 let test_exit () =
   let _, result =
     run [ Insn.Li (Reg.arg 0, 3); Insn.Syscall Insn.Sys_exit; Insn.Halt ]
   in
-  Alcotest.(check bool) "exited 3" true (result.Cpu.outcome = `Exited 3)
+  Alcotest.(check bool) "exited 3" true (result.Engine.outcome = `Exited 3)
 
 let test_getc_eof () =
   let machine, _ =
@@ -118,12 +118,12 @@ let test_getc_eof () =
 
 let test_div_by_zero_fault () =
   let _, result = run [ Insn.Li (t0, 1); Insn.Binop (Insn.Div, t0, t0, Reg.zero); Insn.Halt ] in
-  Alcotest.(check bool) "faulted" true (result.Cpu.outcome = `Faulted Cpu.Div_by_zero)
+  Alcotest.(check bool) "faulted" true (result.Engine.outcome = `Faulted Cpu.Div_by_zero)
 
 let test_null_access_fault () =
   let _, result = run [ Insn.Load (t0, Reg.zero, 2); Insn.Halt ] in
   Alcotest.(check bool) "null fault" true
-    (result.Cpu.outcome = `Faulted (Cpu.Mem_fault Memory.Null_access))
+    (result.Engine.outcome = `Faulted (Cpu.Mem_fault Memory.Null_access))
 
 let test_predication () =
   (* pred clear: Pred acts as NOP; set via sandboxed context below *)
@@ -209,7 +209,7 @@ let test_checkz_reports () =
     }
   in
   let machine = Machine.create program in
-  let _ = Cpu.run_baseline machine in
+  let _ = Engine.run ~config:Pe_config.baseline machine in
   Alcotest.(check (list int)) "only site 0" [ 0 ]
     (Report.distinct_sites machine.Machine.reports)
 
@@ -231,7 +231,7 @@ let test_watch_insn_triggers () =
     }
   in
   let machine = Machine.create program in
-  let _ = Cpu.run_baseline machine in
+  let _ = Engine.run ~config:Pe_config.baseline machine in
   Alcotest.(check (list int)) "watch fired" [ 0 ]
     (Report.distinct_sites machine.Machine.reports)
 
@@ -240,8 +240,8 @@ let test_bad_pc () =
   (* Ret pops garbage (stack_base word = 0 is below null guard... the pop
      reads the word at sp = stack_base which is out of range) *)
   let machine = Machine.create program in
-  let result = Cpu.run_baseline machine in
-  (match result.Cpu.outcome with
+  let result = Engine.run ~config:Pe_config.baseline machine in
+  (match result.Engine.outcome with
    | `Faulted _ -> ()
    | _ -> Alcotest.fail "expected a fault")
 
@@ -251,7 +251,7 @@ let test_cycles_include_memory_latency () =
     run [ Insn.Load (t0, Reg.zero, g0); Insn.Halt ]
   in
   Alcotest.(check bool) "memory access costs more" true
-    (result_mem.Cpu.cycles > result_fast.Cpu.cycles)
+    (result_mem.Engine.taken_cycles > result_fast.Engine.taken_cycles)
 
 let tests =
   [

@@ -6,8 +6,8 @@ let run ?(detector = Codegen.Ccured) ?(input = "") source =
   let options = { Codegen.detector; fixing = true } in
   let compiled = Compile.compile ~options source in
   let machine = Machine.create ~input compiled.Compile.program in
-  let result = Cpu.run_baseline machine in
-  (match result.Cpu.outcome with
+  let result = Engine.run ~config:Pe_config.baseline machine in
+  (match result.Engine.outcome with
    | `Halted | `Exited _ -> ()
    | `Faulted f -> Alcotest.failf "faulted: %s" (Cpu.fault_to_string f)
    | `Fuel_exhausted -> Alcotest.fail "fuel");

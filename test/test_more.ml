@@ -5,7 +5,7 @@
 let exec ?(options = Codegen.default_options) ?(input = "") source =
   let compiled = Compile.compile ~options source in
   let machine = Machine.create ~input compiled.Compile.program in
-  (match (Cpu.run_baseline machine).Cpu.outcome with
+  (match (Engine.run ~config:Pe_config.baseline machine).Engine.outcome with
    | `Halted | `Exited _ -> ()
    | `Faulted f -> Alcotest.failf "faulted: %s" (Cpu.fault_to_string f)
    | `Fuel_exhausted -> Alcotest.fail "fuel");

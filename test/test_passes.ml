@@ -153,9 +153,9 @@ let test_instr_select_o0_identity () =
 
 let run_program program input =
   let machine = Machine.create ~input program in
-  let r = Cpu.run_baseline machine in
+  let r = Engine.run ~config:Pe_config.baseline machine in
   let outcome =
-    match r.Cpu.outcome with
+    match r.Engine.outcome with
     | `Halted -> "halted"
     | `Exited n -> Printf.sprintf "exited %d" n
     | `Faulted f -> "fault " ^ Cpu.fault_to_string f
@@ -331,9 +331,9 @@ let observables level source =
   let compiled = Compile.compile ~level source in
   let program = compiled.Compile.program in
   let machine = Machine.create program in
-  let r = Cpu.run_baseline machine in
+  let r = Engine.run ~config:Pe_config.baseline machine in
   let outcome =
-    match r.Cpu.outcome with
+    match r.Engine.outcome with
     | `Halted -> "halted"
     | `Exited n -> Printf.sprintf "exited %d" n
     | `Faulted f -> "fault " ^ Cpu.fault_to_string f

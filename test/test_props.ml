@@ -115,7 +115,7 @@ let prop_compiled_arith_matches_reference =
       in
       let compiled = Compile.compile source in
       let machine = Machine.create compiled.Compile.program in
-      match (Cpu.run_baseline machine).Cpu.outcome with
+      match (Engine.run ~config:Pe_config.baseline machine).Engine.outcome with
       | `Halted -> Machine.output machine = string_of_int (aexpr_eval e)
       | _ -> false)
 

@@ -88,8 +88,9 @@ let test_div_by_zero_parity () =
 
 (* [Cpu.exec] must report a sandboxed syscall as [Ev_syscall] *without*
    executing it — the invariant that makes [Ev_exit] unreachable from
-   NT-Path execution (Nt_path.run degrades it to an unsafe event rather
-   than [assert false]). *)
+   NT-Path execution (the driver's [Exited] exit, which
+   [Nt_path.termination_of_exit] degrades to an unsafe event rather than
+   [assert false]). *)
 let test_sandboxed_syscall_reported_not_executed () =
   let compiled = Compile.compile "int main() { exit(3); return 0; }" in
   let machine = Machine.create compiled.Compile.program in
@@ -291,6 +292,12 @@ let test_differential_per_branch_configs () =
   ignore
     (check_differential "follow-nontaken ablation"
        ~config:{ cfg with Pe_config.follow_nontaken_in_nt = true }
+       pt);
+  (* A zero reset interval resets the counters before every instruction:
+     no segment fits between two ticks, so the drive steps. *)
+  ignore
+    (check_differential "counter reset every instruction"
+       ~config:{ cfg with Pe_config.counter_reset_interval = 0 }
        pt)
 
 (* An NT-Path store that overflows the L1 buffer retires in place (stats and
@@ -311,6 +318,81 @@ let test_differential_cache_overflow () =
        (fun (r : Nt_path.record) ->
          r.Nt_path.termination = Nt_path.T_cache_overflow)
        r_on.Engine.nt_records)
+
+(* --- software-engine differential --------------------------------------- *)
+
+(* Every observable of a software-PathExpander run except memory: outcome,
+   spawns, every NT-Path record, the cost accounting, the coverage bitmaps,
+   the reports with their [insn_index] provenance and the output. *)
+let soft_observables machine (r : Soft_engine.result) =
+  let cov = r.Soft_engine.coverage in
+  let bits pc =
+    ( Coverage.covered_taken_edge cov pc false,
+      Coverage.covered_taken_edge cov pc true,
+      Coverage.covered_nt_edge cov pc false,
+      Coverage.covered_nt_edge cov pc true,
+      Coverage.pc_line_covered cov pc )
+  in
+  ( ( Engine.outcome_name r.Soft_engine.outcome,
+      r.Soft_engine.spawns,
+      r.Soft_engine.nt_records,
+      r.Soft_engine.accounting ),
+    ( List.init (Array.length machine.Machine.dcode) bits,
+      Coverage.stmt_taken_pct cov,
+      Coverage.stmt_combined_pct cov ),
+    Report.entries machine.Machine.reports,
+    Machine.output machine )
+
+(* One software run with selective on and one with it off: every observable
+   and every word of the final memory identical. Returns the selective
+   run's outcome. *)
+let check_soft_differential name ?fuel ?detector ?bug workload =
+  let compiled = Workload.compile ?detector ?bug workload in
+  let run selective =
+    let machine =
+      Machine.create ~input:workload.Workload.default_input
+        compiled.Compile.program
+    in
+    let config = { (Workload.pe_config workload) with Pe_config.selective } in
+    (machine, Soft_engine.run ~config ?fuel machine)
+  in
+  let m_off, r_off = run false in
+  let m_on, r_on = run true in
+  Alcotest.(check bool)
+    (name ^ ": observables identical")
+    true
+    (soft_observables m_off r_off = soft_observables m_on r_on);
+  let mem_off = m_off.Machine.mem and mem_on = m_on.Machine.mem in
+  let differences = ref 0 in
+  for addr = Memory.null_guard to Memory.size mem_off - 1 do
+    if Memory.read mem_off addr <> Memory.read mem_on addr then incr differences
+  done;
+  Alcotest.(check int) (name ^ ": final memory identical") 0 !differences;
+  r_on.Soft_engine.outcome
+
+(* The software engine drives its taken path (every branch deoptimizes for
+   the history) and its write-log NT-Paths through the same driver; each
+   must match the instrumented tier on every perf workload, with detector
+   reports filed from both tiers (CCured), under armed watchpoints
+   (iWatcher: the drive is pinned while they last) and when the fuel clamp
+   ends the run mid-program. *)
+let test_soft_differential () =
+  List.iter
+    (fun (w : Workload.t) ->
+      ignore (check_soft_differential w.Workload.name w);
+      Alcotest.(check string)
+        (w.Workload.name ^ ": fuel clamp")
+        "fuel-exhausted"
+        (Engine.outcome_name
+           (check_soft_differential (w.Workload.name ^ " fuel 5000")
+              ~fuel:5_000 w)))
+    Registry.perf_apps;
+  ignore
+    (check_soft_differential "ccured bug" ~detector:Codegen.Ccured ~bug:10
+       Registry.print_tokens2);
+  ignore
+    (check_soft_differential "iwatcher bug" ~detector:Codegen.Iwatcher ~bug:10
+       Registry.print_tokens2)
 
 (* --- random-program differential --------------------------------------------- *)
 
@@ -391,5 +473,7 @@ let tests =
       test_differential_per_branch_configs;
     Alcotest.test_case "L1-overflow NT-Paths stay equivalent" `Quick
       test_differential_cache_overflow;
+    Alcotest.test_case "software engine: selective = instrumented" `Quick
+      test_soft_differential;
     QCheck_alcotest.to_alcotest prop_random_program_differential;
   ]
