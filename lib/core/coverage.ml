@@ -37,36 +37,50 @@ type t = {
   mutable nt_seq : int array;
 }
 
+(* Slots marked '\001'. *)
+let count_lines bytes =
+  Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 bytes
+
 let create program =
   let n = Array.length program.Program.code in
   let ubits = Bytes.make n '\000' in
   List.iter
     (fun pc -> if pc >= 0 && pc < n then Bytes.set ubits pc '\001')
     program.Program.user_branches;
-  let branch_universe =
-    Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 ubits
-  in
-  let line_of = Array.make n 0 in
+  let user = Bytes.make n '\000' in
   List.iter
     (fun (lo, hi) ->
       for pc = lo to min (hi - 1) (n - 1) do
-        line_of.(pc) <- Program.line_of_pc program pc
+        Bytes.set user pc '\001'
       done)
     program.Program.user_code_ranges;
+  (* One walk over the pc-sorted [source_lines] in step with the pcs: a
+     user pc takes the line of the last entry at or before it, as
+     [Program.line_of_pc] would find by binary search. *)
+  let line_of = Array.make n 0 in
+  let src = program.Program.source_lines in
+  let next = ref 0 and line = ref 0 in
+  for pc = 0 to n - 1 do
+    while !next < Array.length src && fst src.(!next) <= pc do
+      line := snd src.(!next);
+      incr next
+    done;
+    if Bytes.get user pc = '\001' then line_of.(pc) <- !line
+  done;
   let max_line = Array.fold_left max 0 line_of in
-  let distinct = Hashtbl.create 256 in
-  Array.iter (fun l -> if l > 0 then Hashtbl.replace distinct l ()) line_of;
+  let seen = Bytes.make (max_line + 1) '\000' in
+  Array.iter (fun l -> if l > 0 then Bytes.set seen l '\001') line_of;
   let line_taken = Bytes.make (max_line + 1) '\000' in
   let line_nt = Bytes.make (max_line + 1) '\000' in
   {
     ubits;
-    branch_universe;
+    branch_universe = count_lines ubits;
     taken = Bytes.make (2 * n) '\000';
     nt = Bytes.make (2 * n) '\000';
     line_of;
     line_taken;
     line_nt;
-    line_universe = Hashtbl.length distinct;
+    line_universe = count_lines seen;
     pc_taken = { sink_line_of = line_of; sink_lines = line_taken };
     pc_nt = { sink_line_of = line_of; sink_lines = line_nt };
     attr_armed = false;
@@ -144,8 +158,6 @@ let[@inline always] record_pc sink pc =
 let pc_sink cov ~nt = if nt then cov.pc_nt else cov.pc_taken
 let[@inline always] record_pc_taken cov pc = record_pc cov.pc_taken pc
 let[@inline always] record_pc_nt cov pc = record_pc cov.pc_nt pc
-
-let count_lines bytes = Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 bytes
 
 (* Line bitmaps only: slot 0 is the runtime-code sentinel, never a line. *)
 let count_marked_lines bytes =

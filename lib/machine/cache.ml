@@ -2,11 +2,16 @@
    version tag from the paper (0 = committed data; the standard
    configuration's 1-bit Vtag is the special case of IDs {0,1}).
 
-   Line state is struct-of-arrays: four flat arrays indexed by
-   [set * assoc + way] instead of one record per line. A 1 MB L2 has 32k
-   lines — as records that is 32k heap blocks allocated per machine and a
-   pointer chase per probe; as flat arrays it is four allocations and
-   contiguous scans.
+   Line state is struct-of-arrays held in pages: each page covers a fixed
+   block of [page_sets] sets and stores flat [tags]/[valid]/[owners]/[lrus]
+   arrays indexed [set_in_page * assoc + way], plus the page's [mru_way]
+   filter. Every page of every cache starts as one shared, never-written
+   zero page (tag 0, invalid, owner 0, lru 0 — exactly what fresh flat
+   arrays read), and the first fill into a page swaps a fresh one in. A
+   1 MB L2 has 32k lines of which a run fills a few dozen, so [create]
+   pays for a page table, not for the capacity, and a run pays for the
+   pages it fills. Line indices outside a page (journals, snapshots,
+   [Reference]) are global: [set * assoc + way].
 
    Squash and commit are O(lines the path touched), not O(cache): every
    ownership acquisition journals the line index under its owner (the
@@ -51,21 +56,65 @@ let tracked_owners = 256
    The memo, unlike the filter, is trusted without re-validation, so every
    mutation that could invalidate or retag a memoized line outside
    [access_line] — gang-invalidate (squash, path-id-wrap cleanup), lazy
-   commit, their [Reference] sweeps, [clear] — must kill it ([memo_kill]).
+   commit and their [Reference] sweeps — must kill it ([memo_kill]).
    Mutations *inside* [access_line] (fill, eviction, write-hit retag)
    refresh the memo as part of the access. *)
 
-type t = {
+let committed_owner = 0
+
+(* One block of [page_sets] consecutive sets; a line's slot is
+   [set_in_page * assoc + way]. *)
+type page = {
   tags : int array;  (* per line: cached line address *)
   valid : Bytes.t;  (* per line: '\001' when valid *)
   owners : int array;  (* per line: version tag *)
   lrus : int array;  (* per line: last-touch clock *)
+  mru_way : int array;  (* per set: candidate way of the last hit/fill *)
+}
+
+let page_set_bits = 6
+let page_sets = 1 lsl page_set_bits
+let page_set_mask = page_sets - 1
+
+let make_page ~sets ~assoc =
+  let lines = sets * assoc in
+  {
+    tags = Array.make lines 0;
+    valid = Bytes.make lines '\000';
+    owners = Array.make lines committed_owner;
+    lrus = Array.make lines 0;
+    mru_way = Array.make sets 0;
+  }
+
+(* The never-written page every page starts as. Its arrays must span a
+   whole page of the cache that uses it, so this holds the largest one any
+   [create] has needed: every zero page reads the same, whatever its size.
+   Racing creates may each build their own; each cache compares against
+   the one it was created with. *)
+let zero_page = Atomic.make (make_page ~sets:page_sets ~assoc:1)
+
+let zero_page_for ~assoc =
+  let z = Atomic.get zero_page in
+  if Bytes.length z.valid >= page_sets * assoc then z
+  else begin
+    let z = make_page ~sets:page_sets ~assoc in
+    Atomic.set zero_page z;
+    z
+  end
+
+type t = {
+  pages : page array;  (* per [page_sets] sets; [zero] until first fill *)
+  zero : page;
+  page_lines : int;  (* page_sets * assoc: global line index -> page *)
   nsets : int;
   assoc : int;
   words_per_line : int;
   line_shift : int;  (* log2 words_per_line, or -1 when not a power of two *)
   set_mask : int;  (* nsets - 1 when a power of two, or -1 *)
-  owner_journal : int Vec.t array;  (* per owner: lines that took its tag *)
+  (* per owner: lines that took its tag, the first [journal_len] slots of
+     [journals]; every owner starts on the shared empty array *)
+  journals : int array array;
+  journal_len : int array;
   owner_count : int array;  (* per owner: valid lines currently tagged *)
   mutable clock : int;
   mutable hits : int;
@@ -85,13 +134,10 @@ type t = {
   mutable memo_laddr1 : int;
   mutable memo_set1 : int;
   mutable memo_owner1 : int;
-  mru_way : int array;  (* per set: candidate way of the last hit/fill *)
   mutable recorder : Recorder.t;
       (* the owning machine's flight recorder (the disabled singleton until
          attached): squash/commit of an owner's lines emit lifecycle events *)
 }
-
-let committed_owner = 0
 
 let log2_pow2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
@@ -102,17 +148,18 @@ let create ~size_kb ~assoc ~line_bytes =
   if lines mod assoc <> 0 then invalid_arg "Cache.create: geometry";
   let nsets = lines / assoc in
   let words_per_line = line_bytes / Machine_config.word_bytes in
+  let zero = zero_page_for ~assoc in
   {
-    tags = Array.make lines 0;
-    valid = Bytes.make lines '\000';
-    owners = Array.make lines committed_owner;
-    lrus = Array.make lines 0;
+    pages = Array.make ((nsets + page_set_mask) lsr page_set_bits) zero;
+    zero;
+    page_lines = page_sets * assoc;
     nsets;
     assoc;
     words_per_line;
     line_shift = log2_pow2 words_per_line;
     set_mask = (if log2_pow2 nsets >= 0 then nsets - 1 else -1);
-    owner_journal = Array.init tracked_owners (fun _ -> Vec.create ~dummy:0);
+    journals = Array.make tracked_owners [||];
+    journal_len = Array.make tracked_owners 0;
     owner_count = Array.make tracked_owners 0;
     clock = 0;
     hits = 0;
@@ -126,18 +173,30 @@ let create ~size_kb ~assoc ~line_bytes =
     memo_laddr1 = min_int;
     memo_set1 = -2;
     memo_owner1 = -1;
-    mru_way = Array.make nsets 0;
     recorder = Recorder.disabled;
   }
 
 let set_recorder cache recorder = cache.recorder <- recorder
 
+(* Out of line: a page's first fill is rare, and [access_line] is the
+   simulator's hottest function. A fresh page stores only the sets a page
+   of this cache can address. *)
+let[@inline never] fresh_page cache pi =
+  let page = make_page ~sets:(min cache.nsets page_sets) ~assoc:cache.assoc in
+  Array.unsafe_set cache.pages pi page;
+  page
+
+(* Line [i] (a global index) lives in page [i / page_lines] at slot
+   [i mod page_lines]. An untouched line reads from the zero page. *)
+let page_of cache i = cache.pages.(i / cache.page_lines)
+let slot_of cache i = i mod cache.page_lines
+
 (* Kill the MRU memo (both entries). Called by every mutation path that can
    invalidate or retag lines without going through [access_line]: squash
    (gang-invalidate, including the defensive path-id-wrap cleanup when it
-   actually releases lines), lazy commit, the Reference sweeps, [clear], and
-   the fast-path toggle. The filter needs no such care — it is re-verified
-   on every probe. *)
+   actually releases lines), lazy commit, the Reference sweeps, and the
+   fast-path toggle. The filter needs no such care — it is re-verified on
+   every probe. *)
 let memo_kill cache =
   cache.memo_laddr0 <- min_int;
   cache.memo_set0 <- -1;
@@ -177,7 +236,7 @@ let set_index cache laddr =
     let n = cache.nsets in
     ((laddr mod n) + n) mod n
 
-let line_valid cache i = Bytes.unsafe_get cache.valid i = '\001'
+let slot_valid page s = Bytes.unsafe_get page.valid s = '\001'
 
 let tracked owner = owner >= 0 && owner < tracked_owners
 
@@ -189,19 +248,47 @@ let count_decr cache owner =
   if tracked owner then
     cache.owner_count.(owner) <- cache.owner_count.(owner) - 1
 
-(* Journal line [i] under [owner]. Invariant: a valid line tagged with a
-   tracked speculative owner is always present in that owner's journal (the
-   journal may additionally hold stale entries — lines since evicted,
-   invalidated or re-tagged — which walks skip by re-checking ownership). *)
+(* Out of line: a journal fills up rarely. Journals are [int array]s, so
+   recording a line needs no write barrier; only installing a grown array
+   does. *)
+let[@inline never] grow_journal cache owner =
+  let old = cache.journals.(owner) in
+  let a = Array.make (max 16 (2 * Array.length old)) 0 in
+  Array.blit old 0 a 0 (Array.length old);
+  cache.journals.(owner) <- a;
+  a
+
+(* Journal line [i] (global index) under [owner]. Invariant: a valid line
+   tagged with a tracked speculative owner is always present in that
+   owner's journal (the journal may additionally hold stale entries — lines
+   since evicted, invalidated or re-tagged — which walks skip by
+   re-checking ownership). *)
 let journal_acquire cache i owner =
-  if tracked owner && owner <> committed_owner then
-    Vec.push cache.owner_journal.(owner) i
+  if tracked owner && owner <> committed_owner then begin
+    let len = cache.journal_len.(owner) in
+    let a = cache.journals.(owner) in
+    let a = if len = Array.length a then grow_journal cache owner else a in
+    Array.unsafe_set a len i;
+    cache.journal_len.(owner) <- len + 1
+  end
+
+(* Apply [f page slot] to each journaled line [owner] still owns, then
+   empty the journal. Stale entries — lines since evicted, invalidated or
+   re-tagged, and repeats — fail the ownership re-check. *)
+let drain_journal cache ~owner f =
+  let a = cache.journals.(owner) in
+  for k = 0 to cache.journal_len.(owner) - 1 do
+    let i = a.(k) in
+    let page = page_of cache i and s = slot_of cache i in
+    if slot_valid page s && page.owners.(s) = owner then f page s
+  done;
+  cache.journal_len.(owner) <- 0
 
 type outcome = Hit | Miss
 
 (* Associative walk of one set, hoisted to top level: an inner [let rec]
    would capture its locals and allocate a closure on every filter-miss
-   access (no flambda). Returns the matching way's flat index, or -1. *)
+   access (no flambda). Returns the matching way's slot, or -1. *)
 let rec scan_set valid tags laddr limit i =
   if i >= limit then -1
   else if
@@ -250,60 +337,66 @@ let access_line cache addr ~owner ~write ~allocate =
   else begin
     cache.clock <- cache.clock + 1;
     let set = set_index cache laddr in
-    let base = set * cache.assoc in
+    let pi = set lsr page_set_bits in
+    let ps = set land page_set_mask in
+    let page = Array.unsafe_get cache.pages pi in
+    let base = ps * cache.assoc in
     let limit = base + cache.assoc in
-    let tags = cache.tags in
     (* Layer 2: the direct-mapped tag filter — try the set's last hit/fill
        way before walking the set. The candidate is re-verified against the
        tag and valid arrays, so a stale hint is a wasted compare, never a
        wrong lookup. Fill-on-miss keeps tags unique per set, so a verified
        candidate is *the* matching way. *)
     let idx =
-      let w = base + Array.unsafe_get cache.mru_way set in
-      if Array.unsafe_get tags w = laddr && line_valid cache w then begin
+      let w = base + Array.unsafe_get page.mru_way ps in
+      if Array.unsafe_get page.tags w = laddr && slot_valid page w then begin
         cache.filter_hits <- cache.filter_hits + 1;
         w
       end
-      else scan_set cache.valid tags laddr limit base
+      else scan_set page.valid page.tags laddr limit base
     in
-    (* Invariant for the unsafe accessors below: [0 <= set < nsets] and
-       [base + assoc <= Array.length tags] — every per-line array has
-       exactly [nsets * assoc] slots (create), [set_index] reduces into
-       [0..nsets-1], and [idx]/victim indices stay within [base..limit-1]. *)
+    (* Invariant for the unsafe accessors below: [set_index] reduces into
+       [0..nsets-1], so [pi] indexes [pages] and [ps] is below the set
+       count of any page this cache reads — a fresh page holds
+       [min nsets page_sets] sets, the zero page at least [page_sets] — and
+       [idx]/victim slots stay within [base..limit-1]. A hit implies a
+       valid line, so only a fill can land on the zero page, and it swaps a
+       fresh page in first. *)
     if idx >= 0 then begin
-      Array.unsafe_set cache.lrus idx cache.clock;
-      let line_owner = Array.unsafe_get cache.owners idx in
+      Array.unsafe_set page.lrus idx cache.clock;
+      let line_owner = Array.unsafe_get page.owners idx in
       let line_owner =
         if write && line_owner <> owner then begin
           count_decr cache line_owner;
           count_incr cache owner;
-          Array.unsafe_set cache.owners idx owner;
-          journal_acquire cache idx owner;
+          Array.unsafe_set page.owners idx owner;
+          journal_acquire cache ((pi * cache.page_lines) + idx) owner;
           owner
         end
         else line_owner
       in
       cache.hits <- cache.hits + 1;
-      Array.unsafe_set cache.mru_way set (idx - base);
+      Array.unsafe_set page.mru_way ps (idx - base);
       memo_note cache laddr set line_owner;
       Hit
     end
     else begin
       if allocate then begin
+        let page = if page == cache.zero then fresh_page cache pi else page in
         (* Victim: least-recently-used way, invalid ways first (and among
            invalid ways the first one found). *)
-        let v = pick_victim cache.valid cache.lrus limit base (base + 1) in
-        let prev_owner = Array.unsafe_get cache.owners v in
-        if line_valid cache v then count_decr cache prev_owner;
-        Bytes.unsafe_set cache.valid v '\001';
-        Array.unsafe_set tags v laddr;
-        Array.unsafe_set cache.lrus v cache.clock;
+        let v = pick_victim page.valid page.lrus limit base (base + 1) in
+        let prev_owner = Array.unsafe_get page.owners v in
+        if slot_valid page v then count_decr cache prev_owner;
+        Bytes.unsafe_set page.valid v '\001';
+        Array.unsafe_set page.tags v laddr;
+        Array.unsafe_set page.lrus v cache.clock;
         count_incr cache owner;
         if prev_owner <> owner then begin
-          Array.unsafe_set cache.owners v owner;
-          journal_acquire cache v owner
+          Array.unsafe_set page.owners v owner;
+          journal_acquire cache ((pi * cache.page_lines) + v) owner
         end;
-        Array.unsafe_set cache.mru_way set (v - base);
+        Array.unsafe_set page.mru_way ps (v - base);
         memo_note cache laddr set owner
       end;
       cache.misses <- cache.misses + 1;
@@ -333,50 +426,52 @@ let access ?(owner = committed_owner) ?(write = false) ?(allocate = true) cache
   access_line cache addr ~owner ~write ~allocate
 
 (* Full-array sweeps: the reference implementations the indexed operations
-   must agree with. They keep the per-owner counts consistent, so mixing
-   sweep and indexed calls on one cache stays sound (sweeps may leave stale
-   journal entries behind; walks skip those by re-checking ownership). *)
+   must agree with. They visit every line, untouched ones on the zero page
+   included, and keep the per-owner counts consistent, so mixing sweep and
+   indexed calls on one cache stays sound (sweeps may leave stale journal
+   entries behind; walks skip those by re-checking ownership). *)
 let line_count cache = cache.nsets * cache.assoc
 
-let sweep_gang_invalidate cache ~owner =
+(* Count the lines owned by [owner], applying [f page slot] to each. *)
+let sweep_owner cache ~owner f =
   let count = ref 0 in
   for i = 0 to line_count cache - 1 do
-    if line_valid cache i && cache.owners.(i) = owner then begin
-      Bytes.unsafe_set cache.valid i '\000';
-      cache.owners.(i) <- committed_owner;
-      count_decr cache owner;
+    let page = page_of cache i and s = slot_of cache i in
+    if slot_valid page s && page.owners.(s) = owner then begin
+      f page s;
       incr count
     end
   done;
+  !count
+
+let sweep_gang_invalidate cache ~owner =
+  let count =
+    sweep_owner cache ~owner (fun page s ->
+        Bytes.unsafe_set page.valid s '\000';
+        page.owners.(s) <- committed_owner;
+        count_decr cache owner)
+  in
   (* A memoized line may just have been invalidated; trusting the memo past
      this point would fast-hit a dead line. A zero-line squash (the
      defensive cleanup on path-id wrap runs one per spawn once ids recycle)
      changed nothing and keeps the memo warm. *)
-  if !count > 0 then memo_kill cache;
-  !count
+  if count > 0 then memo_kill cache;
+  count
 
 let sweep_commit_owner cache ~owner =
-  let count = ref 0 in
-  for i = 0 to line_count cache - 1 do
-    if line_valid cache i && cache.owners.(i) = owner then begin
-      cache.owners.(i) <- committed_owner;
-      count_decr cache owner;
-      count_incr cache committed_owner;
-      incr count
-    end
-  done;
+  let count =
+    sweep_owner cache ~owner (fun page s ->
+        page.owners.(s) <- committed_owner;
+        count_decr cache owner;
+        count_incr cache committed_owner)
+  in
   (* Retagging invalidates the memo's owner mirror: a same-owner write to a
      memoized line would otherwise skip the retag-and-journal the now
      committed line is due. *)
-  if !count > 0 then memo_kill cache;
-  !count
+  if count > 0 then memo_kill cache;
+  count
 
-let sweep_owned_lines cache ~owner =
-  let count = ref 0 in
-  for i = 0 to line_count cache - 1 do
-    if line_valid cache i && cache.owners.(i) = owner then incr count
-  done;
-  !count
+let sweep_owned_lines cache ~owner = sweep_owner cache ~owner (fun _ _ -> ())
 
 (* Gang-invalidate every line owned by [owner] (NT-Path squash): walk only
    the owner's journal. The paper performs this with custom circuitry in a
@@ -385,16 +480,10 @@ let sweep_owned_lines cache ~owner =
 let gang_invalidate cache ~owner =
   let count =
     if tracked owner && owner <> committed_owner then begin
-      let vec = cache.owner_journal.(owner) in
       let count = cache.owner_count.(owner) in
-      Vec.iteri
-        (fun _ i ->
-          if line_valid cache i && cache.owners.(i) = owner then begin
-            Bytes.unsafe_set cache.valid i '\000';
-            cache.owners.(i) <- committed_owner
-          end)
-        vec;
-      Vec.clear vec;
+      drain_journal cache ~owner (fun page s ->
+          Bytes.unsafe_set page.valid s '\000';
+          page.owners.(s) <- committed_owner);
       cache.owner_count.(owner) <- 0;
       (* Same hazard as the sweep: a squashed line may be memoized. *)
       if count > 0 then memo_kill cache;
@@ -412,16 +501,10 @@ let gang_invalidate cache ~owner =
 let commit_owner cache ~owner =
   let count =
     if tracked owner && owner <> committed_owner then begin
-      let vec = cache.owner_journal.(owner) in
       let count = cache.owner_count.(owner) in
-      Vec.iteri
-        (fun _ i ->
-          if line_valid cache i && cache.owners.(i) = owner then begin
-            cache.owners.(i) <- committed_owner;
-            count_incr cache committed_owner
-          end)
-        vec;
-      Vec.clear vec;
+      drain_journal cache ~owner (fun page s ->
+          page.owners.(s) <- committed_owner;
+          count_incr cache committed_owner);
       cache.owner_count.(owner) <- 0;
       (* Same hazard as the sweep: the memo's owner mirror is now stale. *)
       if count > 0 then memo_kill cache;
@@ -445,7 +528,8 @@ end
 
 let snapshot cache =
   Array.init (line_count cache) (fun i ->
-      (cache.tags.(i), line_valid cache i, cache.owners.(i), cache.lrus.(i)))
+      let page = page_of cache i and s = slot_of cache i in
+      (page.tags.(s), slot_valid page s, page.owners.(s), page.lrus.(s)))
 
 (* Visible state with per-set LRU *ranks* in place of raw clock stamps: the
    memo fast path skips clock ticks, so a memoized cache and a plain one
@@ -455,31 +539,34 @@ let snapshot cache =
    selection takes the first invalid way by index). *)
 let snapshot_canonical cache =
   Array.init (line_count cache) (fun i ->
+      let page = page_of cache i and s = slot_of cache i in
       let rank =
-        if not (line_valid cache i) then -1
+        if not (slot_valid page s) then -1
         else begin
-          let base = i - (i mod cache.assoc) in
+          let base = s - (s mod cache.assoc) in
           let r = ref 0 in
           for j = base to base + cache.assoc - 1 do
-            if line_valid cache j && cache.lrus.(j) < cache.lrus.(i) then
-              incr r
+            if slot_valid page j && page.lrus.(j) < page.lrus.(s) then incr r
           done;
           !r
         end
       in
-      (cache.tags.(i), line_valid cache i, cache.owners.(i), rank))
+      (page.tags.(s), slot_valid page s, page.owners.(s), rank))
 
 let hits cache = cache.hits
 let misses cache = cache.misses
 let memo_hits cache = cache.memo_hits
 let filter_hits cache = cache.filter_hits
 
+(* O(pages filled): the zero page holds no valid line. *)
 let valid_lines cache =
-  let count = ref 0 in
-  for i = 0 to line_count cache - 1 do
-    if line_valid cache i then incr count
-  done;
-  !count
+  Array.fold_left
+    (fun acc page ->
+      if page == cache.zero then acc
+      else
+        Bytes.fold_left (fun n c -> if c = '\001' then n + 1 else n) acc
+          page.valid)
+    0 cache.pages
 
 (* Report this cache's access statistics and occupancy into a telemetry
    sink, under [prefix] (e.g. "l1.primary", "l2"). *)
@@ -497,18 +584,3 @@ let record_telemetry cache sink ~prefix =
   end;
   Telemetry.gauge sink (prefix ^ ".occupancy")
     (float_of_int (valid_lines cache) /. float_of_int (line_count cache))
-
-let reset_stats cache =
-  cache.hits <- 0;
-  cache.misses <- 0;
-  cache.memo_hits <- 0;
-  cache.filter_hits <- 0
-
-let clear cache =
-  Bytes.fill cache.valid 0 (line_count cache) '\000';
-  Array.fill cache.owners 0 (line_count cache) committed_owner;
-  Array.iter Vec.clear cache.owner_journal;
-  Array.fill cache.owner_count 0 tracked_owners 0;
-  memo_kill cache;
-  Array.fill cache.mru_way 0 cache.nsets 0;
-  reset_stats cache

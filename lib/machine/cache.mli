@@ -111,7 +111,3 @@ val line_count : t -> int
     [prefix]-qualified names (e.g. ["l2.hit_rate"]). *)
 val record_telemetry : t -> Telemetry.t -> prefix:string -> unit
 
-val reset_stats : t -> unit
-
-(** Invalidate everything and reset statistics. *)
-val clear : t -> unit

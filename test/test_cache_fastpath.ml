@@ -8,10 +8,12 @@
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* Same tiny geometry as test_cache_props: 16 sets x 2 ways = 32 lines,
-   8 words (32 bytes) per line, addresses spanning 128 distinct lines. *)
-let fresh_cache ~fastpath () =
-  let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
+(* Same geometries and addresses as test_cache_props: one page of 16 sets
+   x 2 ways = 32 lines, 8 words (32 bytes) per line, addresses spanning 128
+   distinct lines; and 128 sets in two pages, with addresses that collide
+   across them. *)
+let fresh_cache ?(size_kb = 1) ~fastpath () =
+  let c = Cache.create ~size_kb ~assoc:2 ~line_bytes:32 in
   Cache.set_fastpath c fastpath;
   c
 
@@ -36,7 +38,7 @@ let op_gen =
         ( 8,
           map
             (fun (a, (o, (w, al))) -> Access (a, o, w, al))
-            (pair (int_bound 1023)
+            (pair Test_cache_props.addr_gen
                (pair (int_bound 3) (pair bool (frequencyl [ (4, true); (1, false) ])))) );
         (1, map (fun o -> Squash (1 + o)) (int_bound 2));
         (1, map (fun o -> Commit (1 + o)) (int_bound 2));
@@ -51,31 +53,35 @@ let ops_arb =
    the hits it answers, so raw stamps diverge; [snapshot_canonical] (per-set
    LRU ranks) is the state both must agree on, along with every outcome,
    the hit/miss counters, and the per-owner line counts. *)
+let memoized_matches_plain ~size_kb ops =
+  let cf = fresh_cache ~size_kb ~fastpath:true () in
+  let cp = fresh_cache ~size_kb ~fastpath:false () in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Access (addr, owner, write, allocate) ->
+          Cache.access_line cf addr ~owner ~write ~allocate
+          = Cache.access_line cp addr ~owner ~write ~allocate
+        | Squash owner ->
+          Cache.gang_invalidate cf ~owner = Cache.gang_invalidate cp ~owner
+        | Commit owner ->
+          Cache.commit_owner cf ~owner = Cache.commit_owner cp ~owner
+      in
+      same_result
+      && Cache.snapshot_canonical cf = Cache.snapshot_canonical cp
+      && Cache.hits cf = Cache.hits cp
+      && Cache.misses cf = Cache.misses cp
+      && List.for_all
+           (fun o -> Cache.owned_lines cf ~owner:o = Cache.owned_lines cp ~owner:o)
+           [ 0; 1; 2; 3 ])
+    ops
+
 let prop_memoized_matches_plain =
   QCheck.Test.make ~name:"memoized cache matches plain cache" ~count:300
     ops_arb (fun ops ->
-      let cf = fresh_cache ~fastpath:true () in
-      let cp = fresh_cache ~fastpath:false () in
-      List.for_all
-        (fun op ->
-          let same_result =
-            match op with
-            | Access (addr, owner, write, allocate) ->
-              Cache.access_line cf addr ~owner ~write ~allocate
-              = Cache.access_line cp addr ~owner ~write ~allocate
-            | Squash owner ->
-              Cache.gang_invalidate cf ~owner = Cache.gang_invalidate cp ~owner
-            | Commit owner ->
-              Cache.commit_owner cf ~owner = Cache.commit_owner cp ~owner
-          in
-          same_result
-          && Cache.snapshot_canonical cf = Cache.snapshot_canonical cp
-          && Cache.hits cf = Cache.hits cp
-          && Cache.misses cf = Cache.misses cp
-          && List.for_all
-               (fun o -> Cache.owned_lines cf ~owner:o = Cache.owned_lines cp ~owner:o)
-               [ 0; 1; 2; 3 ])
-        ops)
+      memoized_matches_plain ~size_kb:1 ops
+      && memoized_matches_plain ~size_kb:8 ops)
 
 (* [memo_probe]'s contract: answering [true] promises [access_line] is a
    hit with no state change beyond the hit counter — so probe-then-access

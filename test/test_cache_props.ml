@@ -2,16 +2,31 @@
    journal-indexed gang_invalidate / commit_owner / owned_lines must be
    observationally identical to the Cache.Reference full-array sweeps under
    arbitrary interleavings of fills, write-hit retags, read hits, evictions,
-   squashes and commits across several concurrent owners — plus regression
-   tests for the stale-journal hazards (write-hit steals, path-id reuse
-   after squash). *)
+   squashes and commits across several concurrent owners, on caches of one
+   and of two line pages — plus regression tests for the stale-journal
+   hazards (write-hit steals, path-id reuse after squash). *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* Small geometry so random addresses collide and evict: 1 KB, 2-way,
-   32-byte lines -> 16 sets x 2 ways = 32 lines; addresses span 128 distinct
-   lines. *)
+(* Two geometries, each run on every op sequence. One page: 1 KB, 2-way,
+   32-byte lines -> 16 sets x 2 ways = 32 lines, so random addresses over
+   128 distinct lines collide and evict. Two pages: 8 KB, 2-way -> 128 sets
+   in two 64-set pages, reached by [page_addr] below. *)
 let fresh_cache () = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32
+let fresh_two_page_cache () = Cache.create ~size_kb:8 ~assoc:2 ~line_bytes:32
+
+(* Addresses that collide across pages in the two-page geometry: four tags
+   per set on sets that share an in-page slot (0/64, 1/65, 63/127), so a
+   page mix-up aliases lines and a set evicts. *)
+let page_addr =
+  QCheck.Gen.(
+    map3
+      (fun tag set word -> (((tag * 128) + set) * 8) + word)
+      (int_bound 3)
+      (oneofl [ 0; 1; 63; 64; 65; 127 ])
+      (int_bound 7))
+
+let addr_gen = QCheck.Gen.(frequency [ (1, int_bound 1023); (1, page_addr) ])
 
 type op =
   | Access of int * int * bool * bool  (* addr, owner, write, allocate *)
@@ -33,7 +48,7 @@ let op_gen =
         ( 6,
           map
             (fun (a, (o, (w, al))) -> Access (a, o, w, al))
-            (pair (int_bound 1023)
+            (pair addr_gen
                (pair (int_bound 3) (pair bool (frequencyl [ (4, true); (1, false) ])))) );
         (1, map (fun o -> Squash (1 + o)) (int_bound 2));
         (1, map (fun o -> Commit (1 + o)) (int_bound 2));
@@ -50,37 +65,41 @@ let snapshots_equal a b = Cache.snapshot a = Cache.snapshot b
 (* Twin execution: [ca] uses the journal-indexed operations, [cb] the
    Reference sweeps. Every step must produce the same return value and leave
    the two caches in the same visible state. *)
+let indexed_ops_match_reference fresh ops =
+  let ca = fresh () in
+  let cb = fresh () in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Access (addr, owner, write, allocate) ->
+          Cache.access ~owner ~write ~allocate ca addr
+          = Cache.access ~owner ~write ~allocate cb addr
+        | Squash owner ->
+          Cache.gang_invalidate ca ~owner
+          = Cache.Reference.gang_invalidate cb ~owner
+        | Commit owner ->
+          Cache.commit_owner ca ~owner
+          = Cache.Reference.commit_owner cb ~owner
+        | Owned owner ->
+          Cache.owned_lines ca ~owner = Cache.Reference.owned_lines cb ~owner
+      in
+      same_result && snapshots_equal ca cb
+      && Cache.hits ca = Cache.hits cb
+      && Cache.misses ca = Cache.misses cb
+      (* the O(1) count agrees with a sweep of the same cache, too *)
+      && List.for_all
+           (fun o ->
+             Cache.owned_lines ca ~owner:o
+             = Cache.Reference.owned_lines ca ~owner:o)
+           [ 0; 1; 2; 3 ])
+    ops
+
 let prop_indexed_ops_match_reference =
   QCheck.Test.make ~name:"indexed owner ops match Reference sweeps" ~count:300
     ops_arb (fun ops ->
-      let ca = fresh_cache () in
-      let cb = fresh_cache () in
-      List.for_all
-        (fun op ->
-          let same_result =
-            match op with
-            | Access (addr, owner, write, allocate) ->
-              Cache.access ~owner ~write ~allocate ca addr
-              = Cache.access ~owner ~write ~allocate cb addr
-            | Squash owner ->
-              Cache.gang_invalidate ca ~owner
-              = Cache.Reference.gang_invalidate cb ~owner
-            | Commit owner ->
-              Cache.commit_owner ca ~owner
-              = Cache.Reference.commit_owner cb ~owner
-            | Owned owner ->
-              Cache.owned_lines ca ~owner = Cache.Reference.owned_lines cb ~owner
-          in
-          same_result && snapshots_equal ca cb
-          && Cache.hits ca = Cache.hits cb
-          && Cache.misses ca = Cache.misses cb
-          (* the O(1) count agrees with a sweep of the same cache, too *)
-          && List.for_all
-               (fun o ->
-                 Cache.owned_lines ca ~owner:o
-                 = Cache.Reference.owned_lines ca ~owner:o)
-               [ 0; 1; 2; 3 ])
-        ops)
+      indexed_ops_match_reference fresh_cache ops
+      && indexed_ops_match_reference fresh_two_page_cache ops)
 
 (* --- stale-journal regressions ---------------------------------------------- *)
 

@@ -51,13 +51,17 @@ let test_memory_read_write () =
 
 (* Words allocated by [f], minor and major, plus any growth of the major
    heap. Emptying the minor heap first keeps a promotion from growing the
-   major heap in the middle of the measurement. *)
+   major heap in the middle of the measurement. Minor words come from
+   [Gc.minor_words]: on OCaml 5.1 the minor count of [Gc.counters] misses
+   most small blocks (2048 six-word records read as ~1.5K words). *)
 let allocated_words f =
   Gc.minor ();
-  let minor0, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let _, _, major0 = Gc.counters () in
   let heap0 = (Gc.quick_stat ()).Gc.heap_words in
   let r = f () in
-  let minor1, _, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
   let heap1 = (Gc.quick_stat ()).Gc.heap_words in
   ( r,
     int_of_float (minor1 -. minor0 +. major1 -. major0) + max 0 (heap1 - heap0) )
@@ -86,6 +90,69 @@ let test_memory_pays_for_writes_only () =
   Alcotest.(check bool)
     (Printf.sprintf "reading every word allocated %d words" read_words)
     true (read_words < 256)
+
+(* The Table-2 L2 (1 MB, 8-way, 32-byte lines: 32K lines) pays for a page
+   table at [create] and for a page per page of sets a fill first reaches;
+   the Table-2 BTB is flat arrays, not a record per entry. A page is over
+   a thousand words; [allocated_words] itself reads ~34. *)
+let test_cache_pays_for_lines_it_fills () =
+  let c = Machine_config.default in
+  let create_l2 () =
+    Cache.create ~size_kb:c.Machine_config.l2_size_kb
+      ~assoc:c.Machine_config.l2_assoc ~line_bytes:c.Machine_config.line_bytes
+  in
+  (* The never-written zero page is shared by every cache and built once
+     per process for the widest associativity; only the second create
+     shows the per-cache cost. *)
+  ignore (create_l2 ());
+  let l2, create_words = allocated_words create_l2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "create: %d words for %d lines" create_words
+       (Cache.line_count l2))
+    true
+    (create_words < Cache.line_count l2 / 16);
+  let access addr ~allocate =
+    allocated_words (fun () ->
+        Cache.access_line l2 addr ~owner:Cache.committed_owner ~write:false
+          ~allocate)
+  in
+  let outcome, probe_words = access 0 ~allocate:false in
+  Alcotest.(check bool) "probe misses" true (outcome = Cache.Miss);
+  Alcotest.(check bool)
+    (Printf.sprintf "probe allocated %d words" probe_words)
+    true (probe_words < 64);
+  Alcotest.(check int) "probe installs nothing" 0 (Cache.valid_lines l2);
+  let _, fill_words = access 0 ~allocate:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "first fill allocated %d words" fill_words)
+    true
+    (fill_words > 0 && fill_words < Cache.line_count l2 / 16);
+  (* line 1 (address 8) is the next set: the same page *)
+  let _, same_page_words = access 8 ~allocate:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "same-page fill allocated %d words" same_page_words)
+    true (same_page_words < 64);
+  (* set 2048 of 4096 is half the cache away: another page, same size *)
+  let _, far_words = access (2048 * 8) ~allocate:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "far fill allocated %d words, first fill %d" far_words
+       fill_words)
+    true
+    (2 * far_words > fill_words && far_words < 2 * fill_words);
+  Printf.eprintf "create=%d probe=%d fill=%d same=%d far=%d\n%!" create_words probe_words fill_words same_page_words far_words;
+  Alcotest.(check int) "three lines valid" 3 (Cache.valid_lines l2);
+  let btb, btb_words =
+    allocated_words (fun () ->
+        Btb.create ~entries:c.Machine_config.btb_entries
+          ~assoc:c.Machine_config.btb_assoc)
+  in
+  (* five flat arrays (two of ints, three of bytes) and a record; one
+     record per entry would be six words each *)
+  Alcotest.(check bool)
+    (Printf.sprintf "btb create: %d words for %d entries" btb_words
+       (Btb.entry_count btb))
+    true
+    (btb_words < 3 * Btb.entry_count btb)
 
 let test_cache_hit_miss () =
   let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
@@ -355,6 +422,8 @@ let tests =
     Alcotest.test_case "memory read/write" `Quick test_memory_read_write;
     Alcotest.test_case "memory pays for writes only" `Quick
       test_memory_pays_for_writes_only;
+    Alcotest.test_case "cache pays for lines it fills" `Quick
+      test_cache_pays_for_lines_it_fills;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
     Alcotest.test_case "cache versioning" `Quick test_cache_versioning;
