@@ -2,28 +2,36 @@
    software PathExpander and the plain baseline run, split across two
    tiers (coverage-preserving selective instrumentation, as in HeXcite).
 
-   The fast tier ([go]) runs with no detector hooks, no watchpoint probes,
-   no store-hook dispatch and no recorder branches — just registers,
-   memory, cache timing and coverage bits. The moment an instruction needs
-   heavy machinery (a syscall, a watch/unwatch, a detector check that would
-   file a report, a fault, or a branch whose cold-edge counter makes it a
-   spawn candidate) the segment stops *before* it, and [drive] executes
-   that one instruction on the instrumented tier ([Cpu.step]) and hands
-   the event to the caller's hooks. Deoptimization, not re-execution: no
-   instruction runs twice, so every observable — architectural state,
-   stats, cache/BTB contents, coverage, reports, recorder stream, output —
-   is bit-for-bit what the instrumented tier alone would produce.
+   The fast tier ([go]) runs with no detector hooks, no store-hook
+   dispatch and no recorder branches — just registers, memory, cache
+   timing and coverage bits. The moment an instruction needs heavy
+   machinery (a syscall, a watch/unwatch, an access to a watched word, a
+   detector check that would file a report, a fault, or a branch whose
+   cold-edge counter makes it a spawn candidate) the segment stops
+   *before* it, and [drive] executes that one instruction on the
+   instrumented tier ([Cpu.step]) and hands the event to the caller's
+   hooks. Deoptimization, not re-execution: no instruction runs twice, so
+   every observable — architectural state, stats, cache/BTB contents,
+   coverage, reports, recorder stream, output — is bit-for-bit what the
+   instrumented tier alone would produce.
 
    The stop-before discipline rests on every case of [go] either committing
    *exactly* the instrumented tier's state transitions or committing
    *nothing* and stopping. Pre-checks make the latter possible without
    exceptions: memory operands are validated with [Memory.is_valid] (the
    exact complement of [Memory.check]'s raise) and divisors checked against
-   zero before any side effect. The register effects are [Cpu]'s own
-   inlined helpers. One case commits and still stops: a sandboxed store
-   that overflows the path's L1 line budget, only discoverable by doing
-   the write. The instrumented tier retires it (stats and latency charged,
-   pc not advanced) and raises; [Overflowed] leaves exactly that state.
+   zero before any side effect. While any watchpoint is armed
+   ([watching], read at segment entry: the watch set only changes on the
+   instrumented tier or in a squash, both between segments), a memory
+   operand is also looked up in the watch unit's per-word filter, and an
+   access to a watched word stops the segment so [Cpu.step] files exactly
+   the reports it would file alone. The filter ignores the range's mode: a
+   stop before a write to a read-watched word is spurious, never wrong.
+   The register effects are [Cpu]'s own inlined helpers. One case commits
+   and still stops: a sandboxed store that overflows the path's L1 line
+   budget, only discoverable by doing the write. The instrumented tier
+   retires it (stats and latency charged, pc not advanced) and raises;
+   [Overflowed] leaves exactly that state.
 
    Spawn candidates are found by a side-effect-free BTB probe
    ([Btb.probe_exercise]). Within a segment a forced-edge counter never
@@ -85,6 +93,7 @@ type t = {
   coverage : Coverage.t;
   dcode : Decode.t array;
   mem : Memory.t;
+  watch : Watchpoints.t;
   btb : Btb.t;
   regs : int array;
   code_len : int;
@@ -97,6 +106,7 @@ type t = {
   mutable pcs : Coverage.pc_sink;
       (* the statement-coverage kind, so the per-instruction record does
          not test the tier *)
+  mutable watching : bool;  (* some watchpoint is armed *)
   (* per-drive parameters *)
   mutable selective : bool;
   mutable spawning : bool;
@@ -142,6 +152,12 @@ let[@inline always] latency t ~write addr =
     Machine.access_latency t.machine t.l1 ~owner:t.owner ~write
       ~speculative:(match t.sandbox with None -> false | Some _ -> true)
       addr
+
+(* The fast tier must not touch [addr]: the access would fault, or it hits
+   a watched word and may file a report. *)
+let[@inline always] blocked t addr =
+  (not (Memory.is_valid t.mem addr))
+  || (t.watching && Watchpoints.watched t.watch addr)
 
 let[@inline always] read t addr =
   match t.sandbox with
@@ -257,7 +273,7 @@ let rec go t pc n cyc ld st br =
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_load (rd, base, off) ->
       let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
+      if blocked t addr then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false addr in
         Cpu.write_reg regs rd (read t addr);
@@ -266,7 +282,7 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_store (rs, base, off) ->
       let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
+      if blocked t addr then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:true addr in
         Coverage.record_pc t.pcs pc;
@@ -299,7 +315,7 @@ let rec go t pc n cyc ld st br =
       go t target (n + 1) (cyc + 1) ld st br
     | Decode.D_call target ->
       let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if blocked t sp then special t pc n cyc ld st br
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
@@ -310,7 +326,7 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_ret ->
       let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if blocked t sp then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
         let ra = read t sp in
@@ -320,7 +336,7 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_push rs ->
       let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if blocked t sp then special t pc n cyc ld st br
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
@@ -331,7 +347,7 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_pop rd ->
       let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if blocked t sp then special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
         let v = read t sp in
@@ -377,6 +393,7 @@ let make ?(obs = false) machine ctx coverage =
     coverage;
     dcode;
     mem = machine.Machine.mem;
+    watch = machine.Machine.watch;
     btb = machine.Machine.btb;
     regs = ctx.Context.regs;
     code_len = Array.length dcode;
@@ -384,6 +401,7 @@ let make ?(obs = false) machine ctx coverage =
     sandbox = None;
     owner = Cache.committed_owner;
     pcs = Coverage.pc_sink coverage ~nt:false;
+    watching = false;
     selective = false;
     spawning = false;
     threshold = 0;
@@ -408,6 +426,7 @@ let[@inline never] segment t ~budget =
   t.sandbox <- ctx.Context.sandbox;
   t.owner <- Context.path_id ctx;
   t.pcs <- Coverage.pc_sink t.coverage ~nt:(Context.is_sandboxed ctx);
+  t.watching <- not (Watchpoints.is_empty t.watch);
   t.budget <- budget;
   t.memo_hits <- 0;
   let stop = go t ctx.Context.pc 0 0 0 0 0 in
@@ -422,17 +441,25 @@ let count_deopt t cause =
 
 let[@inline never] classify_deopt t =
   let pc = t.ctx.Context.pc in
-  let rec cause = function
+  let regs = t.regs in
+  (* a valid operand stopped the fast tier only because it is watched *)
+  let access addr =
+    if Memory.is_valid t.mem addr then d_watch else d_fault
+  in
+  let cause = function
     | Decode.D_syscall _ -> d_syscall
     | Decode.D_watch _ | Decode.D_unwatch _ -> d_watch
     | Decode.D_checkz _ -> d_detector
-    | Decode.D_div _ | Decode.D_mod _ | Decode.D_divi _ | Decode.D_modi _
-    | Decode.D_load _ | Decode.D_store _ | Decode.D_call _ | Decode.D_ret
-    | Decode.D_push _ | Decode.D_pop _ ->
-      (* memory/divisor operands the fast tier refused to touch *)
+    | Decode.D_load (_, base, off) | Decode.D_store (_, base, off) ->
+      access (regs.(base) + off)
+    | Decode.D_call _ | Decode.D_push _ -> access (regs.(Reg.sp) - 1)
+    | Decode.D_ret | Decode.D_pop _ -> access regs.(Reg.sp)
+    | Decode.D_div _ | Decode.D_mod _ | Decode.D_divi _ | Decode.D_modi _ ->
+      (* a zero divisor *)
       d_fault
-    | Decode.D_pred d -> cause d
-    | _ -> d_other
+    | _ ->
+      (* a live predicate (an NT-Path's consistency-fix block) or a halt *)
+      d_other
   in
   count_deopt t
     (if pc < 0 || pc >= t.code_len then d_fault else cause t.dcode.(pc))
@@ -451,7 +478,6 @@ let rec drive_loop t h =
     let bound = if t.limit < t.boundary then t.limit else t.boundary in
     if
       t.selective && bound > insns
-      && Watchpoints.is_empty machine.Machine.watch
       && (match machine.Machine.store_hook with None -> true | Some _ -> false)
     then begin
       let branches = ctx.Context.stats.Context.branches in
@@ -481,10 +507,11 @@ let rec drive_loop t h =
       | Overflowed -> Overflow
     end
     else begin
-      (* Pinned: selective execution is off for this drive, armed
-         watchpoints / a store hook need the instrumented tier, or the tick
+      (* Pinned: selective execution is off for this drive, a store hook
+         (DIDUCE) needs the instrumented tier's every store, or the tick
          asked to run again before the next instruction (a reset interval
-         of 0), which leaves no budget for a segment. *)
+         of 0), which leaves no budget for a segment. Armed watchpoints do
+         not pin: the fast tier stops only before a watched access. *)
       if t.obs && t.selective then count_deopt t d_pinned;
       step t h (-1)
     end

@@ -6,11 +6,12 @@
     interpreter that commits exactly the observable state transitions of
     the instrumented tier ([step] in [Cpu]) for the instructions it
     executes, and stops — committing nothing — before any instruction that
-    needs detector, watchpoint, syscall, recorder or spawn machinery. The
-    driver then executes that one instruction on the instrumented tier
-    (deoptimization, not re-execution) and hands its event to the caller's
-    {!hooks}, keeping every observable bit-for-bit identical to a fully
-    instrumented run.
+    needs detector, watchpoint, syscall, recorder or spawn machinery (a
+    watchpoint is needed by a watch/unwatch and by an access to a word the
+    watch unit's filter reports watched). The driver then executes that
+    one instruction on the instrumented tier (deoptimization, not
+    re-execution) and hands its event to the caller's {!hooks}, keeping
+    every observable bit-for-bit identical to a fully instrumented run.
 
     The driver owns the tier protocol: the selective gate, segment budgets
     clamped to the limit and the tick's boundary, the [Machine.insn_index]
@@ -76,11 +77,11 @@ val no_tick : unit -> int
     from [ctx.pc] until it ends or its stats reach [limit] retired
     instructions.
 
-    Segments run on the fast tier only when [selective] holds, no
-    watchpoints are armed and no store hook is attached (re-checked before
-    every segment). [spawning] is false when branches take no
-    instrumented-tier action at all (no BTB traffic, branches never
-    deoptimize). Otherwise any branch whose forced-edge counter probes below
+    Segments run on the fast tier only when [selective] holds and no store
+    hook is attached (re-checked before every segment); armed watchpoints
+    only make a segment stop before each watched access. [spawning] is
+    false when branches take no instrumented-tier action at all (no BTB
+    traffic, branches never deoptimize). Otherwise any branch whose forced-edge counter probes below
     [threshold] (or misses the BTB) deoptimizes; [threshold = max_int]
     deoptimizes at *every* branch and touches no BTB state — how callers
     with per-branch actions (random spawning's RNG draw, profiled fixing's

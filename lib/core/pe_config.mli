@@ -49,8 +49,9 @@ type t = {
           per-branch action (random spawning, profiled fixing,
           spawn-everywhere, the [follow_nontaken_in_nt] ablation)
           deoptimize at every branch but keep straight-line code fast;
-          active watchpoints and store hooks pin execution to the
-          instrumented tier while they last. Default on. *)
+          armed watchpoints deoptimize only accesses to watched words, and
+          a store hook pins execution to the instrumented tier while it is
+          attached. Default on. *)
 }
 
 val default : t

@@ -11,9 +11,9 @@ let fresh_stats () = { insns = 0; cycles = 0; loads = 0; stores = 0; branches = 
 (* Generation-stamped open-addressing int->int table: the overlay's flat
    store. A slot is live iff its generation stamp equals the table's; reset
    is a generation bump, so one table serves every NT-Path an arena runs.
-   Linear probing with a multiplicative hash; grows (rare — capacity is
-   sized from the L1 line limit, and overflow squashes the path first) when
-   more than half full so probes stay short. *)
+   Linear probing with a multiplicative hash; doubles when more than half
+   full so probes stay short. A table starts small and grows to what the
+   run's largest path wrote, and keeps that size for the paths after it. *)
 module Itab = struct
   type t = {
     mutable keys : int array;
@@ -190,16 +190,20 @@ let log2_pow2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
   if n > 0 && n land (n - 1) = 0 then go n 0 else -1
 
+(* Slots an overlay's tables start with. Most paths write a few words.
+   Sizing the store for the most a path can write before it squashes
+   (line_limit + 1 dirty lines: 16K slots, 49K words for the Table-2 L1)
+   would make every engine run pay for it in the major heap, baseline runs
+   that never spawn included. *)
+let initial_slots = 16
+
 let make_sandbox ~path_id ~line_limit ~words_per_line =
-  (* A path squashes as soon as it dirties line_limit + 1 lines, so the
-     store never holds more than (line_limit + 1) * words_per_line words;
-     double that for an at-most-half-full table. *)
   {
     kind =
       Overlay
         {
-          store = Itab.create (2 * (line_limit + 2) * words_per_line);
-          lines = Itab.create (2 * (line_limit + 2));
+          store = Itab.create initial_slots;
+          lines = Itab.create initial_slots;
           journal = Vec.create ~dummy:0;
           line_limit;
           words_per_line;

@@ -8,7 +8,8 @@
     dirtied; exceeding the L1's line capacity means the hardware could no
     longer buffer the path and forces a squash. Contexts and sandboxes are
     designed for pooling: {!reset_for_spawn} and {!reset_sandbox} recycle
-    them across spawns without allocation. *)
+    them across spawns without allocation; an overlay allocates only when a
+    path writes more than any path before it. *)
 
 type stats = {
   mutable insns : int;
@@ -61,7 +62,9 @@ val checkpoint : t -> checkpoint
 val restore : t -> checkpoint -> unit
 
 (** Hardware-style overlay sandbox (versioned-L1 buffering). The overlay is
-    a flat store sized from [line_limit] — reusable via {!reset_sandbox}. *)
+    a flat store that starts small and grows with what its paths write;
+    [line_limit] bounds the dirty lines of one path. Reusable via
+    {!reset_sandbox}. *)
 val make_sandbox : path_id:int -> line_limit:int -> words_per_line:int -> sandbox
 
 (** Software-style restore-log sandbox: writes go straight to memory and an

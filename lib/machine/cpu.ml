@@ -52,10 +52,13 @@ let file_report machine ctx site =
         ~pc
     end
 
+(* [addr] is valid here, so the per-word filter is exact: the range list
+   is walked only for an access that some range contains. *)
 let check_watch machine ctx ~is_write addr =
-  if not (Watchpoints.is_empty machine.Machine.watch) then
+  let watch = machine.Machine.watch in
+  if Watchpoints.watched watch addr then
     List.iter (file_report machine ctx)
-      (Watchpoints.hit_sites machine.Machine.watch ~is_write addr)
+      (Watchpoints.hit_sites watch ~is_write addr)
 
 let data_read machine ctx addr =
   (* validity first: a faulting access never reaches the cache or watch unit *)

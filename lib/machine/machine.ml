@@ -15,24 +15,34 @@ type t = {
   fastpath : bool;
 }
 
-(* One-slot decode memo: experiments compile a program once and then create
-   a machine per input, so consecutive creates usually share the same code
-   array (compared physically). A stale or torn slot only costs a re-decode;
-   decode is pure, so any cached value for the same code array is correct. *)
-let decode_memo : (Insn.t array * Decode.t array) option Atomic.t =
+(* One-slot load memo: experiments compile a program once and then create
+   a machine per input, so consecutive creates usually share the same
+   program value (compared physically). A hit skips both validation and
+   decode: the slot only ever holds a program that passed
+   [Program.validate] with its decoded image. A miss validates, then
+   decodes unless the slot's image is of the same code array. A stale or
+   torn slot only costs a re-check; validation and decode are pure, so any
+   cached value for the same program is correct. *)
+let load_memo : (Program.t * Decode.t array) option Atomic.t =
   Atomic.make None
 
-let decode_code code =
-  match Atomic.get decode_memo with
-  | Some (c, d) when c == code -> d
-  | _ ->
-    let d = Decode.decode code in
-    Atomic.set decode_memo (Some (code, d));
+let load program =
+  let code = program.Program.code in
+  match Atomic.get load_memo with
+  | Some (p, d) when p == program -> d
+  | slot ->
+    Program.validate program;
+    let d =
+      match slot with
+      | Some (p, d) when p.Program.code == code -> d
+      | _ -> Decode.decode code
+    in
+    Atomic.set load_memo (Some (program, d));
     d
 
 let create ?(config = Machine_config.default) ?(input = "")
     ?(recorder = Recorder.disabled) ?(fastpath = true) program =
-  Program.validate program;
+  let dcode = load program in
   let mem =
     Memory.create ~globals_words:program.Program.globals_words
       ~heap_words:config.Machine_config.heap_words
@@ -54,13 +64,13 @@ let create ?(config = Machine_config.default) ?(input = "")
   {
     config;
     program;
-    dcode = decode_code program.Program.code;
+    dcode;
     mem;
     l2;
     btb =
       Btb.create ~entries:config.Machine_config.btb_entries
         ~assoc:config.Machine_config.btb_assoc;
-    watch = Watchpoints.create ();
+    watch = Watchpoints.create ~size:(Memory.size mem);
     reports = Report.create ();
     io = Io.create ~input ();
     insn_index = 0;

@@ -36,6 +36,9 @@ type t = {
 
 (** Validates the program, lays out memory, installs initial data and points
     the runtime allocator's break word (global address 1) at the heap base.
+    Validation and decode are memoised on the last program value (compared
+    physically), so consecutive creates of one program check it once; an
+    invalid program raises {!Program.Invalid_program}.
     [recorder] (default {!Recorder.disabled}) is attached to the L2 and
     every L1 this machine creates; [fastpath] (default on) sets their
     probe fast path ({!Cache.set_fastpath}). Output is byte-identical

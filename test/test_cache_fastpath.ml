@@ -197,11 +197,12 @@ let test_toggle_kills_memo () =
 (* --- watchpoint store on a memoized line ------------------------------------- *)
 
 (* A store through a watched red zone whose cache line sits in the memo:
-   the watch check is independent of the cache outcome, and segments with
-   armed watchpoints never enter the batching fast tier, so the memo must
-   not swallow the report. Run the iWatcher overflow workload end-to-end
-   with the fast path on and off — identical reports, output and retired
-   counts. *)
+   the watch check is independent of the cache outcome. Segments with armed
+   watchpoints do run on the batching fast tier, but it stops before any
+   access to a watched word and leaves that access to the instrumented
+   tier, so the memo must not swallow the report. Run the iWatcher overflow
+   workload end-to-end with the fast path on and off — identical reports,
+   output and retired counts, with the fast tier engaged. *)
 let run_iwatcher ~fastpath source =
   let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
   let compiled = Compile.compile ~options source in
@@ -236,7 +237,8 @@ int main() { return smash(4); }
     (Engine.outcome_name r_off.Engine.outcome)
     (Engine.outcome_name r_on.Engine.outcome);
   Alcotest.(check int) "same retired count" r_off.Engine.taken_insns
-    r_on.Engine.taken_insns
+    r_on.Engine.taken_insns;
+  Alcotest.(check bool) "fast tier engaged" true (r_on.Engine.fast_insns > 0)
 
 let tests =
   [

@@ -301,6 +301,36 @@ int main() {
   Alcotest.(check int) "watch table restored" before
     (Watchpoints.count machine.Machine.watch)
 
+(* Hostile input: [free] of a block whose size header was overwritten with
+   a negative value watches the inverted range [p, p - 5). It must watch
+   nothing, like an empty range, and every engine must run the program to
+   its normal end. *)
+let negative_header_source =
+  "int main() { int *p = malloc(4); p[-1] = -5; free(p); print_int(7); \
+   exit(0); return 0; }"
+
+let test_free_negative_header () =
+  let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
+  let compiled = Compile.compile ~options ~level:Opt.O0 negative_header_source in
+  let check name outcome machine =
+    Alcotest.(check string) (name ^ ": outcome") "exited(0)"
+      (Engine.outcome_name outcome);
+    Alcotest.(check string) (name ^ ": output") "7" (Machine.output machine)
+  in
+  List.iter
+    (fun (name, config) ->
+      let machine = Machine.create compiled.Compile.program in
+      let result = Engine.run ~config machine in
+      check name result.Engine.outcome machine)
+    [
+      ("baseline", Pe_config.baseline);
+      ("standard", Pe_config.default);
+      ("cmp", { Pe_config.default with Pe_config.mode = Pe_config.Cmp });
+    ];
+  let machine = Machine.create compiled.Compile.program in
+  let result = Soft_engine.run machine in
+  check "software" result.Soft_engine.outcome machine
+
 let test_counter_reset_pinned_to_primary () =
   (* Regression: [CounterResetInterval] must be driven by the primary
      context's retired instructions, not [Machine.insn_index] (which also
@@ -375,6 +405,8 @@ let tests =
     Alcotest.test_case "counter reset respawns" `Quick test_counter_reset_respawns;
     Alcotest.test_case "reports survive squash" `Quick test_reports_survive_squash;
     Alcotest.test_case "watchpoints restored" `Quick test_watchpoints_restored_after_squash;
+    Alcotest.test_case "free of a negative-size block" `Quick
+      test_free_negative_header;
     Alcotest.test_case "counter reset pinned to primary" `Quick
       test_counter_reset_pinned_to_primary;
     Alcotest.test_case "path-id wrap" `Slow test_path_id_wrap;

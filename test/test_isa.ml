@@ -123,6 +123,30 @@ let test_validate_bad_init () =
        false
      with Program.Invalid_program _ -> true)
 
+(* [Machine.create] validates a program value once: a repeated create of
+   the same value reuses its load (the same decoded image), but a value
+   that never passed validation still raises at create, even one sharing
+   the last valid program's code array. *)
+let test_create_validates_once () =
+  let good = trivial_program [ Insn.Li (1, 5); Insn.Halt ] in
+  let m1 = Machine.create good in
+  let m2 = Machine.create good in
+  Alcotest.(check bool) "repeat create reuses the load" true
+    (m1.Machine.dcode == m2.Machine.dcode);
+  let bad = { good with Program.init_data = [ (0, 1) ] } in
+  Alcotest.(check bool) "never-validated value raises at create" true
+    (try
+       ignore (Machine.create bad);
+       false
+     with Program.Invalid_program _ -> true);
+  Alcotest.(check bool) "a fresh invalid program raises at create" true
+    (try
+       ignore (Machine.create (trivial_program [ Insn.Jmp 99 ]));
+       false
+     with Program.Invalid_program _ -> true);
+  (* a rejected program leaves the memo usable *)
+  ignore (Machine.create good)
+
 let test_line_of_pc () =
   let program =
     {
@@ -182,6 +206,8 @@ let tests =
     Alcotest.test_case "validate bad target" `Quick test_validate_bad_target;
     Alcotest.test_case "validate nested pred" `Quick test_validate_nested_pred;
     Alcotest.test_case "validate bad init" `Quick test_validate_bad_init;
+    Alcotest.test_case "machine create validates once" `Quick
+      test_create_validates_once;
     Alcotest.test_case "line of pc" `Quick test_line_of_pc;
     Alcotest.test_case "function of pc" `Quick test_function_of_pc;
     Alcotest.test_case "disassemble" `Quick test_disassemble;

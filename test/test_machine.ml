@@ -305,7 +305,7 @@ let test_btb_occupancy_saturation () =
     (Btb.valid_entries btb)
 
 let test_watchpoints () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~size:1024 in
   let entry = Watchpoints.watch w ~lo:100 ~hi:110 ~site:7 in
   Alcotest.(check bool) "inside" true (Watchpoints.is_watched w 105);
   Alcotest.(check bool) "hi exclusive" false (Watchpoints.is_watched w 110);
@@ -315,7 +315,7 @@ let test_watchpoints () =
   Alcotest.(check bool) "undone" false (Watchpoints.is_watched w 105)
 
 let test_watchpoint_modes () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~size:1024 in
   let _ =
     Watchpoints.watch ~mode:Watchpoints.Watch_write w ~lo:50 ~hi:60 ~site:1
   in
@@ -328,12 +328,80 @@ let test_watchpoint_modes () =
     (Watchpoints.hit_sites w ~is_write:false 55)
 
 let test_watchpoints_unwatch_undo () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~size:1024 in
   let _ = Watchpoints.watch w ~lo:10 ~hi:20 ~site:1 in
   let removed = Watchpoints.unwatch w ~lo:10 ~hi:20 in
   Alcotest.(check bool) "removed" false (Watchpoints.is_watched w 15);
   Watchpoints.undo w removed;
   Alcotest.(check bool) "restored" true (Watchpoints.is_watched w 15)
+
+(* The O(1) filter against the list oracle: random watch/unwatch sequences
+   with overlapping, empty, inverted and out-of-memory ranges, undone
+   newest first like an NT-Path squash. After every operation, [watched]
+   equals [is_watched] at every address of the memory and is false around
+   it; once every entry is undone nothing is watched. *)
+type wp_op = Watch of int * int | Unwatch of int * int | Undo
+
+let wp_size = 2100 (* three pages, the last one partial *)
+
+let wp_op_gen =
+  let open QCheck.Gen in
+  let bound =
+    frequency
+      [
+        (6, int_range (-40) (wp_size + 40));
+        (1, oneofl [ min_int; -1; 0; wp_size; max_int ]);
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun lo hi -> Watch (lo, hi)) bound bound);
+      (2, map2 (fun lo hi -> Unwatch (lo, hi)) bound bound);
+      (3, return Undo);
+    ]
+
+let wp_op_print = function
+  | Watch (lo, hi) -> Printf.sprintf "watch [%d, %d)" lo hi
+  | Unwatch (lo, hi) -> Printf.sprintf "unwatch [%d, %d)" lo hi
+  | Undo -> "undo"
+
+let prop_watch_filter_matches_oracle =
+  QCheck.Test.make ~name:"watch filter = range-list oracle" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list wp_op_print)
+       QCheck.Gen.(list_size (int_bound 25) wp_op_gen))
+    (fun ops ->
+      let w = Watchpoints.create ~size:wp_size in
+      let agrees () =
+        let ok = ref true in
+        for addr = -8 to wp_size + 8 do
+          let expected =
+            addr >= 0 && addr < wp_size && Watchpoints.is_watched w addr
+          in
+          if Watchpoints.watched w addr <> expected then ok := false
+        done;
+        !ok
+      in
+      let journal = ref [] in
+      let step op =
+        (match op with
+         | Watch (lo, hi) ->
+           journal := Watchpoints.watch w ~lo ~hi ~site:0 :: !journal
+         | Unwatch (lo, hi) ->
+           journal := Watchpoints.unwatch w ~lo ~hi :: !journal
+         | Undo ->
+           (match !journal with
+            | entry :: rest ->
+              Watchpoints.undo w entry;
+              journal := rest
+            | [] -> ()));
+        agrees ()
+      in
+      List.for_all step ops
+      && begin
+        List.iter (Watchpoints.undo w) !journal;
+        Watchpoints.is_empty w && agrees ()
+      end)
 
 let test_report_log () =
   let log = Report.create () in
@@ -392,6 +460,49 @@ let test_overlay_line_limit () =
     (Context.sandbox_write sb m 32 1);
   Alcotest.(check int) "dirty lines" 3 (Context.dirty_line_count sb)
 
+(* An overlay's tables start small and grow with what a path writes:
+   sized up front for the Table-2 L1's line limit they were 49K words, paid
+   by every engine run whether it spawned or not. Growth must keep every
+   buffered word, and a reset must hide a grown table's words from the next
+   path. *)
+let test_overlay_pays_for_what_it_buffers () =
+  let c = Machine_config.default in
+  let line_limit = Machine_config.l1_lines c in
+  let words_per_line = Machine_config.words_per_line c in
+  let sb, create_words =
+    allocated_words (fun () ->
+        Context.make_sandbox ~path_id:1 ~line_limit ~words_per_line)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "create: %d words" create_words)
+    true (create_words < 256);
+  let m = Memory.create ~globals_words:100 ~heap_words:8192 ~stack_words:0 in
+  (* the first line boundary in the heap *)
+  let base =
+    (m.Memory.heap_base + words_per_line - 1) / words_per_line * words_per_line
+  in
+  let lines = line_limit - 12 in
+  let words = lines * words_per_line in
+  for i = 0 to words - 1 do
+    if not (Context.sandbox_write sb m (base + i) (i + 1)) then
+      Alcotest.failf "write %d of %d overflowed" i words
+  done;
+  Alcotest.(check int) "dirty lines" lines (Context.dirty_line_count sb);
+  let wrong = ref 0 in
+  for i = 0 to words - 1 do
+    if Context.sandbox_read sb m (base + i) <> i + 1 then incr wrong;
+    if Memory.read m (base + i) <> 0 then incr wrong
+  done;
+  Alcotest.(check int) "words read back, memory untouched" 0 !wrong;
+  Context.reset_sandbox sb ~path_id:2;
+  Alcotest.(check int) "reset: no dirty lines" 0 (Context.dirty_line_count sb);
+  Alcotest.(check int) "reset: reads fall through" 0
+    (Context.sandbox_read sb m (base + 5));
+  ignore (Context.sandbox_write sb m (base + 5) 77);
+  Context.commit_sandbox sb m;
+  Alcotest.(check int) "second path commits its word" 77 (Memory.read m (base + 5));
+  Alcotest.(check int) "and only its word" 0 (Memory.read m (base + 6))
+
 let test_write_log_sandbox () =
   let m = mem () in
   Memory.write m 20 7;
@@ -446,11 +557,14 @@ let tests =
     Alcotest.test_case "watchpoints" `Quick test_watchpoints;
     Alcotest.test_case "watchpoint modes" `Quick test_watchpoint_modes;
     Alcotest.test_case "watchpoints unwatch undo" `Quick test_watchpoints_unwatch_undo;
+    QCheck_alcotest.to_alcotest prop_watch_filter_matches_oracle;
     Alcotest.test_case "report log" `Quick test_report_log;
     Alcotest.test_case "context registers" `Quick test_context_regs;
     Alcotest.test_case "context checkpoint" `Quick test_context_checkpoint;
     Alcotest.test_case "overlay sandbox" `Quick test_overlay_sandbox;
     Alcotest.test_case "overlay line limit" `Quick test_overlay_line_limit;
+    Alcotest.test_case "overlay pays for what it buffers" `Quick
+      test_overlay_pays_for_what_it_buffers;
     Alcotest.test_case "write-log sandbox" `Quick test_write_log_sandbox;
     Alcotest.test_case "commit sandbox" `Quick test_commit_sandbox;
   ]

@@ -391,6 +391,31 @@ let test_collector_snapshot_isolation () =
         at_return (Telemetry.to_json t))
     [ first; second ]
 
+(* Deopt causes under armed watchpoints: the fast tier keeps running and
+   stops only before a watch/unwatch or an access to a watched word. A
+   stop at a valid, watched address is a [watch] deopt, not a [fault], and
+   no instruction is pinned to the instrumented tier. The use-after-free
+   read and write both touch the freed, watched payload. *)
+let test_deopt_watch () =
+  let source =
+    "int main() { int *p = malloc(4); free(p); print_int(p[0]); p[1] = 3; \
+     exit(0); return 0; }"
+  in
+  let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
+  let compiled = Compile.compile ~options source in
+  let machine = Machine.create compiled.Compile.program in
+  let result = Engine.run ~obs:true machine in
+  let c = Telemetry.counter machine.Machine.telemetry in
+  Alcotest.(check string) "exits" "exited(0)"
+    (Engine.outcome_name result.Engine.outcome);
+  Alcotest.(check bool) "use after free reported" true
+    (Report.count machine.Machine.reports >= 2);
+  Alcotest.(check bool) "fast tier engaged" true (result.Engine.fast_insns > 0);
+  (* two watches (malloc's red zone, free's payload) and two accesses *)
+  Alcotest.(check int) "watch deopts" 4 (c "obs.deopt.watch");
+  Alcotest.(check int) "no fault deopts" 0 (c "obs.deopt.fault");
+  Alcotest.(check int) "nothing pinned" 0 (c "obs.pinned_insns")
+
 let tests =
   [
     Alcotest.test_case "prime: diamond" `Quick test_prime_diamond;
@@ -409,6 +434,8 @@ let tests =
       test_snapshot_deterministic;
     Alcotest.test_case "snapshot: capture protocol" `Quick
       test_capture_protocol;
+    Alcotest.test_case "deopt causes under armed watchpoints" `Quick
+      test_deopt_watch;
     Alcotest.test_case "telemetry: prometheus exposition" `Quick
       test_prometheus;
     Alcotest.test_case "telemetry: reset" `Quick test_telemetry_reset;

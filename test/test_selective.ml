@@ -270,6 +270,41 @@ let test_differential_workloads () =
        ~config:(Workload.pe_config Registry.print_tokens2)
        Registry.print_tokens2)
 
+(* Armed watchpoints no longer pin the drive: every iWatcher bug variant,
+   in each mode, runs mostly on the fast tier, which stops only before a
+   watch/unwatch or an access to a watched word — and the selective run
+   stays identical to the instrumented one, reports and recorder stream
+   included. *)
+let test_differential_iwatcher () =
+  let variants =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        List.filter_map
+          (fun (bug : Bug.t) ->
+            if Bug.detectable_by bug Codegen.Iwatcher then Some (w, bug)
+            else None)
+          w.Workload.bugs)
+      Registry.buggy_apps
+  in
+  Alcotest.(check bool) "iWatcher variants found" true (variants <> []);
+  List.iter
+    (fun ((w : Workload.t), (bug : Bug.t)) ->
+      List.iter
+        (fun mode ->
+          let name =
+            Printf.sprintf "%s iwatcher %s" bug.Bug.id (Pe_config.mode_name mode)
+          in
+          let _, r_on =
+            check_differential name ~detector:Codegen.Iwatcher
+              ~bug:bug.Bug.version ~config:(Workload.pe_config ~mode w) w
+          in
+          Alcotest.(check bool)
+            (name ^ ": fast tier retires >= 90% of the taken path")
+            true
+            (10 * r_on.Engine.fast_insns >= 9 * r_on.Engine.taken_insns))
+        [ Pe_config.Baseline; Pe_config.Standard; Pe_config.Cmp ])
+    variants
+
 (* The per-branch-action configurations deoptimize at *every* branch
    (threshold = max_int) instead of disabling the fast tier; each must stay
    bit-for-bit equivalent — including the RNG draw sequence. *)
@@ -374,8 +409,8 @@ let check_soft_differential name ?fuel ?detector ?bug workload =
    the history) and its write-log NT-Paths through the same driver; each
    must match the instrumented tier on every perf workload, with detector
    reports filed from both tiers (CCured), under armed watchpoints
-   (iWatcher: the drive is pinned while they last) and when the fuel clamp
-   ends the run mid-program. *)
+   (iWatcher: segments stop before each watched access) and when the fuel
+   clamp ends the run mid-program. *)
 let test_soft_differential () =
   List.iter
     (fun (w : Workload.t) ->
@@ -469,6 +504,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_probe_exercise_equiv;
     Alcotest.test_case "workload differential: all observables identical"
       `Quick test_differential_workloads;
+    Alcotest.test_case "iWatcher variants: fast tier under watchpoints" `Quick
+      test_differential_iwatcher;
     Alcotest.test_case "per-branch-action configs stay equivalent" `Quick
       test_differential_per_branch_configs;
     Alcotest.test_case "L1-overflow NT-Paths stay equivalent" `Quick
