@@ -36,19 +36,14 @@ let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
    [memo_hit_rate] (fraction of primary-L1 probes answered by the MRU
    memo layer in the same runs). Both are deterministic, so CI gates on
    them directly rather than on a noisy wall time. Version 7 added the
-   result-cache axis: [warm_sweep_wall_s] (min wall time, over the same
-   repeat count, of one full serial sweep served entirely from the
-   content-addressed result cache after a cold populating sweep: the
-   on-disk store a fresh warm process would hit), [warm_sweep_runs_s] (every
-   repeat) and [cache_hit_rate] (cache hits over probes across the warm
-   repeats; 1.0 when every leg replays). All three are null when the
-   cache is disabled with PEXP_RESULT_CACHE=0. The two warm wall times are
-   printed to the microsecond: a warm sweep takes milliseconds, which
-   three decimals round to 0.000. Version 8 removed [kernels_ns] (and the
-   micro-benchmarks that filled it): nothing gated those figures,
-   and the campaign benchmark's per-layer tracer measures the same layers
-   on real operations. *)
-let bench_schema_version = 8
+   result-cache axis: [warm_sweep_wall_s], [warm_sweep_runs_s] and
+   [cache_hit_rate] (a full sweep served from the on-disk result cache).
+   Version 8 removed [kernels_ns] (and the micro-benchmarks that filled
+   it): nothing gated those figures, and the campaign benchmark's
+   per-layer tracer measures the same layers on real operations. Version 9
+   removed those three result-cache keys along with the cache: a cold
+   sweep takes seconds, so there is no warm leg to time. *)
+let bench_schema_version = 9
 
 (* Dynamic retired instructions of one baseline-mode run per registry workload
    (default input, default compile options) at the given level — the -O2
@@ -110,7 +105,7 @@ let variance a =
     ss /. float_of_int (n - 1)
   end
 
-let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs =
+let write_json ~path ~sweep_walls ~o2_walls ~baseline ~jobs =
   let sorted = Array.copy sweep_walls in
   Array.sort compare sorted;
   let sweep_wall_s = sorted.(0) in
@@ -141,24 +136,6 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs =
       Buffer.add_string buf (Printf.sprintf "%.3f" w))
     o2_walls;
   Buffer.add_char buf ']';
-  (match warm with
-   | None ->
-     Buffer.add_string buf
-       {|,"warm_sweep_wall_s":null,"warm_sweep_runs_s":null,"cache_hit_rate":null|}
-   | Some (warm_walls, hit_rate) ->
-     let w = Array.copy warm_walls in
-     Array.sort compare w;
-     Buffer.add_string buf
-       (Printf.sprintf {|,"warm_sweep_wall_s":%.6f|} w.(0));
-     Buffer.add_string buf {|,"warm_sweep_runs_s":[|};
-     Array.iteri
-       (fun i t ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf (Printf.sprintf "%.6f" t))
-       warm_walls;
-     Buffer.add_char buf ']';
-     Buffer.add_string buf
-       (Printf.sprintf {|,"cache_hit_rate":%.4f|} hit_rate));
   let o0 = retired_insns Opt.O0 and o2 = retired_insns Opt.O2 in
   let total l = List.fold_left (fun acc (_, n) -> acc + n) 0 l in
   let t0 = total o0 and t2 = total o2 in
@@ -184,18 +161,10 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs =
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  let warm_note =
-    match warm with
-    | None -> "result cache disabled"
-    | Some (warm_walls, hit_rate) ->
-      let w = Array.copy warm_walls in
-      Array.sort compare w;
-      Printf.sprintf "warm sweep min %.3fs, hit rate %.2f" w.(0) hit_rate
-  in
   Printf.printf
-    "\nwrote %s (sweep min %.2fs, -O2 leg %.2fs, %s, over %d run%s, %s \
+    "\nwrote %s (sweep min %.2fs, -O2 leg %.2fs, over %d run%s, %s \
      profile; retired-insn reduction %.2f%%)\n"
-    path sweep_wall_s o2_sorted.(0) warm_note
+    path sweep_wall_s o2_sorted.(0)
     (Array.length sweep_walls)
     (if Array.length sweep_walls = 1 then "" else "s")
     Build_info.profile
@@ -224,17 +193,9 @@ let timed_sweep ?(level = Opt.O0) ~trace_dir () =
     trace_dir;
   Unix.gettimeofday () -. t0
 
-(* One timed full serial sweep served from the on-disk result cache (the
-   caller has already populated it): what a fresh warm process pays. *)
-let timed_cached_sweep ~cache () =
-  let t0 = Unix.gettimeofday () in
-  ignore (Runner.run_cached ~cache sweep_spec Runner.all);
-  Unix.gettimeofday () -. t0
-
 let () =
   let json_path = ref "BENCH.json" in
   let trace_dir = ref None in
-  let cache_dir = ref None in
   let baseline = ref None in
   let repeat = ref 1 in
   let rec parse = function
@@ -253,43 +214,22 @@ let () =
     | "--trace-dir" :: dir :: rest ->
       trace_dir := Some dir;
       parse rest
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse rest
     | arg :: _ -> invalid_arg ("bench: unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   (* Output directories are created before any leg runs, so a bad path
      fails fast instead of discarding a finished sweep. *)
-  let create_or_exit flag create dir =
-    try create dir
-    with Sys_error msg ->
-      Printf.eprintf "bench: cannot create %s %s (%s)\n%!" flag dir msg;
-      exit 1
-  in
-  Option.iter (create_or_exit "--trace-dir" Artifact_dir.mkdir_p) !trace_dir;
+  Option.iter
+    (fun dir ->
+      try Artifact_dir.mkdir_p dir
+      with Sys_error msg ->
+        Printf.eprintf "bench: cannot create --trace-dir %s (%s)\n%!" dir msg;
+        exit 1)
+    !trace_dir;
   (* Tracing changes what a sweep costs, so repeated timing of a traced
      sweep would only measure the recorder; force a single run. *)
   if !trace_dir <> None then repeat := 1;
   print_endline "=== PathExpander: full reproduction of the evaluation ===";
-  (* The result-cache axis: a private (or --cache-dir) store, populated by
-     one cold sweep then timed warm. Honors the PEXP_RESULT_CACHE=0 kill
-     switch — the warm keys are then null in the JSON. *)
-  let cache =
-    if Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" then None
-    else
-      let dir =
-        match !cache_dir with
-        | Some dir -> dir
-        | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "pexp-bench-cache.%d" (Unix.getpid ()))
-      in
-      Some
-        (create_or_exit "--cache-dir" (fun dir -> Resultcache.create ~dir ()) dir)
-  in
-  let warm = ref None in
   let sweep_walls = Array.make !repeat 0.0 in
   let o2_walls = Array.make !repeat 0.0 in
   sweep_walls.(0) <- timed_sweep ~trace_dir:!trace_dir ();
@@ -314,19 +254,6 @@ let () =
       done;
       for i = 0 to !repeat - 1 do
         o2_walls.(i) <- timed_sweep ~level:Opt.O2 ~trace_dir:None ()
-      done;
-      match cache with
-      | None -> ()
-      | Some cache ->
-        (* Cold populating sweep (stdout still silenced — it prints the
-           identical report), then timed warm repeats over a fresh
-           stats window so the hit rate reflects only the warm probes. *)
-        ignore (Runner.run_cached ~cache sweep_spec Runner.all);
-        Resultcache.reset_stats cache;
-        let warm_walls = Array.make !repeat 0.0 in
-        for i = 0 to !repeat - 1 do
-          warm_walls.(i) <- timed_cached_sweep ~cache ()
-        done;
-        warm := Some (warm_walls, Resultcache.hit_rate cache));
-  write_json ~path:!json_path ~sweep_walls ~o2_walls ~warm:!warm
-    ~baseline:!baseline ~jobs:1
+      done);
+  write_json ~path:!json_path ~sweep_walls ~o2_walls ~baseline:!baseline
+    ~jobs:1

@@ -108,41 +108,15 @@ let obs_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR" ~doc)
 
-let cache_dir_arg =
-  let doc =
-    "Serve each experiment leg from the content-addressed result cache in \
-     $(docv) (created if missing), storing every miss. Determinism makes \
-     runs perfectly cacheable: a warm sweep's stdout and every exported \
-     trace/obs artifact are byte-identical to a cold (or uncached) run's. \
-     Ignored when PEXP_RESULT_CACHE=0 (the kill switch) or when \
-     $(b,--telemetry) is given (telemetry contains wall-clock timers, \
-     which are not replayable)."
-  in
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-(* Byte counts and hit/miss counters of a cached sweep, on stderr. *)
-let report_cache cache =
-  let stat = Resultcache.stat cache in
-  Printf.eprintf
-    "result cache: %d hits, %d misses, %d stored, %d corrupt; %d bytes read, \
-     %d written -> %s\n\
-     %!"
-    (stat "resultcache.hit_disk")
-    (stat "resultcache.miss") (stat "resultcache.store")
-    (stat "resultcache.corrupt")
-    (stat "resultcache.bytes_read")
-    (stat "resultcache.bytes_written")
-    (Resultcache.dir cache)
-
 (* Output directories are created before any leg runs, so a bad path fails
    fast instead of discarding a finished (possibly minutes-long) sweep. *)
-let create_or_exit flag create dir =
-  try create dir
+let mkdir_or_exit flag dir =
+  try Artifact_dir.mkdir_p dir
   with Sys_error msg ->
     Printf.eprintf "experiments: cannot create %s %s (%s)\n%!" flag dir msg;
     exit 1
 
-let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
+let main list jobs telemetry selective opt trace_dir obs_dir ids =
   if list then list_ids ()
   else begin
     let spec =
@@ -156,26 +130,8 @@ let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
         jobs = max 1 jobs;
       }
     in
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some dir when Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" ->
-        Printf.eprintf
-          "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
-          dir;
-        None
-      | Some dir when telemetry <> None ->
-        Printf.eprintf
-          "result cache: disabled under --telemetry (ignoring %s)\n%!" dir;
-        None
-      | Some dir ->
-        Some
-          (create_or_exit "--cache-dir"
-             (fun dir -> Resultcache.create ~dir ())
-             dir)
-    in
-    Option.iter (create_or_exit "--trace-dir" Artifact_dir.mkdir_p) trace_dir;
-    Option.iter (create_or_exit "--obs-dir" Artifact_dir.mkdir_p) obs_dir;
+    Option.iter (mkdir_or_exit "--trace-dir") trace_dir;
+    Option.iter (mkdir_or_exit "--obs-dir") obs_dir;
     (* open before the (possibly minutes-long) sweep so a bad path fails
        fast instead of discarding finished runs *)
     let telemetry_oc =
@@ -190,11 +146,7 @@ let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
     let experiments =
       match ids with [] -> Runner.all | ids -> experiments_for ids
     in
-    let legs =
-      match cache with
-      | Some cache -> Runner.run_cached ~cache spec experiments
-      | None -> Runner.run_list spec experiments
-    in
+    let legs = Runner.run_list spec experiments in
     let gather f = List.concat_map f legs in
     Option.iter
       (fun dir ->
@@ -208,7 +160,6 @@ let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
         let files = Obs.save_dir ~dir (gather (fun a -> a.Runner.obs)) in
         Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir)
       obs_dir;
-    Option.iter report_cache cache;
     Option.iter
       (fun (oc, file) ->
         write_telemetry oc file (gather (fun a -> a.Runner.telemetry)))
@@ -221,6 +172,6 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ list_arg $ jobs_arg $ telemetry_arg $ selective_arg
-      $ opt_arg $ trace_dir_arg $ obs_dir_arg $ cache_dir_arg $ ids_arg)
+      $ opt_arg $ trace_dir_arg $ obs_dir_arg $ ids_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -4,7 +4,6 @@
    Examples:
      pexp --app print_tokens2 --bug 10 --detector ccured --mode standard
      pexp --app 164.gzip --mode cmp --stats
-     pexp --cache-dir /tmp/pexp-cache --app replace --stats
      pexp --list *)
 
 let detector_of_string = function
@@ -28,9 +27,9 @@ let list_apps () =
         (Workload.bug_count w) w.Workload.descr)
     Registry.all
 
-let termination_summary out records =
+let termination_summary records =
   let count p = List.length (List.filter p records) in
-  Printf.ksprintf out
+  Printf.printf
     "NT-Path terminations: %d max-length, %d crash, %d unsafe, %d program-end, %d overflow\n"
     (count (fun (r : Nt_path.record) -> r.Nt_path.termination = Nt_path.T_max_length))
     (count Nt_path.is_crash)
@@ -43,46 +42,7 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-(* The run's cache key (DESIGN.md §16): everything the report bytes and the
-   exported artifacts depend on — the compiled program image hash (which
-   already folds in app source, planted bug, detector instrumentation,
-   fixing and optimization level), the fully resolved Pe_config
-   fingerprint, the detector/mode names for human-auditable keys, the run
-   spec, the input digest, the result-schema version and the build id,
-   plus every flag that changes what gets printed or exported. The spec
-   says whether a trace is recorded; [trace] and [chrome] name which
-   exports it feeds. *)
-let run_key ~spec ~app ~detector ~mode ~bug ~fixing ~stats ~disasm ~trace
-    ~trace_chrome ~program ~input ~config =
-  Resultcache.key
-    [
-      ("kind", "run");
-      ("schema", string_of_int Resultcache.schema_version);
-      ("build", Resultcache.build_id ());
-      ("app", app);
-      ("program", Resultcache.digest_value program);
-      ("pe_config", Pe_config.fingerprint config);
-      ("detector", Codegen.detector_name detector);
-      ("mode", Pe_config.mode_name mode);
-      ("spec", Run_spec.fingerprint spec);
-      ("fixing", string_of_bool fixing);
-      ("input", Resultcache.digest_hex input);
-      ("bug", match bug with None -> "none" | Some v -> string_of_int v);
-      ("stats", string_of_bool stats);
-      ("disasm", string_of_bool disasm);
-      ("trace", string_of_bool (trace <> None));
-      ("chrome", string_of_bool (trace_chrome <> None));
-    ]
-
-(* Where each named bundle artifact lands for this invocation. A hit's
-   artifact set always matches the requested set: the request flags are in
-   the key. *)
-let artifact_paths ~trace ~trace_chrome ~obs =
-  List.filter_map
-    (fun (name, path) -> Option.map (fun p -> (name, p)) path)
-    [ ("trace", trace); ("chrome", trace_chrome); ("obs", obs) ]
-
-let run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
+let run_one ~spec ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
     ~stats ~disasm ~trace ~trace_chrome ~dump_pass ~obs ~prometheus =
   let opt = spec.Run_spec.opt in
   let workload = Registry.find app in
@@ -121,141 +81,91 @@ let run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
       selective = spec.Run_spec.selective;
     }
   in
-  (* The simulation plus its complete report, every stdout byte through
-     [out] and every exported file through [write_artifact] — so a cache
-     miss can capture exactly what an uncached run emits. *)
-  let simulate ~out ~write_artifact () =
-    let printf fmt = Printf.ksprintf out fmt in
-    if disasm then out (Program.disassemble compiled.Compile.program);
-    let recorder =
-      if spec.Run_spec.trace then Recorder.create () else Recorder.disabled
-    in
-    let machine =
-      Machine.create ~input ~recorder ~fastpath:spec.Run_spec.fastpath
-        compiled.Compile.program
-    in
-    if obs <> None || prometheus <> None then
-      Telemetry.set_label machine.Machine.telemetry
-        (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
-    (* With a snapshot requested, the run also keeps the observatory's
-       bookkeeping (deopt-cause classification, NT sequence stamps). *)
-    let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
-    (match obs with
-     | None -> ()
-     | Some file ->
-       let snap =
-         Obs.snapshot
-           ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
-           ~program:compiled.Compile.program ~machine ~result ~config
-       in
-       write_artifact "obs" file (Obs.to_json snap ^ "\n");
-       Printf.eprintf "obs: snapshot -> %s\n%!" file);
-    (match prometheus with
-     | None -> ()
-     | Some file ->
-       write_file file (Telemetry.to_prometheus machine.Machine.telemetry);
-       Printf.eprintf "prometheus: metrics -> %s\n%!" file);
-    (* Flight-recorder exports before the human-readable report, so a crash
-       in the analysis below can't lose a captured trace. *)
-    let dump () =
-      Recorder.dump
-        ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
-        recorder
-    in
-    (match trace with
-     | None -> ()
-     | Some file ->
-       write_artifact "trace" file (Recorder.jsonl_of_dump (dump ()));
-       Printf.eprintf "trace: %d events -> %s\n%!" (Recorder.length recorder)
-         file);
-    (match trace_chrome with
-     | None -> ()
-     | Some file ->
-       write_artifact "chrome" file (Recorder.chrome_of_dump (dump ()));
-       Printf.eprintf "chrome trace: %d events -> %s\n%!"
-         (Recorder.length recorder) file);
-    printf "%s under %s (%s): %s\n" app
-      (Codegen.detector_name detector)
-      (Pe_config.mode_name mode)
-      (Engine.outcome_name result.Engine.outcome);
-    printf
-      "taken path: %d instructions, %d cycles; total %d cycles; %d NT-Paths\n"
-      result.Engine.taken_insns result.Engine.taken_cycles
-      result.Engine.total_cycles result.Engine.spawns;
-    printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
-      (Coverage.taken_pct result.Engine.coverage)
-      (Coverage.combined_pct result.Engine.coverage);
-    if stats then begin
-      termination_summary out result.Engine.nt_records;
-      printf "selective fast tier: %d instructions in %d segments\n"
-        result.Engine.fast_insns result.Engine.fast_segments
-    end;
-    let reports = machine.Machine.reports in
-    printf "detector reports: %d (%d distinct sites)\n"
-      (Report.count reports)
-      (List.length (Report.distinct_sites reports));
-    List.iter
-      (fun id ->
-        printf "  %s\n"
-          (Site.to_string compiled.Compile.program.Program.sites.(id)))
-      (Report.distinct_sites reports);
-    match bug with
-    | None -> ()
-    | Some version ->
-      let bug = Workload.find_bug workload version in
-      let analysis = Analysis.analyze ~compiled ~machine ~bug in
-      printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
-        bug.Bug.id
-        (if Analysis.detected analysis then "DETECTED" else "not detected")
-        analysis.Analysis.detected_on_taken_path
-        analysis.Analysis.detected_on_nt_path
-        (Analysis.false_positive_count analysis)
+  if disasm then print_string (Program.disassemble compiled.Compile.program);
+  let recorder =
+    if spec.Run_spec.trace then Recorder.create () else Recorder.disabled
   in
-  let live_write _name path content = write_file path content in
-  (* --dump-pass prints a fresh compilation's IR (already emitted above) and
-     --prometheus exports wall-clock timers; neither is replayable, so both
-     bypass the cache. *)
-  let bypass = dump_pass <> None || prometheus <> None in
-  match cache with
-  | Some cache when not bypass ->
-    let key =
-      run_key ~spec ~app ~detector ~mode ~bug ~fixing ~stats ~disasm ~trace
-        ~trace_chrome ~program:compiled.Compile.program ~input ~config
-    in
-    let paths = artifact_paths ~trace ~trace_chrome ~obs in
-    (match Resultcache.find cache key with
-     | Some bundle ->
-       List.iter
-         (fun (name, content) ->
-           match List.assoc_opt name paths with
-           | Some path ->
-             write_file path content;
-             Printf.eprintf "%s: cached -> %s\n%!" name path
-           | None -> ())
-         bundle.Resultcache.artifacts;
-       print_string bundle.Resultcache.stdout;
-       Printf.eprintf "result cache: hit %s\n%!" (Resultcache.key_hash key)
-     | None ->
-       let collected = ref [] in
-       let write_artifact name path content =
-         collected := (name, content) :: !collected;
-         write_file path content
-       in
-       let buf = Buffer.create 4096 in
-       simulate ~out:(Buffer.add_string buf) ~write_artifact ();
-       let out = Buffer.contents buf in
-       Resultcache.store cache key
-         { Resultcache.stdout = out; artifacts = List.rev !collected };
-       print_string out;
-       Printf.eprintf "result cache: miss, stored %s\n%!"
-         (Resultcache.key_hash key))
-  | _ ->
-    if Option.is_some cache && bypass then
-      Printf.eprintf
-        "result cache: bypassed (--dump-pass / --prometheus output is not \
-         replayable)\n\
-         %!";
-    simulate ~out:print_string ~write_artifact:live_write ()
+  let machine =
+    Machine.create ~input ~recorder ~fastpath:spec.Run_spec.fastpath
+      compiled.Compile.program
+  in
+  if obs <> None || prometheus <> None then
+    Telemetry.set_label machine.Machine.telemetry
+      (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
+  (* With a snapshot requested, the run also keeps the observatory's
+     bookkeeping (deopt-cause classification, NT sequence stamps). *)
+  let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
+  (match obs with
+   | None -> ()
+   | Some file ->
+     let snap =
+       Obs.snapshot
+         ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
+         ~program:compiled.Compile.program ~machine ~result ~config
+     in
+     write_file file (Obs.to_json snap ^ "\n");
+     Printf.eprintf "obs: snapshot -> %s\n%!" file);
+  (match prometheus with
+   | None -> ()
+   | Some file ->
+     write_file file (Telemetry.to_prometheus machine.Machine.telemetry);
+     Printf.eprintf "prometheus: metrics -> %s\n%!" file);
+  (* Flight-recorder exports before the human-readable report, so a crash
+     in the analysis below can't lose a captured trace. *)
+  let dump () =
+    Recorder.dump
+      ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
+      recorder
+  in
+  (match trace with
+   | None -> ()
+   | Some file ->
+     write_file file (Recorder.jsonl_of_dump (dump ()));
+     Printf.eprintf "trace: %d events -> %s\n%!" (Recorder.length recorder)
+       file);
+  (match trace_chrome with
+   | None -> ()
+   | Some file ->
+     write_file file (Recorder.chrome_of_dump (dump ()));
+     Printf.eprintf "chrome trace: %d events -> %s\n%!"
+       (Recorder.length recorder) file);
+  Printf.printf "%s under %s (%s): %s\n" app
+    (Codegen.detector_name detector)
+    (Pe_config.mode_name mode)
+    (Engine.outcome_name result.Engine.outcome);
+  Printf.printf
+    "taken path: %d instructions, %d cycles; total %d cycles; %d NT-Paths\n"
+    result.Engine.taken_insns result.Engine.taken_cycles
+    result.Engine.total_cycles result.Engine.spawns;
+  Printf.printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
+    (Coverage.taken_pct result.Engine.coverage)
+    (Coverage.combined_pct result.Engine.coverage);
+  if stats then begin
+    termination_summary result.Engine.nt_records;
+    Printf.printf "selective fast tier: %d instructions in %d segments\n"
+      result.Engine.fast_insns result.Engine.fast_segments
+  end;
+  let reports = machine.Machine.reports in
+  Printf.printf "detector reports: %d (%d distinct sites)\n"
+    (Report.count reports)
+    (List.length (Report.distinct_sites reports));
+  List.iter
+    (fun id ->
+      Printf.printf "  %s\n"
+        (Site.to_string compiled.Compile.program.Program.sites.(id)))
+    (Report.distinct_sites reports);
+  match bug with
+  | None -> ()
+  | Some version ->
+    let bug = Workload.find_bug workload version in
+    let analysis = Analysis.analyze ~compiled ~machine ~bug in
+    Printf.printf
+      "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
+      bug.Bug.id
+      (if Analysis.detected analysis then "DETECTED" else "not detected")
+      analysis.Analysis.detected_on_taken_path
+      analysis.Analysis.detected_on_nt_path
+      (Analysis.false_positive_count analysis)
 
 open Cmdliner
 
@@ -364,21 +274,8 @@ let trace_chrome_arg =
           "Like $(b,--trace) but in Chrome trace-event format (load in \
            Perfetto or chrome://tracing).")
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Serve the run from the content-addressed result cache in $(docv) \
-           (created if missing): on a hit the report and any requested \
-           trace/chrome/obs exports replay byte-identically from the store; \
-           on a miss the run executes and is stored. Ignored when \
-           PEXP_RESULT_CACHE=0, $(b,--dump-pass) or $(b,--prometheus) is \
-           given.")
-
 let main list app detector mode bug fixing selective seed random_input stats
-    disasm trace trace_chrome opt dump_pass obs prometheus cache_dir =
+    disasm trace trace_chrome opt dump_pass obs prometheus =
   if list then list_apps ()
   else
     let spec =
@@ -391,22 +288,7 @@ let main list app detector mode bug fixing selective seed random_input stats
         obs = obs <> None;
       }
     in
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some dir when Sys.getenv_opt "PEXP_RESULT_CACHE" = Some "0" ->
-        Printf.eprintf
-          "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
-          dir;
-        None
-      | Some dir -> (
-        (* created before the run, so a bad path fails fast *)
-        try Some (Resultcache.create ~dir ())
-        with Sys_error msg ->
-          Printf.eprintf "pexp: cannot create --cache-dir %s (%s)\n%!" dir msg;
-          exit 1)
-    in
-    run_one ~spec ~cache ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
+    run_one ~spec ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
       ~stats ~disasm ~trace ~trace_chrome ~dump_pass ~obs ~prometheus
 
 let cmd =
@@ -416,6 +298,6 @@ let cmd =
       const main $ list_arg $ app_arg $ detector_arg $ mode_arg $ bug_arg
       $ fixing_arg $ selective_arg $ seed_arg $ random_arg $ stats_arg
       $ disasm_arg $ trace_arg $ trace_chrome_arg $ opt_arg $ dump_pass_arg
-      $ obs_arg $ prometheus_arg $ cache_dir_arg)
+      $ obs_arg $ prometheus_arg)
 
 let () = exit (Cmd.eval cmd)

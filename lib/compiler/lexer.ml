@@ -87,7 +87,9 @@ let tokenize ?(first_line = 1) source =
       advance ()
     done;
     let text = String.sub source start (!pos - start) in
-    emit (Token.Tok_int (int_of_string text))
+    match int_of_string_opt text with
+    | Some v -> emit (Token.Tok_int v)
+    | None -> error !line "integer literal %s out of range" text
   in
   let read_ident () =
     let start = !pos in

@@ -46,6 +46,12 @@ let create_env () =
     current_ret = Ast.Tvoid;
   }
 
+(* Word counts and addresses are non-negative; a sum or product past
+   [max_int] would wrap to a negative address, so it is an error instead. *)
+let add_words line what a b =
+  if b > max_int - a then error line "%s overflows the address space" what;
+  a + b
+
 let rec sizeof env line ty =
   match ty with
   | Ast.Tint | Ast.Tptr _ -> 1
@@ -55,7 +61,10 @@ let rec sizeof env line ty =
      | None -> error line "unknown struct '%s'" name)
   | Ast.Tarray (elt, n) ->
     if n < 0 then error line "array size required";
-    n * sizeof env line elt
+    let elt_words = sizeof env line elt in
+    if elt_words > 0 && n > max_int / elt_words then
+      error line "array of %d elements overflows the address space" n;
+    n * elt_words
   | Ast.Tvoid -> error line "sizeof(void)"
 
 let struct_info env line name =
@@ -76,7 +85,10 @@ let define_struct env name fields line =
   let offset = ref 0 in
   let mk_field (ty, fname) =
     let f = { Tast.f_name = fname; f_offset = !offset; f_ty = ty } in
-    offset := !offset + sizeof env line ty;
+    offset :=
+      add_words line
+        (Printf.sprintf "struct '%s'" name)
+        !offset (sizeof env line ty);
     f
   in
   let tfields = List.map mk_field fields in
@@ -88,7 +100,9 @@ let alloc_global env line ty name =
   let addr = env.next_global in
   let payload = sizeof env line ty in
   let extra = match ty with Ast.Tarray _ -> redzone_words | _ -> 0 in
-  env.next_global <- env.next_global + payload + extra;
+  let what = Printf.sprintf "global '%s'" name in
+  env.next_global <-
+    add_words line what addr (add_words line what payload extra);
   let vr = { Tast.vr_name = name; vr_ty = ty; vr_storage = Tast.Global addr } in
   (match ty with
    | Ast.Tarray _ ->
@@ -99,12 +113,13 @@ let alloc_global env line ty name =
   Hashtbl.replace env.globals name vr;
   vr
 
-let intern_string env s =
+let intern_string env line s =
   match Hashtbl.find_opt env.strings s with
   | Some addr -> addr
   | None ->
     let addr = env.next_global in
-    env.next_global <- env.next_global + String.length s + 1;
+    env.next_global <-
+      add_words line "string literal" addr (String.length s + 1);
     String.iteri
       (fun i c -> env.init_data <- (addr + i, Char.code c) :: env.init_data)
       s;
@@ -115,8 +130,9 @@ let intern_string env s =
 let alloc_local env line ty name =
   let payload = sizeof env line ty in
   let extra = match ty with Ast.Tarray _ -> redzone_words | _ -> 0 in
-  let words = payload + extra in
-  let off = -(env.frame_next + words - 1) in
+  let what = Printf.sprintf "local '%s'" name in
+  let words = add_words line what payload extra in
+  let off = -(add_words line what env.frame_next words - 1) in
   env.frame_next <- env.frame_next + words;
   let vr = { Tast.vr_name = name; vr_ty = ty; vr_storage = Tast.Local off } in
   (match ty with
@@ -172,7 +188,8 @@ let rec check_expr env (e : Ast.expr) : Tast.texpr =
   let ln = e.Ast.line in
   match e.Ast.desc with
   | Ast.Int_lit n -> mk (Tast.Tint_lit n) Ast.Tint ln
-  | Ast.Str_lit s -> mk (Tast.Tstr_addr (intern_string env s)) (Ast.Tptr Ast.Tint) ln
+  | Ast.Str_lit s ->
+    mk (Tast.Tstr_addr (intern_string env ln s)) (Ast.Tptr Ast.Tint) ln
   | Ast.Var name ->
     let vr = lookup_var env ln name in
     mk (Tast.Tvar vr) vr.Tast.vr_ty ln
@@ -450,12 +467,14 @@ let process_structs_and_globals env globals =
 
 let allocate_blanks env =
   let generic = env.next_global in
-  env.next_global <- env.next_global + generic_blank_words;
+  env.next_global <-
+    add_words 0 "blank buffer" generic generic_blank_words;
   env.blanks <- [ ("generic", generic) ];
   Hashtbl.iter
     (fun name info ->
       let addr = env.next_global in
-      env.next_global <- env.next_global + max 1 info.s_size;
+      env.next_global <-
+        add_words 0 "blank buffer" addr (max 1 info.s_size);
       env.blanks <- (name, addr) :: env.blanks)
     env.structs
 

@@ -63,11 +63,3 @@ val siemens : t
 val latency_study : t
 
 val mode_name : mode -> string
-
-(** Canonical fingerprint of a configuration: every field rendered by name
-    in a fixed order, for content-addressed result-cache keys (DESIGN.md
-    §16). Two configurations differing in any single field fingerprint
-    differently; a field added to {!t} without being rendered here fails
-    the build (exhaustive destructuring) rather than silently aliasing
-    cache keys. *)
-val fingerprint : t -> string

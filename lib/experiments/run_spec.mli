@@ -20,9 +20,3 @@ type t = {
 
 (** [O0], selective and fast path on, nothing captured, one domain. *)
 val default : t
-
-(** Canonical rendering of every field that can change a sweep's bytes,
-    for result-cache keys (DESIGN.md §16). [jobs] is left out: output is
-    byte-identical at any [--jobs]. A field added to {!t} fails the build
-    until it is rendered here or named as dropped. *)
-val fingerprint : t -> string

@@ -23,7 +23,7 @@ type artifacts = {
       (** (run label, snapshot JSON), sorted; [[]] unless the spec observes *)
   telemetry : Telemetry.t list;
       (** every run's sink, in run order; [[]] unless the spec asks for
-          telemetry (never cached: it holds wall-clock timers) *)
+          telemetry *)
 }
 
 (** Run one experiment under [spec] on a fresh context. *)
@@ -35,21 +35,3 @@ val capture : Run_spec.t -> experiment -> artifacts
     run; the artifacts come back in list order too. *)
 val run_list :
   ?out:(string -> unit) -> Run_spec.t -> experiment list -> artifacts list
-
-(** The cache key of one experiment leg (DESIGN.md §16): build id,
-    result-schema version, experiment id, the workload-registry content
-    fingerprint, the default {!Pe_config} fingerprint and
-    {!Run_spec.fingerprint} — everything but [--jobs], since a parallel
-    sweep's bytes are identical to a serial one's. *)
-val experiment_key : Run_spec.t -> experiment -> Resultcache.key
-
-(** {!run_list} through the content-addressed result cache: each leg is
-    probed, served from its stored bundle on a hit, and run then stored on
-    a miss. Stdout and the returned traces and snapshots are
-    byte-identical to {!run_list}'s either way. *)
-val run_cached :
-  cache:Resultcache.t ->
-  ?out:(string -> unit) ->
-  Run_spec.t ->
-  experiment list ->
-  artifacts list

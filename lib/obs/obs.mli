@@ -57,6 +57,6 @@ val snapshot :
 (** Write one [obs-NNNN-<label>.json] file per [(label, json)] pair (the
     JSON without its trailing newline, which the file gets) into [dir]
     (created if missing) through {!Artifact_dir.save}: numbered in (label,
-    content) order, canonical across serial and parallel sweeps and
-    result-cache replays. Returns the file paths in order. *)
+    content) order, canonical across serial and parallel sweeps. Returns
+    the file paths in order. *)
 val save_dir : dir:string -> (string * string) list -> string list

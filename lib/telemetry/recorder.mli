@@ -103,7 +103,6 @@ val chrome_of_dump : dump -> string
 
 (** Write one [trace-NNNN-<label>.jsonl] file per [(label, jsonl)] pair
     into [dir] (created if missing) through {!Artifact_dir.save}: numbered
-    in (label, content) order, so a parallel sweep, a serial one and a
-    result-cache replay write byte-identical directories. Returns the
-    paths written. *)
+    in (label, content) order, so a parallel sweep and a serial one write
+    byte-identical directories. Returns the paths written. *)
 val save_dir : dir:string -> (string * string) list -> string list

@@ -1,7 +1,7 @@
 (* One file per (label, content) artifact. Parallel sweeps produce
    artifacts in nondeterministic order, so files are numbered after sorting
    by (label, content): identical sweeps name identical bytes identically,
-   serial or [--jobs N], live or replayed from the result cache. *)
+   serial or [--jobs N]. *)
 
 let sanitize_label label =
   let buf = Buffer.create (String.length label) in

@@ -1,7 +1,7 @@
 (** Output directories: the create-with-parents helper behind every
-    directory a front end writes into ([--trace-dir], [--obs-dir],
-    [--cache-dir]), and the one writer of per-run artifact directories: one
-    file per [(label, content)] pair. *)
+    directory a front end writes into ([--trace-dir], [--obs-dir]), and the
+    one writer of per-run artifact directories: one file per
+    [(label, content)] pair. *)
 
 (** [mkdir_p dir] creates [dir] and any missing parents (mode [0o755]); an
     existing directory is left alone. Raises [Sys_error], and nothing else,

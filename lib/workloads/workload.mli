@@ -38,12 +38,6 @@ val compile :
   t ->
   Compile.compiled
 
-(** Content fingerprint (MD5 hex) of everything run-relevant and reachable
-    as data: name, class, NT-Path budget, default input, the bug-free
-    source and every planted-bug source variant — a result-cache key
-    component (DESIGN.md §16). *)
-val fingerprint : t -> string
-
 (** PathExpander configuration with this workload's NT-Path budget. *)
 val pe_config : ?mode:Pe_config.mode -> t -> Pe_config.t
 

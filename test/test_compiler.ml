@@ -111,6 +111,54 @@ let test_typecheck_errors () =
   expect_type_error "assign to literal" "int main() { 3 = 4; return 0; }";
   expect_type_error "void return value" "void f() { return 3; } int main() { f(); return 0; }"
 
+(* Hostile sources: an out-of-range literal or an allocation past
+   [max_int] is a [Compile.Error] naming its line, never an escaped
+   [Failure] or [Program.Invalid_program]. *)
+let expect_compile_error name source expected =
+  match Compile.compile source with
+  | exception Compile.Error msg -> Alcotest.(check string) name expected msg
+  | _ -> Alcotest.failf "%s: expected a compile error" name
+
+let test_literal_out_of_range () =
+  expect_compile_error "literal past max_int"
+    "int main() {\n  return 99999999999999999999999;\n}"
+    "lex error at line 2: integer literal 99999999999999999999999 out of \
+     range";
+  expect_compile_error "negated literal past max_int"
+    "int main() {\n\n  return -9223372036854775808;\n}"
+    "lex error at line 3: integer literal 9223372036854775808 out of range";
+  match Compile.compile "int main() { return 4611686018427387903; }" with
+  | _ -> ()
+  | exception Compile.Error msg -> Alcotest.failf "max_int rejected: %s" msg
+
+let test_allocation_overflow () =
+  expect_compile_error "global allocation wraps"
+    "int a[4611686018427387903];\nint b[4];\nint main() { return 0; }"
+    "type error at line 1: global 'a' overflows the address space";
+  expect_compile_error "array of structs wraps"
+    "struct s { int a; int b; };\n\
+     struct s v[3000000000000000000];\n\
+     int main() { return 0; }"
+    "type error at line 2: array of 3000000000000000000 elements overflows \
+     the address space";
+  expect_compile_error "local allocation wraps"
+    "int main() {\n  int a[4611686018427387903];\n  return 0;\n}"
+    "type error at line 2: local 'a' overflows the address space";
+  expect_compile_error "struct layout wraps"
+    "struct s { int a[4611686018427387903]; int b[4]; };\n\
+     int main() { return 0; }"
+    "type error at line 0: struct 's' overflows the address space";
+  (* the user's globals fit; the string pool and blank buffers behind
+     them do not *)
+  expect_compile_error "string literal wraps"
+    "int a[4611686018427387790];\n\
+     int main() { print_str(\"a string longer than the words left\"); \
+     return 0; }"
+    "type error at line 2: string literal overflows the address space";
+  expect_compile_error "blank buffers wrap"
+    "int a[4611686018427387870];\nint main() { return 0; }"
+    "type error at line 0: blank buffer overflows the address space"
+
 (* --- end-to-end execution -------------------------------------------------- *)
 
 let test_exec_arith () =
@@ -414,6 +462,8 @@ let tests =
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
     Alcotest.test_case "parser structs" `Quick test_parser_struct_and_pointers;
     Alcotest.test_case "typecheck errors" `Quick test_typecheck_errors;
+    Alcotest.test_case "literal out of range" `Quick test_literal_out_of_range;
+    Alcotest.test_case "allocation overflow" `Quick test_allocation_overflow;
     Alcotest.test_case "exec arithmetic" `Quick test_exec_arith;
     Alcotest.test_case "exec short-circuit" `Quick test_exec_short_circuit;
     Alcotest.test_case "exec ternary" `Quick test_exec_ternary;

@@ -69,6 +69,28 @@ let test_experiment_determinism () =
   Alcotest.(check bool) "produced output" true (String.length serial > 0);
   Alcotest.(check string) "jobs=4 byte-identical to serial" serial parallel
 
+(* Run as a single leg with traces and snapshots captured, abl1 stays on the
+   caller's domain and fans its runs out to pool workers: every run's trace
+   and snapshot must still come back, equal to a serial capture. *)
+let test_fanned_out_leg () =
+  let e = experiment "abl1" in
+  let capturing = { Run_spec.default with Run_spec.trace = true; obs = true } in
+  let leg jobs =
+    let spec = { capturing with Run_spec.jobs } in
+    match Runner.run_list ~out:ignore spec [ e ] with
+    | [ a ] -> a
+    | _ -> Alcotest.fail "one leg in, one leg out"
+  in
+  let serial = leg 1 and fanned = leg 2 in
+  Alcotest.(check int) "serial traces" 6 (List.length serial.Runner.traces);
+  Alcotest.(check int) "serial snapshots" 6 (List.length serial.Runner.obs);
+  Alcotest.(check string) "fanned-out stdout" serial.Runner.stdout
+    fanned.Runner.stdout;
+  Alcotest.(check bool) "fanned-out traces match the serial capture" true
+    (fanned.Runner.traces = serial.Runner.traces);
+  Alcotest.(check bool) "fanned-out snapshots match the serial capture" true
+    (fanned.Runner.obs = serial.Runner.obs)
+
 let test_runner_parallel_order () =
   (* experiment-level fan-out: captured outputs are printed in registry
      order, so a parallel run of several experiments concatenates exactly *)
@@ -91,5 +113,6 @@ let tests =
     Alcotest.test_case "context output capture" `Quick test_context_output;
     Alcotest.test_case "sweep determinism (jobs=4 = serial)" `Slow
       test_experiment_determinism;
+    Alcotest.test_case "fanned-out leg captures" `Slow test_fanned_out_leg;
     Alcotest.test_case "runner output order" `Quick test_runner_parallel_order;
   ]

@@ -134,6 +134,36 @@ let test_vec_iteri () =
     [ (0, "a"); (1, "b"); (2, "c") ]
     (List.rev !acc)
 
+(* Every front end creates its --trace-dir and --obs-dir with parents; a
+   path that cannot be created raises [Sys_error] only, which the front ends
+   turn into a one-line message and exit 1. *)
+let test_nested_dirs () =
+  let base = Filename.temp_dir "pexp-test-dirs" "" in
+  let art_dir = Filename.concat base (Filename.concat "a1" "a2") in
+  let files =
+    Artifact_dir.save ~dir:art_dir ~prefix:"t" ~ext:"txt" ~newline:false
+      [ ("x", "1") ]
+  in
+  Alcotest.(check (list string)) "save into a created nested dir"
+    [ Filename.concat art_dir "t-0000-x.txt" ] files;
+  Alcotest.(check bool) "file written" true (Sys.file_exists (List.hd files));
+  let file = Filename.concat base "regular" in
+  close_out (open_out file);
+  let under = Filename.concat file "sub" in
+  let raises_sys_error f =
+    match f () with _ -> false | exception Sys_error _ -> true
+  in
+  Alcotest.(check bool) "mkdir_p under a regular file: Sys_error" true
+    (raises_sys_error (fun () -> Artifact_dir.mkdir_p under));
+  Alcotest.(check bool) "save under a regular file: Sys_error" true
+    (raises_sys_error (fun () ->
+         Artifact_dir.save ~dir:under ~prefix:"t" ~ext:"txt" ~newline:false
+           [ ("x", "1") ]));
+  Alcotest.(check bool) "the file itself as a dir: Sys_error" true
+    (raises_sys_error (fun () -> Artifact_dir.mkdir_p file));
+  List.iter Sys.remove (file :: files);
+  List.iter Sys.rmdir [ art_dir; Filename.dirname art_dir; base ]
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -153,4 +183,5 @@ let tests =
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec iteri" `Quick test_vec_iteri;
+    Alcotest.test_case "nested output directories" `Quick test_nested_dirs;
   ]

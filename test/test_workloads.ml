@@ -132,9 +132,34 @@ let test_find () =
   Alcotest.check_raises "unknown" (Invalid_argument "unknown workload 'zzz'")
     (fun () -> ignore (Registry.find "zzz"))
 
+(* The compile memo is a bounded LRU: a duplicate add keeps the first
+   value, a hit refreshes recency, and a full table evicts its least
+   recently used key. *)
+let test_compile_lru () =
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Lru.create") (fun () ->
+      ignore (Lru.create ~capacity:0));
+  let memo = Lru.create ~capacity:2 in
+  Lru.add memo 1 "one";
+  Lru.add memo 2 "two";
+  Lru.add memo 1 "dup";
+  Alcotest.(check (option string))
+    "a duplicate add keeps the first" (Some "one") (Lru.find memo 1);
+  (* the hit made 1 most-recently-used, so a third key evicts 2, not 1 *)
+  Lru.add memo 3 "three";
+  Alcotest.(check int) "evictions counted" 1 (Lru.evictions memo);
+  Alcotest.(check int) "bounded" 2 (Lru.length memo);
+  Alcotest.(check (option string)) "lru victim gone" None (Lru.find memo 2);
+  Alcotest.(check (option string)) "lru survivor still memoized" (Some "one")
+    (Lru.find memo 1);
+  let w = Registry.print_tokens2 in
+  Alcotest.(check bool) "hit returns the memoized instance" true
+    (Workload.compile ~bug:1 w == Workload.compile ~bug:1 w)
+
 let tests =
   Alcotest.test_case "registry shape" `Quick test_registry_shape
   :: Alcotest.test_case "registry find" `Quick test_find
+  :: Alcotest.test_case "bounded compile memo" `Quick test_compile_lru
   :: (List.map clean_run_case Registry.all
      @ List.map output_deterministic_case Registry.all
      @ List.map pe_preserves_output_case Registry.all
