@@ -71,7 +71,7 @@ type init = Init_int of int | Init_string of string | Init_list of int list
 
 type global =
   | Gvar of ty * string * init option * int
-  | Gstruct of string * (ty * string) list
+  | Gstruct of string * (ty * string) list * int
   | Gfunc of func
 
 type program = global list
@@ -194,7 +194,7 @@ let global_to_string g =
      | Tarray (elt, n) ->
        Printf.sprintf "%s %s[%d]%s;\n" (ty_to_string elt) name n init_str
      | _ -> Printf.sprintf "%s %s%s;\n" (ty_to_string ty) name init_str)
-  | Gstruct (name, fields) ->
+  | Gstruct (name, fields, _) ->
     let field_str =
       String.concat ""
         (List.map

@@ -83,7 +83,7 @@ type init = Init_int of int | Init_string of string | Init_list of int list
 
 type global =
   | Gvar of ty * string * init option * int  (** name, initialiser, line *)
-  | Gstruct of string * (ty * string) list
+  | Gstruct of string * (ty * string) list * int  (** name, fields, line *)
   | Gfunc of func
 
 type program = global list

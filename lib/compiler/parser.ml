@@ -380,6 +380,7 @@ let parse_init_list state =
   List.rev !values
 
 let parse_struct_def state =
+  let ln = line state in
   eat state Token.Kw_struct;
   let name = eat_ident state in
   eat state Token.Lbrace;
@@ -393,7 +394,7 @@ let parse_struct_def state =
   done;
   eat state Token.Rbrace;
   eat state Token.Semi;
-  Ast.Gstruct (name, List.rev !fields)
+  Ast.Gstruct (name, List.rev !fields, ln)
 
 let parse_params state =
   eat state Token.Lparen;

@@ -23,7 +23,12 @@ type env = {
   mutable init_data : (int * int) list;
   mutable global_arrays : Tast.global_array list;
   mutable blanks : (string * int) list;
-  mutable scopes : (string, Tast.var_ref) Hashtbl.t list;
+  (* Every local in scope, shadowing by [Hashtbl.add]: a lookup costs O(1)
+     however deep the blocks nest. *)
+  locals : (string, Tast.var_ref) Hashtbl.t;
+  (* Per open block, innermost first: the names it declared, which
+     [pop_scope] removes from [locals]. *)
+  mutable scopes : string list list;
   mutable frame_next : int;
   mutable local_arrays : Tast.local_array list;
   mutable current_ret : Ast.ty;
@@ -40,6 +45,7 @@ let create_env () =
     init_data = [];
     global_arrays = [];
     blanks = [];
+    locals = Hashtbl.create 64;
     scopes = [];
     frame_next = 1;
     local_arrays = [];
@@ -140,21 +146,19 @@ let alloc_local env line ty name =
      env.local_arrays <- { Tast.la_ref = vr; la_elems = payload } :: env.local_arrays
    | _ -> ());
   (match env.scopes with
-   | scope :: _ -> Hashtbl.replace scope name vr
+   | names :: outer ->
+     Hashtbl.add env.locals name vr;
+     env.scopes <- (name :: names) :: outer
    | [] -> error line "local declaration outside a function");
   vr
 
 let lookup_var env line name =
-  let rec search = function
-    | scope :: rest ->
-      (match Hashtbl.find_opt scope name with
-       | Some vr -> Some vr
-       | None -> search rest)
-    | [] -> Hashtbl.find_opt env.globals name
-  in
-  match search env.scopes with
+  match Hashtbl.find_opt env.locals name with
   | Some vr -> vr
-  | None -> error line "unbound variable '%s'" name
+  | None ->
+    (match Hashtbl.find_opt env.globals name with
+     | Some vr -> vr
+     | None -> error line "unbound variable '%s'" name)
 
 let builtin_of_name = function
   | "putc" -> Some (Tast.B_putc, 1, Ast.Tvoid)
@@ -311,11 +315,13 @@ and check_binop env ln op e1 e2 =
     require_scalar ();
     mk (Tast.Tbinop (op, t1, t2)) Ast.Tint ln
 
-let push_scope env = env.scopes <- Hashtbl.create 8 :: env.scopes
+let push_scope env = env.scopes <- [] :: env.scopes
 
 let pop_scope env =
   match env.scopes with
-  | _ :: rest -> env.scopes <- rest
+  | names :: outer ->
+    List.iter (Hashtbl.remove env.locals) names;
+    env.scopes <- outer
   | [] -> invalid_arg "pop_scope"
 
 let mk_stmt tsdesc tsline : Tast.tstmt = { Tast.tsdesc; tsline }
@@ -454,7 +460,7 @@ let process_structs_and_globals env globals =
   List.iter
     (fun g ->
       match g with
-      | Ast.Gstruct (name, fields) -> define_struct env name fields 0
+      | Ast.Gstruct (name, fields, line) -> define_struct env name fields line
       | Ast.Gvar (ty, name, init, line) ->
         let ty = infer_global_array_size line ty init name in
         let _ = sizeof env line ty in

@@ -219,6 +219,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
   (* One pooled context + sandbox recycled across every spawn of this run. *)
   let nt_arena =
     Nt_path.make_arena machine config coverage ~l1:ctx.Context.l1
+      ~line_limit:(Machine_config.l1_lines machine.Machine.config)
   in
   let recorder = machine.Machine.recorder in
   let last_spawn_cycle = ref 0 in

@@ -37,7 +37,7 @@ let is_unsafe record =
 (* Pooled spawn state: one context, one overlay sandbox, one driver handle
    with its hooks and the per-spawn telemetry counter handles, recycled
    across every NT-Path an engine run spawns. A spawn is then a register
-   blit plus O(1) resets instead of a context, two tables, a journal and a
+   blit plus O(1) resets instead of a context, two tables and a
    segment's worth of closures allocated and thrown away per path — and its
    termination accounting is five pre-resolved counter bumps instead of
    five string hashes. *)
@@ -124,7 +124,7 @@ let hooks machine (config : Pe_config.t) coverage ctx input_pos =
   in
   { Fast_loop.tick = Fast_loop.no_tick; branch; syscall }
 
-let make_arena machine config coverage ~l1 =
+let make_arena machine config coverage ~l1 ~line_limit =
   let tel = machine.Machine.telemetry in
   let ctx = Context.create ~l1 ~pc:0 ~sp:0 in
   let input_pos = ref 0 in
@@ -134,8 +134,7 @@ let make_arena machine config coverage ~l1 =
     coverage;
     ctx;
     sandbox =
-      Context.make_sandbox ~path_id:Cache.committed_owner
-        ~line_limit:(Machine_config.l1_lines machine.Machine.config)
+      Context.make_sandbox ~path_id:Cache.committed_owner ~line_limit
         ~words_per_line:(Machine_config.words_per_line machine.Machine.config);
     fl = Fast_loop.make machine ctx coverage;
     hooks = hooks machine config coverage ctx input_pos;

@@ -7,7 +7,10 @@
     conditions: the instruction budget, a crash (swallowed), an unsafe
     event, the end of the program, or L1 buffering overflow. On termination
     the path's cache lines are gang-invalidated, its watchpoint mutations
-    undone and its writes discarded; only detector reports survive. *)
+    undone and its writes discarded; only detector reports survive.
+
+    This is the only NT-Path runner: the standard and CMP engines and the
+    software PathExpander all spawn through {!run}. *)
 
 type termination =
   | T_max_length  (** reached [MaxNTPathLength] instructions *)
@@ -41,8 +44,12 @@ val termination_of_exit : Fast_loop.exit -> termination
 type arena
 
 (** One arena for an engine run: its machine, configuration and coverage
-    sink; the L1 is retargeted per spawn. *)
-val make_arena : Machine.t -> Pe_config.t -> Coverage.t -> l1:Cache.t -> arena
+    sink; the L1 is retargeted per spawn. [line_limit] bounds the dirty
+    lines one path may buffer: the L1's line capacity for the hardware
+    engines, [max_int] for the software PathExpander, which has no L1
+    buffer to overflow. *)
+val make_arena :
+  Machine.t -> Pe_config.t -> Coverage.t -> l1:Cache.t -> line_limit:int -> arena
 
 (** Execute one NT-Path to termination. [regs] is the spawning core's
     register file (copied, never mutated); [l1] the cache the path runs

@@ -32,8 +32,6 @@ let all_branches program =
     program.code;
   List.rev !acc
 
-let branch_edge_count program = 2 * List.length program.user_branches
-
 let rec check_insn program pc insn =
   let n = Array.length program.code in
   let check_target target =

@@ -36,9 +36,6 @@ exception Invalid_program of string
 (** Pcs of every conditional branch in the image (user and runtime). *)
 val all_branches : t -> int list
 
-(** Size of the branch-coverage universe: two edges per user branch. *)
-val branch_edge_count : t -> int
-
 (** Address of a named global variable, if any. *)
 val global_address : t -> string -> int option
 

@@ -64,13 +64,9 @@ module Itab = struct
       t.gens.(i) <- t.gen;
       t.keys.(i) <- key;
       t.vals.(i) <- v;
-      t.used <- t.used + 1;
-      true
+      t.used <- t.used + 1
     end
-    else if t.keys.(i) = key then begin
-      t.vals.(i) <- v;
-      false
-    end
+    else if t.keys.(i) = key then t.vals.(i) <- v
     else set_probe t key v ((i + 1) land t.mask)
 
   let rec grow t =
@@ -83,36 +79,26 @@ module Itab = struct
     t.gen <- 1;
     t.used <- 0;
     Array.iteri
-      (fun i g -> if g = ogen then ignore (set t okeys.(i) ovals.(i)))
+      (fun i g -> if g = ogen then set t okeys.(i) ovals.(i))
       ogens
 
-  (* Insert or overwrite; returns [true] when [key] was not yet present. *)
+  (* Insert or overwrite. *)
   and set t key v =
     if 2 * t.used > t.mask then grow t;
     set_probe t key v (hash t key)
 end
 
-(* Two sandboxing mechanisms:
-   - [Overlay]: the hardware scheme — writes buffered in versioned L1 lines,
-     discarded at squash; bounded by the L1's line capacity. The buffer is a
-     flat generation-stamped store plus a first-write journal (for commit
-     iteration), both sized from the line limit — no per-spawn allocation.
-   - [Write_log]: the software scheme (PIN-based PathExpander) — writes go
-     straight to memory while an undo log records the old values, replayed
-     backwards at squash. Unbounded, but every write pays logging work. *)
-type sandbox_kind =
-  | Overlay of {
-      store : Itab.t;  (* addr -> buffered value *)
-      lines : Itab.t;  (* dirty line index -> () ; [used] is the count *)
-      journal : int Vec.t;  (* distinct written addrs, first-write order *)
-      line_limit : int;
-      words_per_line : int;
-      line_shift : int;  (* log2 words_per_line, or -1 *)
-    }
-  | Write_log of { mutable log : (int * int) list; mutable log_size : int }
-
+(* The one NT-Path sandbox, the hardware scheme: writes buffered in
+   versioned L1 lines, discarded at squash and bounded by [line_limit]
+   dirty lines (the L1's capacity; [max_int] for the software scheme).
+   The buffer is a flat generation-stamped store, so a spawn allocates
+   nothing. *)
 type sandbox = {
-  kind : sandbox_kind;
+  store : Itab.t;  (* addr -> buffered value *)
+  lines : Itab.t;  (* dirty line index -> () ; [used] is the count *)
+  line_limit : int;
+  words_per_line : int;
+  line_shift : int;  (* log2 words_per_line, or -1 *)
   mutable watch_journal : Watchpoints.journal_entry list;
   mutable path_id : int;
   (* Spawn provenance, carried so reports filed inside the path can name
@@ -138,8 +124,6 @@ type t = {
   mutable br_taken : bool;
   mutable br_target : int;
 }
-
-type checkpoint = { saved_regs : int array; saved_pc : int; saved_pred : bool }
 
 let create ~l1 ~pc ~sp =
   let regs = Array.make Reg.count 0 in
@@ -178,14 +162,6 @@ let get_reg ctx r = if r = Reg.zero then 0 else ctx.regs.(r)
 
 let set_reg ctx r v = if r <> Reg.zero then ctx.regs.(r) <- v
 
-let checkpoint ctx =
-  { saved_regs = Array.copy ctx.regs; saved_pc = ctx.pc; saved_pred = ctx.pred }
-
-let restore ctx cp =
-  Array.blit cp.saved_regs 0 ctx.regs 0 Reg.count;
-  ctx.pc <- cp.saved_pc;
-  ctx.pred <- cp.saved_pred
-
 let log2_pow2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
   if n > 0 && n land (n - 1) = 0 then go n 0 else -1
@@ -199,50 +175,28 @@ let initial_slots = 16
 
 let make_sandbox ~path_id ~line_limit ~words_per_line =
   {
-    kind =
-      Overlay
-        {
-          store = Itab.create initial_slots;
-          lines = Itab.create initial_slots;
-          journal = Vec.create ~dummy:0;
-          line_limit;
-          words_per_line;
-          line_shift = log2_pow2 words_per_line;
-        };
+    store = Itab.create initial_slots;
+    lines = Itab.create initial_slots;
+    line_limit;
+    words_per_line;
+    line_shift = log2_pow2 words_per_line;
     path_id;
     watch_journal = [];
     spawn_pc = -1;
     spawn_edge = false;
   }
 
-let make_write_log_sandbox ~path_id =
-  {
-    kind = Write_log { log = []; log_size = 0 };
-    path_id;
-    watch_journal = [];
-    spawn_pc = -1;
-    spawn_edge = false;
-  }
-
-(* Recycle a sandbox for the next spawn: O(1) for overlays (generation
-   bump), so pooling beats per-spawn allocation. *)
+(* Recycle a sandbox for the next spawn: O(1) (a generation bump), so
+   pooling beats per-spawn allocation. *)
 let reset_sandbox sandbox ~path_id =
   sandbox.path_id <- path_id;
   sandbox.watch_journal <- [];
   sandbox.spawn_pc <- -1;
   sandbox.spawn_edge <- false;
-  match sandbox.kind with
-  | Overlay o ->
-    Itab.reset o.store;
-    Itab.reset o.lines;
-    Vec.clear o.journal
-  | Write_log wl ->
-    wl.log <- [];
-    wl.log_size <- 0
+  Itab.reset sandbox.store;
+  Itab.reset sandbox.lines
 
 let enter_sandbox ctx sandbox = ctx.sandbox <- Some sandbox
-
-let exit_sandbox ctx = ctx.sandbox <- None
 
 let is_sandboxed ctx = match ctx.sandbox with Some _ -> true | None -> false
 
@@ -260,67 +214,28 @@ let sandbox_spawn_edge sandbox = sandbox.spawn_edge
 
 (* A sandboxed read sees the path's own buffered version first. *)
 let sandbox_read sandbox mem addr =
-  match sandbox.kind with
-  | Overlay o ->
-    let i = Itab.find o.store addr in
-    if i >= 0 then Array.unsafe_get o.store.Itab.vals i else Memory.read mem addr
-  | Write_log _ -> Memory.read mem addr
+  let i = Itab.find sandbox.store addr in
+  if i >= 0 then Array.unsafe_get sandbox.store.Itab.vals i
+  else Memory.read mem addr
 
-(* A sandboxed write; returns [false] when an overlay write pushed the path
-   past its L1 buffering capacity (overflow => the path must squash). *)
+(* A sandboxed write; returns [false] when it pushed the path past its L1
+   buffering capacity (overflow => the path must squash). *)
 let sandbox_write sandbox mem addr v =
-  match sandbox.kind with
-  | Overlay o ->
-    Memory.check mem addr;
-    if Itab.set o.store addr v then Vec.push o.journal addr;
-    let line =
-      if o.line_shift >= 0 && addr >= 0 then addr lsr o.line_shift
-      else addr / o.words_per_line
-    in
-    ignore (Itab.set o.lines line 0);
-    o.lines.Itab.used <= o.line_limit
-  | Write_log wl ->
-    let old = Memory.read mem addr in
-    wl.log <- (addr, old) :: wl.log;
-    wl.log_size <- wl.log_size + 1;
-    Memory.write mem addr v;
-    true
+  Memory.check mem addr;
+  Itab.set sandbox.store addr v;
+  let line =
+    if sandbox.line_shift >= 0 && addr >= 0 then addr lsr sandbox.line_shift
+    else addr / sandbox.words_per_line
+  in
+  Itab.set sandbox.lines line 0;
+  sandbox.lines.Itab.used <= sandbox.line_limit
 
 let read_mem ctx mem addr =
   match ctx.sandbox with
   | Some sb -> sandbox_read sb mem addr
   | None -> Memory.read mem addr
 
-let dirty_line_count sandbox =
-  match sandbox.kind with
-  | Overlay o -> o.lines.Itab.used
-  | Write_log _ -> 0
-
-let write_log_size sandbox =
-  match sandbox.kind with
-  | Overlay _ -> 0
-  | Write_log wl -> wl.log_size
-
-(* Undo a write-log sandbox: replay the restore-log backwards. *)
-let rollback_write_log sandbox mem =
-  match sandbox.kind with
-  | Overlay _ -> ()
-  | Write_log wl ->
-    List.iter (fun (addr, old) -> Memory.write mem addr old) wl.log;
-    wl.log <- [];
-    wl.log_size <- 0
-
-(* Commit a sandbox's buffered writes to architectural memory (used only by
-   taken-path segments in the CMP engine; NT-Paths are always discarded). *)
-let commit_sandbox sandbox mem =
-  match sandbox.kind with
-  | Overlay o ->
-    Vec.iteri
-      (fun _ addr ->
-        let i = Itab.find o.store addr in
-        if i >= 0 then Memory.write mem addr o.store.Itab.vals.(i))
-      o.journal
-  | Write_log _ -> ()
+let dirty_line_count sandbox = sandbox.lines.Itab.used
 
 let journal_watch sandbox entry =
   sandbox.watch_journal <- entry :: sandbox.watch_journal

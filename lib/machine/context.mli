@@ -1,15 +1,17 @@
 (** Per-path execution context: registers, pc, predicate register, cycle
     statistics, the L1 cache the path uses for timing, and — for NT-Paths —
     the sandbox that buffers memory writes (the semantic model of the
-    paper's versioned L1 buffering).
+    paper's versioned L1 buffering). The sandbox is the only NT-Path
+    buffering scheme: the hardware engines and the software PathExpander
+    both run their paths in one, through [Nt_path.run].
 
     The sandbox stores written words in a flat generation-stamped overlay
     keyed by address and tracks how many distinct cache lines the path has
-    dirtied; exceeding the L1's line capacity means the hardware could no
-    longer buffer the path and forces a squash. Contexts and sandboxes are
-    designed for pooling: {!reset_for_spawn} and {!reset_sandbox} recycle
-    them across spawns without allocation; an overlay allocates only when a
-    path writes more than any path before it. *)
+    dirtied; exceeding its line limit (the L1's line capacity for the
+    hardware design) forces a squash. Contexts and sandboxes are designed
+    for pooling: {!reset_for_spawn} and {!reset_sandbox} recycle them
+    across spawns without allocation; a sandbox allocates only when a path
+    writes more than any path before it. *)
 
 type stats = {
   mutable insns : int;
@@ -41,9 +43,6 @@ type t = {
       (** scratch: its taken-side target (fallthrough is [br_pc + 1]) *)
 }
 
-(** Architectural register/pc/predicate snapshot. *)
-type checkpoint
-
 (** Fresh context with [sp = fp = sp] and zeroed registers. *)
 val create : l1:Cache.t -> pc:int -> sp:int -> t
 
@@ -58,24 +57,15 @@ val get_reg : t -> Reg.t -> int
 (** Writes to [Reg.zero] are discarded. *)
 val set_reg : t -> Reg.t -> int -> unit
 
-val checkpoint : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
-(** Hardware-style overlay sandbox (versioned-L1 buffering). The overlay is
-    a flat store that starts small and grows with what its paths write;
-    [line_limit] bounds the dirty lines of one path. Reusable via
-    {!reset_sandbox}. *)
+(** Overlay sandbox (versioned-L1 buffering). The overlay is a flat store
+    that starts small and grows with what its paths write; [line_limit]
+    bounds the dirty lines of one path. Reusable via {!reset_sandbox}. *)
 val make_sandbox : path_id:int -> line_limit:int -> words_per_line:int -> sandbox
 
-(** Software-style restore-log sandbox: writes go straight to memory and an
-    undo log records old values (the PIN-based implementation's scheme). *)
-val make_write_log_sandbox : path_id:int -> sandbox
-
-(** Recycle a sandbox for the next spawn — O(1) for overlays. *)
+(** Recycle a sandbox for the next spawn — O(1). *)
 val reset_sandbox : sandbox -> path_id:int -> unit
 
 val enter_sandbox : t -> sandbox -> unit
-val exit_sandbox : t -> unit
 val is_sandboxed : t -> bool
 
 (** Version tag for cache lines written by this context
@@ -110,17 +100,6 @@ val sandbox_read : sandbox -> Memory.t -> int -> int
 val sandbox_write : sandbox -> Memory.t -> int -> int -> bool
 
 val dirty_line_count : sandbox -> int
-
-(** Number of entries in a restore-log sandbox (0 for overlays). *)
-val write_log_size : sandbox -> int
-
-(** Replay a restore-log sandbox backwards, undoing its memory writes
-    (no-op for overlays, whose buffered writes are simply discarded). *)
-val rollback_write_log : sandbox -> Memory.t -> unit
-
-(** Apply buffered writes to memory (taken-path segment commit in the CMP
-    engine; never used for NT-Paths). *)
-val commit_sandbox : sandbox -> Memory.t -> unit
 
 (** Record a watchpoint mutation for undo at squash. *)
 val journal_watch : sandbox -> Watchpoints.journal_entry -> unit

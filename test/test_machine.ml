@@ -425,19 +425,6 @@ let test_context_regs () =
   Context.set_reg ctx (Reg.tmp 0) 42;
   Alcotest.(check int) "t0" 42 (Context.get_reg ctx (Reg.tmp 0))
 
-let test_context_checkpoint () =
-  let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
-  let ctx = Context.create ~l1:c ~pc:5 ~sp:1000 in
-  Context.set_reg ctx (Reg.tmp 0) 1;
-  let cp = Context.checkpoint ctx in
-  Context.set_reg ctx (Reg.tmp 0) 99;
-  ctx.Context.pc <- 77;
-  ctx.Context.pred <- true;
-  Context.restore ctx cp;
-  Alcotest.(check int) "reg restored" 1 (Context.get_reg ctx (Reg.tmp 0));
-  Alcotest.(check int) "pc restored" 5 ctx.Context.pc;
-  Alcotest.(check bool) "pred restored" false ctx.Context.pred
-
 let test_overlay_sandbox () =
   let m = mem () in
   Memory.write m 20 7;
@@ -499,31 +486,12 @@ let test_overlay_pays_for_what_it_buffers () =
   Alcotest.(check int) "reset: reads fall through" 0
     (Context.sandbox_read sb m (base + 5));
   ignore (Context.sandbox_write sb m (base + 5) 77);
-  Context.commit_sandbox sb m;
-  Alcotest.(check int) "second path commits its word" 77 (Memory.read m (base + 5));
-  Alcotest.(check int) "and only its word" 0 (Memory.read m (base + 6))
-
-let test_write_log_sandbox () =
-  let m = mem () in
-  Memory.write m 20 7;
-  Memory.write m 21 8;
-  let sb = Context.make_write_log_sandbox ~path_id:1 in
-  Alcotest.(check bool) "w1" true (Context.sandbox_write sb m 20 100);
-  Alcotest.(check bool) "w2" true (Context.sandbox_write sb m 20 200);
-  Alcotest.(check bool) "w3" true (Context.sandbox_write sb m 21 300);
-  Alcotest.(check int) "write-through" 200 (Memory.read m 20);
-  Alcotest.(check int) "log size" 3 (Context.write_log_size sb);
-  Context.rollback_write_log sb m;
-  Alcotest.(check int) "restored 20" 7 (Memory.read m 20);
-  Alcotest.(check int) "restored 21" 8 (Memory.read m 21);
-  Alcotest.(check int) "log emptied" 0 (Context.write_log_size sb)
-
-let test_commit_sandbox () =
-  let m = mem () in
-  let sb = Context.make_sandbox ~path_id:1 ~line_limit:100 ~words_per_line:8 in
-  ignore (Context.sandbox_write sb m 20 42);
-  Context.commit_sandbox sb m;
-  Alcotest.(check int) "committed" 42 (Memory.read m 20)
+  Alcotest.(check int) "second path reads its word" 77
+    (Context.sandbox_read sb m (base + 5));
+  Alcotest.(check int) "and only its word" 0 (Context.sandbox_read sb m (base + 6));
+  Alcotest.(check int) "second path: one dirty line" 1
+    (Context.dirty_line_count sb);
+  Alcotest.(check int) "memory still untouched" 0 (Memory.read m (base + 5))
 
 let tests =
   [
@@ -560,11 +528,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_watch_filter_matches_oracle;
     Alcotest.test_case "report log" `Quick test_report_log;
     Alcotest.test_case "context registers" `Quick test_context_regs;
-    Alcotest.test_case "context checkpoint" `Quick test_context_checkpoint;
     Alcotest.test_case "overlay sandbox" `Quick test_overlay_sandbox;
     Alcotest.test_case "overlay line limit" `Quick test_overlay_line_limit;
     Alcotest.test_case "overlay pays for what it buffers" `Quick
       test_overlay_pays_for_what_it_buffers;
-    Alcotest.test_case "write-log sandbox" `Quick test_write_log_sandbox;
-    Alcotest.test_case "commit sandbox" `Quick test_commit_sandbox;
   ]

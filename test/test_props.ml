@@ -36,40 +36,6 @@ let prop_overlay_discard_is_identity =
       List.iter (fun (a, v) -> ignore (Context.sandbox_write sb mem a v)) writes;
       snapshot = contents mem)
 
-let prop_write_log_rollback_is_identity =
-  QCheck.Test.make ~name:"write-log rollback restores memory" ~count:200
-    writes_arb (fun writes ->
-      let mem = fresh_mem () in
-      List.iteri (fun i (a, _) -> Memory.write mem a (i * 3)) writes;
-      let snapshot = contents mem in
-      let sb = Context.make_write_log_sandbox ~path_id:1 in
-      List.iter (fun (a, v) -> ignore (Context.sandbox_write sb mem a v)) writes;
-      Context.rollback_write_log sb mem;
-      snapshot = contents mem)
-
-let prop_sandboxes_agree =
-  QCheck.Test.make ~name:"overlay and write-log sandboxes read identically"
-    ~count:200 writes_arb (fun writes ->
-      let mem_a = fresh_mem () in
-      let mem_b = fresh_mem () in
-      let overlay =
-        Context.make_sandbox ~path_id:1 ~line_limit:10_000 ~words_per_line:8
-      in
-      let log = Context.make_write_log_sandbox ~path_id:1 in
-      let cache = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
-      let ctx_a = Context.create ~l1:cache ~pc:0 ~sp:0 in
-      let ctx_b = Context.create ~l1:cache ~pc:0 ~sp:0 in
-      Context.enter_sandbox ctx_a overlay;
-      Context.enter_sandbox ctx_b log;
-      List.iter
-        (fun (a, v) ->
-          ignore (Context.sandbox_write overlay mem_a a v);
-          ignore (Context.sandbox_write log mem_b a v))
-        writes;
-      List.for_all
-        (fun (a, _) -> Context.read_mem ctx_a mem_a a = Context.read_mem ctx_b mem_b a)
-        writes)
-
 (* --- compiled arithmetic vs reference evaluator ----------------------------- *)
 
 type aexpr =
@@ -193,8 +159,6 @@ let tests =
   List.map qtest
     [
       prop_overlay_discard_is_identity;
-      prop_write_log_rollback_is_identity;
-      prop_sandboxes_agree;
       prop_compiled_arith_matches_reference;
       prop_parser_round_trip;
       prop_coverage_merge_monotone;

@@ -1,5 +1,6 @@
 (* Software-PathExpander tests: functional equivalence with the hardware
-   engine, write-log rollback correctness, and cost-model accounting. *)
+   engine, NT-Paths leaving committed memory untouched, the fuel bound, and
+   cost-model accounting. *)
 
 let run_both (workload : Workload.t) =
   let compiled = Workload.compile workload in
@@ -32,7 +33,7 @@ let test_software_coverage_matches () =
     (Coverage.combined_pct hw.Engine.coverage)
     (Coverage.combined_pct sw.Soft_engine.coverage)
 
-let test_write_log_restores_memory () =
+let test_nt_paths_leave_memory_untouched () =
   (* after a software run with many NT-Paths, the architectural memory must
      equal a baseline run's memory word for word *)
   let workload = Registry.schedule in
@@ -51,7 +52,23 @@ let test_write_log_restores_memory () =
   for addr = Memory.null_guard to Memory.size base - 1 do
     if Memory.read base addr <> Memory.read soft addr then incr differences
   done;
-  Alcotest.(check int) "memory identical after rollbacks" 0 !differences
+  Alcotest.(check int) "memory identical after NT-Paths" 0 !differences
+
+(* [fuel] bounds the taken path alone, as in [Engine.run]: NT-Path
+   instructions run on the arena's own context and do not draw on it. *)
+let test_fuel_bounds_taken_path () =
+  let workload = Registry.print_tokens in
+  let compiled = Workload.compile workload in
+  let machine =
+    Machine.create ~input:workload.Workload.default_input compiled.Compile.program
+  in
+  let sw =
+    Soft_engine.run ~config:(Workload.pe_config workload) ~fuel:5000 machine
+  in
+  Alcotest.(check string) "outcome" "fuel-exhausted"
+    (Engine.outcome_name sw.Soft_engine.outcome);
+  Alcotest.(check int) "taken instructions" 5000
+    sw.Soft_engine.accounting.Pin_model.native_insns
 
 let test_accounting_magnitude () =
   let _, _, _, sw = run_both Registry.print_tokens in
@@ -92,7 +109,10 @@ let tests =
     Alcotest.test_case "same program outcome" `Quick test_same_program_outcome;
     Alcotest.test_case "same spawns" `Quick test_software_history_not_btb_limited;
     Alcotest.test_case "same coverage" `Quick test_software_coverage_matches;
-    Alcotest.test_case "write-log restores memory" `Quick test_write_log_restores_memory;
+    Alcotest.test_case "NT-Paths leave memory untouched" `Quick
+      test_nt_paths_leave_memory_untouched;
+    Alcotest.test_case "fuel bounds the taken path" `Quick
+      test_fuel_bounds_taken_path;
     Alcotest.test_case "accounting magnitude" `Quick test_accounting_magnitude;
     Alcotest.test_case "pin model formula" `Quick test_pin_model_formula;
     Alcotest.test_case "zero native insns" `Quick test_zero_native;
