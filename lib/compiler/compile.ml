@@ -8,6 +8,13 @@ type compiled = {
   tags : (string * int) list;  (* //@tag name -> source line *)
 }
 
+(* The runtime prelude's AST, parsed once per process: it is constant and
+   immutable, so every compile shares it. A plain value rather than a
+   [Lazy.t], because pool domains compile concurrently and a [Lazy.force]
+   racing another domain's raises [CamlinternalLazy.Undefined]. *)
+let prelude =
+  fst (Parser.parse_string ~first_line:Prelude.first_line Prelude.source)
+
 (* Compile a MiniC source string, together with the runtime prelude, into an
    executable program image. [level] picks the optimization pipeline
    (default [O0]); [dump] observes each
@@ -15,9 +22,6 @@ type compiled = {
 let compile ?(options = Codegen.default_options) ?level ?dump source =
   try
     let user, tags = Parser.parse_string source in
-    let prelude, _ =
-      Parser.parse_string ~first_line:Prelude.first_line Prelude.source
-    in
     let tp = Typecheck.check ~user ~prelude ~tags in
     { program = Codegen.generate ~options ?level ?dump tp; tags }
   with

@@ -18,93 +18,89 @@
    because the instruction after a branch (the false stub's head) is never a
    jump-to-next by construction. *)
 
+(* The label a jump to [l0] finally reaches: the end of the chain of
+   unconditional jumps from [l0], or [l0] itself when the chain cycles.
+   [visited] holds the labels followed so far. *)
+let rec final_label (ap : Asmprog.t) l0 l visited =
+  if List.mem l visited then l0
+  else
+    match Hashtbl.find ap.Asmprog.labels l with
+    | exception Not_found -> l
+    | target_pc ->
+      if target_pc < Array.length ap.Asmprog.code then
+        match ap.Asmprog.code.(target_pc) with
+        | Insn.Jmp t when t < 0 -> final_label ap l0 (-t - 1) (l :: visited)
+        | _ -> l
+      else l
+
+(* Retarget every [Jmp]/[Br] at the end of its jump chain. Threading
+   follows whole chains and never changes where one ends, so a second round
+   on unchanged code is a no-op. An instruction is rewritten only when its
+   target moves. *)
 let thread_round (ap : Asmprog.t) =
-  let changed = ref false in
   let code = ap.Asmprog.code in
-  let final_label l0 =
-    let rec follow l visited =
-      if List.mem l visited then l0
-      else
-        match Hashtbl.find_opt ap.Asmprog.labels l with
-        | None -> l
-        | Some target_pc ->
-          if target_pc < Array.length code then
-            match code.(target_pc) with
-            | Insn.Jmp t ->
-              (match Asmprog.label_of_ref t with
-               | Some l' -> follow l' (l :: visited)
-               | None -> l)
-            | _ -> l
-          else l
-    in
-    follow l0 []
-  in
+  (* [t] itself when it does not move. *)
   let retarget t =
-    match Asmprog.label_of_ref t with
-    | Some l ->
-      let l' = final_label l in
-      if l' <> l then begin
-        changed := true;
-        Asmprog.lref l'
-      end
-      else t
-    | None -> t
+    if t >= 0 then t
+    else
+      let l = -t - 1 in
+      let l' = final_label ap l l [] in
+      if l' <> l then Asmprog.lref l' else t
   in
   Array.iteri
     (fun i insn ->
       match insn with
-      | Insn.Jmp t -> code.(i) <- Insn.Jmp (retarget t)
-      | Insn.Br (c, rs, rt, t) -> code.(i) <- Insn.Br (c, rs, rt, retarget t)
+      | Insn.Jmp t ->
+        let t' = retarget t in
+        if t' <> t then code.(i) <- Insn.Jmp t'
+      | Insn.Br (c, rs, rt, t) ->
+        let t' = retarget t in
+        if t' <> t then code.(i) <- Insn.Br (c, rs, rt, t')
       | _ -> ())
-    code;
-  !changed
+    code
 
 let compact_round (ap : Asmprog.t) =
-  let n = Array.length ap.Asmprog.code in
-  let keep = Array.make n true in
-  let target_pc t =
-    match Asmprog.label_of_ref t with
-    | Some l -> Hashtbl.find_opt ap.Asmprog.labels l
-    | None -> Some t
+  let old_code = ap.Asmprog.code in
+  let n = Array.length old_code in
+  let jumps_to_next i =
+    match old_code.(i) with
+    | Insn.Jmp t when t >= 0 -> t = i + 1
+    | Insn.Jmp t ->
+      (match Hashtbl.find ap.Asmprog.labels (-t - 1) with
+       | label_pc -> label_pc = i + 1
+       | exception Not_found -> false)
+    | _ -> false
   in
-  let removed = ref 0 in
-  Array.iteri
-    (fun i insn ->
-      match insn with
-      | Insn.Jmp t when target_pc t = Some (i + 1) ->
-        keep.(i) <- false;
-        incr removed
-      | _ -> ())
-    ap.Asmprog.code;
-  if !removed = 0 then (ap, false)
+  (* newpc.(i) = number of kept instructions before i, so instruction i is
+     kept iff newpc.(i + 1) > newpc.(i); a label or table entry on a
+     removed pc lands on the next kept instruction. *)
+  let newpc = Array.make (n + 1) 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    newpc.(i) <- !k;
+    if not (jumps_to_next i) then incr k
+  done;
+  newpc.(n) <- !k;
+  if !k = n then (ap, false)
   else begin
-    (* newpc.(i) = number of kept instructions before i; a label or table
-       entry on a removed pc lands on the next kept instruction. *)
-    let newpc = Array.make (n + 1) 0 in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      newpc.(i) <- !k;
-      if keep.(i) then incr k
-    done;
-    newpc.(n) <- !k;
     let code = Array.make !k Insn.Nop in
     for i = 0 to n - 1 do
-      if keep.(i) then code.(newpc.(i)) <- ap.Asmprog.code.(i)
+      if newpc.(i + 1) > newpc.(i) then code.(newpc.(i)) <- old_code.(i)
     done;
     let labels = Hashtbl.create (max 16 (Hashtbl.length ap.Asmprog.labels)) in
     Hashtbl.iter
       (fun l label_pc -> Hashtbl.replace labels l newpc.(label_pc))
       ap.Asmprog.labels;
     let remap p = newpc.(p) in
-    let source_lines =
-      (* When a line's only instruction is removed, its entry collapses onto
-         the next line's start pc; the later entry wins. *)
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (p, line) -> Hashtbl.replace tbl (remap p) line)
-        ap.Asmprog.source_lines;
-      Hashtbl.fold (fun p line acc -> (p, line) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    (* [source_lines] ascends by pc and [remap] never decreases, so entries
+       that collapse onto one pc (a line whose only instructions were
+       removed lands on the next line's start) are adjacent; the later
+       entry wins. *)
+    let rec remap_lines acc = function
+      | (p, _) :: ((q, _) :: _ as rest) when remap p = remap q ->
+        remap_lines acc rest
+      | (p, line) :: rest -> remap_lines ((remap p, line) :: acc) rest
+      | [] -> List.rev acc
     in
     ( {
         ap with
@@ -115,22 +111,21 @@ let compact_round (ap : Asmprog.t) =
         user_ranges =
           List.map (fun (a, b) -> (remap a, remap b)) ap.Asmprog.user_ranges;
         fix_atoms = List.map (fun (p, fa) -> (remap p, fa)) ap.Asmprog.fix_atoms;
-        source_lines;
+        source_lines = remap_lines [] ap.Asmprog.source_lines;
       },
       true )
   end
 
-(* Alternate threading and compaction to a fixpoint (each enables more of
-   the other); four rounds always suffice in practice and bound the pass. *)
+(* Alternate threading and compaction: compaction moves labels, which can
+   expose new chains to thread. A round that compacts nothing leaves code
+   that threading has already settled, and threading it again changes
+   nothing, so the loop stops after the first such round. Four rounds bound
+   the pass; every image pinned in bench/images.md5 compacts nothing by
+   its third. *)
 let run (ap : Asmprog.t) : Asmprog.t =
-  let ap = ref { ap with Asmprog.code = Array.copy ap.Asmprog.code } in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  while !continue_ && !rounds < 4 do
-    incr rounds;
-    let threaded = thread_round !ap in
-    let ap', compacted = compact_round !ap in
-    ap := ap';
-    continue_ := threaded || compacted
-  done;
-  !ap
+  let rec round ap n =
+    thread_round ap;
+    let ap, compacted = compact_round ap in
+    if compacted && n < 4 then round ap (n + 1) else ap
+  in
+  round { ap with Asmprog.code = Array.copy ap.Asmprog.code } 1

@@ -7,20 +7,28 @@ let run (ap : Asmprog.t) (tp : Tast.tprogram) : Program.t =
   let resolve_target t =
     if t >= 0 then t
     else
-      match Hashtbl.find_opt ap.Asmprog.labels (-t - 1) with
-      | Some target_pc -> target_pc
-      | None -> invalid_arg "Lower: unplaced label"
+      match Hashtbl.find ap.Asmprog.labels (-t - 1) with
+      | target_pc -> target_pc
+      | exception Not_found -> invalid_arg "Lower: unplaced label"
   in
-  let code =
-    Array.map
-      (fun insn ->
-        match insn with
-        | Insn.Br (c, rs, rt, t) -> Insn.Br (c, rs, rt, resolve_target t)
-        | Insn.Jmp t -> Insn.Jmp (resolve_target t)
-        | Insn.Call t -> Insn.Call (resolve_target t)
-        | _ -> insn)
-      ap.Asmprog.code
+  (* The image's arrays are filled in place, not built by [Array.map] or
+     [Array.of_list]: an array too big for the minor heap whose initial
+     element is young makes [Array.make] force a minor collection, which
+     would promote the whole compile's live data. *)
+  let code = Array.make (Array.length ap.Asmprog.code) Insn.Nop in
+  Array.iteri
+    (fun pc insn ->
+      code.(pc) <-
+        (match insn with
+         | Insn.Br (c, rs, rt, t) -> Insn.Br (c, rs, rt, resolve_target t)
+         | Insn.Jmp t -> Insn.Jmp (resolve_target t)
+         | Insn.Call t -> Insn.Call (resolve_target t)
+         | _ -> insn))
+    ap.Asmprog.code;
+  let source_lines =
+    Array.make (List.length ap.Asmprog.source_lines) (0, 0)
   in
+  List.iteri (fun i entry -> source_lines.(i) <- entry) ap.Asmprog.source_lines;
   let program =
     {
       Program.code;
@@ -34,7 +42,7 @@ let run (ap : Asmprog.t) (tp : Tast.tprogram) : Program.t =
       fix_atoms = ap.Asmprog.fix_atoms;
       global_vars = tp.Tast.tp_global_vars;
       blank_addrs = tp.Tast.tp_blank_addrs;
-      source_lines = Array.of_list ap.Asmprog.source_lines;
+      source_lines;
     }
   in
   Program.validate program;

@@ -1,27 +1,47 @@
 exception Error of string * int
 
+(* The parser pulls tokens from the lexer through a three-token window: the
+   current token and the two after it ([parse_global] tells a struct
+   definition from a struct-typed global by the third). *)
 type state = {
-  tokens : (Token.t * int) array;
-  mutable pos : int;
+  lexer : Lexer.t;
+  mutable tok : Token.t;
+  mutable tok_line : int;
+  mutable tok2 : Token.t;
+  mutable tok2_line : int;
+  mutable tok3 : Token.t;
+  mutable tok3_line : int;
 }
 
+(* A syntax error at the current token. A lexical error later in the source
+   takes precedence, as it would if the source were lexed whole first. *)
 let error state fmt =
-  let _, line = state.tokens.(min state.pos (Array.length state.tokens - 1)) in
-  Printf.ksprintf (fun s -> raise (Error (s, line))) fmt
+  Printf.ksprintf
+    (fun s ->
+      Lexer.drain state.lexer;
+      raise (Error (s, state.tok_line)))
+    fmt
 
-let peek state = fst state.tokens.(state.pos)
+let peek state = state.tok
 
-let peek2 state =
-  if state.pos + 1 < Array.length state.tokens then
-    fst state.tokens.(state.pos + 1)
-  else Token.Eof
+let peek2 state = state.tok2
 
-let line state = snd state.tokens.(state.pos)
+let line state = state.tok_line
 
-let advance state = state.pos <- state.pos + 1
+(* [at state tok]: the current token is [tok], a constant constructor
+   (physical equality is exact for those). *)
+let at state tok = state.tok == tok
+
+let advance state =
+  state.tok <- state.tok2;
+  state.tok_line <- state.tok2_line;
+  state.tok2 <- state.tok3;
+  state.tok2_line <- state.tok3_line;
+  state.tok3 <- Lexer.next state.lexer;
+  state.tok3_line <- Lexer.line state.lexer
 
 let eat state tok =
-  if peek state = tok then advance state
+  if at state tok then advance state
   else
     error state "expected '%s' but found '%s'" (Token.to_string tok)
       (Token.to_string (peek state))
@@ -61,7 +81,7 @@ let parse_base_type state =
 
 let parse_pointers state base =
   let ty = ref base in
-  while peek state = Token.Star do
+  while at state Token.Star do
     advance state;
     ty := Ast.Tptr !ty
   done;
@@ -95,11 +115,11 @@ and parse_cond_expr state =
     mk (Ast.Cond (cond, then_e, else_e)) ln
   | _ -> cond
 
-and parse_binop_level state ops next =
+and parse_binop_level state op_of next =
   let lhs = ref (next state) in
   let continue = ref true in
   while !continue do
-    match List.assoc_opt (peek state) ops with
+    match op_of (peek state) with
     | Some op ->
       let ln = line state in
       advance state;
@@ -110,41 +130,63 @@ and parse_binop_level state ops next =
   !lhs
 
 and parse_lor state =
-  parse_binop_level state [ (Token.Pipe_pipe, Ast.Lor) ] parse_land
+  parse_binop_level state
+    (function Token.Pipe_pipe -> Some Ast.Lor | _ -> None)
+    parse_land
 
 and parse_land state =
-  parse_binop_level state [ (Token.Amp_amp, Ast.Land) ] parse_bor
+  parse_binop_level state
+    (function Token.Amp_amp -> Some Ast.Land | _ -> None)
+    parse_bor
 
-and parse_bor state = parse_binop_level state [ (Token.Pipe, Ast.Bor) ] parse_bxor
+and parse_bor state =
+  parse_binop_level state
+    (function Token.Pipe -> Some Ast.Bor | _ -> None)
+    parse_bxor
 
 and parse_bxor state =
-  parse_binop_level state [ (Token.Caret, Ast.Bxor) ] parse_band
+  parse_binop_level state
+    (function Token.Caret -> Some Ast.Bxor | _ -> None)
+    parse_band
 
-and parse_band state = parse_binop_level state [ (Token.Amp, Ast.Band) ] parse_eq
+and parse_band state =
+  parse_binop_level state
+    (function Token.Amp -> Some Ast.Band | _ -> None)
+    parse_eq
 
 and parse_eq state =
   parse_binop_level state
-    [ (Token.Eq_eq, Ast.Eq); (Token.Bang_eq, Ast.Ne) ]
+    (function
+      | Token.Eq_eq -> Some Ast.Eq | Token.Bang_eq -> Some Ast.Ne | _ -> None)
     parse_rel
 
 and parse_rel state =
   parse_binop_level state
-    [ (Token.Lt, Ast.Lt); (Token.Le, Ast.Le); (Token.Gt, Ast.Gt); (Token.Ge, Ast.Ge) ]
+    (function
+      | Token.Lt -> Some Ast.Lt
+      | Token.Le -> Some Ast.Le
+      | Token.Gt -> Some Ast.Gt
+      | Token.Ge -> Some Ast.Ge
+      | _ -> None)
     parse_shift
 
 and parse_shift state =
   parse_binop_level state
-    [ (Token.Shl, Ast.Shl); (Token.Shr, Ast.Shr) ]
+    (function Token.Shl -> Some Ast.Shl | Token.Shr -> Some Ast.Shr | _ -> None)
     parse_add
 
 and parse_add state =
   parse_binop_level state
-    [ (Token.Plus, Ast.Add); (Token.Minus, Ast.Sub) ]
+    (function Token.Plus -> Some Ast.Add | Token.Minus -> Some Ast.Sub | _ -> None)
     parse_mul
 
 and parse_mul state =
   parse_binop_level state
-    [ (Token.Star, Ast.Mul); (Token.Slash, Ast.Div); (Token.Percent, Ast.Mod) ]
+    (function
+      | Token.Star -> Some Ast.Mul
+      | Token.Slash -> Some Ast.Div
+      | Token.Percent -> Some Ast.Mod
+      | _ -> None)
     parse_unary
 
 and parse_unary state =
@@ -210,7 +252,7 @@ and parse_primary state =
     mk (Ast.Str_lit s) ln
   | Token.Tok_ident name ->
     advance state;
-    if peek state = Token.Lparen then begin
+    if at state Token.Lparen then begin
       advance state;
       let args = parse_args state in
       eat state Token.Rparen;
@@ -225,11 +267,11 @@ and parse_primary state =
   | tok -> error state "expected expression, found '%s'" (Token.to_string tok)
 
 and parse_args state =
-  if peek state = Token.Rparen then []
+  if at state Token.Rparen then []
   else begin
     let first = parse_expr state in
     let rest = ref [ first ] in
-    while peek state = Token.Comma do
+    while at state Token.Comma do
       advance state;
       rest := parse_expr state :: !rest
     done;
@@ -239,7 +281,7 @@ and parse_args state =
 let mk_stmt sdesc sline : Ast.stmt = { Ast.sdesc; sline }
 
 let parse_array_suffix state ty =
-  if peek state = Token.Lbracket then begin
+  if at state Token.Lbracket then begin
     advance state;
     match peek state with
     | Token.Tok_int n ->
@@ -267,7 +309,7 @@ let rec parse_stmt state =
     eat state Token.Rparen;
     let then_s = parse_branch_body state in
     let else_s =
-      if peek state = Token.Kw_else then begin
+      if at state Token.Kw_else then begin
         advance state;
         parse_branch_body state
       end
@@ -284,17 +326,17 @@ let rec parse_stmt state =
   | Token.Kw_for ->
     advance state;
     eat state Token.Lparen;
-    let init = if peek state = Token.Semi then None else Some (parse_expr state) in
+    let init = if at state Token.Semi then None else Some (parse_expr state) in
     eat state Token.Semi;
-    let cond = if peek state = Token.Semi then None else Some (parse_expr state) in
+    let cond = if at state Token.Semi then None else Some (parse_expr state) in
     eat state Token.Semi;
-    let step = if peek state = Token.Rparen then None else Some (parse_expr state) in
+    let step = if at state Token.Rparen then None else Some (parse_expr state) in
     eat state Token.Rparen;
     let body = parse_branch_body state in
     mk_stmt (Ast.Sfor (init, cond, step, body)) ln
   | Token.Kw_return ->
     advance state;
-    if peek state = Token.Semi then begin
+    if at state Token.Semi then begin
       advance state;
       mk_stmt (Ast.Sreturn None) ln
     end
@@ -323,7 +365,7 @@ let rec parse_stmt state =
     let name = eat_ident state in
     let ty = parse_array_suffix state base in
     let init =
-      if peek state = Token.Assign then begin
+      if at state Token.Assign then begin
         advance state;
         Some (parse_expr state)
       end
@@ -337,7 +379,7 @@ let rec parse_stmt state =
     mk_stmt (Ast.Sexpr e) ln
 
 and parse_branch_body state =
-  if peek state = Token.Lbrace then begin
+  if at state Token.Lbrace then begin
     advance state;
     parse_block state
   end
@@ -345,8 +387,8 @@ and parse_branch_body state =
 
 and parse_block state =
   let stmts = ref [] in
-  while peek state <> Token.Rbrace do
-    if peek state = Token.Eof then error state "unexpected end of file in block";
+  while not (at state Token.Rbrace) do
+    if at state Token.Eof then error state "unexpected end of file in block";
     stmts := parse_stmt state :: !stmts
   done;
   eat state Token.Rbrace;
@@ -369,9 +411,9 @@ let parse_init_list state =
       n
     | tok -> error state "expected integer, found '%s'" (Token.to_string tok)
   in
-  if peek state <> Token.Rbrace then begin
+  if not (at state Token.Rbrace) then begin
     values := [ parse_signed () ];
-    while peek state = Token.Comma do
+    while at state Token.Comma do
       advance state;
       values := parse_signed () :: !values
     done
@@ -385,7 +427,7 @@ let parse_struct_def state =
   let name = eat_ident state in
   eat state Token.Lbrace;
   let fields = ref [] in
-  while peek state <> Token.Rbrace do
+  while not (at state Token.Rbrace) do
     let base = parse_type state in
     let fname = eat_ident state in
     let ty = parse_array_suffix state base in
@@ -398,11 +440,11 @@ let parse_struct_def state =
 
 let parse_params state =
   eat state Token.Lparen;
-  if peek state = Token.Rparen then begin
+  if at state Token.Rparen then begin
     advance state;
     []
   end
-  else if peek state = Token.Kw_void && peek2 state = Token.Rparen then begin
+  else if at state Token.Kw_void && peek2 state == Token.Rparen then begin
     advance state;
     advance state;
     []
@@ -419,7 +461,7 @@ let parse_params state =
       (ty, name)
     in
     let params = ref [ parse_param () ] in
-    while peek state = Token.Comma do
+    while at state Token.Comma do
       advance state;
       params := parse_param () :: !params
     done;
@@ -429,20 +471,16 @@ let parse_params state =
 
 let parse_global state =
   let ln = line state in
-  if peek state = Token.Kw_struct && peek2 state <> Token.Eof
-     && (match peek2 state with Token.Tok_ident _ -> false | _ -> true)
+  if
+    at state Token.Kw_struct
+    && match peek2 state with Token.Tok_ident _ | Token.Eof -> false | _ -> true
   then error state "expected struct name"
-  else if
-    peek state = Token.Kw_struct
-    &&
-    match state.tokens.(state.pos + 2) with
-    | Token.Lbrace, _ -> true
-    | _ -> false
-  then parse_struct_def state
+  else if at state Token.Kw_struct && state.tok3 == Token.Lbrace then
+    parse_struct_def state
   else begin
     let base = parse_type state in
     let name = eat_ident state in
-    if peek state = Token.Lparen then begin
+    if at state Token.Lparen then begin
       let params = parse_params state in
       eat state Token.Lbrace;
       let body = parse_block state in
@@ -451,7 +489,7 @@ let parse_global state =
     else begin
       let ty = parse_array_suffix state base in
       let init =
-        if peek state = Token.Assign then begin
+        if at state Token.Assign then begin
           advance state;
           match peek state with
           | Token.Lbrace -> Some (Ast.Init_list (parse_init_list state))
@@ -484,14 +522,18 @@ let parse_global state =
     end
   end
 
-let parse_tokens tokens =
-  let state = { tokens; pos = 0 } in
+let parse_string ?first_line source =
+  let lexer = Lexer.create ?first_line source in
+  let tok = Lexer.next lexer in
+  let tok_line = Lexer.line lexer in
+  let tok2 = Lexer.next lexer in
+  let tok2_line = Lexer.line lexer in
+  let tok3 = Lexer.next lexer in
+  let state =
+    { lexer; tok; tok_line; tok2; tok2_line; tok3; tok3_line = Lexer.line lexer }
+  in
   let globals = ref [] in
-  while peek state <> Token.Eof do
+  while not (at state Token.Eof) do
     globals := parse_global state :: !globals
   done;
-  List.rev !globals
-
-let parse_string ?first_line source =
-  let lexed = Lexer.tokenize ?first_line source in
-  (parse_tokens lexed.Lexer.tokens, lexed.Lexer.tags)
+  (List.rev !globals, Lexer.tags lexer)

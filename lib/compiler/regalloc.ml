@@ -94,7 +94,7 @@ let collect_candidates (f : Tast.tfunc) =
 
 let alloc_func ~highwater (f : Tast.tfunc) =
   let hw =
-    match List.assoc_opt f.Tast.tf_name highwater with
+    match Hashtbl.find_opt highwater f.Tast.tf_name with
     | Some hw -> hw
     | None -> Instr_select.expr_tmps  (* unknown: no free temps assumed *)
   in
@@ -127,5 +127,9 @@ let alloc_func ~highwater (f : Tast.tfunc) =
       f
 
 let run ~options ~level (tp : Tast.tprogram) =
-  let highwater = Instr_select.probe_tmp_highwater ~options ~level tp in
+  let highwater = Hashtbl.create 64 in
+  List.iter
+    (fun (name, hw) ->
+      if not (Hashtbl.mem highwater name) then Hashtbl.add highwater name hw)
+    (Instr_select.probe_tmp_highwater ~options ~level tp);
   { tp with Tast.tp_funcs = List.map (alloc_func ~highwater) tp.Tast.tp_funcs }

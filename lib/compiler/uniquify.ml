@@ -5,34 +5,38 @@
    program with the same storage assignment even when the source shadowed
    names across block scopes. Renames use the [name__2] convention. *)
 
-let uniquify_func ~global_names (f : Tast.tfunc) =
+let uniquify_func ~globals (f : Tast.tfunc) =
   (* storages in first-appearance order: parameters, then body layout *)
   let order = ref [] in
+  let seen = Hashtbl.create 16 in
   let note vr =
     (match vr.Tast.vr_storage with
      | Tast.Local _ | Tast.Reg _ ->
-       if not (List.mem_assoc vr.Tast.vr_storage !order) then
+       if not (Hashtbl.mem seen vr.Tast.vr_storage) then begin
+         Hashtbl.replace seen vr.Tast.vr_storage ();
          order := (vr.Tast.vr_storage, vr.Tast.vr_name) :: !order
+       end
      | Tast.Global _ -> ());
     vr
   in
   List.iter (fun vr -> ignore (note vr)) f.Tast.tf_params;
   ignore (Tast_map.map_func note f);
-  let used = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace used g ()) global_names;
+  (* names taken: every global, plus the locals this function has named *)
+  let chosen = Hashtbl.create 16 in
+  let used name = Hashtbl.mem globals name || Hashtbl.mem chosen name in
   let rename = Hashtbl.create 16 in
   List.iter
     (fun (storage, name) ->
       let final =
-        if not (Hashtbl.mem used name) then name
+        if not (used name) then name
         else
           let rec next i =
             let cand = Printf.sprintf "%s__%d" name i in
-            if Hashtbl.mem used cand then next (i + 1) else cand
+            if used cand then next (i + 1) else cand
           in
           next 2
       in
-      Hashtbl.replace used final ();
+      Hashtbl.replace chosen final ();
       Hashtbl.replace rename storage final)
     (List.rev !order);
   Tast_map.map_func
@@ -44,5 +48,6 @@ let uniquify_func ~global_names (f : Tast.tfunc) =
     f
 
 let run (tp : Tast.tprogram) =
-  let global_names = List.map fst tp.Tast.tp_global_vars in
-  { tp with Tast.tp_funcs = List.map (uniquify_func ~global_names) tp.Tast.tp_funcs }
+  let globals = Hashtbl.create 64 in
+  List.iter (fun (g, _) -> Hashtbl.replace globals g ()) tp.Tast.tp_global_vars;
+  { tp with Tast.tp_funcs = List.map (uniquify_func ~globals) tp.Tast.tp_funcs }

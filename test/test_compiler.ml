@@ -18,7 +18,7 @@ let check_output ?options ?input name source expected =
 
 let test_lexer_tokens () =
   let lexed = Lexer.tokenize "int x = 42; // comment\nx == 'a';" in
-  let kinds = Array.to_list lexed.Lexer.tokens |> List.map fst in
+  let kinds = Array.to_list lexed.Lexer.tokens in
   Alcotest.(check bool) "has int kw" true (List.mem Token.Kw_int kinds);
   Alcotest.(check bool) "has 42" true (List.mem (Token.Tok_int 42) kinds);
   Alcotest.(check bool) "has char lit" true
@@ -28,7 +28,9 @@ let test_lexer_tokens () =
 let test_lexer_lines () =
   let lexed = Lexer.tokenize "a\nb\n\nc" in
   let lines =
-    Array.to_list lexed.Lexer.tokens
+    List.combine
+      (Array.to_list lexed.Lexer.tokens)
+      (Array.to_list lexed.Lexer.lines)
     |> List.filter_map (fun (tok, line) ->
         match tok with Token.Tok_ident _ -> Some line | _ -> None)
   in
@@ -42,7 +44,7 @@ let test_lexer_tags () =
 let test_lexer_strings () =
   let lexed = Lexer.tokenize {|"a\nb\\"|} in
   (match lexed.Lexer.tokens.(0) with
-   | Token.Tok_string s, _ -> Alcotest.(check string) "escapes" "a\nb\\" s
+   | Token.Tok_string s -> Alcotest.(check string) "escapes" "a\nb\\" s
    | _ -> Alcotest.fail "expected string token")
 
 let test_lexer_errors () =
@@ -78,6 +80,8 @@ let test_parser_errors () =
     | _ -> Alcotest.failf "expected parse error on %S" source
   in
   expect_error "int main() { return 1 + ; }";
+  (* the struct-definition lookahead runs past the end of the source *)
+  expect_error "struct";
   expect_error "int main() { if }";
   expect_error "int f(int) { }";
   expect_error "int x = ;"
@@ -179,6 +183,155 @@ let test_typecheck_deep_nesting () =
   Alcotest.(check bool)
     (Printf.sprintf "%d-deep if typechecks in %.3f s" depth dt)
     true (dt < 1.0)
+
+(* -O1/-O2 must stay linear in the number of functions: a per-function
+   table of every global name (uniquify) or a per-function list lookup of
+   temp high-water marks (regalloc) makes this input take seconds. Each of
+   the [n] functions reads its own global; [main] calls them all. Timed in
+   CPU seconds. *)
+let test_many_functions_o2 () =
+  let n = 4_000 in
+  let b = Buffer.create (n * 64) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "int g%d;\n" i
+  done;
+  for i = 0 to n - 1 do
+    Printf.bprintf b "int f%d() { int x; x = g%d; return x; }\n" i i
+  done;
+  Buffer.add_string b "int main() {\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "  f%d();\n" i
+  done;
+  Buffer.add_string b "  return 0;\n}\n";
+  let source = Buffer.contents b in
+  let t0 = Sys.time () in
+  ignore (Compile.compile ~level:Opt.O2 source);
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d functions compile at -O2 in %.3f s" n dt)
+    true (dt < 1.0)
+
+(* Minor-heap words one compile of print_tokens allocates (Assertions,
+   fixing on), measured in the test build as 82,942 at -O0 and 160,783 at
+   -O2. The counter is deterministic, so the bounds sit 2% above: parsing
+   the runtime prelude again (5.4K words) or a tuple per token would cross
+   them. *)
+let test_compile_allocation () =
+  let source = Registry.print_tokens.Workload.source ~bug:None in
+  let options = { Codegen.detector = Codegen.Assertions; fixing = true } in
+  let words level =
+    ignore (Compile.compile ~options ~level source);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Compile.compile ~options ~level source));
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (level, bound) ->
+      let w = words level in
+      Alcotest.(check bool)
+        (Printf.sprintf "-%s compile allocates %.0f minor words (bound %.0f)"
+           (Opt.to_string level) w bound)
+        true (w <= bound))
+    [ (Opt.O0, 84_600.); (Opt.O2, 164_000.) ]
+
+(* --- lexer/parser robustness ---------------------------------------------- *)
+
+(* Source text of one token, re-lexing to the same token. *)
+let token_source = function
+  | Token.Tok_string s ->
+    let b = Buffer.create (String.length s + 2) in
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\000' -> Buffer.add_string b "\\0"
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '"' -> Buffer.add_string b "\\\""
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"';
+    Buffer.contents b
+  | tok -> Token.to_string tok
+
+(* Every registry source's tokens, [Eof] dropped. *)
+let registry_tokens =
+  List.map
+    (fun (w : Workload.t) ->
+      let toks = (Lexer.tokenize (w.Workload.source ~bug:None)).Lexer.tokens in
+      (w.Workload.name, Array.sub toks 0 (Array.length toks - 1)))
+    Registry.all
+
+type token_edit = Drop of int | Dup of int | Swap of int
+
+let apply_edit toks edit =
+  let n = Array.length toks in
+  if n = 0 then toks
+  else
+    match edit with
+    | Drop i ->
+      let i = i mod n in
+      Array.append (Array.sub toks 0 i) (Array.sub toks (i + 1) (n - i - 1))
+    | Dup i ->
+      let i = i mod n in
+      Array.concat
+        [ Array.sub toks 0 (i + 1); [| toks.(i) |]; Array.sub toks (i + 1) (n - i - 1) ]
+    | Swap i ->
+      let i = i mod n in
+      let j = (i + 1) mod n in
+      let toks = Array.copy toks in
+      let t = toks.(i) in
+      toks.(i) <- toks.(j);
+      toks.(j) <- t;
+      toks
+
+let edit_to_string = function
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Dup i -> Printf.sprintf "dup %d" i
+  | Swap i -> Printf.sprintf "swap %d" i
+
+let mutant_gen =
+  QCheck.Gen.(
+    let edit =
+      map2
+        (fun k i -> match k with 0 -> Drop i | 1 -> Dup i | _ -> Swap i)
+        (int_bound 2) (int_bound 1_000_000)
+    in
+    triple
+      (int_bound (List.length registry_tokens - 1))
+      (list_size (int_range 1 3) edit)
+      (opt (int_bound 1_000_000)))
+
+let mutant_to_string (app, edits, cut) =
+  Printf.sprintf "%s: %s%s"
+    (fst (List.nth registry_tokens app))
+    (String.concat ", " (List.map edit_to_string edits))
+    (match cut with Some c -> Printf.sprintf ", truncate at %d" c | None -> "")
+
+let mutant_source (app, edits, cut) =
+  let toks = List.fold_left apply_edit (snd (List.nth registry_tokens app)) edits in
+  let toks =
+    match cut with
+    | Some c -> Array.sub toks 0 (c mod (Array.length toks + 1))
+    | None -> toks
+  in
+  String.concat " " (Array.to_list (Array.map token_source toks))
+
+(* Dropped, duplicated and swapped tokens and truncated sources may fail to
+   compile, but only ever with [Compile.Error]. *)
+let prop_token_mutants =
+  QCheck.Test.make ~name:"token mutants fail only with Compile.Error" ~count:1000
+    (QCheck.make ~print:mutant_to_string mutant_gen) (fun mutant ->
+      let source = mutant_source mutant in
+      List.for_all
+        (fun level ->
+          match Compile.compile ~level source with
+          | _ | (exception Compile.Error _) -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "-%s: %s escaped" (Opt.to_string level)
+              (Printexc.to_string e))
+        [ Opt.O0; Opt.O2 ])
 
 (* --- end-to-end execution -------------------------------------------------- *)
 
@@ -486,6 +639,9 @@ let tests =
     Alcotest.test_case "literal out of range" `Quick test_literal_out_of_range;
     Alcotest.test_case "allocation overflow" `Quick test_allocation_overflow;
     Alcotest.test_case "typecheck deep nesting" `Quick test_typecheck_deep_nesting;
+    Alcotest.test_case "many functions at -O2" `Quick test_many_functions_o2;
+    Alcotest.test_case "compile allocation" `Quick test_compile_allocation;
+    QCheck_alcotest.to_alcotest prop_token_mutants;
     Alcotest.test_case "exec arithmetic" `Quick test_exec_arith;
     Alcotest.test_case "exec short-circuit" `Quick test_exec_short_circuit;
     Alcotest.test_case "exec ternary" `Quick test_exec_ternary;

@@ -352,6 +352,61 @@ let prop_opt_differential =
       let source = program_src params in
       observables Opt.O0 source = observables Opt.O2 source)
 
+(* --- pinned images ---------------------------------------------------------- *)
+
+(* Every registry workload's images at every level, digested as
+   bench/images.md5 describes: a pass that changes one byte of any image
+   fails here and prints the new digest. *)
+let test_pinned_images () =
+  let pinned =
+    In_channel.with_open_text "../bench/images.md5" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ app; level; digest ] -> ((app, level), digest)
+           | _ -> Alcotest.failf "bad bench/images.md5 line %S" l)
+  in
+  let detectors =
+    [ Codegen.No_detector; Codegen.Ccured; Codegen.Iwatcher; Codegen.Assertions ]
+  in
+  let computed =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        let versions =
+          None :: List.map (fun (b : Bug.t) -> Some b.Bug.version) w.Workload.bugs
+        in
+        List.map
+          (fun level ->
+            let images = Buffer.create 65536 in
+            List.iter
+              (fun bug ->
+                let source = w.Workload.source ~bug in
+                List.iter
+                  (fun detector ->
+                    let c =
+                      Compile.compile
+                        ~options:{ Codegen.detector; fixing = true }
+                        ~level source
+                    in
+                    Buffer.add_string images
+                      (Marshal.to_string c.Compile.program [ Marshal.No_sharing ]))
+                  detectors)
+              versions;
+            ( (w.Workload.name, Opt.to_string level),
+              Digest.to_hex (Digest.string (Buffer.contents images)) ))
+          [ Opt.O0; Opt.O1; Opt.O2 ])
+      Registry.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "pinned (workload, level) pairs" (List.map fst pinned) (List.map fst computed);
+  List.iter
+    (fun (((app, level) as key), digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s -%s image digest" app level)
+        (List.assoc key pinned) digest)
+    computed
+
 let tests =
   [
     Alcotest.test_case "desugar eliminates ! and flattens blocks" `Quick
@@ -375,5 +430,7 @@ let tests =
       `Quick test_asm_printer_roundtrip;
     Alcotest.test_case "--dump-pass hook fires once per executed pass" `Quick
       test_dump_pass_hook;
+    Alcotest.test_case "every registry image matches bench/images.md5" `Quick
+      test_pinned_images;
     QCheck_alcotest.to_alcotest prop_opt_differential;
   ]
