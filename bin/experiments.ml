@@ -70,8 +70,8 @@ let selective_arg =
     "Run taken paths and NT-Paths, hardware and software PathExpander \
      alike, through the selective fast/slow interpreter split \
      (coverage-preserving selective detection). Output is byte-identical \
-     either way; $(b,--selective=false) pins every run to the fully \
-     instrumented interpreter, for equivalence checks and timing baselines."
+     either way; $(b,--selective=false) runs every instruction through \
+     the hooked step, for equivalence checks and timing baselines."
   in
   Arg.(value & opt bool true & info [ "selective" ] ~docv:"BOOL" ~doc)
 

@@ -20,6 +20,9 @@ type env = {
   globals : (string, Tast.var_ref) Hashtbl.t;
   strings : (string, int) Hashtbl.t;
   mutable next_global : int;
+  mutable past_bound : (int * string) option;
+      (* line and name of the first allocation that took the globals
+         segment past [Program.max_globals_words] *)
   mutable init_data : (int * int) list;
   mutable global_arrays : Tast.global_array list;
   mutable blanks : (string * int) list;
@@ -41,6 +44,7 @@ let create_env () =
     globals = Hashtbl.create 64;
     strings = Hashtbl.create 64;
     next_global = Program.null_guard_words + 1;
+    past_bound = None;
     (* the first global word is __heap_ptr, the runtime allocator's break *)
     init_data = [];
     global_arrays = [];
@@ -57,6 +61,19 @@ let create_env () =
 let add_words line what a b =
   if b > max_int - a then error line "%s overflows the address space" what;
   a + b
+
+(* Every globals-segment allocation. A sum that wraps is an error at once;
+   a segment past [Program.max_globals_words] is reported once the whole
+   segment is laid out ([check]), naming the allocation that first crossed
+   the bound, so an allocation behind it that wraps still reports its own
+   line. *)
+let extend_globals env line what words =
+  let next = add_words line what env.next_global words in
+  if
+    env.past_bound = None
+    && next - Program.null_guard_words > Program.max_globals_words
+  then env.past_bound <- Some (line, what);
+  env.next_global <- next
 
 let rec sizeof env line ty =
   match ty with
@@ -107,8 +124,7 @@ let alloc_global env line ty name =
   let payload = sizeof env line ty in
   let extra = match ty with Ast.Tarray _ -> redzone_words | _ -> 0 in
   let what = Printf.sprintf "global '%s'" name in
-  env.next_global <-
-    add_words line what addr (add_words line what payload extra);
+  extend_globals env line what (add_words line what payload extra);
   let vr = { Tast.vr_name = name; vr_ty = ty; vr_storage = Tast.Global addr } in
   (match ty with
    | Ast.Tarray _ ->
@@ -124,8 +140,7 @@ let intern_string env line s =
   | Some addr -> addr
   | None ->
     let addr = env.next_global in
-    env.next_global <-
-      add_words line "string literal" addr (String.length s + 1);
+    extend_globals env line "string literal" (String.length s + 1);
     String.iteri
       (fun i c -> env.init_data <- (addr + i, Char.code c) :: env.init_data)
       s;
@@ -473,14 +488,12 @@ let process_structs_and_globals env globals =
 
 let allocate_blanks env =
   let generic = env.next_global in
-  env.next_global <-
-    add_words 0 "blank buffer" generic generic_blank_words;
+  extend_globals env 0 "blank buffer" generic_blank_words;
   env.blanks <- [ ("generic", generic) ];
   Hashtbl.iter
     (fun name info ->
       let addr = env.next_global in
-      env.next_global <-
-        add_words 0 "blank buffer" addr (max 1 info.s_size);
+      extend_globals env 0 "blank buffer" (max 1 info.s_size);
       env.blanks <- (name, addr) :: env.blanks)
     env.structs
 
@@ -511,6 +524,11 @@ let check ~user ~prelude ~tags : Tast.tprogram =
   in
   let user_funcs = check_funcs ~runtime:false user in
   let prelude_funcs = check_funcs ~runtime:true prelude in
+  (match env.past_bound with
+   | Some (line, what) ->
+     error line "%s does not fit the %d-word globals segment" what
+       Program.max_globals_words
+   | None -> ());
   {
     Tast.tp_funcs = user_funcs @ prelude_funcs;
     tp_global_vars =

@@ -362,11 +362,12 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
      tier deliberately omits — randomised spawning draws the RNG per branch,
      profiled fixing observes the condition variable per branch,
      spawn-everywhere makes every branch a spawn. [threshold = max_int]
-     deoptimizes at every branch instead (see Fast_loop.drive), so every
-     per-branch action happens on the instrumented tier in the exact
-     sequence a single-tier run produces. Branches need the instrumented
-     tier at all whenever they spawn (non-Baseline modes) or observe
-     condition-variable history (profiled fixing, in every mode). *)
+     stops the fast tier at every branch instead (see Fast_loop.drive), so
+     every per-branch action happens in the branch hook in the exact
+     sequence a run with every instruction on the hooked step produces.
+     Branches need the hook at all whenever they spawn (non-Baseline
+     modes) or observe condition-variable history (profiled fixing, in
+     every mode). *)
   let spawning =
     config.Pe_config.mode <> Pe_config.Baseline
     || config.Pe_config.profiled_fixing

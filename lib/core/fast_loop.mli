@@ -1,39 +1,40 @@
-(** The run driver: the one loop behind every simulated run — the taken
-    path and NT-Paths of {!Engine.run}, the paths of the software
-    PathExpander and the plain baseline run.
+(** The run driver and the ISA's one body: the loop behind every simulated
+    run — the taken path and NT-Paths of {!Engine.run}, the paths of the
+    software PathExpander and the plain baseline run.
 
-    A drive alternates two tiers. The selective fast tier is a stripped
-    interpreter that commits exactly the observable state transitions of
-    the instrumented tier ([step] in [Cpu]) for the instructions it
-    executes, and stops — committing nothing — before any instruction that
-    needs detector, watchpoint, syscall, recorder or spawn machinery (a
-    watchpoint is needed by a watch/unwatch and by an access to a word the
-    watch unit's filter reports watched). The driver then executes that
-    one instruction on the instrumented tier (deoptimization, not
-    re-execution) and hands its event to the caller's {!hooks}, keeping
-    every observable bit-for-bit identical to a fully instrumented run.
+    The body is the only definition of an ordinary instruction's effect.
+    A drive runs it in fast segments that stop — committing nothing —
+    before any instruction that needs a hook: detector, watchpoint,
+    store-hook, syscall, recorder or spawn machinery (a watchpoint is
+    needed by a watch/unwatch and by an access to a word the watch unit's
+    filter reports watched; the store hook by a store, call or push into
+    its range). The driver runs that one instruction through the hooked
+    step — [Cpu]'s hooks, then a one-instruction segment of the same body
+    — and hands its event to the caller's {!hooks}, keeping every
+    observable bit-for-bit identical to a run with every instruction on
+    the hooked step.
 
     The driver owns the tier protocol: the selective gate, segment budgets
     clamped to the limit and the tick's boundary, the [Machine.insn_index]
-    sync after a fast segment, the per-pc coverage record before an
-    instrumented step (its kind read from [Context.is_sandboxed]), the
-    cross-check of a fast-evaluated branch, and the mapping of both tiers'
-    events onto one {!exit}. Callers keep only their own policy: spawning,
-    counter resets, redirects and syscall virtualisation, as hooks.
+    sync after a fast segment, the per-pc coverage record before a hooked
+    step (its kind read from [Context.is_sandboxed]), and the mapping of
+    every event onto one {!exit}. Callers keep only their own policy:
+    spawning, counter resets, redirects and syscall virtualisation, as
+    hooks.
 
     The difference between the taken path and an NT-Path is read from the
-    context at every segment: an unsandboxed context runs on plain memory
+    context at every drive: an unsandboxed context runs on plain memory
     under committed cache ownership with taken-path coverage; a sandboxed
-    one routes memory through its sandbox (buffered or logged writes,
-    speculative cache ownership under [Context.path_id]) and records
+    one routes memory through its sandbox (buffered writes, speculative
+    cache ownership under [Context.path_id]) and records
     NT-Path coverage. *)
 
 (** A driver handle, bound to one machine, context and coverage sink. The
-    context's L1, sandbox and path id are re-read at every segment, so a
+    context's L1, sandbox and path id are re-read at every drive, so a
     pooled NT context retargeted per spawn (CMP core L1s, fresh 8-bit path
-    ids) needs no handle rebuild. A segment allocates nothing.
+    ids) needs no handle rebuild; they must not change within a drive. A segment allocates nothing.
 
-    [obs] (default off) counts instrumented steps by cause for the Coverage
+    [obs] (default off) counts hooked steps by cause for the Coverage
     Observatory ({!record_telemetry}). *)
 type t
 
@@ -55,13 +56,13 @@ type exit =
     ([ctx.pc], the [br_*] scratch fields, registers) directly.
     - [tick] runs at the start of the drive and then whenever the
       context's retired-instruction count reaches the boundary it last
-      returned (before that count's segment or instrumented step): a
+      returned (before that count's segment or hooked step): a
       segment never crosses it, and a boundary at or below the current
       count (a zero reset interval) makes the drive step instead.
-    - [branch] runs after the instrumented tier resolved a conditional
-      branch; it may redirect [ctx.pc].
+    - [branch] runs after the hooked step resolved a conditional branch;
+      it may redirect [ctx.pc].
     - [syscall] runs when a sandboxed context meets a syscall, which the
-      instrumented tier reports without executing: [true] means the hook
+      hooked step reports without executing: [true] means the hook
       handled it (and moved [ctx.pc] on), [false] ends the drive with
       [Unsafe]. An unsandboxed context executes its syscalls itself. *)
 type hooks = {
@@ -77,13 +78,14 @@ val no_tick : unit -> int
     from [ctx.pc] until it ends or its stats reach [limit] retired
     instructions.
 
-    Segments run on the fast tier only when [selective] holds and no store
-    hook is attached (re-checked before every segment); armed watchpoints
-    only make a segment stop before each watched access. [spawning] is
-    false when branches take no instrumented-tier action at all (no BTB
-    traffic, branches never deoptimize). Otherwise any branch whose forced-edge counter probes below
-    [threshold] (or misses the BTB) deoptimizes; [threshold = max_int]
-    deoptimizes at *every* branch and touches no BTB state — how callers
+    Segments run on the fast tier when [selective] holds; otherwise every
+    instruction goes through the hooked step. Armed watchpoints only make
+    a segment stop before each watched access, and a store hook before
+    each store, call or push into its range. [spawning] is false when
+    branches need no hook at all (no BTB traffic, branches never stop a
+    segment). Otherwise any branch whose forced-edge counter probes below
+    [threshold] (or misses the BTB) stops one; [threshold = max_int]
+    stops at *every* branch and touches no BTB state — how callers
     with per-branch actions (random spawning's RNG draw, profiled fixing's
     observation, spawn-everywhere, forced cold edges inside NT-Paths, the
     software history) keep straight-line code fast. Such callers must pass

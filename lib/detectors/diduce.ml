@@ -64,8 +64,6 @@ let name_of t addr =
   in
   Option.value ~default:"?" (scan None t.symbols)
 
-let interesting t addr = addr >= t.globals_lo && addr < t.globals_hi
-
 let observe_training t addr value =
   match Hashtbl.find_opt t.ranges addr with
   | Some r ->
@@ -100,16 +98,24 @@ let observe_monitoring t ctx addr value =
         :: t.violations
     end
 
-(* Install the detector on [machine]; its behaviour follows [t.mode]. *)
+(* Install the detector on [machine]; its behaviour follows [t.mode]. The
+   hook's range is the globals segment, so the fast tier stops only before
+   a store into it. *)
 let attach t machine =
   machine.Machine.store_hook <-
     Some
-      (fun ctx addr value ->
-        (* PathExpander's own predicated fix stores are not program stores *)
-        if (not ctx.Context.in_pred_fix) && interesting t addr then
-          match t.mode with
-          | `Training -> observe_training t addr value
-          | `Monitoring -> observe_monitoring t ctx addr value)
+      {
+        Machine.lo = t.globals_lo;
+        hi = t.globals_hi;
+        observe =
+          (fun ctx addr value ->
+            (* PathExpander's own predicated fix stores are not program
+               stores *)
+            if not ctx.Context.in_pred_fix then
+              match t.mode with
+              | `Training -> observe_training t addr value
+              | `Monitoring -> observe_monitoring t ctx addr value);
+      }
 
 let start_monitoring t = t.mode <- `Monitoring
 

@@ -6,8 +6,8 @@
 type t = {
   opt : Opt.level;  (** optimization level of every compilation *)
   selective : bool;
-      (** AND-ed into each run's {!Pe_config.t.selective}: [false] pins
-          every run to the fully instrumented interpreter *)
+      (** AND-ed into each run's {!Pe_config.t.selective}: [false] runs
+          every instruction through the hooked step *)
   fastpath : bool;  (** cache-probe fast path of every machine's caches *)
   trace : bool;
       (** give every run an enabled flight recorder and keep its trace *)

@@ -69,8 +69,8 @@ let sys_name = function
   | Sys_exit -> "exit"
 
 (* Single source of truth for ALU semantics. [eval_binop] (the faulting
-   wrapper) and both interpreter tiers (through [Cpu.exec_alu]) resolve
-   here, so a semantics fix lands exactly once. *)
+   wrapper) and the interpreter's one body ([Fast_loop]) resolve here, so
+   a semantics fix lands exactly once. *)
 let eval_alu op a b =
   match op with
   | Add -> a + b

@@ -21,6 +21,8 @@ let global_address program name = List.assoc_opt name program.global_vars
    allocator's break). *)
 let null_guard_words = 16
 
+let max_globals_words = 1 lsl 20
+
 exception Invalid_program of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_program s)) fmt
@@ -72,6 +74,10 @@ let validate program =
   let n = Array.length program.code in
   if n = 0 then invalid "empty code";
   if program.entry < 0 || program.entry >= n then invalid "entry out of range";
+  if program.globals_words < 0 || program.globals_words > max_globals_words
+  then
+    invalid "globals segment of %d words outside [0, %d]" program.globals_words
+      max_globals_words;
   Array.iteri (check_insn program) program.code;
   List.iter
     (fun pc ->

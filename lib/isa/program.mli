@@ -31,6 +31,12 @@ type t = {
     Globals start at this address. *)
 val null_guard_words : int
 
+(** The largest globals segment a program may have, in words: 60 times
+    the largest registry segment (164.gzip's 17,246). A bound keeps the
+    address space [Memory] lays out behind the segment from wrapping past
+    [max_int] and its page table to a size the segment's program can use. *)
+val max_globals_words : int
+
 exception Invalid_program of string
 
 (** Pcs of every conditional branch in the image (user and runtime). *)
@@ -40,8 +46,9 @@ val all_branches : t -> int list
 val global_address : t -> string -> int option
 
 (** Structural well-formedness check; raises {!Invalid_program} on dangling
-    control targets, bad registers, nested predication, ill-indexed sites or
-    out-of-segment initial data. *)
+    control targets, bad registers, nested predication, ill-indexed sites,
+    out-of-segment initial data or a globals segment outside
+    [[0, max_globals_words]]. *)
 val validate : t -> unit
 
 (** Source line generating the instruction at [pc] (0 when unknown). *)

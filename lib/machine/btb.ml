@@ -114,8 +114,8 @@ let bump btb i ~taken =
 (* Side-effect-free counter read for the selective fast tier: no lookup
    accounting, no LRU touch, no allocation on miss. The fast tier uses this
    to decide whether a branch is a spawn candidate *before* committing any
-   BTB state change; a candidate (or a miss) deoptimizes to the instrumented
-   tier, which then performs the real [counts]/[exercise] sequence. *)
+   BTB state change; a candidate (or a miss) stops the segment, and the
+   branch hook then performs the real [counts]/[exercise] sequence. *)
 let probe_counts btb pc =
   let i = find btb pc in
   if i >= 0 then Some (taken_count btb i, nontaken_count btb i) else None
@@ -153,9 +153,13 @@ let lookup_exercise btb pc ~taken =
    update: equivalent to [probe_counts] followed — only when the branch is
    not a spawn candidate — by [lookup_exercise]. Returns [true] (candidate:
    BTB miss or forced-edge counter below [threshold]) leaving the BTB
-   untouched, so the instrumented tier replays the real sequence; or commits
-   [lookup_exercise]'s exact observable effect and returns [false]. *)
+   untouched, so the branch hook performs the real sequence; or commits
+   [lookup_exercise]'s exact observable effect and returns [false]. No
+   counter reaches [max_int], so that threshold answers without a
+   search. *)
 let probe_exercise btb pc ~taken ~threshold =
+  threshold = max_int
+  ||
   let i = find btb pc in
   if i < 0 then true
   else begin

@@ -39,8 +39,9 @@ val lookup_exercise : t -> int -> taken:bool -> unit
     test with the counter update in one associative search: returns [true]
     — with the BTB untouched, as {!probe_counts} would leave it — when the
     branch misses the BTB or its forced edge's counter is below [threshold]
-    (a spawn candidate, deferred to the instrumented tier); otherwise
-    commits exactly {!lookup_exercise}'s effect and returns [false]. *)
+    (a spawn candidate, deferred to the branch hook); otherwise
+    commits exactly {!lookup_exercise}'s effect and returns [false].
+    [threshold = max_int] returns [true] without searching. *)
 val probe_exercise : t -> int -> taken:bool -> threshold:int -> bool
 
 (** Zero every counter ([CounterResetInterval] expiry). *)

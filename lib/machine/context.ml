@@ -117,9 +117,9 @@ type t = {
   mutable sandbox : sandbox option;
   stats : stats;
   mutable l1 : Cache.t;
-  (* Scratch fields the instrumented interpreter fills when it returns
-     [Ev_branch], so the per-branch event carries no allocation; the
-     fallthrough is always [br_pc + 1]. *)
+  (* Scratch fields the interpreter's body fills when it stops at a
+     conditional branch for the branch hook, so the per-branch event
+     carries no allocation; the fallthrough is always [br_pc + 1]. *)
   mutable br_pc : int;
   mutable br_taken : bool;
   mutable br_target : int;

@@ -1,11 +1,15 @@
-(** The instruction interpreter.
+(** The instrumented step's hooks: what the fast tier's body refuses to do.
 
-    [step] executes exactly one instruction in a context and returns the
-    event the surrounding driver must act on. PathExpander logic (BTB
-    updates, NT-Path spawning, termination) lives entirely outside this
-    module: [Fast_loop.drive] is the one caller of [step], and serves the
-    baseline run, the taken path, NT-Paths and the software-PathExpander
-    implementation alike. *)
+    The ISA has one body, [Fast_loop]'s: it alone spells out an ordinary
+    instruction's registers, memory, control flow, stats and coverage.
+    An instruction that needs more stops the fast tier before it, and the
+    driver ([Fast_loop.drive], the one caller of this module) runs the
+    hooks here and then lets the same body commit the instruction: the
+    watch unit's reports and the store hook of a data access ({!access}),
+    and the instructions that are all hook — syscalls, watch and unwatch,
+    checks and halt ({!step}). A hook runs before its instruction retires,
+    so a report is stamped in the flight recorder at the instruction's
+    issue cycle. *)
 
 type fault =
   | Mem_fault of Memory.fault
@@ -16,6 +20,7 @@ type fault =
           unreachable (only sandboxed writes can overflow); kept as a
           graceful fault so a broken invariant degrades instead of crashing *)
 
+(** What one instruction on the instrumented step left the driver to do. *)
 type event =
   | Ev_normal
   | Ev_branch
@@ -37,26 +42,14 @@ type event =
 
 val fault_to_string : fault -> string
 
-(** {2 Register effects}
+(** [access machine ctx ~write addr value]: the hooks of a data access to
+    the valid word [addr] — a report for every watched range containing it
+    and, for a write of [value] into the store hook's range, the hook. *)
+val access : Machine.t -> Context.t -> write:bool -> int -> int -> unit
 
-    The per-opcode register semantics, shared by {!step} and the selective
-    fast tier ([Fast_loop]) and inlined into both. Operands are register
-    values (or immediates); the destination is a register index. *)
-
-(** [write_reg regs rd v]: the r0 rule — a write to [Reg.zero] is dropped,
-    so its slot always reads 0. *)
-val write_reg : int array -> int -> int -> unit
-
-(** ALU ops ([Div]/[Mod] excluded — decode splits them out). *)
-val exec_alu : int array -> Insn.binop -> int -> int -> int -> unit
-
-(** Compare: writes 1 or 0. *)
-val exec_cmp : int array -> Insn.cmp -> int -> int -> int -> unit
-
-(** Division and remainder; the caller has already faulted a zero
-    divisor. *)
-val exec_div : int array -> int -> int -> int -> unit
-
-val exec_mod : int array -> int -> int -> int -> unit
-
-val step : Machine.t -> Context.t -> event
+(** [step machine ctx d] runs [d], the instruction at [ctx.pc], when it is
+    a syscall, a checkz, a watch, an unwatch or a halt, and returns its
+    event; the caller retires it. A sandboxed syscall is reported, not
+    executed, and leaves the pc on it. Raises [Invalid_argument] on any
+    other instruction: the fast tier's body runs those. *)
+val step : Machine.t -> Context.t -> Decode.t -> event

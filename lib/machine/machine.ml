@@ -1,3 +1,9 @@
+type store_hook = {
+  lo : int;
+  hi : int;
+  observe : Context.t -> int -> int -> unit;
+}
+
 type t = {
   config : Machine_config.t;
   program : Program.t;
@@ -9,7 +15,7 @@ type t = {
   reports : Report.t;
   io : Io.t;
   mutable insn_index : int;
-  mutable store_hook : (Context.t -> int -> int -> unit) option;
+  mutable store_hook : store_hook option;
   telemetry : Telemetry.t;
   recorder : Recorder.t;
   fastpath : bool;

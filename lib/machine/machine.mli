@@ -3,6 +3,17 @@
     area) and program I/O. Execution contexts (one per core / path) are
     created separately and share this state. *)
 
+(** An observer of data stores, the attachment point for detectors built
+    outside the compiler, such as the DIDUCE-style invariant monitor. It
+    sees every store into [[lo, hi)], sandboxed ones included, as
+    [observe ctx addr value] before the store takes effect. The range is
+    what keeps the fast tier fast: it stops only before a store into it. *)
+type store_hook = {
+  lo : int;
+  hi : int;
+  observe : Context.t -> int -> int -> unit;
+}
+
 type t = {
   config : Machine_config.t;
   program : Program.t;
@@ -17,11 +28,9 @@ type t = {
   reports : Report.t;
   io : Io.t;
   mutable insn_index : int;  (** global retired-instruction counter *)
-  mutable store_hook : (Context.t -> int -> int -> unit) option;
-      (** observation hook called as [hook ctx addr value] on every data
-          store (including sandboxed ones) — the attachment point for
-          detectors built outside the compiler, such as the DIDUCE-style
-          invariant monitor *)
+  mutable store_hook : store_hook option;
+      (** read by the driver at every segment, so it may change between
+          drives or in a hook, never inside a segment *)
   telemetry : Telemetry.t;
       (** per-run observability sink; the engine fills it with spawn,
           termination, cache, BTB and phase-timing data *)

@@ -29,10 +29,12 @@ let create ~globals_words ~heap_words ~stack_words =
 
 let size mem = mem.stack_base
 
-let check mem addr =
-  if addr >= 0 && addr < null_guard then raise (Fault Null_access)
-  else if addr < 0 || addr >= mem.stack_base then
-    raise (Fault (Out_of_range addr))
+let is_valid mem addr = addr >= null_guard && addr < mem.stack_base
+
+let fault_at addr =
+  if addr >= 0 && addr < null_guard then Null_access else Out_of_range addr
+
+let check mem addr = if not (is_valid mem addr) then raise (Fault (fault_at addr))
 
 let[@inline always] read_valid mem addr =
   Array.unsafe_get
@@ -58,8 +60,6 @@ let[@inline always] write_valid mem addr value =
 let write mem addr value =
   check mem addr;
   write_valid mem addr value
-
-let is_valid mem addr = addr >= null_guard && addr < mem.stack_base
 
 let fault_to_string = function
   | Null_access -> "null access"

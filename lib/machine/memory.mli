@@ -55,6 +55,9 @@ val write_valid : t -> int -> int -> unit
 (** Exactly the complement of {!check}'s raise condition. *)
 val is_valid : t -> int -> bool
 
+(** The fault {!check} raises for an address it rejects. *)
+val fault_at : int -> fault
+
 val fault_to_string : fault -> string
 
 (** Install the program's initialised globals. *)

@@ -1,8 +1,8 @@
 (* The Coverage Observatory (DESIGN.md §15): turns one finished engine run
    into an explanation of its coverage — which CFG edges stayed uncovered
    and *why* (frontier attribution), how much of the prime-path universe
-   the run covered, and where execution time actually went (fast vs
-   instrumented tier, deopt causes, cache fast-path occupancy).
+   the run covered, and where execution time actually went (fast tier vs
+   hooked step, deopt causes, cache fast-path occupancy).
 
    A snapshot is rendered to its final JSON string inside the worker domain
    that ran the workload, from deterministic inputs only (coverage bitmaps,

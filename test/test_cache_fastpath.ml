@@ -199,8 +199,8 @@ let test_toggle_kills_memo () =
 (* A store through a watched red zone whose cache line sits in the memo:
    the watch check is independent of the cache outcome. Segments with armed
    watchpoints do run on the batching fast tier, but it stops before any
-   access to a watched word and leaves that access to the instrumented
-   tier, so the memo must not swallow the report. Run the iWatcher overflow
+   access to a watched word and leaves that access to the hooked step, so
+   the memo must not swallow the report. Run the iWatcher overflow
    workload end-to-end with the fast path on and off — identical reports,
    output and retired counts, with the fast tier engaged. *)
 let run_iwatcher ~fastpath source =

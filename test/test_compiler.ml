@@ -163,6 +163,22 @@ let test_allocation_overflow () =
     "int a[4611686018427387870];\nint main() { return 0; }"
     "type error at line 0: blank buffer overflows the address space"
 
+(* A globals segment that fits the address space but not the machine's
+   bound on it: the first literal used to compile and then raise an
+   uncaught [Out_of_memory] in [Machine.create] (the layout behind the
+   segment wrapped); the second built an 11,046-page table. *)
+let test_globals_bound () =
+  expect_compile_error "globals near max_int / 2"
+    "int a[4611686018427387800]; int main() { return 0; }"
+    "type error at line 1: global 'a' does not fit the 1048576-word globals \
+     segment";
+  expect_compile_error "ten million words of globals"
+    "int b[2];\n\nint a[9999999];\nint main() { return 0; }"
+    "type error at line 3: global 'a' does not fit the 1048576-word globals \
+     segment";
+  let c = Compile.compile "int a[1000000]; int main() { return 0; }" in
+  ignore (Machine.create c.Compile.program)
+
 (* Name lookup must not walk the enclosing blocks: with one table per
    block, each use of [x] below cost O(depth) and the whole check was
    quadratic (release build on a 2-vCPU VM: 8,000 deep took 0.73 s,
@@ -638,6 +654,7 @@ let tests =
     Alcotest.test_case "typecheck errors" `Quick test_typecheck_errors;
     Alcotest.test_case "literal out of range" `Quick test_literal_out_of_range;
     Alcotest.test_case "allocation overflow" `Quick test_allocation_overflow;
+    Alcotest.test_case "globals segment bound" `Quick test_globals_bound;
     Alcotest.test_case "typecheck deep nesting" `Quick test_typecheck_deep_nesting;
     Alcotest.test_case "many functions at -O2" `Quick test_many_functions_o2;
     Alcotest.test_case "compile allocation" `Quick test_compile_allocation;

@@ -1,6 +1,6 @@
-(* Unit tests for the CPU interpreter on hand-assembled programs: arithmetic,
-   control flow, calls, syscalls, faults, predication and sandboxed
-   execution. *)
+(* Unit tests for the interpreter — the fast tier's body and the hooked
+   step around it — on hand-assembled programs: arithmetic, control flow,
+   calls, syscalls, faults, predication and sandboxed execution. *)
 
 let build ?(globals = 4) code =
   let program =
@@ -26,6 +26,14 @@ let run ?input code =
   let machine = Machine.create ?input (build code) in
   let result = Engine.run ~config:Pe_config.baseline machine in
   (machine, result)
+
+(* Drive [ctx] from its pc to the end, under both tiers: [selective]
+   (default off) off runs every instruction through the hooked step. *)
+let drive ?(selective = false) ?(syscall = fun _ -> true) machine ctx =
+  let coverage = Coverage.create machine.Machine.program in
+  let hooks = { Fast_loop.tick = Fast_loop.no_tick; branch = ignore; syscall } in
+  Fast_loop.drive (Fast_loop.make machine ctx coverage) hooks ~selective
+    ~spawning:false ~threshold:0 ~limit:1000
 
 let t0 = Reg.tmp 0
 let t1 = Reg.tmp 1
@@ -150,44 +158,52 @@ let test_predication_set () =
         Insn.Halt;
       ]
   in
-  let machine = Machine.create program in
-  let ctx = Machine.main_context machine in
-  ctx.Context.pred <- true;
-  let rec loop () =
-    match Cpu.step machine ctx with
-    | Cpu.Ev_halt -> ()
-    | _ -> loop ()
-  in
-  loop ();
-  (* first Pred executed (99), Clearpred turned the second into a NOP *)
-  Alcotest.(check int) "pred on then cleared" 99
-    (Memory.read machine.Machine.mem g0)
+  List.iter
+    (fun selective ->
+      let machine = Machine.create program in
+      let ctx = Machine.main_context machine in
+      ctx.Context.pred <- true;
+      Alcotest.(check bool) "halted" true
+        (drive ~selective machine ctx = Fast_loop.Halted);
+      (* first Pred executed (99), Clearpred turned the second into a NOP *)
+      Alcotest.(check int) "pred on then cleared" 99
+        (Memory.read machine.Machine.mem g0))
+    [ false; true ]
 
 let test_sandboxed_syscall_blocked () =
   let program = build [ Insn.Syscall Insn.Sys_putc; Insn.Halt ] in
-  let machine = Machine.create program in
-  let ctx = Machine.main_context machine in
-  let sb = Context.make_sandbox ~path_id:1 ~line_limit:10 ~words_per_line:8 in
-  Context.enter_sandbox ctx sb;
-  (match Cpu.step machine ctx with
-   | Cpu.Ev_syscall Insn.Sys_putc -> ()
-   | _ -> Alcotest.fail "expected Ev_syscall");
-  Alcotest.(check string) "no output" "" (Machine.output machine);
-  Alcotest.(check int) "pc unchanged" 0 ctx.Context.pc
+  List.iter
+    (fun selective ->
+      let machine = Machine.create program in
+      let ctx = Machine.main_context machine in
+      let sb =
+        Context.make_sandbox ~path_id:1 ~line_limit:10 ~words_per_line:8
+      in
+      Context.enter_sandbox ctx sb;
+      (match drive ~selective ~syscall:(fun _ -> false) machine ctx with
+       | Fast_loop.Unsafe Insn.Sys_putc -> ()
+       | _ -> Alcotest.fail "expected the unsafe putc");
+      Alcotest.(check string) "no output" "" (Machine.output machine);
+      Alcotest.(check int) "pc unchanged" 0 ctx.Context.pc)
+    [ false; true ]
 
 let test_sandboxed_writes_discarded () =
   let program =
     build [ Insn.Li (t0, 7); Insn.Store (t0, Reg.zero, g0); Insn.Halt ]
   in
-  let machine = Machine.create program in
-  let ctx = Machine.main_context machine in
-  let sb = Context.make_sandbox ~path_id:1 ~line_limit:10 ~words_per_line:8 in
-  Context.enter_sandbox ctx sb;
-  let rec loop () =
-    match Cpu.step machine ctx with Cpu.Ev_halt -> () | _ -> loop ()
-  in
-  loop ();
-  Alcotest.(check int) "memory untouched" 0 (Memory.read machine.Machine.mem g0)
+  List.iter
+    (fun selective ->
+      let machine = Machine.create program in
+      let ctx = Machine.main_context machine in
+      let sb =
+        Context.make_sandbox ~path_id:1 ~line_limit:10 ~words_per_line:8
+      in
+      Context.enter_sandbox ctx sb;
+      Alcotest.(check bool) "halted" true
+        (drive ~selective machine ctx = Fast_loop.Halted);
+      Alcotest.(check int) "memory untouched" 0
+        (Memory.read machine.Machine.mem g0))
+    [ false; true ]
 
 let test_checkz_reports () =
   let program =

@@ -22,4 +22,5 @@ let () =
       ("cache-fastpath", Test_cache_fastpath.tests);
       ("properties", Test_props.tests);
       ("obs", Test_obs.tests);
+      ("reference", Test_reference.tests);
     ]

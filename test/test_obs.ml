@@ -394,7 +394,7 @@ let test_collector_snapshot_isolation () =
 (* Deopt causes under armed watchpoints: the fast tier keeps running and
    stops only before a watch/unwatch or an access to a watched word. A
    stop at a valid, watched address is a [watch] deopt, not a [fault], and
-   no instruction is pinned to the instrumented tier. The use-after-free
+   no instruction is pinned to the hooked step. The use-after-free
    read and write both touch the freed, watched payload. *)
 let test_deopt_watch () =
   let source =
@@ -416,6 +416,29 @@ let test_deopt_watch () =
   Alcotest.(check int) "no fault deopts" 0 (c "obs.deopt.fault");
   Alcotest.(check int) "nothing pinned" 0 (c "obs.pinned_insns")
 
+(* A store hook's range is a detector's, not a watchpoint's: with DIDUCE
+   attached and no watchpoint armed, a stop before a store into the
+   globals is a [detector] deopt, and nothing is pinned unless the fast
+   tier is switched off. *)
+let test_deopt_store_hook () =
+  let w = Registry.schedule in
+  let program = (Workload.compile w).Compile.program in
+  let run selective =
+    let machine = Machine.create ~input:w.Workload.default_input program in
+    Diduce.attach (Diduce.create program) machine;
+    let config = { (Workload.pe_config w) with Pe_config.selective } in
+    ignore (Engine.run ~obs:true ~config machine);
+    Telemetry.counter machine.Machine.telemetry
+  in
+  let c = run true in
+  Alcotest.(check bool) "hooked stores are detector deopts" true
+    (c "obs.deopt.detector" > 0);
+  Alcotest.(check int) "no watch deopts" 0 (c "obs.deopt.watch");
+  Alcotest.(check int) "nothing pinned" 0 (c "obs.pinned_insns");
+  let c = run false in
+  Alcotest.(check int) "selective off: no segment, no deopt" 0
+    (c "obs.deopt.detector")
+
 let tests =
   [
     Alcotest.test_case "prime: diamond" `Quick test_prime_diamond;
@@ -434,6 +457,8 @@ let tests =
       test_snapshot_deterministic;
     Alcotest.test_case "snapshot: capture protocol" `Quick
       test_capture_protocol;
+    Alcotest.test_case "deopt causes under store hook" `Quick
+      test_deopt_store_hook;
     Alcotest.test_case "deopt causes under armed watchpoints" `Quick
       test_deopt_watch;
     Alcotest.test_case "telemetry: prometheus exposition" `Quick

@@ -1,8 +1,9 @@
 (* Selective (fast/slow split) execution tests: the shift-mask regression,
    fault-arm audits, div-by-zero parity, BTB fused-operation equivalence,
    and the house invariant — every observable of a selective run is
-   identical to the fully instrumented run, on the curated workloads and on
-   randomly generated MiniC programs. *)
+   identical to the run with every instruction on the hooked step, on the
+   curated workloads, under DIDUCE and on randomly generated MiniC
+   programs. *)
 
 (* --- shift-mask regression -------------------------------------------------- *)
 
@@ -39,8 +40,8 @@ let run_minic ?(selective = true) ?(input = "") source =
   let result = Engine.run ~config machine in
   (machine, result)
 
-(* shl x,1 must double x end-to-end, through the fast tier and the
-   instrumented tier alike. *)
+(* shl x,1 must double x end-to-end, through fast segments and the
+   hooked step alike. *)
 let test_shift_end_to_end () =
   let source =
     "int main() { int x = getc(); print_int((x << 1) + (x << 5)); return 0; }"
@@ -61,7 +62,7 @@ let test_shift_end_to_end () =
 (* --- div-by-zero parity ------------------------------------------------------ *)
 
 (* The fast tier checks the divisor *before* committing anything and defers
-   the faulting instruction to the instrumented tier, so a division by zero
+   the faulting instruction to the hooked step, so a division by zero
    must fault at the same retired-instruction count, with the same partial
    output, under both modes. *)
 let test_div_by_zero_parity () =
@@ -86,11 +87,11 @@ let test_div_by_zero_parity () =
 
 (* --- fault-arm audits -------------------------------------------------------- *)
 
-(* [Cpu.exec] must report a sandboxed syscall as [Ev_syscall] *without*
-   executing it — the invariant that makes [Ev_exit] unreachable from
-   NT-Path execution (the driver's [Exited] exit, which
+(* The hooked step must report a sandboxed syscall as [Ev_syscall]
+   *without* executing it — the invariant that makes [Ev_exit] unreachable
+   from NT-Path execution (the driver's [Exited] exit, which
    [Nt_path.termination_of_exit] degrades to an unsafe event rather than
-   [assert false]). *)
+   [assert false]). Every instruction runs on the hooked step here. *)
 let test_sandboxed_syscall_reported_not_executed () =
   let compiled = Compile.compile "int main() { exit(3); return 0; }" in
   let machine = Machine.create compiled.Compile.program in
@@ -99,16 +100,21 @@ let test_sandboxed_syscall_reported_not_executed () =
     Context.make_sandbox ~path_id:1 ~line_limit:4 ~words_per_line:4
   in
   Context.enter_sandbox ctx sandbox;
-  let rec step_to_event n =
-    if n > 1000 then Alcotest.fail "no syscall within 1000 steps"
-    else
-      match Cpu.step machine ctx with
-      | Cpu.Ev_normal | Cpu.Ev_branch -> step_to_event (n + 1)
-      | ev -> ev
+  let hooks =
+    {
+      Fast_loop.tick = Fast_loop.no_tick;
+      branch = ignore;
+      syscall = (fun _ -> false);
+    }
   in
-  (match step_to_event 0 with
-   | Cpu.Ev_syscall Insn.Sys_exit -> ()
-   | Cpu.Ev_exit _ -> Alcotest.fail "sandboxed exit was executed"
+  (match
+     Fast_loop.drive
+       (Fast_loop.make machine ctx (Coverage.create compiled.Compile.program))
+       hooks ~selective:false ~spawning:false ~threshold:0 ~limit:1000
+   with
+   | Fast_loop.Unsafe Insn.Sys_exit -> ()
+   | Fast_loop.Exited _ -> Alcotest.fail "sandboxed exit was executed"
+   | Fast_loop.Limit -> Alcotest.fail "no syscall within 1000 steps"
    | _ -> Alcotest.fail "expected Ev_syscall Sys_exit")
 
 (* A sandbox write returns false once the path dirties more lines than its
@@ -329,8 +335,8 @@ let test_differential_per_branch_configs () =
        pt)
 
 (* An NT-Path store that overflows the L1 buffer retires in place (stats and
-   latency charged, pc left on the store) before the path terminates; the
-   fast tier must leave exactly the state [Cpu.step]'s raise leaves. *)
+   latency charged, pc left on the store) before the path terminates, on a
+   fast segment exactly as on the hooked step. *)
 let test_differential_cache_overflow () =
   let compiled = Compile.compile Test_more.l1_overflow_source in
   let r_off, r_on =
@@ -400,8 +406,8 @@ let check_soft_differential name ?fuel ?detector ?bug workload =
 
 (* The software engine drives its taken path (every branch deoptimizes for
    the history) and its write-log NT-Paths through the same driver; each
-   must match the instrumented tier on every perf workload, with detector
-   reports filed from both tiers (CCured), under armed watchpoints
+   must match the hooked step on every perf workload, with detector
+   reports filed from both (CCured), under armed watchpoints
    (iWatcher: segments stop before each watched access) and when the fuel
    clamp ends the run mid-program. *)
 let test_soft_differential () =
@@ -481,6 +487,114 @@ let prop_random_program_differential =
       in
       run false = run true)
 
+(* --- DIDUCE on the fast tier ------------------------------------------------ *)
+
+(* ext3's train-then-monitor flow. The store hook carries the globals
+   range, so the fast tier stops only before a store into it: violations
+   must be identical with the fast tier on and off, and the monitored run
+   must stay on the fast tier. Returns the violations and the monitored
+   run's fast-tier fraction (taken and NT instructions). *)
+let diduce_flow ~selective ?bug (w : Workload.t) =
+  let compiled = Workload.compile ?bug w in
+  let program = compiled.Compile.program in
+  let detector = Diduce.create program in
+  let run config =
+    let machine = Machine.create ~input:w.Workload.default_input program in
+    Diduce.attach detector machine;
+    ignore (Engine.run ~config:{ config with Pe_config.selective } machine);
+    machine
+  in
+  ignore (run Pe_config.baseline);
+  Diduce.start_monitoring detector;
+  let c = Telemetry.counter (run (Workload.pe_config w)).Machine.telemetry in
+  let fast = c "selective.fast_insns" + c "nt.fast_insns" in
+  let insns = c "taken.insns" + c "nt.insns" in
+  (Diduce.violations detector, float_of_int fast /. float_of_int insns)
+
+let test_diduce_selective () =
+  let seen = ref 0 in
+  List.iter
+    (fun ((w : Workload.t), bug) ->
+      let name =
+        w.Workload.name
+        ^ match bug with Some v -> Printf.sprintf " v%d" v | None -> ""
+      in
+      let off, _ = diduce_flow ~selective:false ?bug w in
+      let on, fraction = diduce_flow ~selective:true ?bug w in
+      let key (v : Diduce.violation) =
+        (v.Diduce.addr, v.Diduce.surprise, v.Diduce.on_nt_path)
+      in
+      Alcotest.(check (list (triple int int bool)))
+        (name ^ ": violations") (List.map key off) (List.map key on);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: fast-tier fraction %.4f > 0.95" name fraction)
+        true (fraction > 0.95);
+      seen := !seen + List.length on)
+    [
+      (Registry.schedule, None);
+      (Registry.schedule, Some 6);
+      (Registry.schedule2, None);
+      (Registry.print_tokens2, None);
+    ];
+  Alcotest.(check bool) "some violation observed" true (!seen > 0)
+
+(* With [sp] moved into the globals, a push and a call store there too:
+   the hook must see them exactly as the hooked step alone does. A hook
+   checked only by the store arm would miss both. The store outside the
+   range runs on the fast tier. *)
+let test_store_hook_push_call () =
+  let g = Program.null_guard_words in
+  let t0 = Reg.tmp 0 in
+  let program =
+    {
+      Program.code =
+        [|
+          Insn.Li (Reg.sp, g + 8);
+          Insn.Li (t0, 5);
+          Insn.Push t0;
+          Insn.Call 6;
+          Insn.Store (t0, Reg.zero, g + 40);
+          Insn.Halt;
+          Insn.Li (t0, 7);
+          Insn.Store (t0, Reg.zero, g + 1);
+          Insn.Ret;
+        |];
+      entry = 0;
+      globals_words = 8;
+      init_data = [];
+      sites = [||];
+      user_branches = [];
+      functions = [];
+      user_code_ranges = [];
+      fix_atoms = [];
+      global_vars = [];
+      blank_addrs = [];
+      source_lines = [||];
+    }
+  in
+  let observed selective =
+    let machine = Machine.create program in
+    let seen = ref [] in
+    machine.Machine.store_hook <-
+      Some
+        {
+          Machine.lo = g;
+          hi = g + 8;
+          observe = (fun _ addr value -> seen := (addr, value) :: !seen);
+        };
+    let r =
+      Engine.run ~config:{ Pe_config.baseline with Pe_config.selective } machine
+    in
+    Alcotest.(check string) "halts" "halted" (Engine.outcome_name r.Engine.outcome);
+    (List.rev !seen, r.Engine.fast_insns)
+  in
+  let expected = [ (g + 7, 5); (g + 6, 4); (g + 1, 7) ] in
+  let off, _ = observed false in
+  let on, fast = observed true in
+  Alcotest.(check (list (pair int int))) "hooked step" expected off;
+  Alcotest.(check (list (pair int int))) "fast tier" expected on;
+  Alcotest.(check bool) "unhooked instructions ran fast" true (fast > 0)
+
 let tests =
   [
     Alcotest.test_case "shift amounts are masked to 63, not 62" `Quick
@@ -506,4 +620,8 @@ let tests =
     Alcotest.test_case "software engine: selective = instrumented" `Quick
       test_soft_differential;
     QCheck_alcotest.to_alcotest prop_random_program_differential;
+    Alcotest.test_case "DIDUCE: violations identical, fast tier kept" `Quick
+      test_diduce_selective;
+    Alcotest.test_case "store hook sees push and call into its range" `Quick
+      test_store_hook_push_call;
   ]
