@@ -6,10 +6,6 @@
    occupancy trajectory of those sweeps as JSON. Per-layer costs come from
    the campaign benchmark's tracer (`campaignbench/run.py --trace 1`). *)
 
-(* The cache-probe fast path of every machine the bench creates:
-   [PEXP_CACHE_FASTPATH=0] turns it off, as it does for the CLIs. *)
-let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
-
 (* Machine-readable benchmark trajectory: the wall time of one full serial
    reproduction sweep plus deterministic work counters, as JSON. CI uploads
    this as an artifact so per-PR regressions are visible.
@@ -32,7 +28,7 @@ let fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0"
    aggregate reduction percentage); version 6 added the occupancy axis:
    [fast_tier_fraction] (fraction of simulated instructions — taken path
    plus NT-Paths, over one standard-mode default-input run of every
-   registry workload — retired by the selective fast tier) and
+   registry workload — retired by the fast tier) and
    [memo_hit_rate] (fraction of primary-L1 probes answered by the MRU
    memo layer in the same runs). Both are deterministic, so CI gates on
    them directly rather than on a noisy wall time. Version 7 added the
@@ -53,8 +49,7 @@ let retired_insns level =
     (fun (w : Workload.t) ->
       let compiled = Workload.compile ~opt:level w in
       let machine =
-        Machine.create ~fastpath ~input:w.Workload.default_input
-          compiled.Compile.program
+        Machine.create ~input:w.Workload.default_input compiled.Compile.program
       in
       let r = Engine.run ~config:Pe_config.baseline machine in
       (match r.Engine.outcome with
@@ -75,7 +70,7 @@ let occupancy_fractions () =
       (fun (fast, insns, memo, probes) (w : Workload.t) ->
         let compiled = Workload.compile w in
         let machine =
-          Machine.create ~fastpath ~input:w.Workload.default_input
+          Machine.create ~input:w.Workload.default_input
             compiled.Compile.program
         in
         let _ = Engine.run ~config:(Workload.pe_config w) machine in
@@ -173,7 +168,7 @@ let write_json ~path ~sweep_walls ~o2_walls ~baseline ~jobs =
 (* The whole bench runs serial — including nested fan-out inside
    experiments — so the sweep wall time in the JSON measures single-core
    simulator throughput and is comparable across hosts. *)
-let sweep_spec = { Run_spec.default with fastpath; jobs = 1 }
+let sweep_spec = { Run_spec.default with jobs = 1 }
 
 (* One timed serial sweep, optionally flight-recorded. The capture costs
    allocation and time, so the recorded sweep's wall time is measured but

@@ -65,16 +65,6 @@ let telemetry_arg =
   Arg.(
     value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
 
-let selective_arg =
-  let doc =
-    "Run taken paths and NT-Paths, hardware and software PathExpander \
-     alike, through the selective fast/slow interpreter split \
-     (coverage-preserving selective detection). Output is byte-identical \
-     either way; $(b,--selective=false) runs every instruction through \
-     the hooked step, for equivalence checks and timing baselines."
-  in
-  Arg.(value & opt bool true & info [ "selective" ] ~docv:"BOOL" ~doc)
-
 let opt_arg =
   let doc =
     "Optimization level every sweep compilation uses: O0 (default, the \
@@ -116,14 +106,12 @@ let mkdir_or_exit flag dir =
     Printf.eprintf "experiments: cannot create %s %s (%s)\n%!" flag dir msg;
     exit 1
 
-let main list jobs telemetry selective opt trace_dir obs_dir ids =
+let main list jobs telemetry opt trace_dir obs_dir ids =
   if list then list_ids ()
   else begin
     let spec =
       {
         Run_spec.opt;
-        selective;
-        fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0";
         trace = trace_dir <> None;
         obs = obs_dir <> None;
         telemetry = telemetry <> None;
@@ -171,7 +159,7 @@ let cmd =
   let info = Cmd.info "experiments" ~doc in
   Cmd.v info
     Term.(
-      const main $ list_arg $ jobs_arg $ telemetry_arg $ selective_arg
-      $ opt_arg $ trace_dir_arg $ obs_dir_arg $ ids_arg)
+      const main $ list_arg $ jobs_arg $ telemetry_arg $ opt_arg
+      $ trace_dir_arg $ obs_dir_arg $ ids_arg)
 
 let () = exit (Cmd.eval cmd)

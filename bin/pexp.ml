@@ -74,21 +74,12 @@ let run_one ~spec ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
     if random_input then workload.Workload.gen_input (Rng.create seed)
     else workload.Workload.default_input
   in
-  let config =
-    {
-      (Workload.pe_config ~mode workload) with
-      Pe_config.fixing;
-      selective = spec.Run_spec.selective;
-    }
-  in
+  let config = { (Workload.pe_config ~mode workload) with Pe_config.fixing } in
   if disasm then print_string (Program.disassemble compiled.Compile.program);
   let recorder =
     if spec.Run_spec.trace then Recorder.create () else Recorder.disabled
   in
-  let machine =
-    Machine.create ~input ~recorder ~fastpath:spec.Run_spec.fastpath
-      compiled.Compile.program
-  in
+  let machine = Machine.create ~input ~recorder compiled.Compile.program in
   if obs <> None || prometheus <> None then
     Telemetry.set_label machine.Machine.telemetry
       (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
@@ -194,14 +185,6 @@ let bug_arg =
 let fixing_arg =
   Arg.(value & opt bool true & info [ "fixing" ] ~doc:"Consistency fixing on/off.")
 
-let selective_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "selective" ]
-        ~doc:
-          "Run the taken path through the selective fast/slow interpreter \
-           split (output is byte-identical either way).")
-
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Input generator seed.")
 
 let random_arg =
@@ -274,7 +257,7 @@ let trace_chrome_arg =
           "Like $(b,--trace) but in Chrome trace-event format (load in \
            Perfetto or chrome://tracing).")
 
-let main list app detector mode bug fixing selective seed random_input stats
+let main list app detector mode bug fixing seed random_input stats
     disasm trace trace_chrome opt dump_pass obs prometheus =
   if list then list_apps ()
   else
@@ -282,8 +265,6 @@ let main list app detector mode bug fixing selective seed random_input stats
       {
         Run_spec.default with
         opt;
-        selective;
-        fastpath = Sys.getenv_opt "PEXP_CACHE_FASTPATH" <> Some "0";
         trace = trace <> None || trace_chrome <> None;
         obs = obs <> None;
       }
@@ -296,7 +277,7 @@ let cmd =
   Cmd.v (Cmd.info "pexp" ~doc)
     Term.(
       const main $ list_arg $ app_arg $ detector_arg $ mode_arg $ bug_arg
-      $ fixing_arg $ selective_arg $ seed_arg $ random_arg $ stats_arg
+      $ fixing_arg $ seed_arg $ random_arg $ stats_arg
       $ disasm_arg $ trace_arg $ trace_chrome_arg $ opt_arg $ dump_pass_arg
       $ obs_arg $ prometheus_arg)
 

@@ -32,7 +32,7 @@ type result = {
   profiled_overrides : int;
   coverage : Coverage.t;
   fast_insns : int;
-      (* taken-path instructions retired on the selective fast tier *)
+      (* taken-path instructions retired on the fast tier *)
   fast_segments : int;
       (* fast segments that retired at least one instruction *)
   skipped_edges : int list;
@@ -387,8 +387,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
   let outcome =
     Telemetry.span tel "engine.run" (fun () ->
         outcome_of_exit
-          (Fast_loop.drive fl hooks ~selective:config.Pe_config.selective
-             ~spawning ~threshold ~limit:fuel))
+          (Fast_loop.drive fl hooks ~spawning ~threshold ~limit:fuel))
   in
   let taken_cycles = ctx.Context.stats.Context.cycles in
   let total_cycles =

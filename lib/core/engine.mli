@@ -25,8 +25,8 @@ type result = {
           (the profiled-fixing extension) rather than by the boundary stub *)
   coverage : Coverage.t;
   fast_insns : int;
-      (** taken-path instructions retired on the selective fast tier
-          ({!Fast_loop}); 0 when selective execution is off or inapplicable *)
+      (** taken-path instructions retired on the fast tier ({!Fast_loop});
+          0 when the tick left no segment a budget *)
   fast_segments : int;
       (** fast segments that retired at least one instruction — each ends
           at a deoptimization point (spawn-candidate branch, syscall,

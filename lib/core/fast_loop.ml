@@ -19,8 +19,9 @@
    nothing is spelled out twice, so every observable — architectural
    state, stats, cache/BTB contents, coverage, reports, recorder stream,
    output — is what it would be with every instruction on the hooked
-   step, which is how a drive with [selective] off, or whose tick leaves
-   no budget, runs.
+   step, which is how a drive runs while its tick leaves no budget (a tick
+   that returns the current retired count pins every instruction there:
+   a zero counter-reset interval, or a test's differential).
 
    Stopping before is possible without exceptions: memory operands are
    validated with [Memory.is_valid] (the exact complement of
@@ -123,7 +124,6 @@ type t = {
   mutable hook_hi : int;
       (* the store hook's range; empty ([0, 0)) without a hook *)
   (* per-drive parameters *)
-  mutable selective : bool;
   mutable spawning : bool;
   mutable threshold : int;
   mutable limit : int;
@@ -455,7 +455,6 @@ let make ?(obs = false) machine ctx coverage =
     watching = false;
     hook_lo = 0;
     hook_hi = 0;
-    selective = false;
     spawning = false;
     threshold = 0;
     limit = 0;
@@ -597,10 +596,10 @@ let[@inline never] classify_deopt t stop =
      | Budget | Overflowed -> d_other)
 
 (* The tier protocol. Before every segment or hooked step: the limit, then
-   the caller's tick once its boundary is reached, then the gate. A
-   segment's budget is clamped to the limit and the boundary, so both fire
-   at the same retired-instruction counts as with every instruction on the
-   hooked step. *)
+   the caller's tick once its boundary is reached. A segment's budget is
+   clamped to the limit and the boundary, so both fire at the same
+   retired-instruction counts as with every instruction on the hooked
+   step. *)
 let rec drive_loop t h =
   let ctx = t.ctx in
   let insns = ctx.Context.stats.Context.insns in
@@ -608,7 +607,7 @@ let rec drive_loop t h =
   else begin
     if insns >= t.boundary then t.boundary <- h.tick ();
     let bound = if t.limit < t.boundary then t.limit else t.boundary in
-    if t.selective && bound > insns then begin
+    if bound > insns then begin
       let branches = ctx.Context.stats.Context.branches in
       let stop = segment t ~budget:(bound - insns) in
       let retired = t.retired in
@@ -630,10 +629,9 @@ let rec drive_loop t h =
         step t h
     end
     else begin
-      (* Pinned: selective execution is off for this drive, or the tick
-         asked to run again before the next instruction (a reset interval
-         of 0), which leaves no budget for a segment. *)
-      if t.obs && t.selective then count_deopt t d_pinned;
+      (* Pinned: the tick asked to run again before the next instruction
+         (a reset interval of 0), which leaves no budget for a segment. *)
+      if t.obs then count_deopt t d_pinned;
       step t h
     end
   end
@@ -661,8 +659,7 @@ and step t h =
     | Cpu.Ev_overflow -> Overflow
   end
 
-let drive t h ~selective ~spawning ~threshold ~limit =
-  t.selective <- selective;
+let drive t h ~spawning ~threshold ~limit =
   t.spawning <- spawning;
   t.threshold <- threshold;
   t.limit <- limit;

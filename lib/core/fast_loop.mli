@@ -12,13 +12,14 @@
     step — [Cpu]'s hooks, then a one-instruction segment of the same body
     — and hands its event to the caller's {!hooks}, keeping every
     observable bit-for-bit identical to a run with every instruction on
-    the hooked step.
+    the hooked step. There is one execution mode: fast segments plus the
+    hooked step.
 
-    The driver owns the tier protocol: the selective gate, segment budgets
-    clamped to the limit and the tick's boundary, the [Machine.insn_index]
-    sync after a fast segment, the per-pc coverage record before a hooked
-    step (its kind read from [Context.is_sandboxed]), and the mapping of
-    every event onto one {!exit}. Callers keep only their own policy:
+    The driver owns the tier protocol: segment budgets clamped to the
+    limit and the tick's boundary, the [Machine.insn_index] sync after a
+    fast segment, the per-pc coverage record before a hooked step (its
+    kind read from [Context.is_sandboxed]), and the mapping of every event
+    onto one {!exit}. Callers keep only their own policy:
     spawning, counter resets, redirects and syscall virtualisation, as
     hooks.
 
@@ -58,7 +59,10 @@ type exit =
       context's retired-instruction count reaches the boundary it last
       returned (before that count's segment or hooked step): a
       segment never crosses it, and a boundary at or below the current
-      count (a zero reset interval) makes the drive step instead.
+      count makes the drive step instead. A tick that returns the context's
+      current retired count is the zero-budget tick: it pins every
+      instruction to the hooked step (a zero counter-reset interval does
+      this; so do the tests' fast-tier differentials).
     - [branch] runs after the hooked step resolved a conditional branch;
       it may redirect [ctx.pc].
     - [syscall] runs when a sandboxed context meets a syscall, which the
@@ -74,14 +78,13 @@ type hooks = {
 (** A [tick] with no boundary. *)
 val no_tick : unit -> int
 
-(** [drive t hooks ~selective ~spawning ~threshold ~limit] runs the context
-    from [ctx.pc] until it ends or its stats reach [limit] retired
-    instructions.
+(** [drive t hooks ~spawning ~threshold ~limit] runs the context from
+    [ctx.pc] until it ends or its stats reach [limit] retired instructions.
 
-    Segments run on the fast tier when [selective] holds; otherwise every
-    instruction goes through the hooked step. Armed watchpoints only make
-    a segment stop before each watched access, and a store hook before
-    each store, call or push into its range. [spawning] is false when
+    Segments run on the fast tier whenever the tick leaves a budget; the
+    hooked step takes only the instructions that need a hook. Armed
+    watchpoints only make a segment stop before each watched access, and a
+    store hook before each store, call or push into its range. [spawning] is false when
     branches need no hook at all (no BTB traffic, branches never stop a
     segment). Otherwise any branch whose forced-edge counter probes below
     [threshold] (or misses the BTB) stops one; [threshold = max_int]
@@ -95,8 +98,7 @@ val no_tick : unit -> int
     observatory counts) is reset on entry and belongs to [t]; a drive nested
     in a hook must use another handle. *)
 val drive :
-  t -> hooks -> selective:bool -> spawning:bool -> threshold:int -> limit:int
-  -> exit
+  t -> hooks -> spawning:bool -> threshold:int -> limit:int -> exit
 
 (** Instructions the last drive retired on the fast tier. *)
 val fast_insns : t -> int

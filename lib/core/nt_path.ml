@@ -183,7 +183,6 @@ let run ?fix_override arena ~l1 ~regs ~entry ~spawn_br_pc ~forced_direction
   let termination =
     termination_of_exit
       (Fast_loop.drive arena.fl arena.hooks
-         ~selective:config.Pe_config.selective
          ~spawning:config.Pe_config.follow_nontaken_in_nt ~threshold:max_int
          ~limit:config.Pe_config.max_nt_path_length)
   in

@@ -13,7 +13,6 @@ type t = {
   random_spawn_chance : float;
   random_seed : int;
   profiled_fixing : bool;
-  selective : bool;
 }
 
 (* Paper defaults (Section 6.3): threshold 5, 1000-instruction NT-Paths, 32
@@ -32,7 +31,6 @@ let default =
     random_spawn_chance = 0.0;
     random_seed = 1;
     profiled_fixing = false;
-    selective = true;
   }
 
 let baseline = { default with mode = Baseline }

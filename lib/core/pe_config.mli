@@ -40,18 +40,6 @@ type t = {
           values from their observed history (value-invariant inference)
           when one satisfies the forced edge, falling back to the boundary
           stubs otherwise *)
-  selective : bool;
-      (** coverage-preserving selective detection (HeXcite-style): run
-          taken paths and NT-Paths in fast segments of the interpreter's
-          body, stopping for the hooked step exactly at spawn-candidate
-          branches, syscalls, detector checks, watch traffic and faults.
-          Output is byte-identical to non-selective execution, which runs
-          every instruction on the hooked step. Configurations with a
-          per-branch action (random spawning, profiled fixing,
-          spawn-everywhere, the [follow_nontaken_in_nt] ablation) stop at
-          every branch but keep straight-line code fast; armed watchpoints
-          stop only accesses to watched words, and a store hook only
-          stores into its range. Default on. *)
 }
 
 val default : t

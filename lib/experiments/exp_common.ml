@@ -46,18 +46,10 @@ let machine ctx ~input program =
   let recorder =
     if ctx.spec.Run_spec.trace then Recorder.create () else Recorder.disabled
   in
-  Machine.create ~input ~recorder ~fastpath:ctx.spec.Run_spec.fastpath program
-
-let spec_config ctx config =
-  {
-    config with
-    Pe_config.selective =
-      config.Pe_config.selective && ctx.spec.Run_spec.selective;
-  }
+  Machine.create ~input ~recorder program
 
 let engine ctx ~config machine =
   let spec = ctx.spec in
-  let config = spec_config ctx config in
   let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
   let tel = machine.Machine.telemetry in
   let recorder = machine.Machine.recorder in
@@ -72,7 +64,7 @@ let engine ctx ~config machine =
   Mutex.protect ctx.lock (fun () ->
       Option.iter (fun t -> ctx.traces <- t :: ctx.traces) trace;
       if spec.Run_spec.telemetry then ctx.sinks <- tel :: ctx.sinks);
-  (config, result)
+  result
 
 let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     ?(mode = Pe_config.Standard) ?config ?input (workload : Workload.t) =
@@ -90,7 +82,7 @@ let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     (Printf.sprintf "%s/%s%s" workload.Workload.name
        (Pe_config.mode_name config.Pe_config.mode)
        (match bug with Some b -> Printf.sprintf "/v%d" b | None -> ""));
-  let config, result = engine ctx ~config machine in
+  let result = engine ctx ~config machine in
   if ctx.spec.Run_spec.obs then begin
     let snap =
       Obs.snapshot

@@ -51,20 +51,14 @@ val compile :
   ctx -> ?detector:Codegen.detector -> ?fixing:bool -> ?bug:int ->
   Workload.t -> Compile.compiled
 
-(** A machine with the spec's cache fast path and, when the spec traces,
-    a fresh enabled flight recorder. *)
+(** A machine with, when the spec traces, a fresh enabled flight
+    recorder. *)
 val machine : ctx -> input:string -> Program.t -> Machine.t
 
-(** [config] with the spec's [selective] AND-ed in: what every run of the
-    leg, hardware or software PathExpander, executes under. *)
-val spec_config : ctx -> Pe_config.t -> Pe_config.t
-
-(** Run the engine on a machine made by {!machine} under
-    [spec_config ctx config]; the spec's [obs] arms the observatory
-    bookkeeping. Appends the run's trace and telemetry to the context and
-    returns the effective configuration with the result. *)
-val engine :
-  ctx -> config:Pe_config.t -> Machine.t -> Pe_config.t * Engine.result
+(** Run the engine on a machine made by {!machine} under [config]; the
+    spec's [obs] arms the observatory bookkeeping. Appends the run's trace
+    and telemetry to the context. *)
+val engine : ctx -> config:Pe_config.t -> Machine.t -> Engine.result
 
 (** Compile and execute one workload configuration through {!compile},
     {!machine} and {!engine}, and — when the spec asks for it — append the

@@ -16,7 +16,7 @@ let cumulative ctx ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
       else workload.Workload.gen_input rng
     in
     let machine = Exp_common.machine ctx ~input compiled.Compile.program in
-    let _, result =
+    let result =
       Exp_common.engine ctx ~config:(Workload.pe_config workload) machine
     in
     Coverage.merge_into ~dst:acc result.Engine.coverage;

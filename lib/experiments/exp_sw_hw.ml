@@ -16,11 +16,7 @@ let measure ctx (workload : Workload.t) =
     Exp_common.machine ctx ~input:workload.Workload.default_input
       compiled.Compile.program
   in
-  let sw =
-    Soft_engine.run
-      ~config:(Exp_common.spec_config ctx (Workload.pe_config workload))
-      machine
-  in
+  let sw = Soft_engine.run ~config:(Workload.pe_config workload) machine in
   let hw_overhead =
     Exp_common.overhead_pct ~baseline:hw_baseline.Engine.total_cycles
       ~with_pe:hw_cmp.Engine.total_cycles

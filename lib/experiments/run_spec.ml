@@ -1,7 +1,5 @@
 type t = {
   opt : Opt.level;
-  selective : bool;
-  fastpath : bool;
   trace : bool;
   obs : bool;
   telemetry : bool;
@@ -11,8 +9,6 @@ type t = {
 let default =
   {
     opt = Opt.O0;
-    selective = true;
-    fastpath = true;
     trace = false;
     obs = false;
     telemetry = false;

@@ -111,7 +111,7 @@ let bump btb i ~taken =
   let n = Char.code (Bytes.unsafe_get counters i) in
   Bytes.unsafe_set counters i (Char.unsafe_chr (min btb.counter_max (n + 1)))
 
-(* Side-effect-free counter read for the selective fast tier: no lookup
+(* Side-effect-free counter read for the fast tier: no lookup
    accounting, no LRU touch, no allocation on miss. The fast tier uses this
    to decide whether a branch is a spawn candidate *before* committing any
    BTB state change; a candidate (or a miss) stops the segment, and the
@@ -127,7 +127,7 @@ let exercise btb pc ~taken =
   bump btb i ~taken
 
 (* Fused [counts] + [exercise] with a single associative search, for the
-   selective fast tier's non-candidate branches. Must leave the BTB in the
+   fast tier's non-candidate branches. Must leave the BTB in the
    exact observable state the two-call sequence would: same [lookups] and
    [misses] accounting, same net [clock] advance (+2 on hit: one LRU touch
    from the counts read, one from the exercise; +1 on miss: the counts read

@@ -24,7 +24,7 @@ val exercise : t -> int -> taken:bool -> unit
 
 (** Side-effect-free counter read: [(taken, nontaken)] counts if the branch
     has a valid entry, [None] on a miss. Unlike {!counts} this performs no
-    lookup accounting and no LRU touch, so the selective fast tier can test
+    lookup accounting and no LRU touch, so the fast tier can test
     the spawn predicate before deciding whether to commit BTB state. *)
 val probe_counts : t -> int -> (int * int) option
 

@@ -11,24 +11,23 @@
    1 MB L2 has 32k lines of which a run fills a few dozen, so [create]
    pays for a page table, not for the capacity, and a run pays for the
    pages it fills. Line indices outside a page (journals, snapshots,
-   [Reference]) are global: [set * assoc + way].
+   sweeps) are global: [set * assoc + way].
 
    Squash and commit are O(lines the path touched), not O(cache): every
    ownership acquisition journals the line index under its owner (the
    hardware analogue is the gang-clear circuitry of Section 4.3, which
    flash-clears the matching version tags in a handful of cycles — a
    full-array sweep in the simulator charged that cost once per spawn). A
-   per-owner valid-line count keeps [owned_lines] O(1). The full-sweep
-   implementations survive in {!Reference} as the oracle for property
-   tests. *)
+   per-owner valid-line count keeps [owned_lines] O(1). Owners outside
+   the tracked range fall back to full-array sweeps. *)
 
 (* Owner version tags are 8-bit in the paper (ids 1..255, 0 = committed);
    the journal and counts track exactly that range, and any out-of-range
-   owner falls back to the reference sweep. *)
+   owner falls back to a full-array sweep. *)
 let tracked_owners = 256
 
 (* The probe fast path (DESIGN.md §13) has two layers on top of the
-   associative walk:
+   associative walk, both always on:
 
    - A two-entry *MRU line memo* (line address, set, line owner): the most
      recently touched line and the most recently touched line of one other
@@ -56,7 +55,7 @@ let tracked_owners = 256
    The memo, unlike the filter, is trusted without re-validation, so every
    mutation that could invalidate or retag a memoized line outside
    [access_line] — gang-invalidate (squash, path-id-wrap cleanup), lazy
-   commit and their [Reference] sweeps — must kill it ([memo_kill]).
+   commit and their sweeps — must kill it ([memo_kill]).
    Mutations *inside* [access_line] (fill, eviction, write-hit retag)
    refresh the memo as part of the access. *)
 
@@ -123,7 +122,6 @@ type t = {
      batched [memo_probe]+[add_hits] credits — and verified tag-filter hits *)
   mutable memo_hits : int;
   mutable filter_hits : int;
-  mutable fastpath : bool;  (* memo + filter enabled (kill switch) *)
   (* MRU line memo, entry 0 newest. [memo_laddr*] is the line address or
      [min_int] (never a real line address) when dead; [memo_owner*] mirrors
      the line's current owner tag; [memo_set*] are distinct whenever both
@@ -166,7 +164,6 @@ let create ~size_kb ~assoc ~line_bytes =
     misses = 0;
     memo_hits = 0;
     filter_hits = 0;
-    fastpath = true;
     memo_laddr0 = min_int;
     memo_set0 = -1;
     memo_owner0 = -1;
@@ -194,9 +191,8 @@ let slot_of cache i = i mod cache.page_lines
 (* Kill the MRU memo (both entries). Called by every mutation path that can
    invalidate or retag lines without going through [access_line]: squash
    (gang-invalidate, including the defensive path-id-wrap cleanup when it
-   actually releases lines), lazy commit, the Reference sweeps, and the
-   fast-path toggle. The filter needs no such care — it is re-verified on
-   every probe. *)
+   actually releases lines) and lazy commit, indexed or swept. The filter
+   needs no such care — it is re-verified on every probe. *)
 let memo_kill cache =
   cache.memo_laddr0 <- min_int;
   cache.memo_set0 <- -1;
@@ -204,12 +200,6 @@ let memo_kill cache =
   cache.memo_laddr1 <- min_int;
   cache.memo_set1 <- -2;
   cache.memo_owner1 <- -1
-
-let set_fastpath cache b =
-  cache.fastpath <- b;
-  (* Entries noted while the switch was off (or stale ones from before it
-     was turned off) must not be trusted on re-enable. *)
-  memo_kill cache
 
 (* Note line [laddr] of [set], now tagged [owner], as the most recent
    access. Entry 0 is the newest; entry 1 holds the previous newest *of a
@@ -325,10 +315,8 @@ let access_line cache addr ~owner ~write ~allocate =
      reorder anything), and no retag or journal entry is due. Skipping the
      clock tick is sound because stamps are only compared within a set. *)
   if
-    cache.fastpath
-    && ((laddr = cache.memo_laddr0 && (not write || owner = cache.memo_owner0))
-        || (laddr = cache.memo_laddr1 && (not write || owner = cache.memo_owner1))
-       )
+    (laddr = cache.memo_laddr0 && (not write || owner = cache.memo_owner0))
+    || (laddr = cache.memo_laddr1 && (not write || owner = cache.memo_owner1))
   then begin
     cache.hits <- cache.hits + 1;
     cache.memo_hits <- cache.memo_hits + 1;
@@ -404,14 +392,12 @@ let access_line cache addr ~owner ~write ~allocate =
     end
   end
 
-(* Side-effect-free memo probe for the selective fast tier's batched
-   latency accounting: [true] iff [access_line] would take the memo fast
+(* Side-effect-free memo probe for the fast tier's batched latency
+   accounting: [true] iff [access_line] would take the memo fast
    path (an L1 hit, zero stall cycles, no state change). The caller
    accumulates the implied hit counts in a register and flushes them once
    per segment with {!add_hits}. *)
 let[@inline always] memo_probe cache addr ~owner ~write =
-  cache.fastpath
-  &&
   let laddr = line_addr cache addr in
   (laddr = cache.memo_laddr0 && (not write || owner = cache.memo_owner0))
   || (laddr = cache.memo_laddr1 && (not write || owner = cache.memo_owner1))
@@ -425,8 +411,8 @@ let access ?(owner = committed_owner) ?(write = false) ?(allocate = true) cache
     addr =
   access_line cache addr ~owner ~write ~allocate
 
-(* Full-array sweeps: the reference implementations the indexed operations
-   must agree with. They visit every line, untouched ones on the zero page
+(* Full-array sweeps: the owner operations for owner 0 and ids outside the
+   tracked range. They visit every line, untouched ones on the zero page
    included, and keep the per-owner counts consistent, so mixing sweep and
    indexed calls on one cache stays sound (sweeps may leave stale journal
    entries behind; walks skip those by re-checking ownership). *)
@@ -520,21 +506,15 @@ let owned_lines cache ~owner =
   if tracked owner then cache.owner_count.(owner)
   else sweep_owned_lines cache ~owner
 
-module Reference = struct
-  let gang_invalidate = sweep_gang_invalidate
-  let commit_owner = sweep_commit_owner
-  let owned_lines = sweep_owned_lines
-end
-
 let snapshot cache =
   Array.init (line_count cache) (fun i ->
       let page = page_of cache i and s = slot_of cache i in
       (page.tags.(s), slot_valid page s, page.owners.(s), page.lrus.(s)))
 
 (* Visible state with per-set LRU *ranks* in place of raw clock stamps: the
-   memo fast path skips clock ticks, so a memoized cache and a plain one
-   agree on tags, validity, owners and eviction order while their absolute
-   stamps drift apart. Rank = how many valid set-mates were touched earlier;
+   memo skips clock ticks, so this cache and a model that ticks on every
+   access agree on tags, validity, owners and eviction order while their
+   absolute stamps drift apart. Rank = how many valid set-mates were touched earlier;
    invalid lines rank -1 (their stale stamps are unobservable — victim
    selection takes the first invalid way by index). *)
 let snapshot_canonical cache =

@@ -34,30 +34,27 @@ val access : ?owner:int -> ?write:bool -> ?allocate:bool -> t -> int -> outcome
     optional arguments box their values ([Some owner]) on each call, which
     at one-plus allocation per simulated load/store is measurable.
 
-    Probes run through a two-layer fast path unless disabled (see
-    {!set_fastpath}): an MRU line memo that answers semantically no-op hits
-    (MRU read hit, or same-owner write hit — no retag, no LRU reorder) in a
-    couple of compares, then a per-set direct-mapped tag filter that tries
-    the set's last-touched way before the associative walk. Observable
-    behaviour — hit/miss outcomes, counters, owners, journals, eviction
-    order — is identical with the fast path on or off. *)
+    Every probe runs through a two-layer fast path: an MRU line memo that
+    answers semantically no-op hits (MRU read hit, or same-owner write hit
+    — no retag, no LRU reorder) in a couple of compares, then a per-set
+    direct-mapped tag filter that tries the set's last-touched way before
+    the associative walk. The filter is unconditional and a hint: its way
+    is re-verified (tag and valid bit) on every probe. Neither layer
+    changes an observable — hit/miss outcomes, counters, owners, eviction
+    order — which a test-only model with neither layer checks. *)
 val access_line :
   t -> int -> owner:int -> write:bool -> allocate:bool -> outcome
 
 (** [memo_probe cache addr ~owner ~write] is [true] iff {!access_line}
     would answer this access from the MRU line memo — an L1 hit with zero
-    stall cycles and no state change — committing nothing. The selective
-    fast tier batches the implied hit counts in a register and flushes them
+    stall cycles and no state change — committing nothing. The fast tier
+    batches the implied hit counts in a register and flushes them
     once per segment with {!add_hits}. *)
 val memo_probe : t -> int -> owner:int -> write:bool -> bool
 
 (** Credit [n] deferred memo hits to the hit counter (the flush half of the
     batched accounting around {!memo_probe}). *)
 val add_hits : t -> int -> unit
-
-(** Enable/disable this cache's probe fast path (memo + filter). Disabling
-    and re-enabling kills the memo, so stale entries are never trusted. *)
-val set_fastpath : t -> bool -> unit
 
 (** Invalidate all lines version-tagged [owner]; returns how many.
     O(lines the owner touched since its last squash/commit) for 8-bit
@@ -71,23 +68,14 @@ val commit_owner : t -> owner:int -> int
 (** Number of valid lines currently tagged [owner]; O(1) for 8-bit ids. *)
 val owned_lines : t -> owner:int -> int
 
-(** Full-array sweep implementations of the three owner operations: the
-    oracle the indexed versions must agree with (property-tested). Safe to
-    mix with the indexed operations on the same cache. *)
-module Reference : sig
-  val gang_invalidate : t -> owner:int -> int
-  val commit_owner : t -> owner:int -> int
-  val owned_lines : t -> owner:int -> int
-end
-
 (** Full visible line state, [(tag, valid, owner, lru)] in set/way order —
     for test assertions of behavioural equivalence. *)
 val snapshot : t -> (int * bool * int * int) array
 
 (** Like {!snapshot} but with per-set LRU ranks (invalid lines rank -1)
-    instead of raw clock stamps: the memo fast path skips clock ticks, so a
-    memoized and a plain cache agree on this canonical form while their
-    absolute stamps differ. *)
+    instead of raw clock stamps: the memo skips clock ticks, so this cache
+    and a model that ticks on every access agree on this canonical form
+    while their absolute stamps differ. *)
 val snapshot_canonical : t -> (int * bool * int * int) array
 
 val hits : t -> int

@@ -18,7 +18,6 @@ type t = {
   mutable store_hook : store_hook option;
   telemetry : Telemetry.t;
   recorder : Recorder.t;
-  fastpath : bool;
 }
 
 (* One-slot load memo: experiments compile a program once and then create
@@ -47,7 +46,7 @@ let load program =
     d
 
 let create ?(config = Machine_config.default) ?(input = "")
-    ?(recorder = Recorder.disabled) ?(fastpath = true) program =
+    ?(recorder = Recorder.disabled) program =
   let dcode = load program in
   let mem =
     Memory.create ~globals_words:program.Program.globals_words
@@ -66,7 +65,6 @@ let create ?(config = Machine_config.default) ?(input = "")
       ~line_bytes:config.Machine_config.line_bytes
   in
   Cache.set_recorder l2 recorder;
-  Cache.set_fastpath l2 fastpath;
   {
     config;
     program;
@@ -83,7 +81,6 @@ let create ?(config = Machine_config.default) ?(input = "")
     store_hook = None;
     telemetry = Telemetry.create ();
     recorder;
-    fastpath;
   }
 
 let new_l1 machine =
@@ -93,7 +90,6 @@ let new_l1 machine =
       ~line_bytes:machine.config.Machine_config.line_bytes
   in
   Cache.set_recorder l1 machine.recorder;
-  Cache.set_fastpath l1 machine.fastpath;
   l1
 
 let main_context machine =

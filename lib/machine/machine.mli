@@ -38,9 +38,6 @@ type t = {
       (** per-run flight recorder of NT-Path lifecycle events in sim time;
           the {!Recorder.disabled} singleton unless an enabled recorder was
           passed to {!create}, making every emit site a single branch *)
-  fastpath : bool;
-      (** the cache-probe fast path (memo + filter) of every cache this
-          machine creates *)
 }
 
 (** Validates the program, lays out memory, installs initial data and points
@@ -49,12 +46,10 @@ type t = {
     physically), so consecutive creates of one program check it once; an
     invalid program raises {!Program.Invalid_program}.
     [recorder] (default {!Recorder.disabled}) is attached to the L2 and
-    every L1 this machine creates; [fastpath] (default on) sets their
-    probe fast path ({!Cache.set_fastpath}). Output is byte-identical
-    either way. *)
+    every L1 this machine creates. *)
 val create :
   ?config:Machine_config.t -> ?input:string -> ?recorder:Recorder.t ->
-  ?fastpath:bool -> Program.t -> t
+  Program.t -> t
 
 (** A fresh L1 cache with this machine's geometry (one per core). *)
 val new_l1 : t -> Cache.t

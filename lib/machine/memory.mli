@@ -48,7 +48,7 @@ val read_valid : t -> int -> int
 val write : t -> int -> int -> unit
 
 (** [write] minus the access check, for callers that have just established
-    [is_valid] (the selective fast tier validates operands *before*
+    [is_valid] (the fast tier validates operands *before*
     committing an instruction). The first store to a page allocates it. *)
 val write_valid : t -> int -> int -> unit
 

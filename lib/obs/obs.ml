@@ -11,12 +11,11 @@
    [save_dir] restores a canonical order, exactly like the flight
    recorder's trace capture.
 
-   Two sections of the JSON — "tiers" and "cache" — describe the execution
-   *strategy* rather than the simulated program, so they legitimately
-   change when selective execution or the cache fast path is toggled.
-   Everything else (edges, frontier, frontier_causes, prime_paths, spawns)
-   is invariant across the whole equivalence matrix; CI compares
-   accordingly. *)
+   Two sections of the JSON — "tiers" and "cache" — describe how the
+   simulator ran (fast-tier occupancy, deopt causes, memo and filter hits)
+   rather than the simulated program. A run has one execution mode, so
+   every section is a deterministic output; CI pins a whole sweep's
+   snapshots by digest ([bench/sweep_artifacts.md5]). *)
 
 let schema_version = 1
 
@@ -279,9 +278,8 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
               ("skipped_edges", jint (List.length result.Engine.skipped_edges));
               ("terminations", jobj terminations);
             ] );
-        (* Strategy-dependent sections: tier occupancy and cache fast-path
-           attribution change (legitimately) with --selective and
-           PEXP_CACHE_FASTPATH; everything above is invariant. *)
+        (* How the simulator ran: tier occupancy and cache fast-path
+           attribution. *)
         ( "tiers",
           jobj
             [

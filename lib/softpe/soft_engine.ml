@@ -79,8 +79,7 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
          (Fast_loop.make machine ctx coverage)
          { Fast_loop.tick = Fast_loop.no_tick; branch;
            syscall = (fun _ -> true) }
-         ~selective:config.Pe_config.selective ~spawning:true
-         ~threshold:max_int ~limit:fuel)
+         ~spawning:true ~threshold:max_int ~limit:fuel)
   in
   let nt_records = List.rev !nt_records in
   let nt_sum field =

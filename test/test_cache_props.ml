@@ -1,10 +1,12 @@
-(* Property tests for the cache's O(dirty-lines) owner operations: the
-   journal-indexed gang_invalidate / commit_owner / owned_lines must be
-   observationally identical to the Cache.Reference full-array sweeps under
-   arbitrary interleavings of fills, write-hit retags, read hits, evictions,
-   squashes and commits across several concurrent owners, on caches of one
-   and of two line pages — plus regression tests for the stale-journal
-   hazards (write-hit steals, path-id reuse after squash). *)
+(* Property tests for the cache against [Ref_cache], a test-only model
+   with no memo, no tag filter and no journals: the journal-indexed
+   gang_invalidate / commit_owner / owned_lines (and their full-sweep
+   fallbacks for owner 0 and untracked ids) must be observationally
+   identical to the model's sweeps under arbitrary interleavings of fills,
+   write-hit retags, read hits, evictions, squashes and commits across
+   several concurrent owners, on caches of one and of two line pages —
+   plus regression tests for the stale-journal hazards (write-hit steals,
+   path-id reuse after squash). *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -13,7 +15,7 @@ let qtest = QCheck_alcotest.to_alcotest
    128 distinct lines collide and evict. Two pages: 8 KB, 2-way -> 128 sets
    in two 64-set pages, reached by [page_addr] below. *)
 let fresh_cache () = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32
-let fresh_two_page_cache () = Cache.create ~size_kb:8 ~assoc:2 ~line_bytes:32
+let fresh_model () = Ref_cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32
 
 (* Addresses that collide across pages in the two-page geometry: four tags
    per set on sets that share an in-page slot (0/64, 1/65, 63/127), so a
@@ -30,76 +32,92 @@ let addr_gen = QCheck.Gen.(frequency [ (1, int_bound 1023); (1, page_addr) ])
 
 type op =
   | Access of int * int * bool * bool  (* addr, owner, write, allocate *)
+  | Probe of int * int * bool
+      (* the fast tier's batched access: a memo probe credited with
+         [add_hits], or else a plain access *)
   | Squash of int
   | Commit of int
   | Owned of int
 
 let op_to_string = function
   | Access (a, o, w, al) -> Printf.sprintf "A(%d,o%d,w%b,al%b)" a o w al
+  | Probe (a, o, w) -> Printf.sprintf "P(%d,o%d,w%b)" a o w
   | Squash o -> Printf.sprintf "S(o%d)" o
   | Commit o -> Printf.sprintf "C(o%d)" o
   | Owned o -> Printf.sprintf "O(o%d)" o
 
-(* Three speculative owners (1..3) plus committed (0) on accesses. *)
+let access_gen owner =
+  QCheck.Gen.(
+    map
+      (fun (a, (o, (w, al))) -> Access (a, o, w, al))
+      (pair addr_gen
+         (pair owner (pair bool (frequencyl [ (4, true); (1, false) ])))))
+
+(* Speculative owners 1..3 and committed 0 on accesses, and now and then
+   owner 300, outside the 8-bit range the journals track; squash, commit
+   and owned-lines also reach owner 0 and 300, which take the sweeps. *)
 let op_gen =
+  let owner = QCheck.Gen.(frequency [ (12, int_bound 3); (1, return 300) ]) in
+  let path = QCheck.Gen.(frequency [ (8, map succ (int_bound 2)); (1, return 0); (1, return 300) ]) in
   QCheck.Gen.(
     frequency
       [
-        ( 6,
-          map
-            (fun (a, (o, (w, al))) -> Access (a, o, w, al))
-            (pair addr_gen
-               (pair (int_bound 3) (pair bool (frequencyl [ (4, true); (1, false) ])))) );
-        (1, map (fun o -> Squash (1 + o)) (int_bound 2));
-        (1, map (fun o -> Commit (1 + o)) (int_bound 2));
-        (1, map (fun o -> Owned o) (int_bound 3));
+        (6, access_gen owner);
+        (1, map (fun o -> Squash o) path);
+        (1, map (fun o -> Commit o) path);
+        (1, map (fun o -> Owned o) owner);
       ])
 
-let ops_arb =
+let ops_arb ?(max = 80) gen =
   QCheck.make
     ~print:(fun ops -> String.concat " " (List.map op_to_string ops))
-    QCheck.Gen.(list_size (int_range 1 80) op_gen)
+    QCheck.Gen.(list_size (int_range 1 max) gen)
 
-let snapshots_equal a b = Cache.snapshot a = Cache.snapshot b
-
-(* Twin execution: [ca] uses the journal-indexed operations, [cb] the
-   Reference sweeps. Every step must produce the same return value and leave
-   the two caches in the same visible state. *)
-let indexed_ops_match_reference fresh ops =
-  let ca = fresh () in
-  let cb = fresh () in
+(* Twin execution, the cache against the model: every step must produce
+   the same result — hit or miss, line counts — and leave the same visible
+   state: [snapshot_canonical] against the model's ranks (the memo skips
+   clock ticks, so raw stamps differ), the hit and miss counters, and the
+   lines each of owners 0-3 holds. *)
+let matches_model ~size_kb ops =
+  let c = Cache.create ~size_kb ~assoc:2 ~line_bytes:32 in
+  let m = Ref_cache.create ~size_kb ~assoc:2 ~line_bytes:32 in
+  let access addr ~owner ~write ~allocate =
+    (Cache.access_line c addr ~owner ~write ~allocate = Cache.Hit)
+    = Ref_cache.access m addr ~owner ~write ~allocate
+  in
   List.for_all
     (fun op ->
       let same_result =
         match op with
         | Access (addr, owner, write, allocate) ->
-          Cache.access ~owner ~write ~allocate ca addr
-          = Cache.access ~owner ~write ~allocate cb addr
+          access addr ~owner ~write ~allocate
+        | Probe (addr, owner, write) ->
+          if Cache.memo_probe c addr ~owner ~write then begin
+            Cache.add_hits c 1;
+            Ref_cache.access m addr ~owner ~write ~allocate:true
+          end
+          else access addr ~owner ~write ~allocate:true
         | Squash owner ->
-          Cache.gang_invalidate ca ~owner
-          = Cache.Reference.gang_invalidate cb ~owner
+          Cache.gang_invalidate c ~owner = Ref_cache.gang_invalidate m ~owner
         | Commit owner ->
-          Cache.commit_owner ca ~owner
-          = Cache.Reference.commit_owner cb ~owner
+          Cache.commit_owner c ~owner = Ref_cache.commit_owner m ~owner
         | Owned owner ->
-          Cache.owned_lines ca ~owner = Cache.Reference.owned_lines cb ~owner
+          Cache.owned_lines c ~owner = Ref_cache.owned_lines m ~owner
       in
-      same_result && snapshots_equal ca cb
-      && Cache.hits ca = Cache.hits cb
-      && Cache.misses ca = Cache.misses cb
-      (* the O(1) count agrees with a sweep of the same cache, too *)
+      same_result
+      && Cache.snapshot_canonical c = Ref_cache.snapshot m
+      && Cache.hits c = Ref_cache.hits m
+      && Cache.misses c = Ref_cache.misses m
       && List.for_all
-           (fun o ->
-             Cache.owned_lines ca ~owner:o
-             = Cache.Reference.owned_lines ca ~owner:o)
+           (fun o -> Cache.owned_lines c ~owner:o = Ref_cache.owned_lines m ~owner:o)
            [ 0; 1; 2; 3 ])
     ops
 
-let prop_indexed_ops_match_reference =
-  QCheck.Test.make ~name:"indexed owner ops match Reference sweeps" ~count:300
-    ops_arb (fun ops ->
-      indexed_ops_match_reference fresh_cache ops
-      && indexed_ops_match_reference fresh_two_page_cache ops)
+let prop_indexed_ops_match_model =
+  QCheck.Test.make
+    ~name:"indexed owner ops match Reference model (Ref_cache sweeps)"
+    ~count:300 (ops_arb op_gen) (fun ops ->
+      matches_model ~size_kb:1 ops && matches_model ~size_kb:8 ops)
 
 (* --- stale-journal regressions ---------------------------------------------- *)
 
@@ -133,8 +151,17 @@ let test_path_id_wrap_stale_lines () =
   ignore (Cache.access ~owner:7 ~write:true c 16);
   Alcotest.(check int) "reused id owns only its new line" 1
     (Cache.owned_lines c ~owner:7);
-  Alcotest.(check int) "reference sweep agrees" 1
-    (Cache.Reference.owned_lines c ~owner:7);
+  (* the same history on the model *)
+  let m = fresh_model () in
+  let write owner addr =
+    ignore (Ref_cache.access m addr ~owner ~write:true ~allocate:true)
+  in
+  write 7 0;
+  write 7 8;
+  ignore (Ref_cache.gang_invalidate m ~owner:7);
+  write 9 0;
+  write 7 16;
+  Alcotest.(check int) "the model agrees" 1 (Ref_cache.owned_lines m ~owner:7);
   Alcotest.(check int) "squash of reused id clears 1" 1
     (Cache.gang_invalidate c ~owner:7);
   Alcotest.(check int) "other path's line untouched" 1
@@ -158,7 +185,7 @@ let test_commit_then_reuse () =
        (Cache.snapshot c))
 
 let tests =
-  qtest prop_indexed_ops_match_reference
+  qtest prop_indexed_ops_match_model
   :: [
        Alcotest.test_case "write-hit steal leaves stale journal harmless"
          `Quick test_write_hit_steal;

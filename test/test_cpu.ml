@@ -27,13 +27,19 @@ let run ?input code =
   let result = Engine.run ~config:Pe_config.baseline machine in
   (machine, result)
 
-(* Drive [ctx] from its pc to the end, under both tiers: [selective]
-   (default off) off runs every instruction through the hooked step. *)
-let drive ?(selective = false) ?(syscall = fun _ -> true) machine ctx =
+(* Drive [ctx] from its pc to the end. [pinned] (default on) gives the
+   drive the zero-budget tick, which returns the current retired count, so
+   every instruction runs through the hooked step; off, the fast tier
+   takes every instruction that needs no hook. *)
+let drive ?(pinned = true) ?(syscall = fun _ -> true) machine ctx =
   let coverage = Coverage.create machine.Machine.program in
-  let hooks = { Fast_loop.tick = Fast_loop.no_tick; branch = ignore; syscall } in
-  Fast_loop.drive (Fast_loop.make machine ctx coverage) hooks ~selective
-    ~spawning:false ~threshold:0 ~limit:1000
+  let tick =
+    if pinned then fun () -> ctx.Context.stats.Context.insns
+    else Fast_loop.no_tick
+  in
+  let hooks = { Fast_loop.tick; branch = ignore; syscall } in
+  Fast_loop.drive (Fast_loop.make machine ctx coverage) hooks ~spawning:false
+    ~threshold:0 ~limit:1000
 
 let t0 = Reg.tmp 0
 let t1 = Reg.tmp 1
@@ -159,40 +165,40 @@ let test_predication_set () =
       ]
   in
   List.iter
-    (fun selective ->
+    (fun pinned ->
       let machine = Machine.create program in
       let ctx = Machine.main_context machine in
       ctx.Context.pred <- true;
       Alcotest.(check bool) "halted" true
-        (drive ~selective machine ctx = Fast_loop.Halted);
+        (drive ~pinned machine ctx = Fast_loop.Halted);
       (* first Pred executed (99), Clearpred turned the second into a NOP *)
       Alcotest.(check int) "pred on then cleared" 99
         (Memory.read machine.Machine.mem g0))
-    [ false; true ]
+    [ true; false ]
 
 let test_sandboxed_syscall_blocked () =
   let program = build [ Insn.Syscall Insn.Sys_putc; Insn.Halt ] in
   List.iter
-    (fun selective ->
+    (fun pinned ->
       let machine = Machine.create program in
       let ctx = Machine.main_context machine in
       let sb =
         Context.make_sandbox ~path_id:1 ~line_limit:10 ~words_per_line:8
       in
       Context.enter_sandbox ctx sb;
-      (match drive ~selective ~syscall:(fun _ -> false) machine ctx with
+      (match drive ~pinned ~syscall:(fun _ -> false) machine ctx with
        | Fast_loop.Unsafe Insn.Sys_putc -> ()
        | _ -> Alcotest.fail "expected the unsafe putc");
       Alcotest.(check string) "no output" "" (Machine.output machine);
       Alcotest.(check int) "pc unchanged" 0 ctx.Context.pc)
-    [ false; true ]
+    [ true; false ]
 
 let test_sandboxed_writes_discarded () =
   let program =
     build [ Insn.Li (t0, 7); Insn.Store (t0, Reg.zero, g0); Insn.Halt ]
   in
   List.iter
-    (fun selective ->
+    (fun pinned ->
       let machine = Machine.create program in
       let ctx = Machine.main_context machine in
       let sb =
@@ -200,10 +206,10 @@ let test_sandboxed_writes_discarded () =
       in
       Context.enter_sandbox ctx sb;
       Alcotest.(check bool) "halted" true
-        (drive ~selective machine ctx = Fast_loop.Halted);
+        (drive ~pinned machine ctx = Fast_loop.Halted);
       Alcotest.(check int) "memory untouched" 0
         (Memory.read machine.Machine.mem g0))
-    [ false; true ]
+    [ true; false ]
 
 let test_checkz_reports () =
   let program =

@@ -418,26 +418,29 @@ let test_deopt_watch () =
 
 (* A store hook's range is a detector's, not a watchpoint's: with DIDUCE
    attached and no watchpoint armed, a stop before a store into the
-   globals is a [detector] deopt, and nothing is pinned unless the fast
-   tier is switched off. *)
+   globals is a [detector] deopt, and nothing is pinned unless the tick
+   leaves no budget: a zero counter-reset interval pins every taken-path
+   instruction, so no segment runs and none deoptimizes. *)
 let test_deopt_store_hook () =
   let w = Registry.schedule in
   let program = (Workload.compile w).Compile.program in
-  let run selective =
+  let run config =
     let machine = Machine.create ~input:w.Workload.default_input program in
     Diduce.attach (Diduce.create program) machine;
-    let config = { (Workload.pe_config w) with Pe_config.selective } in
     ignore (Engine.run ~obs:true ~config machine);
     Telemetry.counter machine.Machine.telemetry
   in
-  let c = run true in
+  let config = Workload.pe_config w in
+  let c = run config in
   Alcotest.(check bool) "hooked stores are detector deopts" true
     (c "obs.deopt.detector" > 0);
   Alcotest.(check int) "no watch deopts" 0 (c "obs.deopt.watch");
   Alcotest.(check int) "nothing pinned" 0 (c "obs.pinned_insns");
-  let c = run false in
-  Alcotest.(check int) "selective off: no segment, no deopt" 0
-    (c "obs.deopt.detector")
+  let c = run { config with Pe_config.counter_reset_interval = 0 } in
+  Alcotest.(check int) "zero-budget tick: no segment, no deopt" 0
+    (c "obs.deopt.detector");
+  Alcotest.(check int) "zero-budget tick: every taken instruction pinned"
+    (c "taken.insns") (c "obs.pinned_insns")
 
 let tests =
   [

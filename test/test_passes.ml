@@ -281,9 +281,10 @@ let test_dump_pass_hook () =
 
 (* --- the -O0 = -O2 QCheck differential ----------------------------------- *)
 
-(* PR 4's random-program shape (test_selective.ml), enriched with locals the
-   register allocator will promote and a helper call: iterated clauses of
-   data-dependent branches, shifts and guarded divisions. *)
+(* Random programs: iterated clauses of data-dependent branches, shifts and
+   guarded divisions, with locals the register allocator will promote and a
+   helper call. The fast-tier and reference-model differentials
+   (test_selective.ml, test_reference.ml) reuse the generator. *)
 type clause = { mul : int; modulus : int; bound : int; shift : int }
 
 let clause_src i cl =

@@ -7,7 +7,12 @@
    and the model start from the same spawn point and state and must agree
    on the termination cause, the path length and the words the path wrote,
    and the path must leave committed memory untouched. Inputs are every
-   registry workload under every detector and random MiniC programs. *)
+   registry workload under every detector, an iWatcher red-zone overflow
+   and random MiniC programs.
+
+   Whole runs are checked on the fast tier and with the zero-budget tick,
+   a [tick] that returns the current retired count and so pins every
+   instruction to the hooked step. *)
 
 let fuel = 100_000_000
 let mconfig = Machine_config.default
@@ -80,32 +85,42 @@ let check_end name machine m ~outcome ~insns ~model_stop =
     (shape (engine_reports machine));
   check_memory name machine m
 
-(* A whole baseline run, with the fast tier on and off. *)
+let pinned_tick ctx () = ctx.Context.stats.Context.insns
+
+(* A whole baseline run: the engine's, on the fast tier, and a drive with
+   the zero-budget tick, every instruction on the hooked step. Returns the
+   engine's result. *)
 let check_run name ~input program =
   let m = model ~input program in
   let model_stop = Ref_model.run m ~limit:fuel in
-  List.iter
-    (fun selective ->
-      let machine = Machine.create ~input program in
-      let r =
-        Engine.run ~config:{ Pe_config.baseline with Pe_config.selective }
-          machine
-      in
-      check_end
-        (Printf.sprintf "%s (selective=%b)" name selective)
-        machine m
-        ~outcome:(engine_outcome r.Engine.outcome)
-        ~insns:r.Engine.taken_insns ~model_stop)
-    [ true; false ]
+  let machine = Machine.create ~input program in
+  let r = Engine.run ~config:Pe_config.baseline machine in
+  check_end (name ^ " (fast tier)") machine m
+    ~outcome:(engine_outcome r.Engine.outcome)
+    ~insns:r.Engine.taken_insns ~model_stop;
+  let machine = Machine.create ~input program in
+  let ctx = Machine.main_context machine in
+  let hooks =
+    { Fast_loop.tick = pinned_tick ctx; branch = ignore;
+      syscall = (fun _ -> true) }
+  in
+  let exit =
+    Fast_loop.drive
+      (Fast_loop.make machine ctx (Coverage.create program))
+      hooks ~spawning:false ~threshold:0 ~limit:fuel
+  in
+  check_end (name ^ " (hooked step)") machine m ~outcome:(exit_outcome exit)
+    ~insns:ctx.Context.stats.Context.insns ~model_stop;
+  r
 
 (* The taken path runs on the driver with every branch handed to the
    branch hook; the model runs to the same branch and must be in the same
    state. Every [stride]-th branch (at most [max_spawns]) spawns an NT-Path
    on the non-taken edge, through [Nt_path.run] and through the model. A
    store hook over the whole space records the words the engine's path
-   writes. *)
-let check_nt_paths name ~input ~(config : Pe_config.t) ~stride ~max_spawns
-    program =
+   writes. [pinned] drives the taken path with the zero-budget tick. *)
+let check_nt_paths ?(pinned = false) name ~input ~(config : Pe_config.t)
+    ~stride ~max_spawns program =
   let machine = Machine.create ~input program in
   let ctx = Machine.main_context machine in
   let coverage = Coverage.create program in
@@ -170,13 +185,11 @@ let check_nt_paths name ~input ~(config : Pe_config.t) ~stride ~max_spawns
         r.Ref_model.nt_words
     end
   in
-  let hooks =
-    { Fast_loop.tick = Fast_loop.no_tick; branch; syscall = (fun _ -> true) }
-  in
+  let tick = if pinned then pinned_tick ctx else Fast_loop.no_tick in
+  let hooks = { Fast_loop.tick; branch; syscall = (fun _ -> true) } in
   let exit =
-    Fast_loop.drive (Fast_loop.make machine ctx coverage) hooks
-      ~selective:config.Pe_config.selective ~spawning:true ~threshold:max_int
-      ~limit:fuel
+    Fast_loop.drive (Fast_loop.make machine ctx coverage) hooks ~spawning:true
+      ~threshold:max_int ~limit:fuel
   in
   let model_stop = Ref_model.run m ~limit:fuel in
   check_end name machine m ~outcome:(exit_outcome exit)
@@ -200,8 +213,9 @@ let test_workload (w : Workload.t) () =
       in
       (match first_bug with
        | Some _ ->
-         check_run (name first_bug) ~input
-           (Workload.compile ~detector ?bug:first_bug w).Compile.program
+         ignore
+           (check_run (name first_bug) ~input
+              (Workload.compile ~detector ?bug:first_bug w).Compile.program)
        | None -> ());
       let program = (Workload.compile ~detector w).Compile.program in
       let spawns =
@@ -211,7 +225,41 @@ let test_workload (w : Workload.t) () =
       if spawns = 0 then Alcotest.failf "%s: no branch to spawn at" (name None))
     detectors
 
-(* test_passes' random MiniC programs at every optimization level. *)
+(* A store through a watched red zone: iWatcher's stack buffer overflowed
+   by one word, with consistency fixing on. Segments under armed
+   watchpoints run on the batching fast tier, which stops before any
+   access to a watched word and leaves it to the hooked step, so the cache
+   memo cannot swallow the report. *)
+let test_iwatcher_red_zone () =
+  let source =
+    {|
+int smash(int n) {
+  int buf[4];
+  int i;
+  for (i = 0; i <= n; i = i + 1) {
+    buf[i] = i;
+  }
+  return buf[0];
+}
+int main() { return smash(4); }
+|}
+  in
+  let options = { Codegen.detector = Codegen.Iwatcher; fixing = true } in
+  let program = (Compile.compile ~options source).Compile.program in
+  let r = check_run "red zone" ~input:"" program in
+  Alcotest.(check bool) "fast tier engaged" true (r.Engine.fast_insns > 0);
+  ignore
+    (check_nt_paths "red zone" ~input:"" ~config:Pe_config.default ~stride:1
+       ~max_spawns:40 program);
+  let machine = Machine.create program in
+  let r = Engine.run ~config:Pe_config.default machine in
+  Alcotest.(check bool) "red zone fires" true
+    (Report.count machine.Machine.reports > 0);
+  Alcotest.(check bool) "fast tier engaged with NT-Paths" true
+    (r.Engine.fast_insns > 0)
+
+(* test_passes' random MiniC programs at every optimization level; the
+   taken path under NT-Paths runs with the zero-budget tick. *)
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: engine = reference model" ~count:20
     (QCheck.make
@@ -222,9 +270,9 @@ let prop_random_programs =
     (fun (level, params) ->
       let source = Test_passes.program_src params in
       let program = (Compile.compile ~level source).Compile.program in
-      check_run "random program" ~input:"" program;
+      ignore (check_run "random program" ~input:"" program);
       ignore
-        (check_nt_paths "random program" ~input:""
+        (check_nt_paths ~pinned:true "random program" ~input:""
            ~config:Pe_config.default ~stride:1 ~max_spawns:40 program);
       true)
 
@@ -235,4 +283,8 @@ let tests =
         (Printf.sprintf "%s: engine = reference model" w.Workload.name)
         `Quick (test_workload w))
     Registry.all
-  @ [ QCheck_alcotest.to_alcotest prop_random_programs ]
+  @ [
+      Alcotest.test_case "iWatcher red zone: engine = reference model" `Quick
+        test_iwatcher_red_zone;
+      QCheck_alcotest.to_alcotest prop_random_programs;
+    ]

@@ -1,9 +1,14 @@
-(* Selective (fast/slow split) execution tests: the shift-mask regression,
-   fault-arm audits, div-by-zero parity, BTB fused-operation equivalence,
-   and the house invariant — every observable of a selective run is
-   identical to the run with every instruction on the hooked step, on the
-   curated workloads, under DIDUCE and on randomly generated MiniC
-   programs. *)
+(* Fast-tier tests: the shift-mask regression, fault-arm audits,
+   div-by-zero parity, BTB fused-operation equivalence, and the house
+   invariant — every observable of a drive is identical to the same drive
+   with every instruction on the hooked step. The hooked-step side is
+   pinned by the zero-budget tick, a [tick] that returns the current
+   retired count, so the comparison needs no production switch. It runs
+   every registry workload under every detector, the iWatcher bug
+   variants, DIDUCE's store hook, an L1-overflowing NT-Path, each of the
+   driver's branch settings and random MiniC programs. The engine-level
+   tests keep their single-run assertions: the fast tier engages,
+   deoptimizes and retires its share. *)
 
 (* --- shift-mask regression -------------------------------------------------- *)
 
@@ -33,12 +38,202 @@ let test_shift_mask () =
         (Insn.eval_alu Insn.Shr (-4096) s))
     [ 1; 3; 5; 33; 63 ]
 
-let run_minic ?(selective = true) ?(input = "") source =
-  let compiled = Compile.compile source in
-  let machine = Machine.create ~input compiled.Compile.program in
-  let config = { Pe_config.default with Pe_config.selective } in
-  let result = Engine.run ~config machine in
-  (machine, result)
+(* --- the drive differential ------------------------------------------------ *)
+
+let fuel = 100_000_000
+
+(* How the test's engine (below) drives a program. *)
+type setting = {
+  spawning : bool;  (* taken-path branches may spawn: the BTB is consulted *)
+  threshold : int;
+      (* a branch whose forced-edge count is below it spawns; [max_int]
+         makes every branch a candidate, as the per-branch-action
+         configurations do *)
+  max_spawns : int;
+  nt_limit : int;  (* NT-Path length *)
+  nt_lines : int option;  (* NT-Path line budget; [None]: the L1's lines *)
+  nt_forcing : bool;
+      (* NT-Path branches force a cold edge (the follow-nontaken ablation) *)
+}
+
+let standard =
+  {
+    spawning = true;
+    threshold = 5;
+    max_spawns = 60;
+    nt_limit = 1000;
+    nt_lines = None;
+    nt_forcing = false;
+  }
+
+let baseline = { standard with spawning = false }
+
+let exit_name = function
+  | Fast_loop.Limit -> "limit"
+  | Fast_loop.Exited n -> Printf.sprintf "exited(%d)" n
+  | Fast_loop.Halted -> "halted"
+  | Fast_loop.Fault f -> "faulted: " ^ Cpu.fault_to_string f
+  | Fast_loop.Overflow -> "overflow"
+  | Fast_loop.Unsafe sys -> "unsafe " ^ Insn.sys_name sys
+
+let stats (s : Context.stats) =
+  Context.(s.insns, s.cycles, s.loads, s.stores, s.branches)
+
+let cache_state c =
+  ( Cache.snapshot_canonical c,
+    (Cache.hits c, Cache.misses c, Cache.memo_hits c, Cache.filter_hits c) )
+
+(* One run's observables, for structural comparison. *)
+type observed = {
+  exit : string;
+  taken : int * int * int * int * int;  (* the taken path's final stats *)
+  paths : (string * (int * int * int * int * int) * int) list;
+      (* per NT-Path: exit, final stats, lines squashed *)
+  caches : ((int * bool * int * int) array * (int * int * int * int)) list;
+      (* the primary L1 and the L2: canonical lines, then hits, misses,
+         memo hits and filter hits *)
+  btb : int * int * (int * int) option list;
+  coverage : (bool * bool * bool * bool * bool) list;  (* per pc *)
+  reports : Report.entry list;  (* [insn_index] provenance included *)
+  output : string;
+  recorder : string;
+  insn_index : int;
+}
+
+(* A run of [program] through the driver by a small engine of the test's
+   own: the taken path, and at each spawn candidate the branch hook sees
+   an NT-Path on the non-taken edge, in a sandboxed context of its own.
+   Its hooks do what the engine's do: the taken path's record coverage,
+   count and exercise the BTB and spawn below [threshold]; an NT-Path's
+   record NT coverage and decline syscalls. With [pinned], every drive
+   gets the zero-budget tick. [attach] sees the machine first (a store
+   hook). Returns the observables and the taken path's fast-tier
+   instructions. *)
+let drive_run ~pinned ?(setting = standard) ?(attach = ignore) ~input program =
+  let recorder = Recorder.create () in
+  let machine = Machine.create ~input ~recorder program in
+  attach machine;
+  let btb = machine.Machine.btb and mconfig = machine.Machine.config in
+  let ctx = Machine.main_context machine in
+  let l1 = ctx.Context.l1 in
+  let coverage = Coverage.create program in
+  let tick c =
+    if pinned then fun () -> c.Context.stats.Context.insns
+    else Fast_loop.no_tick
+  in
+  let nt = Context.create ~l1 ~pc:0 ~sp:0 in
+  let sandbox =
+    Context.make_sandbox ~path_id:1
+      ~line_limit:
+        (Option.value setting.nt_lines
+           ~default:(Machine_config.l1_lines mconfig))
+      ~words_per_line:(Machine_config.words_per_line mconfig)
+  in
+  let nt_branch () =
+    let br_pc = nt.Context.br_pc and taken = nt.Context.br_taken in
+    let forced =
+      setting.nt_forcing
+      &&
+      let tc, ntc = Btb.counts btb br_pc in
+      (if taken then ntc else tc) < setting.threshold
+    in
+    if forced then
+      nt.Context.pc <- (if taken then br_pc + 1 else nt.Context.br_target);
+    Coverage.record_nt coverage br_pc (taken <> forced)
+  in
+  let nt_fl = Fast_loop.make machine nt coverage in
+  let nt_hooks =
+    { Fast_loop.tick = tick nt; branch = nt_branch; syscall = (fun _ -> false) }
+  in
+  let paths = ref [] and spawns = ref 0 in
+  let spawn ~br_pc ~taken =
+    incr spawns;
+    let path_id = ((!spawns - 1) mod 255) + 1 in
+    Context.reset_for_spawn nt ~l1
+      ~pc:(if taken then br_pc + 1 else ctx.Context.br_target);
+    Array.blit ctx.Context.regs 0 nt.Context.regs 0 Reg.count;
+    Context.reset_sandbox sandbox ~path_id;
+    Context.set_spawn_info sandbox ~br_pc ~edge:(not taken);
+    Context.enter_sandbox nt sandbox;
+    nt.Context.pred <- true;
+    Coverage.record_nt coverage br_pc (not taken);
+    let exit =
+      Fast_loop.drive nt_fl nt_hooks ~spawning:setting.nt_forcing
+        ~threshold:max_int ~limit:setting.nt_limit
+    in
+    Context.undo_watches sandbox machine.Machine.watch;
+    let squashed = Cache.gang_invalidate l1 ~owner:path_id in
+    paths := (exit_name exit, stats nt.Context.stats, squashed) :: !paths
+  in
+  let branch () =
+    let br_pc = ctx.Context.br_pc and taken = ctx.Context.br_taken in
+    Coverage.record_taken coverage br_pc taken;
+    if setting.spawning then begin
+      let tc, ntc = Btb.counts btb br_pc in
+      Btb.exercise btb br_pc ~taken;
+      if (if taken then ntc else tc) < setting.threshold then begin
+        Btb.exercise btb br_pc ~taken:(not taken);
+        if !spawns < setting.max_spawns then spawn ~br_pc ~taken
+      end
+    end
+  in
+  let fl = Fast_loop.make machine ctx coverage in
+  let exit =
+    Fast_loop.drive fl
+      { Fast_loop.tick = tick ctx; branch; syscall = (fun _ -> true) }
+      ~spawning:setting.spawning ~threshold:setting.threshold ~limit:fuel
+  in
+  let code_len = Array.length machine.Machine.dcode in
+  let bits pc =
+    ( Coverage.covered_taken_edge coverage pc false,
+      Coverage.covered_taken_edge coverage pc true,
+      Coverage.covered_nt_edge coverage pc false,
+      Coverage.covered_nt_edge coverage pc true,
+      Coverage.pc_line_covered coverage pc )
+  in
+  ( {
+      exit = exit_name exit;
+      taken = stats ctx.Context.stats;
+      paths = List.rev !paths;
+      caches = [ cache_state l1; cache_state machine.Machine.l2 ];
+      btb =
+        ( Btb.lookups btb,
+          Btb.miss_count btb,
+          List.init code_len (Btb.probe_counts btb) );
+      coverage = List.init code_len bits;
+      reports = Report.entries machine.Machine.reports;
+      output = Machine.output machine;
+      recorder = Recorder.jsonl_of_dump (Recorder.dump recorder);
+      insn_index = machine.Machine.insn_index;
+    },
+    Fast_loop.fast_insns fl )
+
+(* The differential: the run on the fast tier and the run with every
+   instruction on the hooked step must be observably identical, field by
+   field. Returns the fast run's observables and fast-tier count. *)
+let check_drive name ?setting ?attach ~input program =
+  let slow, pinned_fast = drive_run ~pinned:true ?setting ?attach ~input program in
+  let fast, fast_insns = drive_run ~pinned:false ?setting ?attach ~input program in
+  Alcotest.(check int) (name ^ ": the pinned drive ran no segment") 0 pinned_fast;
+  let same what a b =
+    if a <> b then Alcotest.failf "%s: %s differ on the fast tier" name what
+  in
+  same "exits" slow.exit fast.exit;
+  same "taken-path stats" slow.taken fast.taken;
+  same "NT-Paths" slow.paths fast.paths;
+  same "caches" slow.caches fast.caches;
+  same "BTBs" slow.btb fast.btb;
+  same "coverage bitmaps" slow.coverage fast.coverage;
+  same "reports" slow.reports fast.reports;
+  same "outputs" slow.output fast.output;
+  same "recorder streams" slow.recorder fast.recorder;
+  same "instruction indices" slow.insn_index fast.insn_index;
+  (fast, fast_insns)
+
+let check_drive_workload name ?setting ?attach ?detector ?bug
+    (w : Workload.t) =
+  check_drive name ?setting ?attach ~input:w.Workload.default_input
+    (Workload.compile ?detector ?bug w).Compile.program
 
 (* shl x,1 must double x end-to-end, through fast segments and the
    hooked step alike. *)
@@ -48,42 +243,34 @@ let test_shift_end_to_end () =
   in
   (* x = 65: << 1 gives 130, << 5 gives 2080. A [land 62] mask would print
      65 + 2080 = 2145 (shift by 1 -> 0) or 130 + 1040 (shift by 5 -> 4). *)
+  let program = (Compile.compile source).Compile.program in
   List.iter
-    (fun selective ->
-      let machine, result = run_minic ~selective ~input:"A" source in
+    (fun pinned ->
+      let o, _ = drive_run ~pinned ~input:"A" program in
       Alcotest.(check string)
-        (Printf.sprintf "doubled (selective=%b)" selective)
-        "2210" (Machine.output machine);
-      Alcotest.(check string) "halted"
-        (Engine.outcome_name `Halted)
-        (Engine.outcome_name result.Engine.outcome))
-    [ true; false ]
+        (Printf.sprintf "doubled (pinned=%b)" pinned)
+        "2210" o.output;
+      Alcotest.(check string) "halted" "halted" o.exit)
+    [ false; true ]
 
 (* --- div-by-zero parity ------------------------------------------------------ *)
 
 (* The fast tier checks the divisor *before* committing anything and defers
    the faulting instruction to the hooked step, so a division by zero
    must fault at the same retired-instruction count, with the same partial
-   output, under both modes. *)
+   output, on either. *)
 let test_div_by_zero_parity () =
   let source =
     "int main() { int d = getc(); print_int(7); print_int(100 / (d - 48));\n\
      return 0; }"
   in
-  let m_off, r_off = run_minic ~selective:false ~input:"0" source in
-  let m_on, r_on = run_minic ~selective:true ~input:"0" source in
+  let o, _ =
+    check_drive "div by zero" ~input:"0" (Compile.compile source).Compile.program
+  in
   Alcotest.(check string) "faults"
-    (Engine.outcome_name (`Faulted Cpu.Div_by_zero))
-    (Engine.outcome_name r_off.Engine.outcome);
-  Alcotest.(check string) "same outcome"
-    (Engine.outcome_name r_off.Engine.outcome)
-    (Engine.outcome_name r_on.Engine.outcome);
-  Alcotest.(check int) "same insns" r_off.Engine.taken_insns
-    r_on.Engine.taken_insns;
-  Alcotest.(check int) "same cycles" r_off.Engine.taken_cycles
-    r_on.Engine.taken_cycles;
-  Alcotest.(check string) "same partial output" (Machine.output m_off)
-    (Machine.output m_on)
+    ("faulted: " ^ Cpu.fault_to_string Cpu.Div_by_zero)
+    o.exit;
+  Alcotest.(check string) "partial output" "7" o.output
 
 (* --- fault-arm audits -------------------------------------------------------- *)
 
@@ -91,7 +278,8 @@ let test_div_by_zero_parity () =
    *without* executing it — the invariant that makes [Ev_exit] unreachable
    from NT-Path execution (the driver's [Exited] exit, which
    [Nt_path.termination_of_exit] degrades to an unsafe event rather than
-   [assert false]). Every instruction runs on the hooked step here. *)
+   [assert false]). The zero-budget tick runs every instruction on the
+   hooked step here. *)
 let test_sandboxed_syscall_reported_not_executed () =
   let compiled = Compile.compile "int main() { exit(3); return 0; }" in
   let machine = Machine.create compiled.Compile.program in
@@ -102,7 +290,7 @@ let test_sandboxed_syscall_reported_not_executed () =
   Context.enter_sandbox ctx sandbox;
   let hooks =
     {
-      Fast_loop.tick = Fast_loop.no_tick;
+      Fast_loop.tick = (fun () -> ctx.Context.stats.Context.insns);
       branch = ignore;
       syscall = (fun _ -> false);
     }
@@ -110,7 +298,7 @@ let test_sandboxed_syscall_reported_not_executed () =
   (match
      Fast_loop.drive
        (Fast_loop.make machine ctx (Coverage.create compiled.Compile.program))
-       hooks ~selective:false ~spawning:false ~threshold:0 ~limit:1000
+       hooks ~spawning:false ~threshold:0 ~limit:1000
    with
    | Fast_loop.Unsafe Insn.Sys_exit -> ()
    | Fast_loop.Exited _ -> Alcotest.fail "sandboxed exit was executed"
@@ -197,82 +385,42 @@ let prop_probe_exercise_equiv =
            ops
          && btb_state b3 = before))
 
-(* --- selective/instrumented differential ------------------------------------- *)
+(* --- engine runs and drive differentials ------------------------------------ *)
 
-(* Every observable of an engine run, bundled for structural comparison. *)
-let observables machine (result : Engine.result) =
-  ( Engine.outcome_name result.Engine.outcome,
-    ( result.Engine.taken_insns,
-      result.Engine.taken_branches,
-      result.Engine.taken_stores,
-      result.Engine.taken_cycles,
-      result.Engine.total_cycles ),
-    (result.Engine.spawns, result.Engine.skipped_spawns,
-     result.Engine.profiled_overrides),
-    ( Coverage.taken_edges result.Engine.coverage,
-      Coverage.combined_edges result.Engine.coverage ),
-    Report.entries machine.Machine.reports,
-    Machine.output machine )
+let detectors =
+  [ Codegen.No_detector; Codegen.Ccured; Codegen.Iwatcher; Codegen.Assertions ]
 
-let run_traced ~selective ~config ~input compiled =
-  let recorder = Recorder.create () in
-  let machine = Machine.create ~input ~recorder compiled.Compile.program in
-  let result = Engine.run ~config:{ config with Pe_config.selective } machine in
-  ((machine, result), [ Recorder.dump recorder ])
-
-(* One workload under one configuration: run fully instrumented and
-   selectively, then demand identical observables — including the flight
-   recorder's event stream. *)
-let check_differential_compiled name ~config ~input compiled =
-  let (m_off, r_off), dumps_off =
-    run_traced ~selective:false ~config ~input compiled
-  in
-  let (m_on, r_on), dumps_on =
-    run_traced ~selective:true ~config ~input compiled
-  in
-  Alcotest.(check bool)
-    (name ^ ": observables identical")
-    true
-    (observables m_off r_off = observables m_on r_on);
-  Alcotest.(check (list string))
-    (name ^ ": recorder streams identical")
-    (List.map Recorder.jsonl_of_dump dumps_off)
-    (List.map Recorder.jsonl_of_dump dumps_on);
-  (r_off, r_on)
-
-let check_differential name ?detector ?bug ~config workload =
-  check_differential_compiled name ~config
-    ~input:workload.Workload.default_input
-    (Workload.compile ?detector ?bug workload)
-
+(* Every registry workload under every detector, on its first bug version
+   where it has one: the drive differential. Then the engine itself, in
+   standard mode: the fast tier must both engage and deoptimize. *)
 let test_differential_workloads () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let bug =
+        match w.Workload.bugs with b :: _ -> Some b.Bug.version | [] -> None
+      in
+      List.iter
+        (fun detector ->
+          ignore
+            (check_drive_workload
+               (Printf.sprintf "%s/%s" w.Workload.name
+                  (Codegen.detector_name detector))
+               ~detector ?bug w))
+        detectors)
+    Registry.all;
   let pt = Registry.print_tokens in
-  let cfg = Workload.pe_config pt in
-  (* Standard mode: the fast tier must both engage and deoptimize. *)
-  let _, r_on = check_differential "standard" ~config:cfg pt in
-  Alcotest.(check bool) "fast tier engaged" true (r_on.Engine.fast_insns > 0);
+  let machine = Machine.create ~input:pt.Workload.default_input
+      (Workload.compile pt).Compile.program in
+  let r = Engine.run ~config:(Workload.pe_config pt) machine in
+  Alcotest.(check bool) "fast tier engaged" true (r.Engine.fast_insns > 0);
   Alcotest.(check bool) "fast tier deoptimized" true
-    (r_on.Engine.fast_segments > 1);
-  Alcotest.(check bool) "spawned" true (r_on.Engine.spawns > 0);
-  (* Baseline and CMP modes. *)
-  ignore
-    (check_differential "baseline"
-       ~config:{ cfg with Pe_config.mode = Pe_config.Baseline }
-       pt);
-  ignore
-    (check_differential "cmp"
-       ~config:(Workload.pe_config ~mode:Pe_config.Cmp pt)
-       pt);
-  (* A detector filing NT-Path reports. *)
-  ignore
-    (check_differential "ccured bug" ~detector:Codegen.Ccured ~bug:10
-       ~config:(Workload.pe_config Registry.print_tokens2)
-       Registry.print_tokens2)
+    (r.Engine.fast_segments > 1);
+  Alcotest.(check bool) "spawned" true (r.Engine.spawns > 0)
 
-(* Armed watchpoints no longer pin the drive: every iWatcher bug variant,
-   in each mode, runs mostly on the fast tier, which stops only before a
-   watch/unwatch or an access to a watched word — and the selective run
-   stays identical to the instrumented one, reports and recorder stream
+(* Armed watchpoints do not pin the drive: every iWatcher bug variant, in
+   each mode, runs mostly on the fast tier, which stops only before a
+   watch/unwatch or an access to a watched word; and the drive
+   differential holds on each variant, reports and recorder stream
    included. *)
 let test_differential_iwatcher () =
   let variants =
@@ -288,228 +436,180 @@ let test_differential_iwatcher () =
   Alcotest.(check bool) "iWatcher variants found" true (variants <> []);
   List.iter
     (fun ((w : Workload.t), (bug : Bug.t)) ->
+      let compiled =
+        Workload.compile ~detector:Codegen.Iwatcher ~bug:bug.Bug.version w
+      in
+      ignore
+        (check_drive (bug.Bug.id ^ " iwatcher") ~input:w.Workload.default_input
+           compiled.Compile.program);
       List.iter
         (fun mode ->
           let name =
             Printf.sprintf "%s iwatcher %s" bug.Bug.id (Pe_config.mode_name mode)
           in
-          let _, r_on =
-            check_differential name ~detector:Codegen.Iwatcher
-              ~bug:bug.Bug.version ~config:(Workload.pe_config ~mode w) w
+          let machine =
+            Machine.create ~input:w.Workload.default_input
+              compiled.Compile.program
           in
+          let r = Engine.run ~config:(Workload.pe_config ~mode w) machine in
           Alcotest.(check bool)
             (name ^ ": fast tier retires >= 90% of the taken path")
             true
-            (10 * r_on.Engine.fast_insns >= 9 * r_on.Engine.taken_insns))
+            (10 * r.Engine.fast_insns >= 9 * r.Engine.taken_insns))
         [ Pe_config.Baseline; Pe_config.Standard; Pe_config.Cmp ])
     variants
 
-(* The per-branch-action configurations deoptimize at *every* branch
-   (threshold = max_int) instead of disabling the fast tier; each must stay
-   bit-for-bit equivalent — including the RNG draw sequence. *)
+(* The per-branch-action configurations (random spawning, spawn
+   everywhere, profiled fixing) stop at every branch (threshold =
+   max_int) instead of disabling the fast tier, and the follow-nontaken
+   ablation forces cold edges inside NT-Paths: the drive differential on
+   each of those settings and on a baseline drive. The engine runs each
+   configuration deterministically on the fast tier; a zero counter-reset
+   interval is the engine's zero-budget tick and runs none of it there. *)
 let test_differential_per_branch_configs () =
   let pt = Registry.print_tokens in
+  List.iter
+    (fun (name, setting) -> ignore (check_drive_workload name ~setting pt))
+    [
+      ("every branch a candidate", { standard with threshold = max_int });
+      ("baseline", baseline);
+      ("forced cold edges in NT-Paths", { standard with nt_forcing = true });
+    ];
+  let program = (Workload.compile pt).Compile.program in
+  let run config =
+    let machine = Machine.create ~input:pt.Workload.default_input program in
+    let r = Engine.run ~config machine in
+    ( r.Engine.fast_insns,
+      ( Engine.outcome_name r.Engine.outcome,
+        (r.Engine.taken_insns, r.Engine.total_cycles, r.Engine.spawns),
+        r.Engine.nt_records,
+        Report.entries machine.Machine.reports,
+        Machine.output machine ) )
+  in
   let cfg = Workload.pe_config pt in
-  ignore
-    (check_differential "random spawning"
-       ~config:
-         { cfg with Pe_config.random_spawn_chance = 0.25; random_seed = 7 }
-       pt);
-  ignore
-    (check_differential "spawn everywhere"
-       ~config:{ cfg with Pe_config.spawn_everywhere = true }
-       pt);
-  ignore
-    (check_differential "profiled fixing"
-       ~config:{ cfg with Pe_config.profiled_fixing = true }
-       pt);
-  ignore
-    (check_differential "follow-nontaken ablation"
-       ~config:{ cfg with Pe_config.follow_nontaken_in_nt = true }
-       pt);
-  (* A zero reset interval resets the counters before every instruction:
-     no segment fits between two ticks, so the drive steps. *)
-  ignore
-    (check_differential "counter reset every instruction"
-       ~config:{ cfg with Pe_config.counter_reset_interval = 0 }
-       pt)
+  List.iter
+    (fun (name, config, fast) ->
+      let fast_insns, first = run config in
+      let _, second = run config in
+      Alcotest.(check bool) (name ^ ": deterministic") true (first = second);
+      Alcotest.(check bool) (name ^ ": fast tier as expected") fast
+        (fast_insns > 0))
+    [
+      ( "random spawning",
+        { cfg with Pe_config.random_spawn_chance = 0.25; random_seed = 7 },
+        true );
+      ("spawn everywhere", { cfg with Pe_config.spawn_everywhere = true }, true);
+      ("profiled fixing", { cfg with Pe_config.profiled_fixing = true }, true);
+      ( "follow-nontaken ablation",
+        { cfg with Pe_config.follow_nontaken_in_nt = true },
+        true );
+      ( "counter reset every instruction",
+        { cfg with Pe_config.counter_reset_interval = 0 },
+        false );
+    ]
 
 (* An NT-Path store that overflows the L1 buffer retires in place (stats and
    latency charged, pc left on the store) before the path terminates, on a
    fast segment exactly as on the hooked step. *)
 let test_differential_cache_overflow () =
-  let compiled = Compile.compile Test_more.l1_overflow_source in
-  let r_off, r_on =
-    check_differential_compiled "L1 overflow"
-      ~config:Test_more.l1_overflow_config ~input:"" compiled
+  let program = (Compile.compile Test_more.l1_overflow_source).Compile.program in
+  let o, _ =
+    check_drive "L1 overflow" ~setting:{ standard with nt_limit = 1_000_000 }
+      ~input:"" program
   in
+  Alcotest.(check bool) "a drive's NT-Path overflowed" true
+    (List.exists (fun (exit, _, _) -> exit = "overflow") o.paths);
+  let machine = Machine.create program in
+  let r = Engine.run ~config:Test_more.l1_overflow_config machine in
   Alcotest.(check bool)
-    "NT-Path records identical" true
-    (r_off.Engine.nt_records = r_on.Engine.nt_records);
-  Alcotest.(check bool)
-    "an NT-Path overflowed with selective on" true
+    "an engine NT-Path overflowed" true
     (List.exists
        (fun (r : Nt_path.record) ->
          r.Nt_path.termination = Nt_path.T_cache_overflow)
-       r_on.Engine.nt_records)
+       r.Engine.nt_records)
 
-(* --- software-engine differential --------------------------------------- *)
+(* --- software engine ------------------------------------------------------- *)
 
-(* Every observable of a software-PathExpander run except memory: outcome,
-   spawns, every NT-Path record, the cost accounting, the coverage bitmaps,
-   the reports with their [insn_index] provenance and the output. *)
-let soft_observables machine (r : Soft_engine.result) =
-  let cov = r.Soft_engine.coverage in
-  let bits pc =
-    ( Coverage.covered_taken_edge cov pc false,
-      Coverage.covered_taken_edge cov pc true,
-      Coverage.covered_nt_edge cov pc false,
-      Coverage.covered_nt_edge cov pc true,
-      Coverage.pc_line_covered cov pc )
-  in
-  ( ( Engine.outcome_name r.Soft_engine.outcome,
-      r.Soft_engine.spawns,
-      r.Soft_engine.nt_records,
-      r.Soft_engine.accounting ),
-    ( List.init (Array.length machine.Machine.dcode) bits,
-      Coverage.stmt_taken_pct cov,
-      Coverage.stmt_combined_pct cov ),
-    Report.entries machine.Machine.reports,
-    Machine.output machine )
-
-(* One software run with selective on and one with it off: every observable
-   and every word of the final memory identical. Returns the selective
-   run's outcome. *)
-let check_soft_differential name ?fuel ?detector ?bug workload =
-  let compiled = Workload.compile ?detector ?bug workload in
-  let run selective =
-    let machine =
-      Machine.create ~input:workload.Workload.default_input
-        compiled.Compile.program
-    in
-    let config = { (Workload.pe_config workload) with Pe_config.selective } in
-    (machine, Soft_engine.run ~config ?fuel machine)
-  in
-  let m_off, r_off = run false in
-  let m_on, r_on = run true in
-  Alcotest.(check bool)
-    (name ^ ": observables identical")
-    true
-    (soft_observables m_off r_off = soft_observables m_on r_on);
-  let mem_off = m_off.Machine.mem and mem_on = m_on.Machine.mem in
-  let differences = ref 0 in
-  for addr = Memory.null_guard to Memory.size mem_off - 1 do
-    if Memory.read mem_off addr <> Memory.read mem_on addr then incr differences
-  done;
-  Alcotest.(check int) (name ^ ": final memory identical") 0 !differences;
-  r_on.Soft_engine.outcome
-
-(* The software engine drives its taken path (every branch deoptimizes for
-   the history) and its write-log NT-Paths through the same driver; each
-   must match the hooked step on every perf workload, with detector
-   reports filed from both (CCured), under armed watchpoints
-   (iWatcher: segments stop before each watched access) and when the fuel
-   clamp ends the run mid-program. *)
+(* The software engine drives its taken path with every branch stopping
+   for the history, and its NT-Paths with no L1 buffer to overflow. The
+   drive differential in that shape on every perf workload and on two bug
+   variants (CCured reports, iWatcher watchpoints); then the engine itself
+   must spawn and file reports, and its fuel clamp must end a run
+   mid-program. *)
 let test_soft_differential () =
+  let shape (w : Workload.t) =
+    {
+      standard with
+      threshold = max_int;
+      nt_limit = (Workload.pe_config w).Pe_config.max_nt_path_length;
+      nt_lines = Some max_int;
+    }
+  in
+  let soft ?fuel ?detector ?bug (w : Workload.t) =
+    let compiled = Workload.compile ?detector ?bug w in
+    let machine =
+      Machine.create ~input:w.Workload.default_input compiled.Compile.program
+    in
+    (machine, Soft_engine.run ~config:(Workload.pe_config w) ?fuel machine)
+  in
   List.iter
     (fun (w : Workload.t) ->
-      ignore (check_soft_differential w.Workload.name w);
+      ignore (check_drive_workload w.Workload.name ~setting:(shape w) w);
+      let _, r = soft w in
+      Alcotest.(check bool) (w.Workload.name ^ ": spawned") true
+        (r.Soft_engine.spawns > 0);
+      let _, r = soft ~fuel:5_000 w in
       Alcotest.(check string)
         (w.Workload.name ^ ": fuel clamp")
         "fuel-exhausted"
-        (Engine.outcome_name
-           (check_soft_differential (w.Workload.name ^ " fuel 5000")
-              ~fuel:5_000 w)))
+        (Engine.outcome_name r.Soft_engine.outcome))
     Registry.perf_apps;
-  ignore
-    (check_soft_differential "ccured bug" ~detector:Codegen.Ccured ~bug:10
-       Registry.print_tokens2);
-  ignore
-    (check_soft_differential "iwatcher bug" ~detector:Codegen.Iwatcher ~bug:10
-       Registry.print_tokens2)
+  let pt2 = Registry.print_tokens2 in
+  List.iter
+    (fun detector ->
+      let name = "bug 10 " ^ Codegen.detector_name detector in
+      ignore
+        (check_drive_workload name ~setting:(shape pt2) ~detector ~bug:10 pt2);
+      let machine, _ = soft ~detector ~bug:10 pt2 in
+      Alcotest.(check bool) (name ^ ": reported") true
+        (Report.count machine.Machine.reports > 0))
+    [ Codegen.Ccured; Codegen.Iwatcher ]
 
 (* --- random-program differential --------------------------------------------- *)
 
-(* Small MiniC programs with data-dependent and cold branches, shifts and
-   guarded divisions: enough structure to exercise spawns, deoptimizations
-   and the ALU paths the shift fix touched. *)
-type clause = { mul : int; modulus : int; bound : int; shift : int }
-
-let clause_src i cl =
-  Printf.sprintf
-    "    if ((i * %d) %% %d < %d) { acc = acc + ((i << %d) - (acc >> 1)); }\n\
-    \    else { acc = acc - (i %% %d) - %d; }\n\
-    \    if (acc %% 97 == %d) { acc = acc + 1000 / (1 + (i %% 7)); }\n"
-    cl.mul cl.modulus cl.bound cl.shift cl.modulus (i + 1)
-    ((cl.mul + cl.bound) mod 97)
-
-let program_src (iters, clauses) =
-  Printf.sprintf
-    "int acc = 0;\n\
-     int main() {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i = i + 1) {\n\
-     %s\
-    \  }\n\
-    \  print_int(acc);\n\
-    \  return 0;\n\
-     }\n"
-    iters
-    (String.concat "" (List.mapi clause_src clauses))
-
-let clause_gen =
-  QCheck.Gen.(
-    map
-      (fun (mul, modulus, bound, shift) ->
-        { mul = 1 + mul; modulus = 2 + modulus; bound; shift })
-      (quad (int_bound 6) (int_bound 7) (int_bound 9) (int_bound 5)))
-
-let program_gen =
-  QCheck.Gen.(pair (map (fun n -> 2 + n) (int_bound 18))
-                (list_size (map (fun n -> 1 + n) (int_bound 3)) clause_gen))
-
-(* Every optimization level: -O2's register-homed code exercises the fast
-   tier on different instruction mixes than -O0's stack traffic. *)
+(* test_passes' random MiniC programs (data-dependent and cold branches,
+   shifts, guarded divisions, a helper call) at every optimization level:
+   -O2's register-homed code drives the fast tier through different
+   instruction mixes than -O0's stack traffic. *)
 let prop_random_program_differential =
   QCheck.Test.make ~name:"random programs: selective = instrumented" ~count:25
     (QCheck.make
        ~print:(fun (level, params) ->
-         Printf.sprintf "-%s\n%s" (Opt.to_string level) (program_src params))
-       QCheck.Gen.(pair (oneofl [ Opt.O0; Opt.O1; Opt.O2 ]) program_gen))
+         Printf.sprintf "-%s\n%s" (Opt.to_string level)
+           (Test_passes.program_src params))
+       QCheck.Gen.(
+         pair (oneofl [ Opt.O0; Opt.O1; Opt.O2 ]) Test_passes.program_gen))
     (fun (level, params) ->
-      let source = program_src params in
-      let compiled = Compile.compile ~level source in
-      let run selective =
-        let machine = Machine.create compiled.Compile.program in
-        let config = { Pe_config.default with Pe_config.selective } in
-        let result = Engine.run ~config machine in
-        observables machine result
-      in
-      run false = run true)
+      let source = Test_passes.program_src params in
+      ignore
+        (check_drive "random program" ~input:""
+           (Compile.compile ~level source).Compile.program);
+      true)
 
 (* --- DIDUCE on the fast tier ------------------------------------------------ *)
 
 (* ext3's train-then-monitor flow. The store hook carries the globals
-   range, so the fast tier stops only before a store into it: violations
-   must be identical with the fast tier on and off, and the monitored run
-   must stay on the fast tier. Returns the violations and the monitored
-   run's fast-tier fraction (taken and NT instructions). *)
-let diduce_flow ~selective ?bug (w : Workload.t) =
-  let compiled = Workload.compile ?bug w in
-  let program = compiled.Compile.program in
+   range, so the fast tier stops only before a store into it. The engine's
+   monitored run must stay on the fast tier; a monitored drive must find
+   the same violations on the fast tier as on the hooked step. *)
+let diduce_trained ?bug (w : Workload.t) =
+  let program = (Workload.compile ?bug w).Compile.program in
   let detector = Diduce.create program in
-  let run config =
-    let machine = Machine.create ~input:w.Workload.default_input program in
-    Diduce.attach detector machine;
-    ignore (Engine.run ~config:{ config with Pe_config.selective } machine);
-    machine
-  in
-  ignore (run Pe_config.baseline);
+  let machine = Machine.create ~input:w.Workload.default_input program in
+  Diduce.attach detector machine;
+  ignore (Engine.run ~config:Pe_config.baseline machine);
   Diduce.start_monitoring detector;
-  let c = Telemetry.counter (run (Workload.pe_config w)).Machine.telemetry in
-  let fast = c "selective.fast_insns" + c "nt.fast_insns" in
-  let insns = c "taken.insns" + c "nt.insns" in
-  (Diduce.violations detector, float_of_int fast /. float_of_int insns)
+  (program, detector)
 
 let test_diduce_selective () =
   let seen = ref 0 in
@@ -519,17 +619,39 @@ let test_diduce_selective () =
         w.Workload.name
         ^ match bug with Some v -> Printf.sprintf " v%d" v | None -> ""
       in
-      let off, _ = diduce_flow ~selective:false ?bug w in
-      let on, fraction = diduce_flow ~selective:true ?bug w in
-      let key (v : Diduce.violation) =
-        (v.Diduce.addr, v.Diduce.surprise, v.Diduce.on_nt_path)
+      let program, detector = diduce_trained ?bug w in
+      let machine = Machine.create ~input:w.Workload.default_input program in
+      Diduce.attach detector machine;
+      ignore (Engine.run ~config:(Workload.pe_config w) machine);
+      let c = Telemetry.counter machine.Machine.telemetry in
+      let fraction =
+        float_of_int (c "selective.fast_insns" + c "nt.fast_insns")
+        /. float_of_int (c "taken.insns" + c "nt.insns")
       in
-      Alcotest.(check (list (triple int int bool)))
-        (name ^ ": violations") (List.map key off) (List.map key on);
       Alcotest.(check bool)
         (Printf.sprintf "%s: fast-tier fraction %.4f > 0.95" name fraction)
         true (fraction > 0.95);
-      seen := !seen + List.length on)
+      (* Each drive of the differential monitors with a freshly trained
+         detector: the pinned drive's first, the fast drive's second. *)
+      let monitors = ref [] in
+      let attach machine =
+        let _, detector = diduce_trained ?bug w in
+        monitors := detector :: !monitors;
+        Diduce.attach detector machine
+      in
+      ignore (check_drive name ~attach ~input:w.Workload.default_input program);
+      let violations detector =
+        List.map
+          (fun (v : Diduce.violation) ->
+            (v.Diduce.addr, v.Diduce.surprise, v.Diduce.on_nt_path))
+          (Diduce.violations detector)
+      in
+      match !monitors with
+      | [ fast; slow ] ->
+        Alcotest.(check (list (triple int int bool)))
+          (name ^ ": violations") (violations slow) (violations fast);
+        seen := !seen + List.length (violations fast)
+      | _ -> Alcotest.fail "expected two monitored drives")
     [
       (Registry.schedule, None);
       (Registry.schedule, Some 6);
@@ -572,28 +694,30 @@ let test_store_hook_push_call () =
       source_lines = [||];
     }
   in
-  let observed selective =
-    let machine = Machine.create program in
-    let seen = ref [] in
+  let expected = [ (g + 7, 5); (g + 6, 4); (g + 1, 7) ] in
+  let attach seen machine =
     machine.Machine.store_hook <-
       Some
         {
           Machine.lo = g;
           hi = g + 8;
           observe = (fun _ addr value -> seen := (addr, value) :: !seen);
-        };
-    let r =
-      Engine.run ~config:{ Pe_config.baseline with Pe_config.selective } machine
-    in
-    Alcotest.(check string) "halts" "halted" (Engine.outcome_name r.Engine.outcome);
-    (List.rev !seen, r.Engine.fast_insns)
+        }
   in
-  let expected = [ (g + 7, 5); (g + 6, 4); (g + 1, 7) ] in
-  let off, _ = observed false in
-  let on, fast = observed true in
-  Alcotest.(check (list (pair int int))) "hooked step" expected off;
-  Alcotest.(check (list (pair int int))) "fast tier" expected on;
-  Alcotest.(check bool) "unhooked instructions ran fast" true (fast > 0)
+  List.iter
+    (fun pinned ->
+      let seen = ref [] in
+      let o, fast =
+        drive_run ~pinned ~setting:baseline ~attach:(attach seen) ~input:""
+          program
+      in
+      Alcotest.(check string) "halts" "halted" o.exit;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "hooked (pinned=%b)" pinned)
+        expected (List.rev !seen);
+      Alcotest.(check bool) "unhooked instructions ran fast" (not pinned)
+        (fast > 0))
+    [ true; false ]
 
 let tests =
   [
