@@ -7,7 +7,7 @@
 
 type t = {
   code : Insn.t array;
-  labels : (int, int) Hashtbl.t;  (* label id -> pc *)
+  labels : int array;  (* label id -> pc, -1 for a label never placed *)
   sites : Site.t array;
   user_branches : int list;  (* ascending pcs *)
   functions : (string * int) list;  (* in emission order *)
@@ -25,10 +25,12 @@ let label_of_ref t = if t >= 0 then None else Some (-t - 1)
    as "Ln:" lines; function starts are annotated. *)
 let to_string ap =
   let buf = Buffer.create 4096 in
-  let labels_at = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun l pc -> Hashtbl.replace labels_at pc (l :: (Option.value ~default:[] (Hashtbl.find_opt labels_at pc))))
-    ap.labels;
+  (* the labels placed at each pc, ascending *)
+  let labels_at = Array.make (Array.length ap.code + 1) [] in
+  for l = Array.length ap.labels - 1 downto 0 do
+    let pc = ap.labels.(l) in
+    if pc >= 0 then labels_at.(pc) <- l :: labels_at.(pc)
+  done;
   let fn_at = Hashtbl.create 16 in
   List.iter (fun (name, pc) -> Hashtbl.replace fn_at pc name) ap.functions;
   let insn_str insn =
@@ -51,12 +53,9 @@ let to_string ap =
       (match Hashtbl.find_opt fn_at pc with
        | Some name -> Buffer.add_string buf (Printf.sprintf "%s:\n" name)
        | None -> ());
-      (match Hashtbl.find_opt labels_at pc with
-       | Some ls ->
-         List.iter
-           (fun l -> Buffer.add_string buf (Printf.sprintf "L%d:\n" l))
-           (List.sort compare ls)
-       | None -> ());
+      List.iter
+        (fun l -> Buffer.add_string buf (Printf.sprintf "L%d:\n" l))
+        labels_at.(pc);
       Buffer.add_string buf (Printf.sprintf "%4d: %s\n" pc (insn_str insn)))
     ap.code;
   Buffer.contents buf

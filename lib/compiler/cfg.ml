@@ -47,8 +47,7 @@ let edge_decision = function
    block builder below therefore matches raw instructions and never strips
    [Pred]. *)
 let of_program (program : Program.t) =
-  let code = program.Program.code in
-  let n = Array.length code in
+  let n = Program.length program in
   let ubits = Bytes.make n '\000' in
   List.iter
     (fun pc -> if pc >= 0 && pc < n then Bytes.set ubits pc '\001')
@@ -74,7 +73,7 @@ let of_program (program : Program.t) =
         let mark pc = if pc >= lo && pc < hi then Bytes.set leader (pc - lo) '\001' in
         mark lo;
         for pc = lo to hi - 1 do
-          match code.(pc) with
+          match Program.insn program pc with
           | Insn.Br (_, _, _, target) ->
             mark target;
             mark (pc + 1)
@@ -104,7 +103,7 @@ let of_program (program : Program.t) =
         for i = 0 to nb - 1 do
           let b_first = starts.(i) in
           let b_last = (if i + 1 < nb then starts.(i + 1) else hi) - 1 in
-          let term = code.(b_last) in
+          let term = Program.insn program b_last in
           let in_range pc = pc >= lo && pc < hi in
           let s =
             match term with

@@ -47,8 +47,7 @@ type state = {
   lv : Opt.level;
   tp : Tast.tprogram;
   code : Insn.t Vec.t;
-  mutable labels : (int, int) Hashtbl.t;  (* label id -> pc *)
-  mutable next_label : int;
+  labels : int Vec.t;  (* label id -> pc, -1 until placed *)
   fn_labels : (string, int) Hashtbl.t;
   mutable sites : Site.t list;
   mutable site_count : int;
@@ -80,8 +79,7 @@ let create_state opts lv tp =
     lv;
     tp;
     code = Vec.create ~dummy:Insn.Nop;
-    labels = Hashtbl.create 256;
-    next_label = 0;
+    labels = Vec.create ~dummy:(-1);
     fn_labels = Hashtbl.create 64;
     sites = [];
     site_count = 0;
@@ -109,14 +107,15 @@ let pc st = Vec.length st.code
 
 let emit st insn = Vec.push st.code insn
 
+(* Label ids are handed out densely from 0, so they index [labels]. *)
 let new_label st =
-  let l = st.next_label in
-  st.next_label <- l + 1;
+  let l = Vec.length st.labels in
+  Vec.push st.labels (-1);
   l
 
 let place_label st l =
-  if Hashtbl.mem st.labels l then invalid_arg "Instr_select: label placed twice";
-  Hashtbl.replace st.labels l (pc st)
+  if Vec.get st.labels l >= 0 then invalid_arg "Instr_select: label placed twice";
+  Vec.set st.labels l (pc st)
 
 (* Control targets are emitted as [-(label + 1)] and patched by [Lower]. *)
 let lref l = -(l + 1)
@@ -1189,7 +1188,7 @@ let select ?options ?level (tp : Tast.tprogram) : Asmprog.t =
   let st = select_state ?options ?level tp in
   {
     Asmprog.code = Vec.to_array st.code;
-    labels = st.labels;
+    labels = Vec.to_array st.labels;
     sites = Array.of_list (List.rev st.sites);
     user_branches = List.rev st.user_branches;
     functions = List.rev st.functions;

@@ -24,14 +24,12 @@
 let rec final_label (ap : Asmprog.t) l0 l visited =
   if List.mem l visited then l0
   else
-    match Hashtbl.find ap.Asmprog.labels l with
-    | exception Not_found -> l
-    | target_pc ->
-      if target_pc < Array.length ap.Asmprog.code then
-        match ap.Asmprog.code.(target_pc) with
-        | Insn.Jmp t when t < 0 -> final_label ap l0 (-t - 1) (l :: visited)
-        | _ -> l
-      else l
+    let target_pc = ap.Asmprog.labels.(l) in
+    if target_pc >= 0 && target_pc < Array.length ap.Asmprog.code then
+      match ap.Asmprog.code.(target_pc) with
+      | Insn.Jmp t when t < 0 -> final_label ap l0 (-t - 1) (l :: visited)
+      | _ -> l
+    else l
 
 (* Retarget every [Jmp]/[Br] at the end of its jump chain. Threading
    follows whole chains and never changes where one ends, so a second round
@@ -65,10 +63,7 @@ let compact_round (ap : Asmprog.t) =
   let jumps_to_next i =
     match old_code.(i) with
     | Insn.Jmp t when t >= 0 -> t = i + 1
-    | Insn.Jmp t ->
-      (match Hashtbl.find ap.Asmprog.labels (-t - 1) with
-       | label_pc -> label_pc = i + 1
-       | exception Not_found -> false)
+    | Insn.Jmp t -> ap.Asmprog.labels.(-t - 1) = i + 1
     | _ -> false
   in
   (* newpc.(i) = number of kept instructions before i, so instruction i is
@@ -87,10 +82,11 @@ let compact_round (ap : Asmprog.t) =
     for i = 0 to n - 1 do
       if newpc.(i + 1) > newpc.(i) then code.(newpc.(i)) <- old_code.(i)
     done;
-    let labels = Hashtbl.create (max 16 (Hashtbl.length ap.Asmprog.labels)) in
-    Hashtbl.iter
-      (fun l label_pc -> Hashtbl.replace labels l newpc.(label_pc))
-      ap.Asmprog.labels;
+    let labels =
+      Array.map
+        (fun label_pc -> if label_pc < 0 then label_pc else newpc.(label_pc))
+        ap.Asmprog.labels
+    in
     let remap p = newpc.(p) in
     (* [source_lines] ascends by pc and [remap] never decreases, so entries
        that collapse onto one pc (a line whose only instructions were

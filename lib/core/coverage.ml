@@ -42,7 +42,7 @@ let count_lines bytes =
   Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 bytes
 
 let create program =
-  let n = Array.length program.Program.code in
+  let n = Program.length program in
   let ubits = Bytes.make n '\000' in
   List.iter
     (fun pc -> if pc >= 0 && pc < n then Bytes.set ubits pc '\001')
@@ -61,9 +61,9 @@ let create program =
   let src = program.Program.source_lines in
   let next = ref 0 and line = ref 0 in
   for pc = 0 to n - 1 do
-    while !next < Array.length src && fst src.(!next) <= pc do
-      line := snd src.(!next);
-      incr next
+    while !next < Array.length src && src.(!next) <= pc do
+      line := src.(!next + 1);
+      next := !next + 2
     done;
     if Bytes.get user pc = '\001' then line_of.(pc) <- !line
   done;

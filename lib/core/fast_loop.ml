@@ -103,7 +103,8 @@ type t = {
   machine : Machine.t;
   ctx : Context.t;
   coverage : Coverage.t;
-  dcode : Decode.t array;
+  program : Program.t;  (* for the immediates that live in its pool *)
+  code : int array;  (* the program's packed words, run in place *)
   mem : Memory.t;
   watch : Watchpoints.t;
   btb : Btb.t;
@@ -170,6 +171,19 @@ let d_pinned = 6
    in every arm. *)
 let[@inline always] write_reg (regs : int array) rd (v : int) =
   if rd <> 0 then Array.unsafe_set regs rd v
+
+(* The packed word's register operands: [dst] writes the first, [src1]..
+   [src3] read the first to third. *)
+let[@inline always] dst regs w v = write_reg regs (Program.r1 w) v
+let[@inline always] src1 (regs : int array) w =
+  Array.unsafe_get regs (Program.r1 w)
+
+let[@inline always] src2 (regs : int array) w =
+  Array.unsafe_get regs (Program.r2 w)
+
+let[@inline always] src3 (regs : int array) w =
+  Array.unsafe_get regs (Program.r3 w)
+
 
 let[@inline always] latency t ~write addr =
   if Cache.memo_probe t.l1 addr ~owner:t.owner ~write then begin
@@ -239,88 +253,206 @@ let[@inline never] branch_stop t pc taken target n cyc ld st br =
 let rec go t pc n cyc ld st br =
   if n >= t.budget then stop_at t Budget pc n cyc ld st br
   else if pc < 0 || pc >= t.code_len then stop_at t Special pc n cyc ld st br
-  else exec t (Array.unsafe_get t.dcode pc) pc n cyc ld st br
+  else exec t (Array.unsafe_get t.code pc) pc n cyc ld st br
 
-(* The body: [d] is the instruction at [pc]. An overflowing store retires
-   in place: its stats and latency go into the deltas, the pc does not
+(* The body: [w] is the packed word at [pc], dispatched once on its
+   opcode. Each ALU and compare arm calls its operator's function in
+   [Insn], where the semantics live. An overflowing store retires in
+   place: its stats and latency go into the deltas, the pc does not
    advance. *)
-and exec t d pc n cyc ld st br =
+and exec t w pc n cyc ld st br =
   let regs = t.regs in
-  match d with
-  | Decode.D_alu (op, rd, rs, rt) ->
-    write_reg regs rd
-      (Insn.eval_alu op (Array.unsafe_get regs rs) (Array.unsafe_get regs rt));
+  if Program.is_pred w then
+    (* The predicate is false outside consistency-fix blocks, making this
+       a fallthrough; a live predicate means a fix block is executing (an
+       NT-Path's entry stub), whose stores the store hook must tell from
+       the program's. *)
+    if t.ctx.Context.pred then stop_at t Special pc n cyc ld st br
+    else begin
+      Coverage.record_pc t.pcs pc;
+      go t (pc + 1) (n + 1) (cyc + 1) ld st br
+    end
+  else
+  match Program.opcode w with
+  | Program.Op_add ->
+    dst regs w (Insn.add (src2 regs w) (src3 regs w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_alui (op, rd, rs, imm) ->
-    write_reg regs rd (Insn.eval_alu op (Array.unsafe_get regs rs) imm);
+  | Program.Op_sub ->
+    dst regs w (Insn.sub (src2 regs w) (src3 regs w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_div (rd, rs, rt) ->
-    let b = Array.unsafe_get regs rt in
+  | Program.Op_mul ->
+    dst regs w (Insn.mul (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_div ->
+    let b = src3 regs w in
     if b = 0 then stop_at t Zero_divisor pc n cyc ld st br
     else begin
-      write_reg regs rd (Array.unsafe_get regs rs / b);
+      dst regs w (Insn.div (src2 regs w) b);
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     end
-  | Decode.D_mod (rd, rs, rt) ->
-    let b = Array.unsafe_get regs rt in
+  | Program.Op_mod ->
+    let b = src3 regs w in
     if b = 0 then stop_at t Zero_divisor pc n cyc ld st br
     else begin
-      write_reg regs rd (Array.unsafe_get regs rs mod b);
+      dst regs w (Insn.rem (src2 regs w) b);
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     end
-  | Decode.D_divi (rd, rs, imm) ->
-    if imm = 0 then stop_at t Zero_divisor pc n cyc ld st br
+  | Program.Op_and ->
+    dst regs w (Insn.logand (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_or ->
+    dst regs w (Insn.logor (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_xor ->
+    dst regs w (Insn.logxor (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_shl ->
+    dst regs w (Insn.shl (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_shr ->
+    dst regs w (Insn.shr (src2 regs w) (src3 regs w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_addi ->
+    dst regs w (Insn.add (src2 regs w) (Program.imm t.program w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_subi ->
+    dst regs w (Insn.sub (src2 regs w) (Program.imm t.program w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_muli ->
+    dst regs w (Insn.mul (src2 regs w) (Program.imm t.program w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_divi ->
+    let b = Program.imm t.program w in
+    if b = 0 then stop_at t Zero_divisor pc n cyc ld st br
     else begin
-      write_reg regs rd (Array.unsafe_get regs rs / imm);
+      dst regs w (Insn.div (src2 regs w) b);
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     end
-  | Decode.D_modi (rd, rs, imm) ->
-    if imm = 0 then stop_at t Zero_divisor pc n cyc ld st br
+  | Program.Op_modi ->
+    let b = Program.imm t.program w in
+    if b = 0 then stop_at t Zero_divisor pc n cyc ld st br
     else begin
-      write_reg regs rd (Array.unsafe_get regs rs mod imm);
+      dst regs w (Insn.rem (src2 regs w) b);
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     end
-  | Decode.D_cmp (c, rd, rs, rt) ->
-    write_reg regs rd
-      (if Insn.eval_cmp c (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)
-       then 1
-       else 0);
+  | Program.Op_andi ->
+    dst regs w (Insn.logand (src2 regs w) (Program.imm t.program w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_cmpi (c, rd, rs, imm) ->
-    write_reg regs rd
-      (if Insn.eval_cmp c (Array.unsafe_get regs rs) imm then 1 else 0);
+  | Program.Op_ori ->
+    dst regs w (Insn.logor (src2 regs w) (Program.imm t.program w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_li (rd, imm) ->
-    write_reg regs rd imm;
+  | Program.Op_xori ->
+    dst regs w (Insn.logxor (src2 regs w) (Program.imm t.program w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_mov (rd, rs) ->
-    write_reg regs rd (Array.unsafe_get regs rs);
+  | Program.Op_shli ->
+    dst regs w (Insn.shl (src2 regs w) (Program.imm t.program w));
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_load (rd, base, off) ->
-    let addr = Array.unsafe_get regs base + off in
+  | Program.Op_shri ->
+    dst regs w (Insn.shr (src2 regs w) (Program.imm t.program w));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_seq ->
+    dst regs w (Bool.to_int (Insn.eq (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sne ->
+    dst regs w (Bool.to_int (Insn.ne (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_slt ->
+    dst regs w (Bool.to_int (Insn.lt (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sle ->
+    dst regs w (Bool.to_int (Insn.le (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sgt ->
+    dst regs w (Bool.to_int (Insn.gt (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sge ->
+    dst regs w (Bool.to_int (Insn.ge (src2 regs w) (src3 regs w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_seqi ->
+    dst regs w (Bool.to_int (Insn.eq (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_snei ->
+    dst regs w (Bool.to_int (Insn.ne (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_slti ->
+    dst regs w (Bool.to_int (Insn.lt (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_slei ->
+    dst regs w (Bool.to_int (Insn.le (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sgti ->
+    dst regs w (Bool.to_int (Insn.gt (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_sgei ->
+    dst regs w (Bool.to_int (Insn.ge (src2 regs w) (Program.imm t.program w)));
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_beq ->
+    branch t w (Insn.eq (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_bne ->
+    branch t w (Insn.ne (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_blt ->
+    branch t w (Insn.lt (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_ble ->
+    branch t w (Insn.le (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_bgt ->
+    branch t w (Insn.gt (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_bge ->
+    branch t w (Insn.ge (src1 regs w) (src2 regs w)) pc n cyc ld st br
+  | Program.Op_li ->
+    dst regs w (Program.imm t.program w);
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_mov ->
+    dst regs w (src2 regs w);
+    Coverage.record_pc t.pcs pc;
+    go t (pc + 1) (n + 1) (cyc + 1) ld st br
+  | Program.Op_ld ->
+    let addr = src2 regs w + Program.imm t.program w in
     if blocked t addr then begin
       t.addr <- addr;
       stop_at t Blocked_load pc n cyc ld st br
     end
     else begin
       let lat = latency t ~write:false addr in
-      write_reg regs rd (read t addr);
+      dst regs w (read t addr);
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
     end
-  | Decode.D_store (rs, base, off) ->
-    let addr = Array.unsafe_get regs base + off in
-    let v = Array.unsafe_get regs rs in
+  | Program.Op_st ->
+    let addr = src2 regs w + Program.imm t.program w in
+    let v = src1 regs w in
     if blocked_store t addr then begin
       t.addr <- addr;
       t.value <- v;
@@ -333,25 +465,10 @@ and exec t d pc n cyc ld st br =
         go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
       else stop_at t Overflowed pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
     end
-  | Decode.D_br (c, rs, rt, target) ->
-    let taken =
-      Insn.eval_cmp c (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)
-    in
-    (* One associative search both tests the spawn predicate and — for
-       rejected branches — commits the counts+exercise effect. A BTB miss
-       is always a candidate: the insertion and its accounting belong to
-       the branch hook. *)
-    if t.probe && Btb.probe_exercise t.btb pc ~taken ~threshold:t.cut then
-      branch_stop t pc taken target n cyc ld st br
-    else begin
-      record_edge t pc taken;
-      Coverage.record_pc t.pcs pc;
-      go t (if taken then target else pc + 1) (n + 1) (cyc + 1) ld st (br + 1)
-    end
-  | Decode.D_jmp target ->
+  | Program.Op_jmp ->
     Coverage.record_pc t.pcs pc;
-    go t target (n + 1) (cyc + 1) ld st br
-  | Decode.D_call target ->
+    go t (Program.target w) (n + 1) (cyc + 1) ld st br
+  | Program.Op_call ->
     let sp = Array.unsafe_get regs Reg.sp - 1 in
     if blocked_store t sp then begin
       t.addr <- sp;
@@ -363,10 +480,10 @@ and exec t d pc n cyc ld st br =
       let lat = latency t ~write:true sp in
       Coverage.record_pc t.pcs pc;
       if write t sp (pc + 1) then
-        go t target (n + 1) (cyc + 1 + lat) ld (st + 1) br
+        go t (Program.target w) (n + 1) (cyc + 1 + lat) ld (st + 1) br
       else stop_at t Overflowed pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
     end
-  | Decode.D_ret ->
+  | Program.Op_ret ->
     let sp = Array.unsafe_get regs Reg.sp in
     if blocked t sp then begin
       t.addr <- sp;
@@ -379,9 +496,9 @@ and exec t d pc n cyc ld st br =
       Coverage.record_pc t.pcs pc;
       go t ra (n + 1) (cyc + 1 + lat) (ld + 1) st br
     end
-  | Decode.D_push rs ->
+  | Program.Op_push ->
     let sp = Array.unsafe_get regs Reg.sp - 1 in
-    let v = Array.unsafe_get regs rs in
+    let v = src1 regs w in
     if blocked_store t sp then begin
       t.addr <- sp;
       t.value <- v;
@@ -394,7 +511,7 @@ and exec t d pc n cyc ld st br =
       if write t sp v then go t (pc + 1) (n + 1) (cyc + 1 + lat) ld (st + 1) br
       else stop_at t Overflowed pc (n + 1) (cyc + 1 + lat) ld (st + 1) br
     end
-  | Decode.D_pop rd ->
+  | Program.Op_pop ->
     let sp = Array.unsafe_get regs Reg.sp in
     if blocked t sp then begin
       t.addr <- sp;
@@ -404,50 +521,56 @@ and exec t d pc n cyc ld st br =
       let lat = latency t ~write:false sp in
       let v = read t sp in
       Array.unsafe_set regs Reg.sp (sp + 1);
-      write_reg regs rd v;
+      dst regs w v;
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1 + lat) (ld + 1) st br
     end
-  | Decode.D_checkz (rs, _site) ->
+  | Program.Op_chkz ->
     (* A passing check is a fallthrough; a failing one files a report. *)
-    if Array.unsafe_get regs rs = 0 then stop_at t Special pc n cyc ld st br
+    if src1 regs w = 0 then stop_at t Special pc n cyc ld st br
     else begin
       Coverage.record_pc t.pcs pc;
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     end
-  | Decode.D_pred _ ->
-    (* The predicate is false outside consistency-fix blocks, making this
-       a fallthrough; a live predicate means a fix block is executing (an
-       NT-Path's entry stub), whose stores the store hook must tell from
-       the program's. *)
-    if t.ctx.Context.pred then stop_at t Special pc n cyc ld st br
-    else begin
-      Coverage.record_pc t.pcs pc;
-      go t (pc + 1) (n + 1) (cyc + 1) ld st br
-    end
-  | Decode.D_clearpred ->
+  | Program.Op_clearpred ->
     t.ctx.Context.pred <- false;
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_nop ->
+  | Program.Op_nop ->
     Coverage.record_pc t.pcs pc;
     go t (pc + 1) (n + 1) (cyc + 1) ld st br
-  | Decode.D_syscall _ | Decode.D_watch _ | Decode.D_unwatch _
-  | Decode.D_halt ->
+  | Program.Op_sys | Program.Op_watch | Program.Op_unwatch | Program.Op_halt ->
     stop_at t Special pc n cyc ld st br
 
+(* A conditional branch at [pc] whose condition evaluated to [taken]. One
+   associative search both tests the spawn predicate and — for rejected
+   branches — commits the counts+exercise effect. A BTB miss is always a
+   candidate: the insertion and its accounting belong to the branch
+   hook. *)
+and branch t w taken pc n cyc ld st br =
+  if t.probe && Btb.probe_exercise t.btb pc ~taken ~threshold:t.cut then
+    branch_stop t pc taken (Program.target w) n cyc ld st br
+  else begin
+    record_edge t pc taken;
+    Coverage.record_pc t.pcs pc;
+    go t
+      (if taken then Program.target w else pc + 1)
+      (n + 1) (cyc + 1) ld st (br + 1)
+  end
+
 let make ?(obs = false) machine ctx coverage =
-  let dcode = machine.Machine.dcode in
+  let program = machine.Machine.program in
   {
     machine;
     ctx;
     coverage;
-    dcode;
+    program;
+    code = program.Program.code;
     mem = machine.Machine.mem;
     watch = machine.Machine.watch;
     btb = machine.Machine.btb;
     regs = ctx.Context.regs;
-    code_len = Array.length dcode;
+    code_len = Program.length program;
     l1 = ctx.Context.l1;
     sandbox = None;
     owner = Cache.committed_owner;
@@ -509,15 +632,15 @@ let segment t ~budget =
   leave t;
   stop
 
-(* A one-instruction segment of the body on [d], the instruction at
-   [ctx.pc] or a live fix block's inner one. Every branch stops before
-   committing. [~hooked:false] commits an access whose hooks have run. *)
-let one t d ~hooked =
+(* A one-instruction segment of the body on [w], the word at [ctx.pc] or a
+   live fix block's inner one. Every branch stops before committing.
+   [~hooked:false] commits an access whose hooks have run. *)
+let one t w ~hooked =
   enter t ~hooked;
   t.probe <- true;
   t.cut <- max_int;
   t.budget <- 1;
-  let stop = exec t d t.ctx.Context.pc 0 0 0 0 0 in
+  let stop = exec t w t.ctx.Context.pc 0 0 0 0 0 in
   leave t;
   stop
 
@@ -528,10 +651,10 @@ let retire ctx =
   stats.Context.insns <- stats.Context.insns + 1;
   stats.Context.cycles <- stats.Context.cycles + 1
 
-(* The hooked step of [d] after the body stopped before it with [stop]:
+(* The hooked step of [w] after the body stopped before it with [stop]:
    the hooks, then the commit by the body, or the event the body refused
    to produce. *)
-let rec settle t d stop =
+let rec settle t w stop =
   let ctx = t.ctx in
   match stop with
   | Budget -> Cpu.Ev_normal
@@ -551,27 +674,30 @@ let rec settle t d stop =
     let addr = t.addr in
     if Memory.is_valid t.mem addr then begin
       Cpu.access t.machine ctx ~write:(stop = Blocked_store) addr t.value;
-      settle t d (one t d ~hooked:false)
+      settle t w (one t w ~hooked:false)
     end
     else begin
       retire ctx;
       (* a push moves [sp] before its write faults *)
-      (match d with
-       | Decode.D_call _ | Decode.D_push _ -> t.regs.(Reg.sp) <- addr
+      (match Program.opcode w with
+       | Program.Op_call | Program.Op_push -> t.regs.(Reg.sp) <- addr
        | _ -> ());
       Cpu.Ev_fault (Cpu.Mem_fault (Memory.fault_at addr))
     end
-  | Special -> (
-    match d with
-    | Decode.D_pred inner ->
+  | Special ->
+    if Program.is_pred w then begin
+      (* a live fix block: commit its inner instruction *)
+      let inner = Program.unpred w in
       ctx.Context.in_pred_fix <- true;
       let ev = settle t inner (one t inner ~hooked:true) in
       ctx.Context.in_pred_fix <- false;
       ev
-    | _ ->
-      let ev = Cpu.step t.machine ctx d in
+    end
+    else begin
+      let ev = Cpu.step t.machine ctx w in
       retire ctx;
-      ev)
+      ev
+    end
 
 (* Observatory: why did a segment hand this pc to the hooked step? *)
 let count_deopt t cause = t.deopts.(cause) <- t.deopts.(cause) + 1
@@ -587,12 +713,14 @@ let[@inline never] classify_deopt t stop =
        else if t.watching && Watchpoints.watched t.watch t.addr then d_watch
        else (* a store into the store hook's range *) d_detector
      | Special when pc < 0 || pc >= t.code_len -> d_fault
+     | Special when Program.is_pred t.code.(pc) ->
+       (* a live predicate *) d_other
      | Special -> (
-       match t.dcode.(pc) with
-       | Decode.D_syscall _ -> d_syscall
-       | Decode.D_watch _ | Decode.D_unwatch _ -> d_watch
-       | Decode.D_checkz _ -> d_detector
-       | _ -> (* a live predicate or a halt *) d_other)
+       match Program.opcode t.code.(pc) with
+       | Program.Op_sys -> d_syscall
+       | Program.Op_watch | Program.Op_unwatch -> d_watch
+       | Program.Op_chkz -> d_detector
+       | _ -> (* a halt *) d_other)
      | Budget | Overflowed -> d_other)
 
 (* The tier protocol. Before every segment or hooked step: the limit, then
@@ -646,8 +774,8 @@ and step t h =
   else begin
     let machine = t.machine in
     machine.Machine.insn_index <- machine.Machine.insn_index + 1;
-    let d = Array.unsafe_get t.dcode pc in
-    match settle t d (one t d ~hooked:true) with
+    let w = Array.unsafe_get t.code pc in
+    match settle t w (one t w ~hooked:true) with
     | Cpu.Ev_normal -> drive_loop t h
     | Cpu.Ev_branch ->
       h.branch ();

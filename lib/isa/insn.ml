@@ -68,35 +68,55 @@ let sys_name = function
   | Sys_print_int -> "print_int"
   | Sys_exit -> "exit"
 
-(* Single source of truth for ALU semantics. [eval_binop] (the faulting
-   wrapper) and the interpreter's one body ([Fast_loop]) resolve here, so
-   a semantics fix lands exactly once. *)
+(* Single source of truth for ALU and compare semantics: one function per
+   operator. [eval_alu]/[eval_binop]/[eval_cmp] (constant folding among
+   their users) dispatch to these, and the interpreter's one body
+   ([Fast_loop]) calls them from its per-opcode arms, so a semantics fix
+   lands exactly once. [div]/[rem] are only ever called with a non-zero
+   divisor. *)
+let[@inline always] add (a : int) b = a + b
+let[@inline always] sub (a : int) b = a - b
+let[@inline always] mul (a : int) b = a * b
+let[@inline always] div (a : int) b = a / b
+let[@inline always] rem (a : int) b = a mod b
+let[@inline always] logand (a : int) b = a land b
+let[@inline always] logor (a : int) b = a lor b
+let[@inline always] logxor (a : int) b = a lxor b
+let[@inline always] shl (a : int) b = a lsl (b land 63)
+let[@inline always] shr (a : int) b = a asr (b land 63)
+let[@inline always] eq (a : int) b = a = b
+let[@inline always] ne (a : int) b = a <> b
+let[@inline always] lt (a : int) b = a < b
+let[@inline always] le (a : int) b = a <= b
+let[@inline always] gt (a : int) b = a > b
+let[@inline always] ge (a : int) b = a >= b
+
 let eval_alu op a b =
   match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Shl -> a lsl (b land 63)
-  | Shr -> a asr (b land 63)
+  | Add -> add a b
+  | Sub -> sub a b
+  | Mul -> mul a b
+  | And -> logand a b
+  | Or -> logor a b
+  | Xor -> logxor a b
+  | Shl -> shl a b
+  | Shr -> shr a b
   | Div | Mod -> assert false
 
 let eval_binop op a b =
   match op with
-  | Div -> if b = 0 then None else Some (a / b)
-  | Mod -> if b = 0 then None else Some (a mod b)
+  | Div -> if b = 0 then None else Some (div a b)
+  | Mod -> if b = 0 then None else Some (rem a b)
   | Add | Sub | Mul | And | Or | Xor | Shl | Shr -> Some (eval_alu op a b)
 
 let eval_cmp c a b =
   match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
+  | Eq -> eq a b
+  | Ne -> ne a b
+  | Lt -> lt a b
+  | Le -> le a b
+  | Gt -> gt a b
+  | Ge -> ge a b
 
 (* The edge forced by negating [c]: the condition that holds on the
    fallthrough (non-taken-target) edge of [Br (c, _, _, _)]. *)

@@ -63,9 +63,32 @@ val binop_name : binop -> string
 val cmp_name : cmp -> string
 val sys_name : sys -> string
 
-(** Evaluate a non-faulting binop. The single source of truth for ALU
-    semantics ([eval_binop] and both interpreter tiers resolve here).
-    Raises [Assert_failure] on [Div]/[Mod]. *)
+(** {2 Semantics}
+
+    One function per operator: the single source of truth for ALU and
+    compare semantics. The [eval_*] dispatchers below and the interpreter's
+    per-opcode arms all resolve here. [div] and [rem] must not be called
+    with a zero divisor; shifts use the low 6 bits of their count. *)
+
+val add : int -> int -> int
+val sub : int -> int -> int
+val mul : int -> int -> int
+val div : int -> int -> int
+val rem : int -> int -> int
+val logand : int -> int -> int
+val logor : int -> int -> int
+val logxor : int -> int -> int
+val shl : int -> int -> int
+val shr : int -> int -> int
+val eq : int -> int -> bool
+val ne : int -> int -> bool
+val lt : int -> int -> bool
+val le : int -> int -> bool
+val gt : int -> int -> bool
+val ge : int -> int -> bool
+
+(** Evaluate a non-faulting binop. Raises [Assert_failure] on
+    [Div]/[Mod]. *)
 val eval_alu : binop -> int -> int -> int
 
 (** [eval_binop op a b] is [None] on division/modulo by zero. *)

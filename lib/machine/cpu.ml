@@ -96,27 +96,32 @@ let[@inline never] journal ctx entry =
 (* The instructions that are all hook. For a sandboxed context a syscall
    is reported *without* being executed (the unsafe event: the driver's
    caller decides whether the path survives it). *)
-let[@inline never] step machine ctx d =
+let[@inline never] step machine ctx w =
   let pc = ctx.Context.pc in
-  match d with
-  | Decode.D_syscall sys ->
+  match Program.opcode w with
+  | Program.Op_sys ->
+    let sys = Program.sys w in
     if Context.is_sandboxed ctx then Ev_syscall sys
     else begin
       let ev = do_syscall machine ctx sys in
       ctx.Context.pc <- pc + 1;
       ev
     end
-  | Decode.D_checkz (rs, site) ->
-    if Context.get_reg ctx rs = 0 then file_report machine ctx site;
+  | Program.Op_chkz ->
+    if Context.get_reg ctx (Program.r1 w) = 0 then
+      file_report machine ctx (Program.imm machine.Machine.program w);
     ctx.Context.pc <- pc + 1;
     Ev_normal
-  | Decode.D_watch (lo, hi, site) ->
+  | Program.Op_watch ->
     journal ctx
-      (Watchpoints.watch machine.Machine.watch ~lo:(Context.get_reg ctx lo)
-         ~hi:(Context.get_reg ctx hi) ~site)
-  | Decode.D_unwatch (lo, hi) ->
+      (Watchpoints.watch machine.Machine.watch
+         ~lo:(Context.get_reg ctx (Program.r1 w))
+         ~hi:(Context.get_reg ctx (Program.r2 w))
+         ~site:(Program.imm machine.Machine.program w))
+  | Program.Op_unwatch ->
     journal ctx
-      (Watchpoints.unwatch machine.Machine.watch ~lo:(Context.get_reg ctx lo)
-         ~hi:(Context.get_reg ctx hi))
-  | Decode.D_halt -> Ev_halt
+      (Watchpoints.unwatch machine.Machine.watch
+         ~lo:(Context.get_reg ctx (Program.r1 w))
+         ~hi:(Context.get_reg ctx (Program.r2 w)))
+  | Program.Op_halt -> Ev_halt
   | _ -> invalid_arg "Cpu: the fast tier's body runs ordinary instructions"

@@ -47,9 +47,10 @@ val fault_to_string : fault -> string
     and, for a write of [value] into the store hook's range, the hook. *)
 val access : Machine.t -> Context.t -> write:bool -> int -> int -> unit
 
-(** [step machine ctx d] runs [d], the instruction at [ctx.pc], when it is
-    a syscall, a checkz, a watch, an unwatch or a halt, and returns its
-    event; the caller retires it. A sandboxed syscall is reported, not
+(** [step machine ctx w] runs [w], the packed word of the instruction at
+    [ctx.pc] (a predicated one's inner word), when it is a syscall, a
+    checkz, a watch, an unwatch or a halt, and returns its event; the
+    caller retires it. A sandboxed syscall is reported, not
     executed, and leaves the pc on it. Raises [Invalid_argument] on any
     other instruction: the fast tier's body runs those. *)
-val step : Machine.t -> Context.t -> Decode.t -> event
+val step : Machine.t -> Context.t -> int -> event

@@ -7,7 +7,6 @@ type store_hook = {
 type t = {
   config : Machine_config.t;
   program : Program.t;
-  dcode : Decode.t array;
   mem : Memory.t;
   l2 : Cache.t;
   btb : Btb.t;
@@ -20,34 +19,8 @@ type t = {
   recorder : Recorder.t;
 }
 
-(* One-slot load memo: experiments compile a program once and then create
-   a machine per input, so consecutive creates usually share the same
-   program value (compared physically). A hit skips both validation and
-   decode: the slot only ever holds a program that passed
-   [Program.validate] with its decoded image. A miss validates, then
-   decodes unless the slot's image is of the same code array. A stale or
-   torn slot only costs a re-check; validation and decode are pure, so any
-   cached value for the same program is correct. *)
-let load_memo : (Program.t * Decode.t array) option Atomic.t =
-  Atomic.make None
-
-let load program =
-  let code = program.Program.code in
-  match Atomic.get load_memo with
-  | Some (p, d) when p == program -> d
-  | slot ->
-    Program.validate program;
-    let d =
-      match slot with
-      | Some (p, d) when p.Program.code == code -> d
-      | _ -> Decode.decode code
-    in
-    Atomic.set load_memo (Some (program, d));
-    d
-
 let create ?(config = Machine_config.default) ?(input = "")
     ?(recorder = Recorder.disabled) program =
-  let dcode = load program in
   let mem =
     Memory.create ~globals_words:program.Program.globals_words
       ~heap_words:config.Machine_config.heap_words
@@ -68,7 +41,6 @@ let create ?(config = Machine_config.default) ?(input = "")
   {
     config;
     program;
-    dcode;
     mem;
     l2;
     btb =

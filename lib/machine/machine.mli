@@ -17,10 +17,6 @@ type store_hook = {
 type t = {
   config : Machine_config.t;
   program : Program.t;
-  dcode : Decode.t array;
-      (** execution-form image of [program.code], decoded once at load:
-          register indices resolved, immediates split out, so the
-          interpreter's hot loop never re-inspects raw [Insn.t] *)
   mem : Memory.t;
   l2 : Cache.t;
   btb : Btb.t;
@@ -40,11 +36,10 @@ type t = {
           passed to {!create}, making every emit site a single branch *)
 }
 
-(** Validates the program, lays out memory, installs initial data and points
-    the runtime allocator's break word (global address 1) at the heap base.
-    Validation and decode are memoised on the last program value (compared
-    physically), so consecutive creates of one program check it once; an
-    invalid program raises {!Program.Invalid_program}.
+(** Lays out memory, installs initial data and points the runtime
+    allocator's break word (global address 1) at the heap base. The
+    program needs no check or decode here: {!Program.make} validated it,
+    and the interpreter runs its packed words in place.
     [recorder] (default {!Recorder.disabled}) is attached to the L2 and
     every L1 this machine creates. *)
 val create :

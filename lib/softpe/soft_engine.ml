@@ -38,7 +38,7 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
   let ctx = Machine.main_context machine in
   let coverage = Coverage.create program in
   let history : history =
-    Array.make (2 * Array.length program.Program.code) 0
+    Array.make (2 * Program.length program) 0
   in
   let nt_records = ref [] in
   let spawns = ref 0 in

@@ -76,7 +76,7 @@ let create ?(input = "") ~heap_words ~stack_words (program : Program.t) =
   regs.(Reg.sp) <- stack_base;
   regs.(Reg.fp) <- stack_base;
   {
-    code = program.Program.code;
+    code = Array.init (Program.length program) (Program.insn program);
     mem;
     regs;
     pc = program.Program.entry;

@@ -86,23 +86,7 @@ main:
 |}
   in
   Alcotest.(check int) "four instructions" 4 (Array.length code);
-  let program =
-    {
-      Program.code;
-      entry = 0;
-      globals_words = 0;
-      init_data = [];
-      sites = [||];
-      user_branches = [];
-      functions = [];
-      user_code_ranges = [];
-      fix_atoms = [];
-      global_vars = [];
-      blank_addrs = [];
-      source_lines = [||];
-    }
-  in
-  let machine = Machine.create program in
+  let machine = Machine.create (Program.make code) in
   (match (Engine.run ~config:Pe_config.baseline machine).Engine.outcome with
    | `Halted -> ()
    | _ -> Alcotest.fail "assembled program did not halt");
@@ -113,14 +97,14 @@ let test_disassembly_is_assemblable () =
   let compiled = Workload.compile Registry.print_tokens in
   let text = Program.disassemble compiled.Compile.program in
   let code = Asm.parse_program text in
-  Alcotest.(check int) "same length"
-    (Array.length compiled.Compile.program.Program.code)
+  let program = compiled.Compile.program in
+  Alcotest.(check int) "same length" (Program.length program)
     (Array.length code);
   Array.iteri
     (fun i insn ->
-      if insn <> compiled.Compile.program.Program.code.(i) then
+      if insn <> Program.insn program i then
         Alcotest.failf "mismatch at %d: %s vs %s" i (Insn.to_string insn)
-          (Insn.to_string compiled.Compile.program.Program.code.(i)))
+          (Insn.to_string (Program.insn program i)))
     code
 
 let test_errors () =

@@ -2,25 +2,8 @@
    step around it — on hand-assembled programs: arithmetic, control flow,
    calls, syscalls, faults, predication and sandboxed execution. *)
 
-let build ?(globals = 4) code =
-  let program =
-    {
-      Program.code = Array.of_list code;
-      entry = 0;
-      globals_words = globals;
-      init_data = [];
-      sites = [||];
-      user_branches = [];
-      functions = [];
-      user_code_ranges = [];
-      fix_atoms = [];
-      global_vars = [];
-      blank_addrs = [];
-      source_lines = [||];
-    }
-  in
-  Program.validate program;
-  program
+let build ?(globals = 4) ?sites code =
+  Program.make ~globals_words:globals ?sites (Array.of_list code)
 
 let run ?input code =
   let machine = Machine.create ?input (build code) in
@@ -213,22 +196,19 @@ let test_sandboxed_writes_discarded () =
 
 let test_checkz_reports () =
   let program =
-    {
-      (build
-         [
-           Insn.Li (t0, 0);
-           Insn.Checkz (t0, 0);
-           Insn.Li (t0, 1);
-           Insn.Checkz (t0, 1);
-           Insn.Halt;
-         ])
-      with
-      Program.sites =
+    build
+      ~sites:
         [|
           { Site.id = 0; line = 1; kind = Site.Assertion; descr = "fires" };
           { Site.id = 1; line = 2; kind = Site.Assertion; descr = "quiet" };
-        |];
-    }
+        |]
+      [
+        Insn.Li (t0, 0);
+        Insn.Checkz (t0, 0);
+        Insn.Li (t0, 1);
+        Insn.Checkz (t0, 1);
+        Insn.Halt;
+      ]
   in
   let machine = Machine.create program in
   let _ = Engine.run ~config:Pe_config.baseline machine in
@@ -237,20 +217,16 @@ let test_checkz_reports () =
 
 let test_watch_insn_triggers () =
   let program =
-    {
-      (build
-         [
-           Insn.Li (t0, g0);
-           Insn.Binopi (Insn.Add, t1, t0, 1);
-           Insn.Watch (t0, t1, 0);
-           Insn.Li (t1, 5);
-           Insn.Store (t1, Reg.zero, g0);
-           Insn.Halt;
-         ])
-      with
-      Program.sites =
-        [| { Site.id = 0; line = 1; kind = Site.Watchpoint; descr = "w" } |];
-    }
+    build
+      ~sites:[| { Site.id = 0; line = 1; kind = Site.Watchpoint; descr = "w" } |]
+      [
+        Insn.Li (t0, g0);
+        Insn.Binopi (Insn.Add, t1, t0, 1);
+        Insn.Watch (t0, t1, 0);
+        Insn.Li (t1, 5);
+        Insn.Store (t1, Reg.zero, g0);
+        Insn.Halt;
+      ]
   in
   let machine = Machine.create program in
   let _ = Engine.run ~config:Pe_config.baseline machine in

@@ -494,28 +494,13 @@ let test_overlay_pays_for_what_it_buffers () =
   Alcotest.(check int) "memory still untouched" 0 (Memory.read m (base + 5))
 
 (* A hand-built program skips the compiler's bound on the globals segment;
-   validation at [Machine.create] holds it, before [Memory.create] lays out
-   a space that would wrap past [max_int]. *)
+   [Program.make] holds it, so no machine is ever created over a space that
+   would wrap past [max_int]. *)
 let test_globals_bound_at_create () =
-  let program globals_words =
-    {
-      Program.code = [| Insn.Halt |];
-      entry = 0;
-      globals_words;
-      init_data = [];
-      sites = [||];
-      user_branches = [];
-      functions = [];
-      user_code_ranges = [];
-      fix_atoms = [];
-      global_vars = [];
-      blank_addrs = [];
-      source_lines = [||];
-    }
-  in
+  let program globals_words = Program.make ~globals_words [| Insn.Halt |] in
   List.iter
     (fun words ->
-      match Machine.create (program words) with
+      match program words with
       | exception Program.Invalid_program _ -> ()
       | _ -> Alcotest.failf "%d globals words accepted" words)
     [ Program.max_globals_words + 1; 4611686018427387868; -1 ];

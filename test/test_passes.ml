@@ -193,14 +193,13 @@ let test_lower () =
   let tp = typed branchy_source in
   let program = Lower.run (Instr_select.select tp) tp in
   (* every control-flow target is a resolved, in-range pc *)
-  Array.iter
-    (fun insn ->
-      match insn with
-      | Insn.Br (_, _, _, t) | Insn.Jmp t | Insn.Call t ->
-        if t < 0 || t >= Array.length program.Program.code then
-          Alcotest.failf "lower: unresolved target %d" t
-      | _ -> ())
-    program.Program.code;
+  for pc = 0 to Program.length program - 1 do
+    match Program.insn program pc with
+    | Insn.Br (_, _, _, t) | Insn.Jmp t | Insn.Call t ->
+      if t < 0 || t >= Program.length program then
+        Alcotest.failf "lower: unresolved target %d" t
+    | _ -> ()
+  done;
   Alcotest.(check (pair string string))
     "lowered program runs" ("halted", "71") (run_program program "")
 
@@ -253,13 +252,12 @@ let test_asm_printer_roundtrip () =
   let options = Instr_select.default_options in
   let tp2 = Regalloc.run ~options ~level:Opt.O2 tp in
   let program = Lower.run (Jump_opt.run (Instr_select.select ~level:Opt.O2 tp2)) tp2 in
-  Array.iteri
-    (fun pc insn ->
-      let text = Insn.to_string insn in
-      let back = Asm.parse_insn text in
-      if back <> insn then
-        Alcotest.failf "asm round-trip at pc %d: %s" pc text)
-    program.Program.code
+  for pc = 0 to Program.length program - 1 do
+    let insn = Program.insn program pc in
+    let text = Insn.to_string insn in
+    let back = Asm.parse_insn text in
+    if back <> insn then Alcotest.failf "asm round-trip at pc %d: %s" pc text
+  done
 
 let test_dump_pass_hook () =
   (* Pipeline.run reports every executed pass to [dump], in order *)
@@ -355,9 +353,122 @@ let prop_opt_differential =
 
 (* --- pinned images ---------------------------------------------------------- *)
 
-(* Every registry workload's images at every level, digested as
-   bench/images.md5 describes: a pass that changes one byte of any image
-   fails here and prints the new digest. *)
+(* An image as the compiler produced it, in the record shape
+   bench/images.md5 was taken over: [Program.t]'s fields before the code
+   was packed and the source lines flattened, field for field. [Marshal]
+   writes no type names, so the digests stay those of the compiler's own
+   output, and matching them proves that unpacking returns exactly what
+   was packed. *)
+module Unpacked = struct
+  type t = {
+    code : Insn.t array;
+    entry : int;
+    globals_words : int;
+    init_data : (int * int) list;
+    sites : Site.t array;
+    user_branches : int list;
+    functions : (string * int) list;
+    user_code_ranges : (int * int) list;
+    fix_atoms : (int * Fix_atom.t) list;
+    global_vars : (string * int) list;
+    blank_addrs : (string * int) list;
+    source_lines : (int * int) array;
+  }
+
+  let of_program (p : Program.t) =
+    {
+      code = Array.init (Program.length p) (Program.insn p);
+      entry = p.Program.entry;
+      globals_words = p.Program.globals_words;
+      init_data = p.Program.init_data;
+      sites = p.Program.sites;
+      user_branches = p.Program.user_branches;
+      functions = p.Program.functions;
+      user_code_ranges = p.Program.user_code_ranges;
+      fix_atoms = p.Program.fix_atoms;
+      global_vars = p.Program.global_vars;
+      blank_addrs = p.Program.blank_addrs;
+      source_lines =
+        (let lines = p.Program.source_lines in
+         Array.init (Array.length lines / 2) (fun i ->
+             (lines.(2 * i), lines.((2 * i) + 1))));
+    }
+end
+
+(* Packing the unpacked code again rebuilds the same words and pool, and
+   unpacks to the same instructions; [None] when it does. *)
+let repack_mismatch (p : Program.t) =
+  let code = Array.init (Program.length p) (Program.insn p) in
+  let again =
+    Program.make ~entry:p.Program.entry ~globals_words:p.Program.globals_words
+      ~init_data:p.Program.init_data ~sites:p.Program.sites
+      ~user_branches:p.Program.user_branches code
+  in
+  if again.Program.code <> p.Program.code then Some "code words"
+  else if again.Program.pool <> p.Program.pool then Some "pool"
+  else
+    let rec first pc =
+      if pc = Array.length code then None
+      else if Program.insn again pc <> code.(pc) then
+        Some (Printf.sprintf "instruction %d" pc)
+      else first (pc + 1)
+    in
+    first 0
+
+(* Every registry workload's images at every level, compiled once for the
+   two checks below: per (workload, level), the digest bench/images.md5
+   describes and the images that fail the repacking round trip. *)
+let registry_images =
+  lazy
+    (let detectors =
+       [ Codegen.No_detector; Codegen.Ccured; Codegen.Iwatcher;
+         Codegen.Assertions ]
+     in
+     List.concat_map
+       (fun (w : Workload.t) ->
+         let versions =
+           None
+           :: List.map (fun (b : Bug.t) -> Some b.Bug.version) w.Workload.bugs
+         in
+         List.map
+           (fun level ->
+             let images = Buffer.create 65536 in
+             let mismatches = ref [] in
+             List.iter
+               (fun bug ->
+                 let source = w.Workload.source ~bug in
+                 List.iter
+                   (fun detector ->
+                     let c =
+                       Compile.compile
+                         ~options:{ Codegen.detector; fixing = true }
+                         ~level source
+                     in
+                     let p = c.Compile.program in
+                     Buffer.add_string images
+                       (Marshal.to_string (Unpacked.of_program p)
+                          [ Marshal.No_sharing ]);
+                     match repack_mismatch p with
+                     | Some what ->
+                       mismatches :=
+                         Printf.sprintf "%s bug %s: %s"
+                           (Codegen.detector_name detector)
+                           (match bug with
+                            | Some v -> string_of_int v
+                            | None -> "-")
+                           what
+                         :: !mismatches
+                     | None -> ())
+                   detectors)
+               versions;
+             ( (w.Workload.name, Opt.to_string level),
+               ( Digest.to_hex (Digest.string (Buffer.contents images)),
+                 List.rev !mismatches ) ))
+           [ Opt.O0; Opt.O1; Opt.O2 ])
+       Registry.all)
+
+(* A pass that changes one byte of any image fails here and prints the
+   new digest. *)
 let test_pinned_images () =
   let pinned =
     In_channel.with_open_text "../bench/images.md5" In_channel.input_all
@@ -368,36 +479,10 @@ let test_pinned_images () =
            | [ app; level; digest ] -> ((app, level), digest)
            | _ -> Alcotest.failf "bad bench/images.md5 line %S" l)
   in
-  let detectors =
-    [ Codegen.No_detector; Codegen.Ccured; Codegen.Iwatcher; Codegen.Assertions ]
-  in
   let computed =
-    List.concat_map
-      (fun (w : Workload.t) ->
-        let versions =
-          None :: List.map (fun (b : Bug.t) -> Some b.Bug.version) w.Workload.bugs
-        in
-        List.map
-          (fun level ->
-            let images = Buffer.create 65536 in
-            List.iter
-              (fun bug ->
-                let source = w.Workload.source ~bug in
-                List.iter
-                  (fun detector ->
-                    let c =
-                      Compile.compile
-                        ~options:{ Codegen.detector; fixing = true }
-                        ~level source
-                    in
-                    Buffer.add_string images
-                      (Marshal.to_string c.Compile.program [ Marshal.No_sharing ]))
-                  detectors)
-              versions;
-            ( (w.Workload.name, Opt.to_string level),
-              Digest.to_hex (Digest.string (Buffer.contents images)) ))
-          [ Opt.O0; Opt.O1; Opt.O2 ])
-      Registry.all
+    List.map
+      (fun (key, (digest, _)) -> (key, digest))
+      (Lazy.force registry_images)
   in
   Alcotest.(check (list (pair string string)))
     "pinned (workload, level) pairs" (List.map fst pinned) (List.map fst computed);
@@ -407,6 +492,14 @@ let test_pinned_images () =
         (Printf.sprintf "%s -%s image digest" app level)
         (List.assoc key pinned) digest)
     computed
+
+let test_registry_repack () =
+  List.iter
+    (fun ((app, level), (_, mismatches)) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s -%s images repack" app level)
+        [] mismatches)
+    (Lazy.force registry_images)
 
 let tests =
   [
@@ -433,5 +526,7 @@ let tests =
       test_dump_pass_hook;
     Alcotest.test_case "every registry image matches bench/images.md5" `Quick
       test_pinned_images;
+    Alcotest.test_case "every registry image repacks to itself" `Quick
+      test_registry_repack;
     QCheck_alcotest.to_alcotest prop_opt_differential;
   ]

@@ -258,6 +258,45 @@ int main() { return smash(4); }
   Alcotest.(check bool) "fast tier engaged with NT-Paths" true
     (r.Engine.fast_insns > 0)
 
+(* Literals too wide for a packed word's immediate field live in the
+   program's pool: [max_int], [min_int] (spelt [-max_int - 1], which -O1
+   folds to one literal) and sums that select immediate forms at -O1 and
+   above. Run at every level, taken path and NT-Paths. *)
+let test_wide_literals () =
+  let source =
+    {|
+int main() {
+  int big;
+  int small;
+  int i;
+  int acc;
+  big = 4611686018427387903;
+  small = -4611686018427387903 - 1;
+  acc = 0;
+  for (i = 0; i < 4; i = i + 1) {
+    if (acc < 4611686018427387000) { acc = acc + i; }
+    if (small < acc) { acc = acc * 3; }
+  }
+  print_int(big);
+  print_int(small);
+  print_int(acc + 4611686018427387000);
+  print_int(big + small);
+  return 0;
+}
+|}
+  in
+  List.iter
+    (fun level ->
+      let name = "wide literals -" ^ Opt.to_string level in
+      let program = (Compile.compile ~level source).Compile.program in
+      Alcotest.(check bool) (name ^ ": pooled immediates") true
+        (Array.length program.Program.pool > 0);
+      ignore (check_run name ~input:"" program);
+      ignore
+        (check_nt_paths ~pinned:true name ~input:"" ~config:Pe_config.default
+           ~stride:1 ~max_spawns:20 program))
+    [ Opt.O0; Opt.O1; Opt.O2 ]
+
 (* test_passes' random MiniC programs at every optimization level; the
    taken path under NT-Paths runs with the zero-budget tick. *)
 let prop_random_programs =
@@ -286,5 +325,7 @@ let tests =
   @ [
       Alcotest.test_case "iWatcher red zone: engine = reference model" `Quick
         test_iwatcher_red_zone;
+      Alcotest.test_case "wide literals: engine = reference model" `Quick
+        test_wide_literals;
       QCheck_alcotest.to_alcotest prop_random_programs;
     ]

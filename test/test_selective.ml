@@ -183,7 +183,7 @@ let drive_run ~pinned ?(setting = standard) ?(attach = ignore) ~input program =
       { Fast_loop.tick = tick ctx; branch; syscall = (fun _ -> true) }
       ~spawning:setting.spawning ~threshold:setting.threshold ~limit:fuel
   in
-  let code_len = Array.length machine.Machine.dcode in
+  let code_len = Program.length machine.Machine.program in
   let bits pc =
     ( Coverage.covered_taken_edge coverage pc false,
       Coverage.covered_taken_edge coverage pc true,
@@ -668,31 +668,18 @@ let test_store_hook_push_call () =
   let g = Program.null_guard_words in
   let t0 = Reg.tmp 0 in
   let program =
-    {
-      Program.code =
-        [|
-          Insn.Li (Reg.sp, g + 8);
-          Insn.Li (t0, 5);
-          Insn.Push t0;
-          Insn.Call 6;
-          Insn.Store (t0, Reg.zero, g + 40);
-          Insn.Halt;
-          Insn.Li (t0, 7);
-          Insn.Store (t0, Reg.zero, g + 1);
-          Insn.Ret;
-        |];
-      entry = 0;
-      globals_words = 8;
-      init_data = [];
-      sites = [||];
-      user_branches = [];
-      functions = [];
-      user_code_ranges = [];
-      fix_atoms = [];
-      global_vars = [];
-      blank_addrs = [];
-      source_lines = [||];
-    }
+    Program.make ~globals_words:8
+      [|
+        Insn.Li (Reg.sp, g + 8);
+        Insn.Li (t0, 5);
+        Insn.Push t0;
+        Insn.Call 6;
+        Insn.Store (t0, Reg.zero, g + 40);
+        Insn.Halt;
+        Insn.Li (t0, 7);
+        Insn.Store (t0, Reg.zero, g + 1);
+        Insn.Ret;
+      |]
   in
   let expected = [ (g + 7, 5); (g + 6, 4); (g + 1, 7) ] in
   let attach seen machine =
