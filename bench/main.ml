@@ -170,10 +170,10 @@ let write_json ~path ~sweep_walls ~o2_walls ~baseline ~jobs =
    simulator throughput and is comparable across hosts. *)
 let sweep_spec = { Run_spec.default with jobs = 1 }
 
-(* One timed serial sweep, optionally flight-recorded. The capture costs
-   allocation and time, so the recorded sweep's wall time is measured but
-   only the untraced configuration is comparable against historical BENCH
-   files. [level] pins the optimizer level every compilation in the sweep
+(* One timed serial sweep, optionally traced. Deriving and writing the
+   traces costs allocation and time, so the traced sweep's wall time is
+   measured but only the untraced configuration is comparable against
+   historical BENCH files. [level] pins the optimizer level every compilation in the sweep
    uses (the -O2 leg of the trajectory). *)
 let timed_sweep ?(level = Opt.O0) ~trace_dir () =
   let spec = { sweep_spec with opt = level; trace = trace_dir <> None } in
@@ -182,7 +182,7 @@ let timed_sweep ?(level = Opt.O0) ~trace_dir () =
   Option.iter
     (fun dir ->
       let files =
-        Recorder.save_dir ~dir (List.concat_map (fun a -> a.Runner.traces) legs)
+        Trace.save_dir ~dir (List.concat_map (fun a -> a.Runner.traces) legs)
       in
       Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir)
     trace_dir;
@@ -222,7 +222,7 @@ let () =
         exit 1)
     !trace_dir;
   (* Tracing changes what a sweep costs, so repeated timing of a traced
-     sweep would only measure the recorder; force a single run. *)
+     sweep would only measure the trace export; force a single run. *)
   if !trace_dir <> None then repeat := 1;
   print_endline "=== PathExpander: full reproduction of the evaluation ===";
   let sweep_walls = Array.make !repeat 0.0 in

@@ -82,9 +82,10 @@ let opt_arg =
 
 let trace_dir_arg =
   let doc =
-    "Capture every run's flight-recorder trace (NT-Path lifecycle events in \
-     sim time) and write one JSONL file per run into $(docv). File names and \
-     contents are deterministic: byte-identical serial or under $(b,--jobs)."
+    "Write every run's NT-Path lifecycle trace (derived from the engine's \
+     per-spawn records, timed in simulated cycles) as one JSONL file per run \
+     into $(docv). File names and contents are deterministic: \
+     byte-identical serial or under $(b,--jobs)."
   in
   Arg.(
     value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
@@ -139,7 +140,7 @@ let main list jobs telemetry opt trace_dir obs_dir ids =
     Option.iter
       (fun dir ->
         let files =
-          Recorder.save_dir ~dir (gather (fun a -> a.Runner.traces))
+          Trace.save_dir ~dir (gather (fun a -> a.Runner.traces))
         in
         Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir)
       trace_dir;

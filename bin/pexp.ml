@@ -28,14 +28,11 @@ let list_apps () =
     Registry.all
 
 let termination_summary records =
-  let count p = List.length (List.filter p records) in
+  let count = Fun.flip List.assoc (Nt_path.termination_counts records) in
   Printf.printf
     "NT-Path terminations: %d max-length, %d crash, %d unsafe, %d program-end, %d overflow\n"
-    (count (fun (r : Nt_path.record) -> r.Nt_path.termination = Nt_path.T_max_length))
-    (count Nt_path.is_crash)
-    (count Nt_path.is_unsafe)
-    (count (fun r -> r.Nt_path.termination = Nt_path.T_program_end))
-    (count (fun r -> r.Nt_path.termination = Nt_path.T_cache_overflow))
+    (count "max-length") (count "crash") (count "unsafe-event")
+    (count "program-end") (count "cache-overflow")
 
 let write_file path content =
   let oc = open_out path in
@@ -76,10 +73,7 @@ let run_one ~spec ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
   in
   let config = { (Workload.pe_config ~mode workload) with Pe_config.fixing } in
   if disasm then print_string (Program.disassemble compiled.Compile.program);
-  let recorder =
-    if spec.Run_spec.trace then Recorder.create () else Recorder.disabled
-  in
-  let machine = Machine.create ~input ~recorder compiled.Compile.program in
+  let machine = Machine.create ~input compiled.Compile.program in
   if obs <> None || prometheus <> None then
     Telemetry.set_label machine.Machine.telemetry
       (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
@@ -101,25 +95,27 @@ let run_one ~spec ~app ~detector ~mode ~bug ~fixing ~seed ~random_input
    | Some file ->
      write_file file (Telemetry.to_prometheus machine.Machine.telemetry);
      Printf.eprintf "prometheus: metrics -> %s\n%!" file);
-  (* Flight-recorder exports before the human-readable report, so a crash
-     in the analysis below can't lose a captured trace. *)
-  let dump () =
-    Recorder.dump
-      ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
-      recorder
-  in
-  (match trace with
-   | None -> ()
-   | Some file ->
-     write_file file (Recorder.jsonl_of_dump (dump ()));
-     Printf.eprintf "trace: %d events -> %s\n%!" (Recorder.length recorder)
-       file);
-  (match trace_chrome with
-   | None -> ()
-   | Some file ->
-     write_file file (Recorder.chrome_of_dump (dump ()));
-     Printf.eprintf "chrome trace: %d events -> %s\n%!"
-       (Recorder.length recorder) file);
+  (* Trace exports before the human-readable report, so a crash in the
+     analysis below can't lose a captured trace. *)
+  if spec.Run_spec.trace then begin
+    let t =
+      Trace.of_run
+        ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
+        result
+        (Report.entries machine.Machine.reports)
+    in
+    let events = List.length t.Trace.events in
+    Option.iter
+      (fun file ->
+        write_file file (Trace.to_jsonl t);
+        Printf.eprintf "trace: %d events -> %s\n%!" events file)
+      trace;
+    Option.iter
+      (fun file ->
+        write_file file (Trace.to_chrome t);
+        Printf.eprintf "chrome trace: %d events -> %s\n%!" events file)
+      trace_chrome
+  end;
   Printf.printf "%s under %s (%s): %s\n" app
     (Codegen.detector_name detector)
     (Pe_config.mode_name mode)
@@ -204,8 +200,9 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record the run's NT-Path lifecycle events (sim-time flight \
-           recorder) and write them as JSONL to $(docv).")
+          "Write the run's NT-Path lifecycle trace (derived from the \
+           engine's per-spawn records, timed in simulated cycles) as JSONL \
+           to $(docv).")
 
 let opt_of_string s =
   match Opt.of_string s with

@@ -1,14 +1,17 @@
-(* trace_check — validate flight-recorder JSONL traces and Coverage
-   Observatory JSON snapshots.
+(* trace_check — validate NT-Path JSONL traces and Coverage Observatory
+   JSON snapshots.
 
    Usage: trace_check FILE.jsonl ...     (validate each trace file)
           trace_check FILE.json ...      (validate each obs snapshot)
           trace_check DIR                (validate every *.jsonl / *.json
                                           inside)
 
-   Traces: every line must parse as a complete JSON object; the first line
-   must be a meta record with the known schema version; every following line
-   must be an event with a recognised "type".
+   Traces (schema 2): every line must parse as a complete JSON object; the
+   first line must be a meta record with the known schema version and an
+   "events" count; every following line must be an event with a recognised
+   "type", and there must be exactly "events" of them. A trace is derived
+   from the run's per-spawn records, so it is always complete: the meta
+   line carries no drop accounting.
 
    Obs snapshots: the document must carry the known schema version, every
    required section, only recognised frontier causes, and internally
@@ -17,14 +20,14 @@
    Exit status is non-zero on any failure, so CI can gate on captured
    artifacts being well-formed. *)
 
-let known_types =
-  [ "spawn"; "terminate"; "commit"; "squash"; "bug"; "counter_reset" ]
+let known_types = [ "spawn"; "terminate"; "squash"; "bug"; "counter_reset" ]
 
 let fail file line msg =
   Printf.eprintf "%s:%d: %s\n" file line msg;
   false
 
-let check_line file lineno ~first line =
+(* [events] receives the meta line's event count. *)
+let check_line file lineno ~first ~events line =
   match Jsonu.parse line with
   | Error msg -> fail file lineno ("invalid JSON: " ^ msg)
   | Ok v ->
@@ -34,14 +37,16 @@ let check_line file lineno ~first line =
          if ty <> "meta" then
            fail file lineno ("first line must be meta, got " ^ ty)
          else begin
-           match Jsonu.member "schema" v with
-           | Some (Jsonu.Num n)
-             when int_of_float n = Recorder.jsonl_schema_version ->
+           match (Jsonu.member "schema" v, Jsonu.member "events" v) with
+           | Some (Jsonu.Num n), Some (Jsonu.Num e)
+             when int_of_float n = Trace.jsonl_schema_version ->
+             events := int_of_float e;
              true
-           | Some _ | None ->
+           | _ ->
              fail file lineno
-               (Printf.sprintf "meta line must carry schema %d"
-                  Recorder.jsonl_schema_version)
+               (Printf.sprintf
+                  "meta line must carry schema %d and an events count"
+                  Trace.jsonl_schema_version)
          end
        else if List.mem ty known_types then true
        else fail file lineno ("unknown event type " ^ ty)
@@ -52,16 +57,22 @@ let check_file file =
   let ic = open_in file in
   let ok = ref true in
   let lineno = ref 0 in
+  let events = ref (-1) in
   (try
      while true do
        let line = input_line ic in
        incr lineno;
-       if not (check_line file !lineno ~first:(!lineno = 1) line) then
+       if not (check_line file !lineno ~first:(!lineno = 1) ~events line) then
          ok := false
      done
    with End_of_file -> ());
   close_in ic;
-  if !lineno = 0 then ok := fail file 0 "empty trace";
+  if !lineno = 0 then ok := fail file 0 "empty trace"
+  else if !ok && !events <> !lineno - 1 then
+    ok :=
+      fail file !lineno
+        (Printf.sprintf "meta line counts %d events, the file has %d" !events
+           (!lineno - 1));
   if !ok then
     Printf.printf "%s: ok (%d lines)\n" file !lineno;
   !ok

@@ -19,6 +19,13 @@
 
 type outcome = [ `Halted | `Exited of int | `Faulted of Cpu.fault | `Fuel_exhausted ]
 
+type counter_reset = {
+  reset_cycle : int;
+  reset_insns : int;
+  reset_spawns : int;  (* spawns before the reset *)
+  reset_reports : int;  (* entries in the report log before the reset *)
+}
+
 type result = {
   outcome : outcome;
   taken_insns : int;
@@ -27,6 +34,7 @@ type result = {
   taken_cycles : int;
   total_cycles : int;
   nt_records : Nt_path.record list;
+  counter_resets : counter_reset list;
   spawns : int;
   skipped_spawns : int;
   profiled_overrides : int;
@@ -113,6 +121,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
   if obs then Coverage.arm_attribution coverage;
   let skipped_edge_set = Hashtbl.create 16 in
   let nt_records = ref [] in
+  let counter_resets = ref [] in
   let spawns = ref 0 in
   let skipped = ref 0 in
   let nt_serial_cycles = ref 0 in
@@ -221,39 +230,17 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
     Nt_path.make_arena machine config coverage ~l1:ctx.Context.l1
       ~line_limit:(Machine_config.l1_lines machine.Machine.config)
   in
-  let recorder = machine.Machine.recorder in
-  let last_spawn_cycle = ref 0 in
-  (* Histogram handles resolved once per run; spawns observe through them
-     without re-hashing the metric names. *)
-  let h_interarrival = Telemetry.hist tel "nt.spawn_interarrival" in
-  let h_len = Telemetry.hist tel "nt.len" in
-  let h_dirty = Telemetry.hist tel "nt.dirty_per_squash" in
   let run_nt_path ?fix_override ~l1 ~entry ~br_pc ~forced_direction () =
-    let now = ctx.Context.stats.Context.cycles in
-    Telemetry.hist_observe h_interarrival (now - !last_spawn_cycle);
-    last_spawn_cycle := now;
+    let spawn_cycle = ctx.Context.stats.Context.cycles in
     let path_id = fresh_path_id () in
-    (* Flight-recorder clock bracket: the Spawn event fires at the primary
-       core's current cycle, then that instant becomes the base for the
-       path's own events (bug reports, squash, terminate), which carry
-       path-local cycle offsets. *)
-    if Recorder.enabled recorder then begin
-      Recorder.set_local recorder now;
-      Recorder.emit_spawn recorder ~path_id ~br_pc ~edge:forced_direction
-        ~entry_pc:entry;
-      Recorder.set_base recorder now
-    end;
     (* Attribution: edges this path records are stamped with its 1-based
        spawn ordinal, which indexes the run's [nt_records] (spawn order). *)
     if obs then Coverage.set_nt_seq coverage !spawns;
     let record =
       Nt_path.run ?fix_override nt_arena ~l1 ~regs:ctx.Context.regs ~entry
-        ~spawn_br_pc:br_pc ~forced_direction ~path_id
+        ~spawn_br_pc:br_pc ~forced_direction ~path_id ~spawn_cycle
     in
     if obs then Coverage.set_nt_seq coverage 0;
-    if Recorder.enabled recorder then Recorder.set_base recorder 0;
-    Telemetry.hist_observe h_len record.Nt_path.insns;
-    Telemetry.hist_observe h_dirty record.Nt_path.squashed_lines;
     record
   in
   let spawn_standard ~entry ~br_pc ~forced_direction =
@@ -348,12 +335,14 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
       >= config.Pe_config.counter_reset_interval
     then begin
       Btb.reset_counters machine.Machine.btb;
-      Telemetry.incr tel "btb.counter_resets";
-      if Recorder.enabled recorder then begin
-        Recorder.set_local recorder ctx.Context.stats.Context.cycles;
-        Recorder.emit_counter_reset recorder
-          ~insns:ctx.Context.stats.Context.insns
-      end;
+      counter_resets :=
+        {
+          reset_cycle = ctx.Context.stats.Context.cycles;
+          reset_insns = ctx.Context.stats.Context.insns;
+          reset_spawns = !spawns;
+          reset_reports = Report.count machine.Machine.reports;
+        }
+        :: !counter_resets;
       last_reset := ctx.Context.stats.Context.insns
     end;
     !last_reset + config.Pe_config.counter_reset_interval
@@ -398,9 +387,15 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
       (* The last taken-path segment needs its siblings' squash tokens. *)
       List.fold_left max taken_cycles cmp.active_finish
   in
-  (* Observability: every run reports what it did and what it cost. *)
+  let nt_records = List.rev !nt_records in
+  let counter_resets = List.rev !counter_resets in
+  (* Observability: every run reports what it did and what it cost. The
+     NT-Path metrics are a fold over the run's records. *)
   if Telemetry.label tel = "" then
     Telemetry.set_label tel (Pe_config.mode_name config.Pe_config.mode);
+  Nt_path.record_telemetry tel nt_records;
+  if counter_resets <> [] then
+    Telemetry.count tel "btb.counter_resets" (List.length counter_resets);
   Telemetry.count tel "engine.spawns" !spawns;
   Telemetry.count tel "engine.skipped_spawns" !skipped;
   Telemetry.count tel "engine.profiled_overrides" !overrides;
@@ -426,7 +421,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) ?(obs = false)
     taken_stores = ctx.Context.stats.Context.stores;
     taken_cycles;
     total_cycles;
-    nt_records = List.rev !nt_records;
+    nt_records;
+    counter_resets;
     spawns = !spawns;
     skipped_spawns = !skipped;
     profiled_overrides = !overrides;

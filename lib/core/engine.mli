@@ -10,6 +10,15 @@
 
 type outcome = [ `Halted | `Exited of int | `Faulted of Cpu.fault | `Fuel_exhausted ]
 
+(** One reset of the BTB exercise counters, placed in the run by what
+    preceded it. *)
+type counter_reset = {
+  reset_cycle : int;  (** the primary core's cycle count at the reset *)
+  reset_insns : int;  (** taken-path instructions retired before it *)
+  reset_spawns : int;  (** NT-Paths spawned before it *)
+  reset_reports : int;  (** entries in the machine's report log before it *)
+}
+
 type result = {
   outcome : outcome;
   taken_insns : int;  (** instructions retired by the taken path *)
@@ -17,7 +26,8 @@ type result = {
   taken_stores : int;
   taken_cycles : int;  (** primary-core cycles (taken path + spawn overheads) *)
   total_cycles : int;  (** end-to-end cycles under the configured mode *)
-  nt_records : Nt_path.record list;
+  nt_records : Nt_path.record list;  (** one per spawn, in spawn order *)
+  counter_resets : counter_reset list;  (** in run order *)
   spawns : int;
   skipped_spawns : int;  (** CMP: spawns suppressed by [MaxNumNTPaths] *)
   profiled_overrides : int;

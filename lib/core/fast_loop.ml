@@ -4,7 +4,7 @@
    [exec] is the only place that spells out an ordinary instruction's
    effect: registers, memory through [read]/[write]/[latency], control
    flow, the stat deltas and statement coverage. It runs in segments with
-   no detector hooks, no store-hook dispatch and no recorder branches
+   no detector hooks and no store-hook dispatch
    (coverage-preserving selective instrumentation, as in HeXcite). The
    moment an instruction needs more — a syscall, a watch/unwatch, a halt,
    a check that would file a report, a live consistency-fix block, a
@@ -17,8 +17,8 @@
    branch bookkeeping, after which a one-instruction segment of the same
    body commits the instruction's own effect. Nothing runs twice and
    nothing is spelled out twice, so every observable — architectural
-   state, stats, cache/BTB contents, coverage, reports, recorder stream,
-   output — is what it would be with every instruction on the hooked
+   state, stats, cache/BTB contents, coverage, reports (with their
+   cycles), output — is what it would be with every instruction on the hooked
    step, which is how a drive runs while its tick leaves no budget (a tick
    that returns the current retired count pins every instruction there:
    a zero counter-reset interval, or a test's differential).

@@ -5,7 +5,7 @@
     The body is the only definition of an ordinary instruction's effect.
     A drive runs it in fast segments that stop — committing nothing —
     before any instruction that needs a hook: detector, watchpoint,
-    store-hook, syscall, recorder or spawn machinery (a watchpoint is
+    store-hook, syscall or spawn machinery (a watchpoint is
     needed by a watch/unwatch and by an access to a word the watch unit's
     filter reports watched; the store hook by a store, call or push into
     its range). The driver runs that one instruction through the hooked

@@ -6,23 +6,35 @@ type termination =
   | T_cache_overflow
 
 type record = {
+  path_id : int;
+  spawn_cycle : int;
   spawn_br_pc : int;
   forced_direction : bool;
   entry_pc : int;
   insns : int;
+  fast_insns : int;
   cycles : int;
   stores : int;
   branches : int;
   squashed_lines : int;
+  first_report : int;
+  reports : int;
   termination : termination;
 }
 
-let termination_name = function
-  | T_max_length -> "max-length"
-  | T_crash _ -> "crash"
-  | T_unsafe _ -> "unsafe-event"
-  | T_program_end -> "program-end"
-  | T_cache_overflow -> "cache-overflow"
+(* The terminations' names in alphabetical order, and each termination's
+   place among them. *)
+let termination_names =
+  [| "cache-overflow"; "crash"; "max-length"; "program-end"; "unsafe-event" |]
+
+let termination_rank = function
+  | T_cache_overflow -> 0
+  | T_crash _ -> 1
+  | T_max_length -> 2
+  | T_program_end -> 3
+  | T_unsafe _ -> 4
+
+let termination_name t = termination_names.(termination_rank t)
 
 let is_crash record =
   match record.termination with
@@ -35,12 +47,10 @@ let is_unsafe record =
   | T_max_length | T_crash _ | T_program_end | T_cache_overflow -> false
 
 (* Pooled spawn state: one context, one overlay sandbox, one driver handle
-   with its hooks and the per-spawn telemetry counter handles, recycled
-   across every NT-Path an engine run spawns. A spawn is then a register
-   blit plus O(1) resets instead of a context, two tables and a
-   segment's worth of closures allocated and thrown away per path — and its
-   termination accounting is five pre-resolved counter bumps instead of
-   five string hashes. *)
+   with its hooks, recycled across every NT-Path an engine run spawns. A
+   spawn is then a register blit plus O(1) resets instead of a context, two
+   tables and a segment's worth of closures allocated and thrown away per
+   path. *)
 type arena = {
   machine : Machine.t;
   config : Pe_config.t;
@@ -50,23 +60,7 @@ type arena = {
   fl : Fast_loop.t;
   hooks : Fast_loop.hooks;
   input_pos : int ref;  (* the path-local [getc] cursor *)
-  c_term : Telemetry.counter_handle array;  (* indexed by [term_index] *)
-  c_insns : Telemetry.counter_handle;
-  c_fast_insns : Telemetry.counter_handle;
-  c_cycles : Telemetry.counter_handle;
-  c_squashed : Telemetry.counter_handle;
 }
-
-let term_index = function
-  | T_max_length -> 0
-  | T_crash _ -> 1
-  | T_unsafe _ -> 2
-  | T_program_end -> 3
-  | T_cache_overflow -> 4
-
-let all_terminations =
-  [| T_max_length; T_crash Cpu.Div_by_zero; T_unsafe Insn.Sys_exit;
-     T_program_end; T_cache_overflow |]
 
 let termination_of_exit = function
   | Fast_loop.Limit -> T_max_length
@@ -125,7 +119,6 @@ let hooks machine (config : Pe_config.t) coverage ctx input_pos =
   { Fast_loop.tick = Fast_loop.no_tick; branch; syscall }
 
 let make_arena machine config coverage ~l1 ~line_limit =
-  let tel = machine.Machine.telemetry in
   let ctx = Context.create ~l1 ~pc:0 ~sp:0 in
   let input_pos = ref 0 in
   {
@@ -139,14 +132,6 @@ let make_arena machine config coverage ~l1 ~line_limit =
     fl = Fast_loop.make machine ctx coverage;
     hooks = hooks machine config coverage ctx input_pos;
     input_pos;
-    c_term =
-      Array.map
-        (fun t -> Telemetry.counter_handle tel ("nt.term." ^ termination_name t))
-        all_terminations;
-    c_insns = Telemetry.counter_handle tel "nt.insns";
-    c_fast_insns = Telemetry.counter_handle tel "nt.fast_insns";
-    c_cycles = Telemetry.counter_handle tel "nt.cycles";
-    c_squashed = Telemetry.counter_handle tel "nt.squashed_lines";
   }
 
 (* Execute one NT-Path to termination.
@@ -159,8 +144,9 @@ let make_arena machine config coverage ~l1 ~line_limit =
    mutations undone, and the buffered writes discarded — only detector
    reports (the monitor memory area) survive. *)
 let run ?fix_override arena ~l1 ~regs ~entry ~spawn_br_pc ~forced_direction
-    ~path_id =
+    ~path_id ~spawn_cycle =
   let machine = arena.machine and config = arena.config in
+  let first_report = Report.count machine.Machine.reports in
   let ctx = arena.ctx in
   Context.reset_for_spawn ctx ~l1 ~pc:entry;
   Array.blit regs 0 ctx.Context.regs 0 Reg.count;
@@ -187,38 +173,58 @@ let run ?fix_override arena ~l1 ~regs ~entry ~spawn_br_pc ~forced_direction
          ~limit:config.Pe_config.max_nt_path_length)
   in
   Context.undo_watches sandbox machine.Machine.watch;
-  let recorder = machine.Machine.recorder in
-  (* Time the squash (and the Terminate event below) at the path's own final
-     cycle count — the recorder's base is the spawn instant. *)
-  if Recorder.enabled recorder then
-    Recorder.set_local recorder ctx.Context.stats.Context.cycles;
   let squashed_lines = Cache.gang_invalidate l1 ~owner:path_id in
-  Telemetry.counter_incr arena.c_term.(term_index termination);
-  Telemetry.counter_add arena.c_insns ctx.Context.stats.Context.insns;
-  let fast_insns = Fast_loop.fast_insns arena.fl in
-  if fast_insns > 0 then Telemetry.counter_add arena.c_fast_insns fast_insns;
-  Telemetry.counter_add arena.c_cycles ctx.Context.stats.Context.cycles;
-  Telemetry.counter_add arena.c_squashed squashed_lines;
-  if Recorder.enabled recorder then begin
-    let cause : Recorder.cause =
-      match termination with
-      | T_max_length -> Recorder.Max_length
-      | T_crash _ -> Recorder.Crash
-      | T_unsafe _ -> Recorder.Unsafe_event
-      | T_program_end -> Recorder.Program_end
-      | T_cache_overflow -> Recorder.Cache_overflow
-    in
-    Recorder.emit_terminate recorder ~path_id ~cause
-      ~len:ctx.Context.stats.Context.insns ~dirty_lines:squashed_lines
-  end;
+  let stats = ctx.Context.stats in
   {
+    path_id;
+    spawn_cycle;
     spawn_br_pc;
     forced_direction;
     entry_pc = entry;
-    insns = ctx.Context.stats.Context.insns;
-    cycles = ctx.Context.stats.Context.cycles;
-    stores = ctx.Context.stats.Context.stores;
-    branches = ctx.Context.stats.Context.branches;
+    insns = stats.Context.insns;
+    fast_insns = Fast_loop.fast_insns arena.fl;
+    cycles = stats.Context.cycles;
+    stores = stats.Context.stores;
+    branches = stats.Context.branches;
     squashed_lines;
+    first_report;
+    reports = Report.count machine.Machine.reports - first_report;
     termination;
   }
+
+(* ---- Folds over a run's records ------------------------------------------ *)
+
+let termination_counts records =
+  let counts = Array.make (Array.length termination_names) 0 in
+  List.iter
+    (fun r ->
+      let i = termination_rank r.termination in
+      counts.(i) <- counts.(i) + 1)
+    records;
+  Array.to_list (Array.mapi (fun i n -> (termination_names.(i), n)) counts)
+
+let sum field records = List.fold_left (fun acc r -> acc + field r) 0 records
+
+(* A counter is written only when some record adds to it, and
+   [nt.fast_insns] only when it is non-zero: a run that spawns nothing
+   leaves no [nt.*] metric in its sink. *)
+let record_telemetry tel records =
+  if records <> [] then begin
+    List.iter
+      (fun (name, n) -> if n > 0 then Telemetry.count tel ("nt.term." ^ name) n)
+      (termination_counts records);
+    Telemetry.count tel "nt.insns" (sum (fun r -> r.insns) records);
+    let fast = sum (fun r -> r.fast_insns) records in
+    if fast > 0 then Telemetry.count tel "nt.fast_insns" fast;
+    Telemetry.count tel "nt.cycles" (sum (fun r -> r.cycles) records);
+    Telemetry.count tel "nt.squashed_lines"
+      (sum (fun r -> r.squashed_lines) records)
+  end;
+  ignore
+    (List.fold_left
+       (fun last r ->
+         Telemetry.observe tel "nt.spawn_interarrival" (r.spawn_cycle - last);
+         Telemetry.observe tel "nt.len" r.insns;
+         Telemetry.observe tel "nt.dirty_per_squash" r.squashed_lines;
+         r.spawn_cycle)
+       0 records)

@@ -1,4 +1,5 @@
-(** One NT-Path: spawn, sandboxed execution, termination, squash.
+(** One NT-Path: spawn, sandboxed execution, termination, squash — and its
+    record, the run's only live account of the path.
 
     The runner copies the spawning core's registers, redirects the pc to the
     forced edge's stub (setting the predicate register iff fixing is on, so
@@ -10,7 +11,9 @@
     undone and its writes discarded; only detector reports survive.
 
     This is the only NT-Path runner: the standard and CMP engines and the
-    software PathExpander all spawn through {!run}. *)
+    software PathExpander all spawn through {!run}. Each spawn yields one
+    {!record}; telemetry, the trace ({!Trace}) and the observatory are
+    folds over a run's records, taken when the run ends. *)
 
 type termination =
   | T_max_length  (** reached [MaxNTPathLength] instructions *)
@@ -20,14 +23,21 @@ type termination =
   | T_cache_overflow  (** dirtied more lines than L1 can buffer *)
 
 type record = {
+  path_id : int;  (** the path's cache version tag *)
+  spawn_cycle : int;  (** the primary core's cycle count at the spawn *)
   spawn_br_pc : int;  (** the branch whose non-taken edge was forced *)
   forced_direction : bool;
   entry_pc : int;  (** head of the forced edge's stub *)
   insns : int;
-  cycles : int;
+  fast_insns : int;  (** of [insns], those retired on the fast tier *)
+  cycles : int;  (** the path's own cycles, counted from its spawn *)
   stores : int;
   branches : int;
   squashed_lines : int;  (** dirty L1 lines gang-invalidated at squash *)
+  first_report : int;
+      (** index in the machine's report log of the first report the path
+          filed; it filed [reports] entries from there on, contiguously *)
+  reports : int;
   termination : termination;
 }
 
@@ -68,4 +78,18 @@ val run :
   spawn_br_pc:int ->
   forced_direction:bool ->
   path_id:int ->
+  spawn_cycle:int ->
   record
+
+(** {1 Folds over a run's records} *)
+
+(** How many records ended in each termination, keyed by
+    {!termination_name} in alphabetical order, zeros included. *)
+val termination_counts : record list -> (string * int) list
+
+(** Write the records' NT-Path metrics into a telemetry sink: the
+    [nt.term.<termination>], [nt.insns], [nt.fast_insns], [nt.cycles] and
+    [nt.squashed_lines] counters (each only when some record adds to it)
+    and the [nt.len], [nt.dirty_per_squash] and [nt.spawn_interarrival]
+    histograms. [records] are in spawn order. *)
+val record_telemetry : Telemetry.t -> record list -> unit

@@ -42,23 +42,20 @@ let par_map ctx f xs = Pool.map ~jobs:ctx.spec.Run_spec.jobs f xs
 let compile ctx ?detector ?fixing ?bug workload =
   Workload.compile ?detector ?fixing ~opt:ctx.spec.Run_spec.opt ?bug workload
 
-let machine ctx ~input program =
-  let recorder =
-    if ctx.spec.Run_spec.trace then Recorder.create () else Recorder.disabled
-  in
-  Machine.create ~input ~recorder program
-
 let engine ctx ~config machine =
   let spec = ctx.spec in
   let result = Engine.run ~obs:spec.Run_spec.obs ~config machine in
   let tel = machine.Machine.telemetry in
-  let recorder = machine.Machine.recorder in
-  (* Serialized here, on the run's own domain, so parallel sweeps render
-     their traces in parallel. *)
+  (* Derived and serialized here, on the run's own domain, so parallel
+     sweeps render their traces in parallel. *)
   let trace =
-    if Recorder.enabled recorder then
+    if spec.Run_spec.trace then
       let label = Telemetry.label tel in
-      Some (label, Recorder.jsonl_of_dump (Recorder.dump ~label recorder))
+      Some
+        ( label,
+          Trace.to_jsonl
+            (Trace.of_run ~label result
+               (Report.entries machine.Machine.reports)) )
     else None
   in
   Mutex.protect ctx.lock (fun () ->
@@ -70,7 +67,7 @@ let run_app ctx ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
     ?(mode = Pe_config.Standard) ?config ?input (workload : Workload.t) =
   let compiled = compile ctx ~detector ~fixing ?bug workload in
   let input = Option.value ~default:workload.Workload.default_input input in
-  let machine = machine ctx ~input compiled.Compile.program in
+  let machine = Machine.create ~input compiled.Compile.program in
   let config =
     match config with
     | Some c -> { c with Pe_config.fixing = c.Pe_config.fixing && fixing }

@@ -2,7 +2,7 @@
 
 (** What one experiment leg runs with: the {!Run_spec.t}, where its report
     text goes, and what its runs leave behind. Every run made through
-    {!run_app} or {!engine} appends its flight-recorder trace and telemetry
+    {!run_app} or {!engine} appends its NT-Path trace and telemetry
     sink (when the spec asks for them) under a mutex, so runs fanned out by
     {!par_map} on other domains land in the same context. *)
 type ctx
@@ -51,18 +51,14 @@ val compile :
   ctx -> ?detector:Codegen.detector -> ?fixing:bool -> ?bug:int ->
   Workload.t -> Compile.compiled
 
-(** A machine with, when the spec traces, a fresh enabled flight
-    recorder. *)
-val machine : ctx -> input:string -> Program.t -> Machine.t
-
-(** Run the engine on a machine made by {!machine} under [config]; the
-    spec's [obs] arms the observatory bookkeeping. Appends the run's trace
-    and telemetry to the context. *)
+(** Run the engine under [config] on a machine that has made no run yet;
+    the spec's [obs] arms the observatory bookkeeping. Appends the run's
+    trace and telemetry to the context. *)
 val engine : ctx -> config:Pe_config.t -> Machine.t -> Engine.result
 
-(** Compile and execute one workload configuration through {!compile},
-    {!machine} and {!engine}, and — when the spec asks for it — append the
-    run's observatory snapshot. [config] overrides the workload's default
+(** Compile and execute one workload configuration through {!compile} and
+    {!engine}, and — when the spec asks for it — append the run's
+    observatory snapshot. [config] overrides the workload's default
     PathExpander configuration ([mode] is ignored when [config] is given);
     [fixing] gates both the compiled stubs and the engine behaviour. *)
 val run_app :

@@ -15,7 +15,7 @@ let cumulative ctx ?(inputs = 50) ?(seed = 7) (workload : Workload.t) =
       if i = 1 then workload.Workload.default_input
       else workload.Workload.gen_input rng
     in
-    let machine = Exp_common.machine ctx ~input compiled.Compile.program in
+    let machine = Machine.create ~input compiled.Compile.program in
     let result =
       Exp_common.engine ctx ~config:(Workload.pe_config workload) machine
     in

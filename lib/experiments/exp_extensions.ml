@@ -114,7 +114,7 @@ let diduce_names ctx (workload : Workload.t) ~bug ~mode =
   let train = Diduce.create compiled.Compile.program in
   let run config =
     let machine =
-      Exp_common.machine ctx ~input:workload.Workload.default_input
+      Machine.create ~input:workload.Workload.default_input
         compiled.Compile.program
     in
     Diduce.attach train machine;

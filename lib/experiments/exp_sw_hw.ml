@@ -13,7 +13,7 @@ let measure ctx (workload : Workload.t) =
   in
   let compiled = Exp_common.compile ctx workload in
   let machine =
-    Exp_common.machine ctx ~input:workload.Workload.default_input
+    Machine.create ~input:workload.Workload.default_input
       compiled.Compile.program
   in
   let sw = Soft_engine.run ~config:(Workload.pe_config workload) machine in

@@ -6,7 +6,7 @@
 type t = {
   opt : Opt.level;  (** optimization level of every compilation *)
   trace : bool;
-      (** give every run an enabled flight recorder and keep its trace *)
+      (** keep every run's trace, derived from its NT-Path records *)
   obs : bool;
       (** arm the Coverage Observatory's bookkeeping in every run and keep
           a snapshot of each {!Exp_common.run_app} run *)

@@ -13,7 +13,7 @@
    pages it fills. Line indices outside a page (journals, snapshots,
    sweeps) are global: [set * assoc + way].
 
-   Squash and commit are O(lines the path touched), not O(cache): every
+   A squash is O(lines the path touched), not O(cache): every
    ownership acquisition journals the line index under its owner (the
    hardware analogue is the gang-clear circuitry of Section 4.3, which
    flash-clears the matching version tags in a handful of cycles — a
@@ -54,8 +54,8 @@ let tracked_owners = 256
 
    The memo, unlike the filter, is trusted without re-validation, so every
    mutation that could invalidate or retag a memoized line outside
-   [access_line] — gang-invalidate (squash, path-id-wrap cleanup), lazy
-   commit and their sweeps — must kill it ([memo_kill]).
+   [access_line] — gang-invalidate (squash, path-id-wrap cleanup) and its
+   sweep — must kill it ([memo_kill]).
    Mutations *inside* [access_line] (fill, eviction, write-hit retag)
    refresh the memo as part of the access. *)
 
@@ -132,9 +132,6 @@ type t = {
   mutable memo_laddr1 : int;
   mutable memo_set1 : int;
   mutable memo_owner1 : int;
-  mutable recorder : Recorder.t;
-      (* the owning machine's flight recorder (the disabled singleton until
-         attached): squash/commit of an owner's lines emit lifecycle events *)
 }
 
 let log2_pow2 n =
@@ -170,10 +167,7 @@ let create ~size_kb ~assoc ~line_bytes =
     memo_laddr1 = min_int;
     memo_set1 = -2;
     memo_owner1 = -1;
-    recorder = Recorder.disabled;
   }
-
-let set_recorder cache recorder = cache.recorder <- recorder
 
 (* Out of line: a page's first fill is rare, and [access_line] is the
    simulator's hottest function. A fresh page stores only the sets a page
@@ -191,7 +185,7 @@ let slot_of cache i = i mod cache.page_lines
 (* Kill the MRU memo (both entries). Called by every mutation path that can
    invalidate or retag lines without going through [access_line]: squash
    (gang-invalidate, including the defensive path-id-wrap cleanup when it
-   actually releases lines) and lazy commit, indexed or swept. The filter
+   actually releases lines), indexed or swept. The filter
    needs no such care — it is re-verified on every probe. *)
 let memo_kill cache =
   cache.memo_laddr0 <- min_int;
@@ -444,19 +438,6 @@ let sweep_gang_invalidate cache ~owner =
   if count > 0 then memo_kill cache;
   count
 
-let sweep_commit_owner cache ~owner =
-  let count =
-    sweep_owner cache ~owner (fun page s ->
-        page.owners.(s) <- committed_owner;
-        count_decr cache owner;
-        count_incr cache committed_owner)
-  in
-  (* Retagging invalidates the memo's owner mirror: a same-owner write to a
-     memoized line would otherwise skip the retag-and-journal the now
-     committed line is due. *)
-  if count > 0 then memo_kill cache;
-  count
-
 let sweep_owned_lines cache ~owner = sweep_owner cache ~owner (fun _ _ -> ())
 
 (* Gang-invalidate every line owned by [owner] (NT-Path squash): walk only
@@ -464,43 +445,17 @@ let sweep_owned_lines cache ~owner = sweep_owner cache ~owner (fun _ _ -> ())
    handful of cycles; the cycle cost is charged separately as the squash
    overhead. *)
 let gang_invalidate cache ~owner =
-  let count =
-    if tracked owner && owner <> committed_owner then begin
-      let count = cache.owner_count.(owner) in
-      drain_journal cache ~owner (fun page s ->
-          Bytes.unsafe_set page.valid s '\000';
-          page.owners.(s) <- committed_owner);
-      cache.owner_count.(owner) <- 0;
-      (* Same hazard as the sweep: a squashed line may be memoized. *)
-      if count > 0 then memo_kill cache;
-      count
-    end
-    else sweep_gang_invalidate cache ~owner
-  in
-  (* Only squashes that released lines are trace-worthy: the defensive
-     cleanup on path-id wrap gang-invalidates empty owners every spawn. *)
-  if Recorder.enabled cache.recorder && count > 0 then
-    Recorder.emit_squash cache.recorder ~owner ~lines:count;
-  count
-
-(* Lazily commit a path's lines: retag them as committed data. *)
-let commit_owner cache ~owner =
-  let count =
-    if tracked owner && owner <> committed_owner then begin
-      let count = cache.owner_count.(owner) in
-      drain_journal cache ~owner (fun page s ->
-          page.owners.(s) <- committed_owner;
-          count_incr cache committed_owner);
-      cache.owner_count.(owner) <- 0;
-      (* Same hazard as the sweep: the memo's owner mirror is now stale. *)
-      if count > 0 then memo_kill cache;
-      count
-    end
-    else sweep_commit_owner cache ~owner
-  in
-  if Recorder.enabled cache.recorder && count > 0 then
-    Recorder.emit_commit cache.recorder ~owner ~lines:count;
-  count
+  if tracked owner && owner <> committed_owner then begin
+    let count = cache.owner_count.(owner) in
+    drain_journal cache ~owner (fun page s ->
+        Bytes.unsafe_set page.valid s '\000';
+        page.owners.(s) <- committed_owner);
+    cache.owner_count.(owner) <- 0;
+    (* Same hazard as the sweep: a squashed line may be memoized. *)
+    if count > 0 then memo_kill cache;
+    count
+  end
+  else sweep_gang_invalidate cache ~owner
 
 let owned_lines cache ~owner =
   if tracked owner then cache.owner_count.(owner)

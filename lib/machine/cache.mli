@@ -3,8 +3,8 @@
     Used for timing (hit/miss latency accounting) and for the paper's
     L1-based NT-Path sandboxing: lines written by an NT-Path carry that
     path's ID as a version tag (the standard configuration's 1-bit Vtag is
-    the two-ID special case); squashing a path gang-invalidates its lines and
-    committing a taken-path segment lazily retags them as committed. *)
+    the two-ID special case); squashing a path gang-invalidates its
+    lines. *)
 
 type t
 
@@ -14,12 +14,6 @@ type outcome = Hit | Miss
 val committed_owner : int
 
 val create : size_kb:int -> assoc:int -> line_bytes:int -> t
-
-(** Attach the owning machine's flight recorder (the {!Recorder.disabled}
-    singleton until attached): {!gang_invalidate} and {!commit_owner} then
-    emit [Squash]/[Commit] lifecycle events for line-releasing operations,
-    timestamped with the recorder's current sim-time clock. *)
-val set_recorder : t -> Recorder.t -> unit
 
 (** [access ?owner ?write ?allocate cache addr] touches the line holding
     word [addr], filling it on a miss unless [allocate] is [false]
@@ -57,13 +51,9 @@ val memo_probe : t -> int -> owner:int -> write:bool -> bool
 val add_hits : t -> int -> unit
 
 (** Invalidate all lines version-tagged [owner]; returns how many.
-    O(lines the owner touched since its last squash/commit) for 8-bit
+    O(lines the owner touched since its last squash) for 8-bit
     owner ids, via a per-owner journal of ownership acquisitions. *)
 val gang_invalidate : t -> owner:int -> int
-
-(** Retag all lines of [owner] as committed; returns how many. Indexed like
-    {!gang_invalidate}. *)
-val commit_owner : t -> owner:int -> int
 
 (** Number of valid lines currently tagged [owner]; O(1) for 8-bit ids. *)
 val owned_lines : t -> owner:int -> int

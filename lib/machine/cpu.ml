@@ -23,35 +23,24 @@ let fault_to_string = function
   | Bad_pc pc -> Printf.sprintf "bad pc %d" pc
   | Sandbox_overflow -> "sandbox overflow outside a sandbox"
 
-(* File a detector report with its path-origin provenance, and mirror it
-   into the flight recorder. Hooks run before their instruction retires,
-   so the report is stamped at the instruction's issue cycle, one past the
-   context's retired cycles (timestamped base + the reporting context's
-   own cycles — sim time, so traces stay deterministic). *)
+(* File a detector report with its path-origin provenance. Hooks run
+   before their instruction retires, so the report is stamped at the
+   instruction's issue cycle, one past the context's retired cycles (sim
+   time, so anything derived from it stays deterministic). *)
 let file_report machine ctx site =
-  let recorder = machine.Machine.recorder in
   let pc = ctx.Context.pc in
-  let issue = ctx.Context.stats.Context.cycles + 1 in
+  let cycle = ctx.Context.stats.Context.cycles + 1 in
+  let insn_index = machine.Machine.insn_index in
   match ctx.Context.sandbox with
   | Some sb ->
-    let path_id = Context.sandbox_path_id sb in
-    let spawn_site = Context.sandbox_spawn_pc sb in
-    let edge = if Context.sandbox_spawn_edge sb then 1 else 0 in
-    Report.file machine.Machine.reports ~site ~origin:(Report.Nt_path path_id)
-      ~spawn_br_pc:spawn_site ~branch_edge:edge ~pc
-      ~insn_index:machine.Machine.insn_index;
-    if Recorder.enabled recorder then begin
-      Recorder.set_local recorder issue;
-      Recorder.emit_bug recorder ~site ~origin:path_id ~spawn_site ~edge ~pc
-    end
+    Report.file machine.Machine.reports ~site
+      ~origin:(Report.Nt_path (Context.sandbox_path_id sb))
+      ~spawn_br_pc:(Context.sandbox_spawn_pc sb)
+      ~branch_edge:(if Context.sandbox_spawn_edge sb then 1 else 0)
+      ~pc ~insn_index ~cycle
   | None ->
     Report.file machine.Machine.reports ~site ~origin:Report.Taken_path ~pc
-      ~insn_index:machine.Machine.insn_index;
-    if Recorder.enabled recorder then begin
-      Recorder.set_local recorder issue;
-      Recorder.emit_bug recorder ~site ~origin:0 ~spawn_site:(-1) ~edge:(-1)
-        ~pc
-    end
+      ~insn_index ~cycle
 
 (* [addr] is valid here, so the per-word filter is exact: the range list
    is walked only for an access that some range contains. The hooks are

@@ -8,8 +8,7 @@
     watch unit's reports and the store hook of a data access ({!access}),
     and the instructions that are all hook — syscalls, watch and unwatch,
     checks and halt ({!step}). A hook runs before its instruction retires,
-    so a report is stamped in the flight recorder at the instruction's
-    issue cycle. *)
+    so a report is stamped with the instruction's issue cycle. *)
 
 type fault =
   | Mem_fault of Memory.fault

@@ -16,11 +16,9 @@ type t = {
   mutable insn_index : int;
   mutable store_hook : store_hook option;
   telemetry : Telemetry.t;
-  recorder : Recorder.t;
 }
 
-let create ?(config = Machine_config.default) ?(input = "")
-    ?(recorder = Recorder.disabled) program =
+let create ?(config = Machine_config.default) ?(input = "") program =
   let mem =
     Memory.create ~globals_words:program.Program.globals_words
       ~heap_words:config.Machine_config.heap_words
@@ -37,7 +35,6 @@ let create ?(config = Machine_config.default) ?(input = "")
       ~assoc:config.Machine_config.l2_assoc
       ~line_bytes:config.Machine_config.line_bytes
   in
-  Cache.set_recorder l2 recorder;
   {
     config;
     program;
@@ -52,17 +49,12 @@ let create ?(config = Machine_config.default) ?(input = "")
     insn_index = 0;
     store_hook = None;
     telemetry = Telemetry.create ();
-    recorder;
   }
 
 let new_l1 machine =
-  let l1 =
-    Cache.create ~size_kb:machine.config.Machine_config.l1_size_kb
-      ~assoc:machine.config.Machine_config.l1_assoc
-      ~line_bytes:machine.config.Machine_config.line_bytes
-  in
-  Cache.set_recorder l1 machine.recorder;
-  l1
+  Cache.create ~size_kb:machine.config.Machine_config.l1_size_kb
+    ~assoc:machine.config.Machine_config.l1_assoc
+    ~line_bytes:machine.config.Machine_config.line_bytes
 
 let main_context machine =
   Context.create ~l1:(new_l1 machine) ~pc:machine.program.Program.entry

@@ -30,21 +30,13 @@ type t = {
   telemetry : Telemetry.t;
       (** per-run observability sink; the engine fills it with spawn,
           termination, cache, BTB and phase-timing data *)
-  recorder : Recorder.t;
-      (** per-run flight recorder of NT-Path lifecycle events in sim time;
-          the {!Recorder.disabled} singleton unless an enabled recorder was
-          passed to {!create}, making every emit site a single branch *)
 }
 
 (** Lays out memory, installs initial data and points the runtime
     allocator's break word (global address 1) at the heap base. The
     program needs no check or decode here: {!Program.make} validated it,
-    and the interpreter runs its packed words in place.
-    [recorder] (default {!Recorder.disabled}) is attached to the L2 and
-    every L1 this machine creates. *)
-val create :
-  ?config:Machine_config.t -> ?input:string -> ?recorder:Recorder.t ->
-  Program.t -> t
+    and the interpreter runs its packed words in place. *)
+val create : ?config:Machine_config.t -> ?input:string -> Program.t -> t
 
 (** A fresh L1 cache with this machine's geometry (one per core). *)
 val new_l1 : t -> Cache.t

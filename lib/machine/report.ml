@@ -15,6 +15,9 @@ type entry = {
   origin : origin;
   pc : int;
   insn_index : int;
+  cycle : int;
+      (* the reporting context's issue cycle: the primary core's on the
+         taken path, path-local inside an NT-Path *)
   spawn_br_pc : int;  (* spawning branch pc; -1 on the taken path *)
   branch_edge : int;  (* forced direction 0/1; -1 on the taken path *)
 }
@@ -24,9 +27,10 @@ type t = { mutable entries : entry list; mutable count : int }
 let create () = { entries = []; count = 0 }
 
 let file ?(spawn_br_pc = -1) ?(branch_edge = -1) log ~site ~origin ~pc
-    ~insn_index =
+    ~insn_index ~cycle =
   log.entries <-
-    { site; origin; pc; insn_index; spawn_br_pc; branch_edge } :: log.entries;
+    { site; origin; pc; insn_index; cycle; spawn_br_pc; branch_edge }
+    :: log.entries;
   log.count <- log.count + 1
 
 let entries log = List.rev log.entries

@@ -12,6 +12,10 @@ type entry = {
   origin : origin;
   pc : int;  (** pc of the reporting instruction *)
   insn_index : int;  (** dynamic instruction count when filed *)
+  cycle : int;
+      (** issue cycle of the reporting instruction in its own context: the
+          primary core's cycles on the taken path, cycles since the spawn
+          inside an NT-Path *)
   spawn_br_pc : int;
       (** pc of the branch whose non-taken edge spawned the reporting
           NT-Path; [-1] for taken-path reports *)
@@ -34,6 +38,7 @@ val file :
   origin:origin ->
   pc:int ->
   insn_index:int ->
+  cycle:int ->
   unit
 
 (** All entries, oldest first. *)

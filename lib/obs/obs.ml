@@ -8,8 +8,8 @@
    that ran the workload, from deterministic inputs only (coverage bitmaps,
    BTB state, simulation counters — never wall-clock), so a parallel sweep
    collects byte-identical snapshots in nondeterministic order and
-   [save_dir] restores a canonical order, exactly like the flight
-   recorder's trace capture.
+   [save_dir] restores a canonical order, exactly like the NT-Path trace
+   capture.
 
    Two sections of the JSON — "tiers" and "cache" — describe how the
    simulator ran (fast-tier occupancy, deopt causes, memo and filter hits)
@@ -172,9 +172,6 @@ let jfloat = Jsonu.jfloat
 let jobj = Jsonu.jobj
 let jarr = Jsonu.jarr
 
-let termination_keys =
-  [ "cache-overflow"; "crash"; "max-length"; "program-end"; "unsafe-event" ]
-
 let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
     ~(result : Engine.result) ~(config : Pe_config.t) =
   let coverage = result.Engine.coverage in
@@ -199,16 +196,9 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
       cfg paths
   in
   let terminations =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        let k = Nt_path.termination_name r.Nt_path.termination in
-        Hashtbl.replace tbl k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      result.Engine.nt_records;
     List.map
-      (fun k -> (k, jint (Option.value ~default:0 (Hashtbl.find_opt tbl k))))
-      termination_keys
+      (fun (k, n) -> (k, jint n))
+      (Nt_path.termination_counts result.Engine.nt_records)
   in
   let c name = Telemetry.counter tel name in
   let taken_insns = result.Engine.taken_insns in
@@ -327,7 +317,7 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
   in
   { label; json }
 
-(* ---- Directory export (the same writer as the flight recorder's) -------- *)
+(* ---- Directory export (the same writer as the NT-Path trace's) ---------- *)
 
 let save_dir ~dir snapshots =
   Artifact_dir.save ~dir ~prefix:"obs" ~ext:"json" ~newline:true snapshots

@@ -67,6 +67,7 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
           ~entry:(if taken then br_pc + 1 else ctx.Context.br_target)
           ~spawn_br_pc:br_pc ~forced_direction:(not taken)
           ~path_id:(((!spawns - 1) mod 255) + 1)
+          ~spawn_cycle:ctx.Context.stats.Context.cycles
       in
       nt_records := record :: !nt_records
     end
@@ -82,6 +83,7 @@ let run ?(config = Pe_config.default) ?(model = Pin_model.default)
          ~spawning:true ~threshold:max_int ~limit:fuel)
   in
   let nt_records = List.rev !nt_records in
+  Nt_path.record_telemetry machine.Machine.telemetry nt_records;
   let nt_sum field =
     List.fold_left (fun acc record -> acc + field record) 0 nt_records
   in

@@ -1,7 +1,7 @@
-(* Hand-rolled JSON helpers shared by the telemetry sink and the flight
-   recorder: deterministic emission (stable key order is the caller's job)
-   and a small strict parser used to validate emitted traces in tests and
-   CI without pulling in a JSON dependency. *)
+(* Hand-rolled JSON helpers shared by the telemetry sink, the NT-Path
+   trace and the observatory: deterministic emission (stable key order is
+   the caller's job) and a small strict parser used to validate emitted
+   traces in tests and CI without pulling in a JSON dependency. *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 2) in

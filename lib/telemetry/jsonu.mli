@@ -1,8 +1,8 @@
 (** Deterministic JSON emission helpers plus a small strict parser.
 
-    The emitters are shared by {!Telemetry} and {!Recorder}; the parser
-    exists so tests and CI can round-trip every emitted line without a JSON
-    library dependency. *)
+    The emitters are shared by {!Telemetry}, the NT-Path trace and the
+    Coverage Observatory; the parser exists so tests and CI can round-trip
+    every emitted line without a JSON library dependency. *)
 
 (** Backslash-escape a string for embedding in a JSON string literal. *)
 val escape : string -> string

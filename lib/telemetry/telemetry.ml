@@ -55,34 +55,6 @@ let incr t name = count t name 1
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-(* Pre-resolved counter handle for per-event hot paths (NT-Path spawn and
-   termination accounting): the name is hashed at most once, on the first
-   add. Resolution is lazy so a handle that is never added through leaves
-   the sink's exported counter set untouched — exactly the semantics of
-   calling {!count} on demand. *)
-type counter_handle = {
-  ch_t : t;
-  ch_name : string;
-  mutable ch_cell : int ref option;
-}
-
-let counter_handle t name = { ch_t = t; ch_name = name; ch_cell = None }
-
-let counter_add ch n =
-  match ch.ch_cell with
-  | Some r -> r := !r + n
-  | None ->
-    (match Hashtbl.find_opt ch.ch_t.counters ch.ch_name with
-     | Some r ->
-       r := !r + n;
-       ch.ch_cell <- Some r
-     | None ->
-       let r = ref n in
-       Hashtbl.replace ch.ch_t.counters ch.ch_name r;
-       ch.ch_cell <- Some r)
-
-let counter_incr ch = counter_add ch 1
-
 let gauge t name v =
   match Hashtbl.find_opt t.gauges name with
   | Some r -> r := v
@@ -103,33 +75,30 @@ let hist_bucket_index v =
 
 let hist_bucket_lo i = if i <= 0 then 0 else 1 lsl (i - 1)
 
-(* Resolve (or create) the named histogram once; hot loops hold the handle
-   and pay only the bucket increment per observation, not a name lookup. *)
-let hist t name =
-  match Hashtbl.find_opt t.hists name with
-  | Some h -> h
-  | None ->
-    let h =
-      {
-        h_count = 0;
-        h_sum = 0;
-        h_min = max_int;
-        h_max = min_int;
-        h_buckets = Array.make hist_bucket_count 0;
-      }
-    in
-    Hashtbl.replace t.hists name h;
-    h
+let empty_hist () =
+  {
+    h_count = 0;
+    h_sum = 0;
+    h_min = max_int;
+    h_max = min_int;
+    h_buckets = Array.make hist_bucket_count 0;
+  }
 
-let hist_observe h v =
+let observe t name v =
+  let h =
+    match Hashtbl.find_opt t.hists name with
+    | Some h -> h
+    | None ->
+      let h = empty_hist () in
+      Hashtbl.replace t.hists name h;
+      h
+  in
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   let i = hist_bucket_index v in
   h.h_buckets.(i) <- h.h_buckets.(i) + 1
-
-let observe t name v = hist_observe (hist t name) v
 
 let hist_count t name =
   match Hashtbl.find_opt t.hists name with Some h -> h.h_count | None -> 0
@@ -206,13 +175,9 @@ let hist_json h =
       ("buckets", Jsonu.jarr !buckets);
     ]
 
-(* Resolved-but-never-observed histograms (hot paths pre-resolve handles
-   even for runs that spawn nothing) are elided, not serialized empty. *)
+(* A histogram exists only once observed, so none is empty. *)
 let hists_json t =
-  jobj
-    (List.filter_map
-       (fun (k, h) -> if h.h_count > 0 then Some (k, hist_json h) else None)
-       (sorted_bindings t.hists))
+  jobj (List.map (fun (k, h) -> (k, hist_json h)) (sorted_bindings t.hists))
 
 let timers_json t =
   jobj
@@ -290,36 +255,34 @@ let to_prometheus t =
     (sorted_bindings t.gauges);
   List.iter
     (fun (k, h) ->
-      if h.h_count > 0 then begin
-        let name = prom_name k in
-        Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
-        let cum = ref 0 in
-        for i = 0 to hist_bucket_count - 1 do
-          if h.h_buckets.(i) > 0 then begin
-            cum := !cum + h.h_buckets.(i);
-            (* bucket i covers up to 2^i - 1 (bucket 0: values <= 0) *)
-            let le = if i = 0 then 0 else (1 lsl i) - 1 in
-            let labels =
-              if t.label = "" then Printf.sprintf "{le=\"%d\"}" le
-              else
-                Printf.sprintf "{run=\"%s\",le=\"%d\"}"
-                  (prom_label_value t.label) le
-            in
-            Buffer.add_string b
-              (Printf.sprintf "%s_bucket%s %d\n" name labels !cum)
-          end
-        done;
-        let labels =
-          if t.label = "" then "{le=\"+Inf\"}"
-          else Printf.sprintf "{run=\"%s\",le=\"+Inf\"}" (prom_label_value t.label)
-        in
-        Buffer.add_string b
-          (Printf.sprintf "%s_bucket%s %d\n" name labels h.h_count);
-        Buffer.add_string b
-          (Printf.sprintf "%s_sum%s %d\n" name run_label h.h_sum);
-        Buffer.add_string b
-          (Printf.sprintf "%s_count%s %d\n" name run_label h.h_count)
-      end)
+      let name = prom_name k in
+      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
+      let cum = ref 0 in
+      for i = 0 to hist_bucket_count - 1 do
+        if h.h_buckets.(i) > 0 then begin
+          cum := !cum + h.h_buckets.(i);
+          (* bucket i covers up to 2^i - 1 (bucket 0: values <= 0) *)
+          let le = if i = 0 then 0 else (1 lsl i) - 1 in
+          let labels =
+            if t.label = "" then Printf.sprintf "{le=\"%d\"}" le
+            else
+              Printf.sprintf "{run=\"%s\",le=\"%d\"}"
+                (prom_label_value t.label) le
+          in
+          Buffer.add_string b
+            (Printf.sprintf "%s_bucket%s %d\n" name labels !cum)
+        end
+      done;
+      let labels =
+        if t.label = "" then "{le=\"+Inf\"}"
+        else Printf.sprintf "{run=\"%s\",le=\"+Inf\"}" (prom_label_value t.label)
+      in
+      Buffer.add_string b
+        (Printf.sprintf "%s_bucket%s %d\n" name labels h.h_count);
+      Buffer.add_string b
+        (Printf.sprintf "%s_sum%s %d\n" name run_label h.h_sum);
+      Buffer.add_string b
+        (Printf.sprintf "%s_count%s %d\n" name run_label h.h_count))
     (sorted_bindings t.hists);
   List.iter
     (fun (k, tm) ->
@@ -387,30 +350,18 @@ let aggregate_json sinks =
       Hashtbl.iter (fun k r -> add gdists k !r) t.gauges;
       Hashtbl.iter
         (fun k h ->
-          if h.h_count = 0 then ()  (* pre-resolved, never observed *)
-          else
           let acc =
             match Hashtbl.find_opt htotals k with
             | Some acc -> acc
             | None ->
-              let acc =
-                {
-                  h_count = 0;
-                  h_sum = 0;
-                  h_min = max_int;
-                  h_max = min_int;
-                  h_buckets = Array.make hist_bucket_count 0;
-                }
-              in
+              let acc = empty_hist () in
               Hashtbl.replace htotals k acc;
               acc
           in
           acc.h_count <- acc.h_count + h.h_count;
           acc.h_sum <- acc.h_sum + h.h_sum;
-          if h.h_count > 0 then begin
-            if h.h_min < acc.h_min then acc.h_min <- h.h_min;
-            if h.h_max > acc.h_max then acc.h_max <- h.h_max
-          end;
+          if h.h_min < acc.h_min then acc.h_min <- h.h_min;
+          if h.h_max > acc.h_max then acc.h_max <- h.h_max;
           Array.iteri
             (fun i n -> acc.h_buckets.(i) <- acc.h_buckets.(i) + n)
             h.h_buckets)

@@ -29,17 +29,6 @@ val incr : t -> string -> unit
 (** Current value of a counter (0 when never touched). *)
 val counter : t -> string -> int
 
-(** A pre-resolved counter handle for per-event hot paths: the name is
-    hashed at most once (on the first {!counter_add}), and a handle that is
-    never added through leaves the exported counter set untouched — the
-    exact semantics of calling {!count} on demand, minus the per-event
-    hashtable lookup. *)
-type counter_handle
-
-val counter_handle : t -> string -> counter_handle
-val counter_add : counter_handle -> int -> unit
-val counter_incr : counter_handle -> unit
-
 (** [gauge t name v] sets gauge [name] to [v] (last write wins). *)
 val gauge : t -> string -> float -> unit
 
@@ -50,14 +39,6 @@ val gauge_value : t -> string -> float option
     [2^(i-1) .. 2^i - 1], so 63 buckets cover every non-negative int
     including [max_int]. *)
 val observe : t -> string -> int -> unit
-
-(** A resolved histogram handle: {!hist} looks the name up (creating the
-    histogram if needed) once, and {!hist_observe} records through the
-    handle without re-hashing the name — for per-event hot paths. *)
-type hist
-
-val hist : t -> string -> hist
-val hist_observe : hist -> int -> unit
 
 (** Total observations recorded under histogram [name] (0 when absent). *)
 val hist_count : t -> string -> int
@@ -87,9 +68,7 @@ val to_json : t -> string
 val to_prometheus : t -> string
 
 (** Drop every metric, returning the sink to its just-created state (label
-    kept). Counter and histogram handles resolved before the reset are
-    invalidated — adds through them would mutate detached cells — so
-    re-resolve handles after resetting. *)
+    kept). *)
 val reset : t -> unit
 
 (** Aggregate many per-run sinks: counters and gauges become

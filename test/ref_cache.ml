@@ -2,7 +2,7 @@
    for [Cache]'s MRU line memo, its tag filter and its journal-indexed
    owner operations. It shares no code with [Cache]: flat arrays, an LRU
    clock that ticks on every access, fill on miss with invalid ways first,
-   a version tag (owner) per line, and squash, commit and owned-lines as
+   a version tag (owner) per line, and squash and owned-lines as
    sweeps over every line. No memo, no filter, no pages, no journals.
 
    The state it exposes is the cache's canonical snapshot: per line in
@@ -101,9 +101,6 @@ let gang_invalidate t ~owner =
   sweep t ~owner (fun i ->
       t.valid.(i) <- false;
       t.owners.(i) <- committed_owner)
-
-let commit_owner t ~owner =
-  sweep t ~owner (fun i -> t.owners.(i) <- committed_owner)
 
 let owned_lines t ~owner = sweep t ~owner ignore
 

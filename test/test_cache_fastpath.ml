@@ -1,9 +1,9 @@
 (* Tests for the cache probe fast path (MRU line memo + direct-mapped tag
    filter): the cache must be observationally identical to [Ref_cache], a
    model with neither layer, under arbitrary multi-owner interleavings of
-   accesses, the fast tier's batched probes, squashes, commits and path-id
-   reuse — plus directed tests for every memo invalidation hazard
-   (squash-then-reread, commit retag, 8-bit path-id wrap). *)
+   accesses, the fast tier's batched probes, squashes and path-id reuse —
+   plus directed tests for every memo invalidation hazard
+   (squash-then-reread, 8-bit path-id wrap). *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -13,7 +13,7 @@ let qtest = QCheck_alcotest.to_alcotest
    across them. *)
 let fresh_cache () = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32
 
-(* Three speculative owners (1..3) plus committed (0); squash/commit make
+(* Three speculative owners (1..3) plus committed (0); squashes make
    owner ids recycle mid-sequence, so the generator exercises the wrap
    hazard (a reused id re-acquiring lines while the memo remembers the old
    incarnation) without needing 256 spawns. *)
@@ -26,8 +26,7 @@ let op_gen =
           map
             (fun (a, (o, w)) -> Test_cache_props.Probe (a, o, w))
             (pair Test_cache_props.addr_gen (pair (int_bound 3) bool)) );
-        (1, map (fun o -> Test_cache_props.Squash (1 + o)) (int_bound 2));
-        (1, map (fun o -> Test_cache_props.Commit (1 + o)) (int_bound 2));
+        (2, map (fun o -> Test_cache_props.Squash (1 + o)) (int_bound 2));
       ])
 
 let ops_arb = Test_cache_props.ops_arb ~max:100 op_gen
@@ -67,9 +66,6 @@ let prop_memo_probe_is_pure_hit =
           | Squash owner ->
             ignore (Cache.gang_invalidate c ~owner);
             true
-          | Commit owner ->
-            ignore (Cache.commit_owner c ~owner);
-            true
           | Owned _ -> true)
         ops)
 
@@ -89,27 +85,6 @@ let test_squash_then_reread () =
     (Cache.access_line c 0 ~owner:Cache.committed_owner ~write:false
        ~allocate:true
      = Cache.Miss)
-
-(* Commit retag: after the lazy commit the memo's owner mirror is stale — a
-   same-owner write trusted against it would skip the retag-and-journal the
-   now-committed line is due. *)
-let test_commit_retag () =
-  let c = fresh_cache () in
-  ignore (Cache.access_line c 0 ~owner:5 ~write:true ~allocate:true);
-  Alcotest.(check bool) "same-owner write memoized" true
-    (Cache.memo_probe c 0 ~owner:5 ~write:true);
-  Alcotest.(check int) "commit retags 1" 1 (Cache.commit_owner c ~owner:5);
-  Alcotest.(check bool) "memo killed by commit" false
-    (Cache.memo_probe c 0 ~owner:5 ~write:true);
-  (* the write now re-acquires the committed line for owner 5 ... *)
-  Alcotest.(check bool) "write hits" true
-    (Cache.access_line c 0 ~owner:5 ~write:true ~allocate:true = Cache.Hit);
-  Alcotest.(check int) "line retagged to 5" 1 (Cache.owned_lines c ~owner:5);
-  Alcotest.(check int) "committed lost it" 0
-    (Cache.owned_lines c ~owner:Cache.committed_owner);
-  (* ... and the re-acquisition is journaled: squashing 5 must release it *)
-  Alcotest.(check int) "squash of 5 releases the retagged line" 1
-    (Cache.gang_invalidate c ~owner:5)
 
 (* 8-bit path-id wrap: id 7 is squashed and later reused by a fresh path.
    The defensive zero-line cleanup squash the engine runs on wrap must keep
@@ -141,7 +116,6 @@ let tests =
     qtest prop_memoized_matches_plain;
     qtest prop_memo_probe_is_pure_hit;
     Alcotest.test_case "squash then reread misses" `Quick test_squash_then_reread;
-    Alcotest.test_case "commit retag invalidates memo" `Quick test_commit_retag;
     Alcotest.test_case "path-id wrap with memoized owner" `Quick
       test_path_id_wrap_memoized_owner;
   ]

@@ -1,9 +1,9 @@
 (* Property tests for the cache against [Ref_cache], a test-only model
    with no memo, no tag filter and no journals: the journal-indexed
-   gang_invalidate / commit_owner / owned_lines (and their full-sweep
+   gang_invalidate / owned_lines (and their full-sweep
    fallbacks for owner 0 and untracked ids) must be observationally
    identical to the model's sweeps under arbitrary interleavings of fills,
-   write-hit retags, read hits, evictions, squashes and commits across
+   write-hit retags, read hits, evictions and squashes across
    several concurrent owners, on caches of one and of two line pages —
    plus regression tests for the stale-journal hazards (write-hit steals,
    path-id reuse after squash). *)
@@ -36,14 +36,12 @@ type op =
       (* the fast tier's batched access: a memo probe credited with
          [add_hits], or else a plain access *)
   | Squash of int
-  | Commit of int
   | Owned of int
 
 let op_to_string = function
   | Access (a, o, w, al) -> Printf.sprintf "A(%d,o%d,w%b,al%b)" a o w al
   | Probe (a, o, w) -> Printf.sprintf "P(%d,o%d,w%b)" a o w
   | Squash o -> Printf.sprintf "S(o%d)" o
-  | Commit o -> Printf.sprintf "C(o%d)" o
   | Owned o -> Printf.sprintf "O(o%d)" o
 
 let access_gen owner =
@@ -54,8 +52,8 @@ let access_gen owner =
          (pair owner (pair bool (frequencyl [ (4, true); (1, false) ])))))
 
 (* Speculative owners 1..3 and committed 0 on accesses, and now and then
-   owner 300, outside the 8-bit range the journals track; squash, commit
-   and owned-lines also reach owner 0 and 300, which take the sweeps. *)
+   owner 300, outside the 8-bit range the journals track; squash and
+   owned-lines also reach owner 0 and 300, which take the sweeps. *)
 let op_gen =
   let owner = QCheck.Gen.(frequency [ (12, int_bound 3); (1, return 300) ]) in
   let path = QCheck.Gen.(frequency [ (8, map succ (int_bound 2)); (1, return 0); (1, return 300) ]) in
@@ -63,8 +61,7 @@ let op_gen =
     frequency
       [
         (6, access_gen owner);
-        (1, map (fun o -> Squash o) path);
-        (1, map (fun o -> Commit o) path);
+        (2, map (fun o -> Squash o) path);
         (1, map (fun o -> Owned o) owner);
       ])
 
@@ -99,8 +96,6 @@ let matches_model ~size_kb ops =
           else access addr ~owner ~write ~allocate:true
         | Squash owner ->
           Cache.gang_invalidate c ~owner = Ref_cache.gang_invalidate m ~owner
-        | Commit owner ->
-          Cache.commit_owner c ~owner = Ref_cache.commit_owner m ~owner
         | Owned owner ->
           Cache.owned_lines c ~owner = Ref_cache.owned_lines m ~owner
       in
@@ -169,21 +164,6 @@ let test_path_id_wrap_stale_lines () =
   Alcotest.(check bool) "other path's line still valid" true
     (Array.exists (fun (_, v, o, _) -> v && o = 9) (Cache.snapshot c))
 
-(* Commit-then-reuse: committed lines leave the journal behind too. *)
-let test_commit_then_reuse () =
-  let c = fresh_cache () in
-  ignore (Cache.access ~owner:5 ~write:true c 0);
-  Alcotest.(check int) "commit retags 1" 1 (Cache.commit_owner c ~owner:5);
-  Alcotest.(check int) "committed line is owner 0" 1
-    (Cache.owned_lines c ~owner:Cache.committed_owner);
-  ignore (Cache.access ~owner:5 ~write:true c 8);
-  Alcotest.(check int) "reused id squash leaves committed line" 1
-    (Cache.gang_invalidate c ~owner:5);
-  Alcotest.(check bool) "committed line survived" true
-    (Array.exists
-       (fun (_, v, o, _) -> v && o = Cache.committed_owner)
-       (Cache.snapshot c))
-
 let tests =
   qtest prop_indexed_ops_match_model
   :: [
@@ -191,6 +171,4 @@ let tests =
          `Quick test_write_hit_steal;
        Alcotest.test_case "path-id wrap: reused id squashes only its own lines"
          `Quick test_path_id_wrap_stale_lines;
-       Alcotest.test_case "commit then id reuse leaves committed data alone"
-         `Quick test_commit_then_reuse;
      ]

@@ -386,7 +386,28 @@ let test_run_telemetry_populated () =
   Alcotest.(check bool) "engine.run span recorded" true
     (Telemetry.timer_total tel "engine.run" > 0.0);
   Alcotest.(check bool) "coverage gauge set" true
-    (Telemetry.gauge_value tel "coverage.combined_pct" <> None)
+    (Telemetry.gauge_value tel "coverage.combined_pct" <> None);
+  (* The NT-Path metrics are a fold over the run's records. *)
+  let records = result.Engine.nt_records in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
+  Alcotest.(check bool) "the run spawned" true (records <> []);
+  Alcotest.(check int) "terminations add up to the spawns"
+    result.Engine.spawns
+    (List.fold_left
+       (fun acc (name, _) -> acc + Telemetry.counter tel ("nt.term." ^ name))
+       0
+       (Nt_path.termination_counts records));
+  Alcotest.(check int) "nt.insns sums the records"
+    (sum (fun r -> r.Nt_path.insns))
+    (Telemetry.counter tel "nt.insns");
+  Alcotest.(check int) "nt.squashed_lines sums the records"
+    (sum (fun r -> r.Nt_path.squashed_lines))
+    (Telemetry.counter tel "nt.squashed_lines");
+  Alcotest.(check int) "one nt.len observation per record"
+    (List.length records) (Telemetry.hist_count tel "nt.len");
+  Alcotest.(check int) "btb.counter_resets counts the resets"
+    (List.length result.Engine.counter_resets)
+    (Telemetry.counter tel "btb.counter_resets")
 
 let tests =
   [

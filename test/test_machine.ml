@@ -232,13 +232,6 @@ let test_cache_occupancy () =
   ignore (Cache.gang_invalidate c ~owner:2);
   Alcotest.(check int) "one after squash" 1 (Cache.valid_lines c)
 
-let test_cache_commit () =
-  let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
-  ignore (Cache.access ~owner:5 c 0);
-  Alcotest.(check int) "commit" 1 (Cache.commit_owner c ~owner:5);
-  Alcotest.(check int) "no longer owned" 0 (Cache.owned_lines c ~owner:5);
-  Alcotest.(check bool) "still cached" true (Cache.access c 0 = Cache.Hit)
-
 let test_cache_no_allocate () =
   let c = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:32 in
   Alcotest.(check bool) "probe misses" true
@@ -405,9 +398,12 @@ let prop_watch_filter_matches_oracle =
 
 let test_report_log () =
   let log = Report.create () in
-  Report.file log ~site:1 ~origin:Report.Taken_path ~pc:10 ~insn_index:100;
-  Report.file log ~site:2 ~origin:(Report.Nt_path 3) ~pc:20 ~insn_index:200;
-  Report.file log ~site:2 ~origin:(Report.Nt_path 4) ~pc:20 ~insn_index:300;
+  Report.file log ~site:1 ~origin:Report.Taken_path ~pc:10 ~insn_index:100
+    ~cycle:110;
+  Report.file log ~site:2 ~origin:(Report.Nt_path 3) ~pc:20 ~insn_index:200
+    ~cycle:7;
+  Report.file log ~site:2 ~origin:(Report.Nt_path 4) ~pc:20 ~insn_index:300
+    ~cycle:9;
   Alcotest.(check int) "count" 3 (Report.count log);
   Alcotest.(check (list int)) "distinct" [ 1; 2 ] (Report.distinct_sites log);
   Alcotest.(check (list int)) "nt sites" [ 2 ] (Report.sites_from_nt_paths log);
@@ -526,7 +522,6 @@ let tests =
     Alcotest.test_case "cache read fill takes ownership" `Quick
       test_cache_read_fill_takes_ownership;
     Alcotest.test_case "cache occupancy" `Quick test_cache_occupancy;
-    Alcotest.test_case "cache commit" `Quick test_cache_commit;
     Alcotest.test_case "cache no-allocate" `Quick test_cache_no_allocate;
     Alcotest.test_case "cache negative address" `Quick test_cache_negative_address;
     Alcotest.test_case "btb counters" `Quick test_btb_counters;

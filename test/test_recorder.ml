@@ -1,5 +1,5 @@
-(* Flight-recorder tests: histogram bucket edges, span-trace drop
-   accounting, ring-buffer semantics, trace determinism, exporter validity
+(* NT-Path trace tests: histogram bucket edges, the derived trace's
+   completeness and lifecycle blocks, trace determinism, exporter validity
    (every JSONL line and the Chrome JSON parse), and bug-event provenance
    agreeing with the report log. *)
 
@@ -58,78 +58,6 @@ let test_hist_aggregate () =
   Alcotest.(check bool) "aggregate parses" true
     (Result.is_ok (Jsonu.parse json))
 
-(* --- ring buffer semantics ----------------------------------------------- *)
-
-let test_ring_overflow () =
-  let r = Recorder.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Recorder.set_local r (10 * i);
-    Recorder.emit_counter_reset r ~insns:i
-  done;
-  Alcotest.(check int) "length is capped" 4 (Recorder.length r);
-  Alcotest.(check int) "total keeps counting" 6 (Recorder.total r);
-  Alcotest.(check int) "dropped = total - capacity" 2 (Recorder.dropped r);
-  let insns =
-    List.map
-      (function
-        | Recorder.Counter_reset { insns; _ } -> insns
-        | _ -> Alcotest.fail "unexpected event kind")
-      (Recorder.events r)
-  in
-  Alcotest.(check (list int)) "oldest events overwritten, order kept"
-    [ 3; 4; 5; 6 ] insns
-
-let test_disabled_is_noop () =
-  let r = Recorder.disabled in
-  Recorder.set_base r 100;
-  Recorder.set_local r 100;
-  Recorder.emit_spawn r ~path_id:1 ~br_pc:2 ~edge:true ~entry_pc:3;
-  Recorder.emit_bug r ~site:1 ~origin:1 ~spawn_site:2 ~edge:0 ~pc:9;
-  Alcotest.(check bool) "disabled" false (Recorder.enabled r);
-  Alcotest.(check int) "no events recorded" 0 (Recorder.total r)
-
-let test_clock_base_local () =
-  let r = Recorder.create () in
-  Recorder.set_local r 40;
-  Recorder.emit_spawn r ~path_id:1 ~br_pc:7 ~edge:false ~entry_pc:8;
-  Recorder.set_base r 40;
-  Recorder.set_local r 5;
-  Recorder.emit_terminate r ~path_id:1 ~cause:Recorder.Max_length ~len:5
-    ~dirty_lines:2;
-  match Recorder.events r with
-  | [ Recorder.Spawn { at = a1; _ }; Recorder.Terminate { at = a2; _ } ] ->
-    Alcotest.(check int) "spawn at primary cycle" 40 a1;
-    Alcotest.(check int) "terminate at spawn + path-local" 45 a2
-  | _ -> Alcotest.fail "expected spawn + terminate"
-
-(* --- cache squash/commit emission ---------------------------------------- *)
-
-let test_cache_emits_squash_and_commit () =
-  let r = Recorder.create () in
-  let cache = Cache.create ~size_kb:1 ~assoc:2 ~line_bytes:16 in
-  Cache.set_recorder cache r;
-  for i = 0 to 3 do
-    ignore
-      (Cache.access_line cache (64 * i) ~owner:5 ~write:true ~allocate:true)
-  done;
-  let squashed = Cache.gang_invalidate cache ~owner:5 in
-  for i = 0 to 1 do
-    ignore
-      (Cache.access_line cache (64 * i) ~owner:6 ~write:true ~allocate:true)
-  done;
-  let committed = Cache.commit_owner cache ~owner:6 in
-  match Recorder.events r with
-  | [ Recorder.Squash { owner = o1; lines = l1; _ };
-      Recorder.Commit { owner = o2; lines = l2; _ } ] ->
-    Alcotest.(check int) "squash owner" 5 o1;
-    Alcotest.(check int) "squash lines" squashed l1;
-    Alcotest.(check int) "commit owner" 6 o2;
-    Alcotest.(check int) "commit lines" committed l2
-  | evs ->
-    Alcotest.fail
-      (Printf.sprintf "expected squash + commit, got %d events"
-         (List.length evs))
-
 (* --- engine integration --------------------------------------------------- *)
 
 let buggy_source =
@@ -157,87 +85,146 @@ int main() {
 }
 |}
 
+let run_traced ?(label = "run") machine result =
+  (machine, Trace.of_run ~label result (Report.entries machine.Machine.reports), result)
+
 let traced_run ?(source = buggy_source) () =
   let compiled =
     Compile.compile ~options:{ Codegen.default_options with Codegen.detector = Codegen.Ccured }
       source
   in
-  let recorder = Recorder.create () in
-  let machine = Machine.create ~recorder compiled.Compile.program in
-  let result = Engine.run machine in
-  (compiled, machine, recorder, result)
+  let machine = Machine.create compiled.Compile.program in
+  run_traced machine (Engine.run machine)
 
 let test_engine_trace_deterministic () =
-  let _, _, r1, _ = traced_run () in
-  let _, _, r2, _ = traced_run () in
-  let d1 = Recorder.dump ~label:"run" r1 in
-  let d2 = Recorder.dump ~label:"run" r2 in
-  Alcotest.(check bool) "events recorded" true (List.length d1.Recorder.events > 0);
+  let _, t1, _ = traced_run () in
+  let _, t2, _ = traced_run () in
+  Alcotest.(check bool) "events derived" true (List.length t1.Trace.events > 0);
   Alcotest.(check string) "identical runs give identical JSONL"
-    (Recorder.jsonl_of_dump d1) (Recorder.jsonl_of_dump d2);
+    (Trace.to_jsonl t1) (Trace.to_jsonl t2);
   Alcotest.(check string) "identical Chrome traces"
-    (Recorder.chrome_of_dump d1) (Recorder.chrome_of_dump d2)
+    (Trace.to_chrome t1) (Trace.to_chrome t2)
+
+(* Every NT-Path is one contiguous block — spawn, its own bugs, a squash
+   iff it left dirty lines, its termination — one block per record, in
+   spawn order. Outside the blocks only taken-path bugs and counter resets
+   occur, and those happen on the primary core, whose clock never runs
+   backwards: with each block stamped at its spawn, the primary core's
+   events are in time order. *)
+let check_lifecycle name (trace : Trace.t) (result : Engine.result) =
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.failf "%s: %s" name m) fmt in
+  let rec blocks clock records = function
+    | [] -> if records <> [] then fail "%d records without a block" (List.length records)
+    | Trace.Spawn { at; path_id; br_pc; _ } :: rest ->
+      (match records with
+       | [] -> fail "a spawn without a record"
+       | (r : Nt_path.record) :: records ->
+         if at < clock then fail "spawn at %d before the primary clock %d" at clock;
+         if path_id <> r.Nt_path.path_id || br_pc <> r.Nt_path.spawn_br_pc then
+           fail "spawn of path %d does not match its record" path_id;
+         let rec inside squashed = function
+           | Trace.Bug_detected { origin; at = b; _ } :: rest when origin = path_id ->
+             if b < at then fail "bug before its spawn";
+             inside squashed rest
+           | Trace.Squash { owner; lines; _ } :: rest when owner = path_id && not squashed ->
+             if lines <> r.Nt_path.squashed_lines then fail "squash lines";
+             inside true rest
+           | Trace.Terminate { path_id = p; at = t; len; dirty_lines; _ } :: rest
+             when p = path_id ->
+             if t < at then fail "terminate before its spawn";
+             if len <> r.Nt_path.insns || dirty_lines <> r.Nt_path.squashed_lines then
+               fail "terminate of path %d does not match its record" p;
+             if squashed <> (dirty_lines > 0) then fail "squash iff dirty lines";
+             blocks at records rest
+           | _ -> fail "path %d's block is not contiguous" path_id
+         in
+         inside false rest)
+    | (Trace.Bug_detected { at; origin = 0; _ } | Trace.Counter_reset { at; _ }) :: rest ->
+      if at < clock then fail "taken-path event at %d before %d" at clock;
+      blocks at records rest
+    | _ :: _ -> fail "an NT-Path event outside its block"
+  in
+  blocks 0 result.Engine.nt_records trace.Trace.events
 
 let test_engine_trace_lifecycle () =
-  let _, _, r, result = traced_run () in
-  let events = Recorder.events r in
+  let _, trace, result = traced_run () in
   let spawns =
     List.filter_map
-      (function Recorder.Spawn { path_id; _ } -> Some path_id | _ -> None)
-      events
-  in
-  let terms =
-    List.filter_map
-      (function Recorder.Terminate { path_id; _ } -> Some path_id | _ -> None)
-      events
+      (function Trace.Spawn { path_id; _ } -> Some path_id | _ -> None)
+      trace.Trace.events
   in
   Alcotest.(check int) "one spawn event per engine spawn"
     result.Engine.spawns (List.length spawns);
-  Alcotest.(check (list int)) "every spawned path terminates" spawns terms;
-  (* Timestamps are non-decreasing per path pairing: a path's terminate
-     never precedes its spawn. *)
-  List.iter
-    (function
-      | Recorder.Terminate { at; path_id; _ } ->
-        let spawn_at =
-          List.find_map
-            (function
-              | Recorder.Spawn { at; path_id = p; _ } when p = path_id ->
-                Some at
-              | _ -> None)
-            events
-        in
-        (match spawn_at with
-         | Some s ->
-           Alcotest.(check bool) "terminate not before spawn" true (at >= s)
-         | None -> Alcotest.fail "terminate without spawn")
-      | _ -> ())
-    events
+  check_lifecycle "buggy program" trace result
+
+(* The trace is derived from the run's records, so it is complete however
+   long the run: 164.gzip's standard run at NTPathCounterThreshold 16 (the
+   parameter sweep's last column) makes more events than the 65,536 a
+   fixed ring once held, and every one is there. *)
+let test_long_trace_complete () =
+  let w = Registry.find "164.gzip" in
+  let compiled = Workload.compile w in
+  let machine = Machine.create ~input:w.Workload.default_input compiled.Compile.program in
+  let config =
+    { (Workload.pe_config w) with Pe_config.nt_counter_threshold = 16 }
+  in
+  let _, trace, result = run_traced machine (Engine.run ~config machine) in
+  let count p = List.length (List.filter p trace.Trace.events) in
+  Alcotest.(check bool) "longer than the old ring" true
+    (List.length trace.Trace.events > 65_536);
+  Alcotest.(check int) "a spawn event per spawn" result.Engine.spawns
+    (count (function Trace.Spawn _ -> true | _ -> false));
+  Alcotest.(check int) "a terminate per record"
+    (List.length result.Engine.nt_records)
+    (count (function Trace.Terminate _ -> true | _ -> false));
+  Alcotest.(check int) "a bug per report"
+    (Report.count machine.Machine.reports)
+    (count (function Trace.Bug_detected _ -> true | _ -> false));
+  Alcotest.(check int) "a reset per counter reset"
+    (List.length result.Engine.counter_resets)
+    (count (function Trace.Counter_reset _ -> true | _ -> false));
+  check_lifecycle "164.gzip" trace result
 
 let test_bug_provenance_matches_reports () =
-  let _, machine, r, _ = traced_run () in
+  let machine, trace, result = traced_run () in
   let reports = Report.entries machine.Machine.reports in
   Alcotest.(check bool) "the planted bug fires" true (List.length reports > 0);
   let bug_events =
     List.filter_map
       (function
-        | Recorder.Bug_detected { site; origin; spawn_site; edge; pc; _ } ->
-          Some (site, origin, spawn_site, edge, pc)
+        | Trace.Bug_detected { at; site; origin; spawn_site; edge; pc } ->
+          Some (at, site, origin, spawn_site, edge, pc)
         | _ -> None)
-      (Recorder.events r)
+      trace.Trace.events
   in
   Alcotest.(check int) "one Bug_detected event per filed report"
     (List.length reports) (List.length bug_events);
-  List.iter2
-    (fun (e : Report.entry) (site, origin, spawn_site, edge, pc) ->
+  (* A report filed inside an NT-Path lies in its record's range of the
+     log, and its event is timed at the spawn plus the path's own cycle. *)
+  let filer i =
+    List.find
+      (fun (r : Nt_path.record) ->
+        r.Nt_path.first_report <= i
+        && i < r.Nt_path.first_report + r.Nt_path.reports)
+      result.Engine.nt_records
+  in
+  List.iteri
+    (fun i ((e : Report.entry), (at, site, origin, spawn_site, edge, pc)) ->
       Alcotest.(check int) "site" e.Report.site site;
       Alcotest.(check int) "pc" e.Report.pc pc;
       Alcotest.(check int) "spawn site" e.Report.spawn_br_pc spawn_site;
       Alcotest.(check int) "branch edge" e.Report.branch_edge edge;
       match e.Report.origin with
-      | Report.Taken_path -> Alcotest.(check int) "taken origin" 0 origin
-      | Report.Nt_path id -> Alcotest.(check int) "nt origin" id origin)
-    reports bug_events;
+      | Report.Taken_path ->
+        Alcotest.(check int) "taken origin" 0 origin;
+        Alcotest.(check int) "taken bug at its cycle" e.Report.cycle at
+      | Report.Nt_path id ->
+        let r = filer i in
+        Alcotest.(check int) "nt origin" id origin;
+        Alcotest.(check int) "filed by its path" r.Nt_path.path_id id;
+        Alcotest.(check int) "nt bug at spawn + path cycle"
+          (r.Nt_path.spawn_cycle + e.Report.cycle) at)
+    (List.combine reports bug_events);
   (* NT-origin reports name a real spawning edge, and the report log's
      distinct-edge view agrees with the trace. *)
   List.iter
@@ -256,9 +243,11 @@ let test_bug_provenance_matches_reports () =
 (* --- exporters ------------------------------------------------------------ *)
 
 let test_jsonl_every_line_parses () =
-  let _, _, r, _ = traced_run () in
-  let dump = Recorder.dump ~label:"weird \"label\"\nwith newline" r in
-  let jsonl = Recorder.jsonl_of_dump dump in
+  let machine, _, result = traced_run () in
+  let _, trace, _ =
+    run_traced ~label:"weird \"label\"\nwith newline" machine result
+  in
+  let jsonl = Trace.to_jsonl trace in
   let lines = String.split_on_char '\n' jsonl in
   let lines = List.filter (fun l -> l <> "") lines in
   Alcotest.(check bool) "has meta + events" true (List.length lines > 1);
@@ -273,18 +262,26 @@ let test_jsonl_every_line_parses () =
       | Error e ->
         Alcotest.fail (Printf.sprintf "line %d invalid: %s" (i + 1) e))
     lines;
-  (* The escaped label round-trips exactly. *)
+  (* The escaped label round-trips exactly, and the meta line counts the
+     event lines that follow it; a complete trace needs no drop count. *)
   match Jsonu.parse (List.hd lines) with
   | Ok meta ->
     (match Jsonu.member "label" meta with
      | Some (Jsonu.Str l) ->
        Alcotest.(check string) "label round-trips" "weird \"label\"\nwith newline" l
-     | _ -> Alcotest.fail "meta lacks label")
+     | _ -> Alcotest.fail "meta lacks label");
+    Alcotest.(check bool) "schema 2" true
+      (Jsonu.member "schema" meta = Some (Jsonu.Num 2.0));
+    Alcotest.(check bool) "events counted" true
+      (Jsonu.member "events" meta
+      = Some (Jsonu.Num (float_of_int (List.length lines - 1))));
+    Alcotest.(check bool) "no drop accounting" true
+      (Jsonu.member "dropped" meta = None && Jsonu.member "total" meta = None)
   | Error e -> Alcotest.fail e
 
 let test_chrome_output_valid () =
-  let _, _, r, result = traced_run () in
-  let chrome = Recorder.chrome_of_dump (Recorder.dump ~label:"c" r) in
+  let _, trace, result = traced_run () in
+  let chrome = Trace.to_chrome trace in
   match Jsonu.parse chrome with
   | Error e -> Alcotest.fail ("chrome trace invalid: " ^ e)
   | Ok v ->
@@ -312,8 +309,8 @@ let test_chrome_output_valid () =
 
 (* --- run-spec capture ----------------------------------------------------- *)
 
-(* A run made through the experiment harness carries an enabled recorder
-   exactly when the spec traces, and its trace lands in the context. *)
+(* A run made through the experiment harness keeps its trace exactly when
+   the spec traces, and the trace lands in the context. *)
 let test_spec_capture () =
   let run spec =
     let ctx = Exp_common.context ~spec ~out:ignore in
@@ -321,16 +318,14 @@ let test_spec_capture () =
     let traces, _, _ = Exp_common.collected ctx in
     (r, traces)
   in
-  let r_plain, plain = run Run_spec.default in
-  Alcotest.(check bool) "untraced run keeps the disabled recorder" false
-    (Recorder.enabled r_plain.Exp_common.machine.Machine.recorder);
+  let _, plain = run Run_spec.default in
   Alcotest.(check int) "nothing captured untraced" 0 (List.length plain);
   let _, dumps = run { Run_spec.default with Run_spec.trace = true } in
   Alcotest.(check (list string)) "one labelled trace per run"
     [ "schedule/standard" ] (List.map fst dumps);
   (* save_dir writes deterministically named, parseable files *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "pexp_trace_test" in
-  let files = Recorder.save_dir ~dir dumps in
+  let files = Trace.save_dir ~dir dumps in
   Alcotest.(check int) "one file per trace" (List.length dumps)
     (List.length files);
   List.iter
@@ -352,15 +347,11 @@ let tests =
     Alcotest.test_case "histogram bucket edges" `Quick test_hist_bucket_edges;
     Alcotest.test_case "histogram JSON shape" `Quick test_hist_json;
     Alcotest.test_case "histogram aggregation" `Quick test_hist_aggregate;
-    Alcotest.test_case "ring overflow semantics" `Quick test_ring_overflow;
-    Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_is_noop;
-    Alcotest.test_case "base+local sim clock" `Quick test_clock_base_local;
-    Alcotest.test_case "cache emits squash and commit" `Quick
-      test_cache_emits_squash_and_commit;
     Alcotest.test_case "engine trace is deterministic" `Quick
       test_engine_trace_deterministic;
     Alcotest.test_case "spawn/terminate lifecycle" `Quick
       test_engine_trace_lifecycle;
+    Alcotest.test_case "long trace is complete" `Quick test_long_trace_complete;
     Alcotest.test_case "bug provenance matches reports" `Quick
       test_bug_provenance_matches_reports;
     Alcotest.test_case "JSONL lines all parse" `Quick

@@ -160,6 +160,7 @@ let check_nt_paths ?(pinned = false) name ~input ~(config : Pe_config.t)
         Nt_path.run arena ~l1:ctx.Context.l1 ~regs:ctx.Context.regs ~entry
           ~spawn_br_pc:br_pc ~forced_direction:(not taken)
           ~path_id:(((!spawns - 1) mod 255) + 1)
+          ~spawn_cycle:ctx.Context.stats.Context.cycles
       in
       machine.Machine.store_hook <- None;
       let r =

@@ -94,9 +94,8 @@ type observed = {
          memo hits and filter hits *)
   btb : int * int * (int * int) option list;
   coverage : (bool * bool * bool * bool * bool) list;  (* per pc *)
-  reports : Report.entry list;  (* [insn_index] provenance included *)
+  reports : Report.entry list;  (* [insn_index] and [cycle] included *)
   output : string;
-  recorder : string;
   insn_index : int;
 }
 
@@ -110,8 +109,7 @@ type observed = {
    hook). Returns the observables and the taken path's fast-tier
    instructions. *)
 let drive_run ~pinned ?(setting = standard) ?(attach = ignore) ~input program =
-  let recorder = Recorder.create () in
-  let machine = Machine.create ~input ~recorder program in
+  let machine = Machine.create ~input program in
   attach machine;
   let btb = machine.Machine.btb and mconfig = machine.Machine.config in
   let ctx = Machine.main_context machine in
@@ -203,7 +201,6 @@ let drive_run ~pinned ?(setting = standard) ?(attach = ignore) ~input program =
       coverage = List.init code_len bits;
       reports = Report.entries machine.Machine.reports;
       output = Machine.output machine;
-      recorder = Recorder.jsonl_of_dump (Recorder.dump recorder);
       insn_index = machine.Machine.insn_index;
     },
     Fast_loop.fast_insns fl )
@@ -226,7 +223,6 @@ let check_drive name ?setting ?attach ~input program =
   same "coverage bitmaps" slow.coverage fast.coverage;
   same "reports" slow.reports fast.reports;
   same "outputs" slow.output fast.output;
-  same "recorder streams" slow.recorder fast.recorder;
   same "instruction indices" slow.insn_index fast.insn_index;
   (fast, fast_insns)
 
@@ -420,7 +416,7 @@ let test_differential_workloads () =
 (* Armed watchpoints do not pin the drive: every iWatcher bug variant, in
    each mode, runs mostly on the fast tier, which stops only before a
    watch/unwatch or an access to a watched word; and the drive
-   differential holds on each variant, reports and recorder stream
+   differential holds on each variant, reports and their cycles
    included. *)
 let test_differential_iwatcher () =
   let variants =
