@@ -220,11 +220,13 @@ let record_telemetry tel records =
     Telemetry.count tel "nt.squashed_lines"
       (sum (fun r -> r.squashed_lines) records)
   end;
-  ignore
-    (List.fold_left
-       (fun last r ->
-         Telemetry.observe tel "nt.spawn_interarrival" (r.spawn_cycle - last);
-         Telemetry.observe tel "nt.len" r.insns;
-         Telemetry.observe tel "nt.dirty_per_squash" r.squashed_lines;
-         r.spawn_cycle)
-       0 records)
+  let last = ref 0 in
+  Telemetry.observe_each tel "nt.spawn_interarrival"
+    (fun r ->
+      let gap = r.spawn_cycle - !last in
+      last := r.spawn_cycle;
+      gap)
+    records;
+  Telemetry.observe_each tel "nt.len" (fun r -> r.insns) records;
+  Telemetry.observe_each tel "nt.dirty_per_squash" (fun r -> r.squashed_lines)
+    records

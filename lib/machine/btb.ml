@@ -181,22 +181,24 @@ let lookups btb = btb.lookups
 let miss_count btb = btb.misses
 let entry_count btb = Array.length btb.tags
 
-(* Valid entries satisfying [p btb i]. *)
-let count_valid btb p =
-  let count = ref 0 in
+(* Valid entries, and those of them whose exercise counters can no longer
+   discriminate cold edges: both counters pinned at the 4-bit maximum. One
+   walk, no call per entry. *)
+let occupancy btb =
+  let valid_n = ref 0 and saturated = ref 0 in
   for i = 0 to entry_count btb - 1 do
-    if valid btb i && p btb i then incr count
+    if valid btb i then begin
+      incr valid_n;
+      if
+        taken_count btb i >= btb.counter_max
+        && nontaken_count btb i >= btb.counter_max
+      then incr saturated
+    end
   done;
-  !count
+  (!valid_n, !saturated)
 
-let valid_entries btb = count_valid btb (fun _ _ -> true)
-
-(* Entries whose exercise counters can no longer discriminate cold edges:
-   both counters pinned at the 4-bit maximum. *)
-let saturated_entries btb =
-  count_valid btb (fun btb i ->
-      taken_count btb i >= btb.counter_max
-      && nontaken_count btb i >= btb.counter_max)
+let valid_entries btb = fst (occupancy btb)
+let saturated_entries btb = snd (occupancy btb)
 
 (* BTB pressure for telemetry: occupancy (conflict evictions lose exercise
    history), miss rate, and the saturated-counter fraction. *)
@@ -206,8 +208,8 @@ let record_telemetry btb sink ~prefix =
   if btb.lookups > 0 then
     Telemetry.gauge sink (prefix ^ ".miss_rate")
       (float_of_int btb.misses /. float_of_int btb.lookups);
-  let entries = entry_count btb in
-  Telemetry.gauge sink (prefix ^ ".occupancy")
-    (float_of_int (valid_entries btb) /. float_of_int entries);
+  let entries = float_of_int (entry_count btb) in
+  let valid_n, saturated = occupancy btb in
+  Telemetry.gauge sink (prefix ^ ".occupancy") (float_of_int valid_n /. entries);
   Telemetry.gauge sink (prefix ^ ".saturation")
-    (float_of_int (saturated_entries btb) /. float_of_int entries)
+    (float_of_int saturated /. entries)

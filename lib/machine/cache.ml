@@ -115,6 +115,7 @@ type t = {
   journals : int array array;
   journal_len : int array;
   owner_count : int array;  (* per owner: valid lines currently tagged *)
+  mutable valid_count : int;  (* valid lines: the occupancy gauge *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -156,6 +157,7 @@ let create ~size_kb ~assoc ~line_bytes =
     journals = Array.make tracked_owners [||];
     journal_len = Array.make tracked_owners 0;
     owner_count = Array.make tracked_owners 0;
+    valid_count = 0;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -272,8 +274,11 @@ type outcome = Hit | Miss
 
 (* Associative walk of one set, hoisted to top level: an inner [let rec]
    would capture its locals and allocate a closure on every filter-miss
-   access (no flambda). Returns the matching way's slot, or -1. *)
-let rec scan_set valid tags laddr limit i =
+   access (no flambda). Returns the matching way's slot, or -1. The
+   annotations matter: the compiler inlines a loop's first iteration into
+   its callers as compiled, and an unannotated ['a array] compare is a call
+   to the polymorphic [caml_equal] (a CI guard counts these). *)
+let rec scan_set valid (tags : int array) (laddr : int) limit i =
   if i >= limit then -1
   else if
     Bytes.unsafe_get valid i = '\001' && Array.unsafe_get tags i = laddr
@@ -282,7 +287,7 @@ let rec scan_set valid tags laddr limit i =
 
 (* LRU victim of one set (invalid ways first), same hoisting rationale;
    [best] travels as an argument instead of a heap [ref]. *)
-let rec pick_victim valid lrus limit best i =
+let rec pick_victim valid (lrus : int array) limit best i =
   if i >= limit then best
   else
     let best =
@@ -369,7 +374,8 @@ let access_line cache addr ~owner ~write ~allocate =
            invalid ways the first one found). *)
         let v = pick_victim page.valid page.lrus limit base (base + 1) in
         let prev_owner = Array.unsafe_get page.owners v in
-        if slot_valid page v then count_decr cache prev_owner;
+        if slot_valid page v then count_decr cache prev_owner
+        else cache.valid_count <- cache.valid_count + 1;
         Bytes.unsafe_set page.valid v '\001';
         Array.unsafe_set page.tags v laddr;
         Array.unsafe_set page.lrus v cache.clock;
@@ -431,6 +437,7 @@ let sweep_gang_invalidate cache ~owner =
         page.owners.(s) <- committed_owner;
         count_decr cache owner)
   in
+  cache.valid_count <- cache.valid_count - count;
   (* A memoized line may just have been invalidated; trusting the memo past
      this point would fast-hit a dead line. A zero-line squash (the
      defensive cleanup on path-id wrap runs one per spawn once ids recycle)
@@ -451,6 +458,7 @@ let gang_invalidate cache ~owner =
         Bytes.unsafe_set page.valid s '\000';
         page.owners.(s) <- committed_owner);
     cache.owner_count.(owner) <- 0;
+    cache.valid_count <- cache.valid_count - count;
     (* Same hazard as the sweep: a squashed line may be memoized. *)
     if count > 0 then memo_kill cache;
     count
@@ -493,15 +501,7 @@ let misses cache = cache.misses
 let memo_hits cache = cache.memo_hits
 let filter_hits cache = cache.filter_hits
 
-(* O(pages filled): the zero page holds no valid line. *)
-let valid_lines cache =
-  Array.fold_left
-    (fun acc page ->
-      if page == cache.zero then acc
-      else
-        Bytes.fold_left (fun n c -> if c = '\001' then n + 1 else n) acc
-          page.valid)
-    0 cache.pages
+let valid_lines cache = cache.valid_count
 
 (* Report this cache's access statistics and occupancy into a telemetry
    sink, under [prefix] (e.g. "l1.primary", "l2"). *)

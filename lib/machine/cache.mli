@@ -79,7 +79,8 @@ val memo_hits : t -> int
     A subset of {!hits}, disjoint from {!memo_hits}. *)
 val filter_hits : t -> int
 
-(** Number of valid lines currently installed. *)
+(** Number of valid lines currently installed: a live count kept by fills
+    and gang-invalidation, O(1). *)
 val valid_lines : t -> int
 
 (** Total line capacity. *)

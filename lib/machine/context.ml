@@ -49,8 +49,11 @@ module Itab = struct
      an argument: an inner [let rec] capturing locals would allocate a fresh
      closure on each call (no flambda here), and these two run once per
      sandboxed load/store — the simulator's hottest allocation site before
-     they were hoisted. *)
-  let rec find_probe gens keys gen key mask i =
+     they were hoisted. The annotations keep the compares on ints: callers
+     get this loop's first iteration inlined as compiled, and an
+     unannotated ['a array] compare calls the polymorphic [caml_equal]. *)
+  let rec find_probe (gens : int array) (keys : int array) (gen : int)
+      (key : int) mask i =
     if Array.unsafe_get gens i <> gen then -1
     else if Array.unsafe_get keys i = key then i
     else find_probe gens keys gen key mask ((i + 1) land mask)

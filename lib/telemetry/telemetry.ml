@@ -84,21 +84,30 @@ let empty_hist () =
     h_buckets = Array.make hist_bucket_count 0;
   }
 
-let observe t name v =
-  let h =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-      let h = empty_hist () in
-      Hashtbl.replace t.hists name h;
-      h
-  in
+let find_hist t name =
+  match Hashtbl.find_opt t.hists name with
+  | Some h -> h
+  | None ->
+    let h = empty_hist () in
+    Hashtbl.replace t.hists name h;
+    h
+
+let add_observation h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   let i = hist_bucket_index v in
   h.h_buckets.(i) <- h.h_buckets.(i) + 1
+
+let observe t name v = add_observation (find_hist t name) v
+
+(* One name lookup for a whole list; an empty list creates no histogram. *)
+let observe_each t name f xs =
+  if xs <> [] then begin
+    let h = find_hist t name in
+    List.iter (fun x -> add_observation h (f x)) xs
+  end
 
 let hist_count t name =
   match Hashtbl.find_opt t.hists name with Some h -> h.h_count | None -> 0

@@ -40,6 +40,11 @@ val gauge_value : t -> string -> float option
     including [max_int]. *)
 val observe : t -> string -> int -> unit
 
+(** [observe_each t name f xs] is [List.iter (fun x -> observe t name (f x))
+    xs], in order, with one lookup of [name]. An empty [xs] leaves the sink
+    unchanged. *)
+val observe_each : t -> string -> ('a -> int) -> 'a list -> unit
+
 (** Total observations recorded under histogram [name] (0 when absent). *)
 val hist_count : t -> string -> int
 

@@ -114,6 +114,35 @@ let prop_indexed_ops_match_model =
     ~count:300 (ops_arb op_gen) (fun ops ->
       matches_model ~size_kb:1 ops && matches_model ~size_kb:8 ops)
 
+(* The live valid-line count that [occupancy] reads must equal a full scan
+   of the line arrays after any interleaving of fills, evictions,
+   journal-indexed squashes and full-array sweeps (owner 0 and the
+   untracked owner 300 take the sweeps), on one and on two line pages. *)
+let live_count_matches_scan ~size_kb ops =
+  let c = Cache.create ~size_kb ~assoc:2 ~line_bytes:32 in
+  let scan () =
+    Array.fold_left
+      (fun n (_, valid, _, _) -> if valid then n + 1 else n)
+      0 (Cache.snapshot c)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+       | Access (addr, owner, write, allocate) ->
+         ignore (Cache.access_line c addr ~owner ~write ~allocate)
+       | Probe (addr, owner, write) ->
+         ignore (Cache.access_line c addr ~owner ~write ~allocate:true)
+       | Squash owner -> ignore (Cache.gang_invalidate c ~owner)
+       | Owned owner -> ignore (Cache.owned_lines c ~owner));
+      Cache.valid_lines c = scan ())
+    ops
+
+let prop_live_valid_count =
+  QCheck.Test.make ~name:"live valid-line count equals a full scan" ~count:300
+    (ops_arb op_gen) (fun ops ->
+      live_count_matches_scan ~size_kb:1 ops
+      && live_count_matches_scan ~size_kb:8 ops)
+
 (* --- stale-journal regressions ---------------------------------------------- *)
 
 (* A write hit by owner 8 steals a line owner 7 filled; 7's journal still
@@ -166,6 +195,7 @@ let test_path_id_wrap_stale_lines () =
 
 let tests =
   qtest prop_indexed_ops_match_model
+  :: qtest prop_live_valid_count
   :: [
        Alcotest.test_case "write-hit steal leaves stale journal harmless"
          `Quick test_write_hit_steal;

@@ -489,6 +489,38 @@ let test_overlay_pays_for_what_it_buffers () =
     (Context.dirty_line_count sb);
   Alcotest.(check int) "memory still untouched" 0 (Memory.read m (base + 5))
 
+(* Major-heap words of one baseline run on print_tokens: [Machine.create]
+   and [Engine.run], the program compiled beforehand. The count is what the
+   run allocates directly in the major heap (blocks over 256 words) plus
+   what its minor collections promote, so it is deterministic for one
+   build. The run builds coverage in O(branches) and folds source lines
+   only on demand. The test build reads 14,363 words; the bound leaves 4.4%
+   for compiler and library versions. When [Coverage.create] still built a
+   per-pc line map and a line universe on every run it read 16,409. *)
+let per_run_major_words_bound = 15_000
+
+let test_run_pays_for_what_it_changes () =
+  let workload = Registry.print_tokens in
+  let program = (Workload.compile workload).Compile.program in
+  let config = Workload.pe_config ~mode:Pe_config.Baseline workload in
+  let run () =
+    Engine.run ~config
+      (Machine.create ~input:workload.Workload.default_input program)
+  in
+  (* a first run builds what a process shares across runs (the caches'
+     zero page) *)
+  ignore (run ());
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (run ()));
+  let _, _, major1 = Gc.counters () in
+  let words = int_of_float (major1 -. major0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d major-heap words, bound %d" words
+       per_run_major_words_bound)
+    true
+    (words <= per_run_major_words_bound)
+
 (* A hand-built program skips the compiler's bound on the globals segment;
    [Program.make] holds it, so no machine is ever created over a space that
    would wrap past [max_int]. *)
@@ -540,6 +572,8 @@ let tests =
     Alcotest.test_case "overlay line limit" `Quick test_overlay_line_limit;
     Alcotest.test_case "overlay pays for what it buffers" `Quick
       test_overlay_pays_for_what_it_buffers;
+    Alcotest.test_case "baseline run pays for what it changes" `Quick
+      test_run_pays_for_what_it_changes;
     Alcotest.test_case "globals bound at create" `Quick
       test_globals_bound_at_create;
   ]
